@@ -10,21 +10,24 @@ definiteness.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .bicombing import BicombingSpec, combing_chain
 from .groups import (
     CayleyBall,
     GroupPresentation,
     free_reduce,
     invert,
 )
-from .kernel import DisplacementKernel, _mean_zero_basis, kernel_from_matrix
-from .espace import NormReport, NormRow
-
-CND_TOLERANCE = -1e-9
+from .kernel import (
+    CND_TOLERANCE,
+    DisplacementKernel,
+    centered_min_eigenvalue,
+    l1_distance_matrix,
+)
+from .espace import NormReport, cocycle_norm_rows
 
 
 class ActionError(ValueError):
@@ -115,25 +118,19 @@ def parse_action(text: str, presentation: GroupPresentation) -> TreeActionSpec:
 
 def orbit_kernel(action: TreeActionSpec, ball: CayleyBall) -> DisplacementKernel:
     """K(s, t) = tree distance between the images of s and t: the reduced word
-    length of phi(s)^-1 phi(t).  The action is isometric, so the displacement
-    constant is exactly 0."""
-    n = len(ball)
-    images = [action.apply(w) for w in ball.elements]
-    inverses = [invert(img) for img in images]
-    twice = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        inv_i = inverses[i]
-        for j in range(i + 1, n):
-            d = len(free_reduce(inv_i + images[j]))
-            twice[i, j] = 2 * d
-            twice[j, i] = 2 * d
-    return kernel_from_matrix(
+    length of phi(s)^-1 phi(t), pulled back from the tree-geodesic chains
+    q[e, phi(s)] of the target free group through the kernel engine.  The
+    action is isometric, so the displacement constant is exactly 0."""
+    letters = _target_alphabet(action.target_rank)[::2]
+    # geodesics from e in a free group need no ball lookups: radius 0 suffices
+    tree = BicombingSpec("tree_geodesic", CayleyBall(GroupPresentation(tuple(letters)), 0))
+    chains = [combing_chain(tree, "", action.apply(w)).scale(2) for w in ball.elements]
+    return DisplacementKernel(
         ball=ball,
-        values=twice.astype(np.float64) / 2.0,
+        twice=l1_distance_matrix(chains),
         provenance="tree_action",
         displacement_constant=0.0,
         radius=ball.radius,
-        twice=twice,
     )
 
 
@@ -241,10 +238,7 @@ def validate_quasitree_kernel(data: QuasiTreeKernelInput,
                 failures.append(f"negative kernel value on ({x!r}, {y!r})")
     min_eig = float("nan")
     if n >= 2:
-        a = -0.5 * mat
-        q = _mean_zero_basis(n)
-        m = q.T @ a @ q
-        min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.T)).min())
+        min_eig = centered_min_eigenvalue(mat)
         if min_eig < CND_TOLERANCE:
             failures.append(
                 f"conditional negative definiteness fails: centered min eigenvalue {min_eig}"
@@ -294,21 +288,9 @@ def orbit_growth_report(kernel: DisplacementKernel, radius: int | None = None,
     on every scanned sphere is fitted; a positive fit reads "unbounded on
     scanned range", otherwise "bounded on scanned range".  The verdict only
     ever speaks about the scanned range."""
-    ball = kernel.ball
-    if radius is None:
-        radius = kernel.radius
-    n = min(ball.size_within(radius), kernel.n)
-    report = NormReport()
-    for i in range(1, n):
-        word = ball.elements[i]
-        if element_filter is not None and not element_filter(word):
-            continue
-        d = ball.distances[i]
-        nf = math.sqrt(max(kernel.value(i, 0), 0.0))
-        report.rows.append(NormRow(
-            word=word, distance=d, norm_f=nf, norm_l1=2.0, norm_e=nf + 2.0,
-            lower_bound=2.0,
-        ))
+    report = cocycle_norm_rows(kernel, radius, element_filter)
+    # orbit rows carry only the l1 part 2 as their lower bound
+    report.rows = [replace(row, lower_bound=2.0) for row in report.rows]
     maxima = report.sphere_maxima()
     if not maxima:
         return GrowthReport(report, "bounded on scanned range", 0.0, {})

@@ -11,7 +11,7 @@ exact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
@@ -117,7 +117,6 @@ class BicombingSpec:
 
     kind: str
     ball: CayleyBall
-    _cache: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -125,7 +124,6 @@ class BicombingSpec:
         mode = self.presentation.reduction_mode
         if self.kind == "tree_geodesic" and mode != "free":
             raise ValueError("tree_geodesic requires a free presentation")
-        object.__setattr__(self, "_cache", {})
 
     @property
     def presentation(self) -> GroupPresentation:
@@ -134,11 +132,6 @@ class BicombingSpec:
     @property
     def antisymmetrized(self) -> bool:
         return self.kind == "shortlex_antisymmetrized"
-
-    @property
-    def ball_relative(self) -> bool:
-        """True when combing words are only canonical inside the ball."""
-        return not self.presentation.has_geodesic_normal_forms
 
     def canonical_of(self, word: str) -> str:
         """Canonical geodesic word of the element represented by ``word``."""

@@ -298,13 +298,15 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
     pres = config.presentation
     results: list[CheckResult] = []
     b = ball(pres, config.radius, cap=config.cap)
+    i = config.sabotage_diagonal
+    if i is not None and not 0 <= i < len(b):
+        raise ValueError(
+            f"--sabotage-diagonal {i} is outside the kernel index range 0..{len(b) - 1}"
+        )
     spec = make_bicombing(config.bicombing_kind, b)
     kernel = kernel_from_bicombing(spec)
-    if config.sabotage_diagonal is not None:
-        i = config.sabotage_diagonal
-        kernel.values[i, i] = 1.0
-        if kernel.twice is not None:
-            kernel.twice[i, i] = 2
+    if i is not None:
+        kernel.twice[i, i] = 2
     rng = random.Random(config.seed)
     inner = config.radius // 2
     n_inner = b.size_within(inner)
@@ -369,11 +371,12 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
     # kernel structure
     import numpy as np
 
-    diag = np.flatnonzero(np.diag(kernel.values))
+    twice = kernel.twice
+    diag = np.flatnonzero(np.diag(twice))
     check("kernel_diagonal_zero", diag.size == 0,
           f"K({diag[0] if diag.size else 0},{diag[0] if diag.size else 0}) != 0")
-    check("kernel_symmetry", np.array_equal(kernel.values, kernel.values.T), "K != K^T")
-    neg = np.argwhere(kernel.values < 0)
+    check("kernel_symmetry", np.array_equal(twice, twice.T), "K != K^T")
+    neg = np.argwhere(twice < 0)
     check("kernel_nonnegative", neg.size == 0,
           f"K{tuple(neg[0]) if neg.size else ()} < 0")
 

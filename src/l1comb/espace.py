@@ -140,8 +140,7 @@ def quadratic_form(v: EVector, kernel: DisplacementKernel) -> float:
     if not v.coeffs:
         return 0.0
     idx, c = _support_indices(v, kernel)
-    sub = kernel.values[np.ix_(idx, idx)]
-    return float(-0.5 * c @ sub @ c)
+    return float(-0.5 * c @ kernel.block(idx, idx) @ c)
 
 
 def norm_f(v: EVector, kernel: DisplacementKernel) -> float:
@@ -178,20 +177,9 @@ def per_vector_bound_check(s: str, v: EVector, kernel: DisplacementKernel) -> Bo
     if not v.coeffs:
         return BoundCheck(0.0, 0.0, True, 0.0)
     idx, _ = _support_indices(v, kernel)
-    trans = []
-    for w in v.coeffs:
-        j = kernel.ball.canonical_index(s + w)
-        if j is None or j >= kernel.n:
-            raise SupportEscapeError(
-                f"translate of support element {w!r} by {s!r} left the kernel ball"
-            )
-        trans.append(j)
-    base = np.ix_(idx, idx)
-    image = np.ix_(trans, trans)
-    if kernel.twice is not None:
-        excess = float(np.abs(kernel.twice[image] - kernel.twice[base]).max()) / 2.0
-    else:
-        excess = float(np.abs(kernel.values[image] - kernel.values[base]).max())
+    trans = kernel.translate(s, idx, SupportEscapeError)
+    diff2 = kernel.twice[np.ix_(trans, trans)] - kernel.twice[np.ix_(idx, idx)]
+    excess = float(np.abs(diff2).max()) / 2.0
     lhs = quadratic_form(rep_apply(s, v, kernel.ball), kernel) - quadratic_form(v, kernel)
     l1 = float(v.l1_norm())
     rhs = 0.5 * excess * l1 * l1
@@ -236,11 +224,11 @@ def op_norm_lower_bound(s: str, kernel: DisplacementKernel, radius: int,
     if n < 2:
         raise ValueError("need at least two elements to span mean-zero vectors")
     base_idx = list(range(n))
-    trans_idx = _translate_for_opnorm(s, kernel, base_idx)
+    trans_idx = kernel.translate(s, base_idx, SupportEscapeError)
     if s == "":
         return OpNormResult(value=1.0, iterations=0, restarts=0, seed=config.seed)
-    k_base = kernel.values[np.ix_(base_idx, base_idx)]
-    k_trans = kernel.values[np.ix_(trans_idx, trans_idx)]
+    k_base = kernel.block(base_idx, base_idx)
+    k_trans = kernel.block(trans_idx, trans_idx)
 
     def ratio(vec: np.ndarray) -> float:
         l1 = float(np.abs(vec).sum())
@@ -275,18 +263,6 @@ def op_norm_lower_bound(s: str, kernel: DisplacementKernel, radius: int,
         best = max(best, current)
     return OpNormResult(value=best, iterations=total_iters,
                         restarts=config.restarts, seed=config.seed)
-
-
-def _translate_for_opnorm(s, kernel, indices):
-    out = []
-    for i in indices:
-        j = kernel.ball.canonical_index(s + kernel.ball.elements[i])
-        if j is None or j >= kernel.n:
-            raise SupportEscapeError(
-                f"translate of {kernel.ball.elements[i]!r} by {s!r} left the kernel ball"
-            )
-        out.append(j)
-    return out
 
 
 # -- properness reporting --------------------------------------------------------
@@ -327,32 +303,43 @@ class NormReport:
         return out
 
 
-def properness_report(kernel: DisplacementKernel, radius: int | None = None,
-                      enforce_lower_bound: bool | None = None) -> NormReport:
-    """Per-element rows (s, d(e,s), ||b(s)||_f, ||b(s)||_1, ||b(s)||_E,
-    sqrt(d) + 2) for s != e.  ||b(s)||_f = sqrt(K(s, e)) directly from the
-    kernel.  For combing kernels ||q[e,s]||_1 >= d(e,s), so every row must
-    satisfy ||b(s)||_E >= sqrt(d) + 2 - 1e-9; a failing element raises
-    :class:`PropernessError` naming it."""
+def cocycle_norm_rows(kernel: DisplacementKernel, radius: int | None = None,
+                      element_filter=None) -> NormReport:
+    """Rows (s, d(e,s), ||b(s)||_f, ||b(s)||_1, ||b(s)||_E, sqrt(d) + 2) for
+    s != e in the radius ball, with ||b(s)||_f = sqrt(K(s, e)) read directly
+    from the kernel."""
     if radius is None:
         radius = kernel.radius
-    if enforce_lower_bound is None:
-        enforce_lower_bound = kernel.provenance == "bicombing"
     ball = kernel.ball
     n = min(ball.size_within(radius), kernel.n)
     report = NormReport()
     for i in range(1, n):
         word = ball.elements[i]
+        if element_filter is not None and not element_filter(word):
+            continue
         d = ball.distances[i]
         nf = math.sqrt(max(kernel.value(i, 0), 0.0))
-        ne = nf + 2.0
-        lower = math.sqrt(d) + 2.0
-        if enforce_lower_bound and ne < lower - BOUND_TOLERANCE:
-            raise PropernessError(
-                f"||b({word})||_E = {ne} is below the lower bound {lower}"
-            )
         report.rows.append(NormRow(
-            word=word, distance=d, norm_f=nf, norm_l1=2.0, norm_e=ne,
-            lower_bound=lower,
+            word=word, distance=d, norm_f=nf, norm_l1=2.0, norm_e=nf + 2.0,
+            lower_bound=math.sqrt(d) + 2.0,
         ))
+    return report
+
+
+def properness_report(kernel: DisplacementKernel, radius: int | None = None,
+                      enforce_lower_bound: bool | None = None) -> NormReport:
+    """Per-element rows of :func:`cocycle_norm_rows` with the properness
+    lower bound sqrt(d) + 2.  For combing kernels ||q[e,s]||_1 >= d(e,s), so
+    every row must satisfy ||b(s)||_E >= sqrt(d) + 2 - 1e-9; a failing
+    element raises :class:`PropernessError` naming it."""
+    if enforce_lower_bound is None:
+        enforce_lower_bound = kernel.provenance == "bicombing"
+    report = cocycle_norm_rows(kernel, radius)
+    if enforce_lower_bound:
+        for row in report.rows:
+            if row.norm_e < row.lower_bound - BOUND_TOLERANCE:
+                raise PropernessError(
+                    f"||b({row.word})||_E = {row.norm_e} is below the lower "
+                    f"bound {row.lower_bound}"
+                )
     return report

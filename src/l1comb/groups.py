@@ -23,7 +23,6 @@ oracle.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 
 GroupElement = str  # a normal-form word; "" is the identity
@@ -433,7 +432,6 @@ class CayleyBall:
         self._buckets: dict[tuple, list[int]] = {}
         self._registry: dict[tuple, list[str]] = {}
         self._name_cache: dict[str, str] = {}
-        self._lock = threading.Lock()
 
     # construction helpers -------------------------------------------------
 
@@ -483,32 +481,19 @@ class CayleyBall:
             out = self.elements[idx]
         else:
             key = self._bucket_key(w)
-            with self._lock:
-                out = None
-                for reg in self._registry.get(key, ()):
-                    if pres.is_identity(invert(reg) + w):
-                        out = reg
-                        break
-                if out is None:
-                    self._registry.setdefault(key, []).append(w)
-                    out = w
+            out = None
+            for reg in self._registry.get(key, ()):
+                if pres.is_identity(invert(reg) + w):
+                    out = reg
+                    break
+            if out is None:
+                self._registry.setdefault(key, []).append(w)
+                out = w
         self._name_cache[word] = out
         return out
 
     def mul(self, x: str, y: str) -> str:
         return self.name(x + y)
-
-    def mul_index(self, x: str, y: str) -> int:
-        idx = self.canonical_index(x + y)
-        if idx is None:
-            raise OutOfBallError(f"product of {x!r} and {y!r} left the ball")
-        return idx
-
-    def distance_of(self, word: str) -> int:
-        idx = self.canonical_index(word)
-        if idx is None:
-            raise OutOfBallError(f"{word!r} is outside the radius-{self.radius} ball")
-        return self.distances[idx]
 
     # structure -------------------------------------------------------------
 

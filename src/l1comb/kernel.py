@@ -1,16 +1,23 @@
 """Squared-Hilbert-distance kernels from combings and actions.
 
 The central object is a symmetric kernel K(x, y) = ||f(x) - f(y)||^2 indexed
-by a Cayley ball, where f comes from a combing (K(x,y) = ||q[e,x]-q[e,y]||_1,
-realized explicitly by a slot embedding of integer chains into a Hilbert
-space), from an isometric tree action, or from user-supplied data.  Kernel
-values from combings are half-integers; they are stored exactly as doubled
-integers alongside a float view, so equality checks and displacement excesses
-stay exact.
+by a Cayley ball.  For a combing, K(x, y) = ||q[e,x] - q[e,y]||_1, and the
+slot embedding f realizes it explicitly: an integer chain becomes a +-1
+vector with one coordinate per (edge, slot), and squared distances of
+embedded chains are l1 distances of the chains.  Combing values are
+half-integers, so the kernel engine embeds the doubled chains 2 q[e,x] as the
+rows of one integer sparse matrix F and forms every doubled entry at once,
+
+    2 K(x_i, x_j) = |F_i|^2 + |F_j|^2 - 2 <F_i, F_j>,
+
+in exact int64 arithmetic.  Tree actions pull back tree-geodesic chains
+through the same engine.  A kernel stores only this doubled matrix; float
+blocks are derived from it on demand.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
@@ -20,7 +27,6 @@ import numpy as np
 from .bicombing import BicombingSpec, Chain1, Edge, area, combing_chain
 from .groups import CayleyBall, OutOfBallError
 
-HARD_CND_FLOOR = -1e-6
 CND_TOLERANCE = -1e-9
 
 PROVENANCES = ("bicombing", "tree_action", "user_supplied")
@@ -38,16 +44,15 @@ class DecompositionError(AssertionError):
 class DisplacementKernel:
     """Dense symmetric kernel over (a radius prefix of) a Cayley ball.
 
-    ``twice`` holds the exact doubled values as integers whenever the
-    provenance guarantees half-integer entries; ``values`` is the float64
-    view (exact for these dyadic magnitudes).  ``displacement_constant`` is
-    the two-sided empirical displacement bound for the recorded scan split,
-    or a declared constant.
+    ``twice`` is the one stored matrix, holding 2K: int64 and exact for
+    combing and tree-action kernels, float64 for user-supplied ones.
+    Exactness is read from its dtype.  ``displacement_constant`` is the
+    two-sided empirical displacement bound for the recorded scan split, or a
+    declared constant.
     """
 
     ball: CayleyBall
-    values: np.ndarray
-    twice: np.ndarray | None
+    twice: np.ndarray
     provenance: str
     displacement_constant: float
     radius: int
@@ -60,7 +65,22 @@ class DisplacementKernel:
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.twice.shape[0]
+
+    @property
+    def is_exact(self) -> bool:
+        return self.twice.dtype.kind == "i"
+
+    @property
+    def values(self) -> np.ndarray:
+        """Read-only float copy of K, derived from ``twice``."""
+        out = self.twice / 2.0
+        out.flags.writeable = False
+        return out
+
+    def block(self, rows, cols) -> np.ndarray:
+        """Float block K[rows, cols]."""
+        return self.twice[np.ix_(rows, cols)] / 2.0
 
     def index_of(self, word: str) -> int:
         idx = self.ball.canonical_index(word)
@@ -69,26 +89,39 @@ class DisplacementKernel:
         return idx
 
     def value(self, i: int, j: int) -> float:
-        return float(self.values[i, j])
+        return float(self.twice[i, j]) / 2.0
 
     def exact(self, i: int, j: int) -> Fraction:
-        if self.twice is not None:
-            return Fraction(int(self.twice[i, j]), 2)
-        return Fraction(self.values[i, j])
+        return Fraction(self.twice[i, j].item()) / 2
+
+    def translate(self, s: str, indices, error: type = OutOfBallError) -> list[int]:
+        """Kernel indices of s x for the elements x at ``indices``; raises
+        ``error`` when a translate leaves the kernel's ball."""
+        ball = self.ball
+        out = []
+        for i in indices:
+            j = ball.canonical_index(s + ball.elements[i])
+            if j is None or j >= self.n:
+                raise error(
+                    f"translate of {ball.elements[i]!r} by {s!r} left the kernel ball"
+                )
+            out.append(j)
+        return out
 
 
 def kernel_dump(kernel: DisplacementKernel) -> str:
     """Kernel CSV: header ``i,j,K`` and one row per pair i <= j, indices in
-    ball ordering; exact values render as fractions when available."""
-    lines = ["i,j,K"]
+    ball ordering; exact values render as fractions."""
+    exact = kernel.is_exact
+    # kernels take few distinct values, so each is rendered once
+    label = functools.cache(lambda t: str(Fraction(t, 2) if exact else t / 2.0))
+    chunks = ["i,j,K\n"]
     for i in range(kernel.n):
-        for j in range(i, kernel.n):
-            if kernel.twice is not None:
-                val = str(Fraction(int(kernel.twice[i, j]), 2))
-            else:
-                val = repr(float(kernel.values[i, j]))
-            lines.append(f"{i},{j},{val}")
-    return "\n".join(lines) + "\n"
+        chunks.append("".join(
+            f"{i},{j},{label(t)}\n"
+            for j, t in enumerate(kernel.twice[i, i:].tolist(), start=i)
+        ))
+    return "".join(chunks)
 
 
 # -- slot embedding ----------------------------------------------------------
@@ -137,79 +170,37 @@ def feature_embed(chain: Chain1) -> FeatureVector:
     return FeatureVector(slots)
 
 
-# -- kernel construction -----------------------------------------------------
+# -- the kernel engine -------------------------------------------------------
 
 
-def _doubled_chain(spec: BicombingSpec, x: str) -> dict[Edge, int]:
-    chain = combing_chain(spec, "", x)
-    out: dict[Edge, int] = {}
-    for edge, c in chain.coeffs.items():
-        c2 = 2 * c
-        if isinstance(c2, Fraction):
-            if c2.denominator != 1:
-                raise NonIntegralChainError(
-                    f"doubled coefficient {c2} on edge {edge} is not an integer"
-                )
-            c2 = c2.numerator
-        out[edge] = c2
-    return out
-
-
-def _pairwise_l1_loop(chains2: list[dict[Edge, int]]) -> np.ndarray:
-    n = len(chains2)
-    l2 = [sum(abs(c) for c in ch.values()) for ch in chains2]
-    K2 = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        di = chains2[i]
-        l2i = l2[i]
-        for j in range(i + 1, n):
-            dj = chains2[j]
-            small, big = (di, dj) if len(di) <= len(dj) else (dj, di)
-            s = 0
-            for t, c in small.items():
-                d = big.get(t)
-                if d is not None and (c > 0) == (d > 0):
-                    s += min(abs(c), abs(d))
-            v = l2i + l2[j] - 2 * s
-            K2[i, j] = v
-            K2[j, i] = v
-    return K2
-
-
-def _pairwise_l1_sparse(chains2: list[dict[Edge, int]]) -> np.ndarray:
-    # |x - y| = |x| + |y| - 2 * samesign-min(x, y); the samesign-min Gram
-    # matrix splits into indicator layers for |coefficients| <= 2
+def l1_distance_matrix(chains: list[Chain1]) -> np.ndarray:
+    """Exact int64 matrix of ||u - w||_1 over integer chains, computed as
+    squared distances of their slot embeddings stacked into a sparse F."""
     import scipy.sparse as sp
 
-    n = len(chains2)
-    edge_ids: dict[Edge, int] = {}
-    rows: list[int] = []
-    cols: list[int] = []
+    columns: dict[tuple[Edge, int], int] = {}
+    indptr = [0]
+    indices: list[int] = []
     data: list[int] = []
-    for i, ch in enumerate(chains2):
-        for t, c in ch.items():
-            rows.append(i)
-            cols.append(edge_ids.setdefault(t, len(edge_ids)))
-            data.append(c)
-    A = sp.csr_matrix((data, (rows, cols)), shape=(n, max(len(edge_ids), 1)),
-                      dtype=np.int64)
-    layers = [
-        (A >= 1).astype(np.int64),
-        (A >= 2).astype(np.int64),
-        (A <= -1).astype(np.int64),
-        (A <= -2).astype(np.int64),
-    ]
-    S = sum((L @ L.T for L in layers), start=sp.csr_matrix((n, n), dtype=np.int64))
-    l2 = np.asarray(abs(A).sum(axis=1)).ravel().astype(np.int64)
-    K2 = l2[:, None] + l2[None, :] - 2 * S.toarray()
-    np.fill_diagonal(K2, 0)
-    return K2
+    for chain in chains:
+        for key, sign in feature_embed(chain).slots.items():
+            indices.append(columns.setdefault(key, len(columns)))
+            data.append(sign)
+        indptr.append(len(indices))
+    F = sp.csr_matrix((data, indices, indptr), dtype=np.int64,
+                      shape=(len(chains), max(len(columns), 1)))
+    norms = np.diff(F.indptr).astype(np.int64)  # +-1 entries: |F_i|^2 = nnz
+    out = (F @ F.T).toarray()
+    out *= -2
+    out += norms[:, None]
+    out += norms[None, :]
+    return out
 
 
 def kernel_from_bicombing(spec: BicombingSpec, radius: int | None = None,
                           scan_split: tuple[int, int] | None = None) -> DisplacementKernel:
     """Kernel K(x, y) = ||q[e,x] - q[e,y]||_1 over the ball prefix of the given
-    radius, computed by exact chain arithmetic.  The displacement constant is
+    radius, exact through the doubled chains.  The displacement constant is
     the two-sided empirical excess max |K(sx,sy) - K(x,y)| over the scan split
     (s up to the first radius, pairs up to the second)."""
     b = spec.ball
@@ -220,17 +211,10 @@ def kernel_from_bicombing(spec: BicombingSpec, radius: int | None = None,
             f"kernel radius {radius} exceeds the ball radius {b.radius}"
         )
     n = b.size_within(radius)
-    chains2 = [_doubled_chain(spec, b.elements[i]) for i in range(n)]
-    if any(abs(c) > 2 for ch in chains2 for c in ch.values()) or n <= 1024:
-        K2 = _pairwise_l1_loop(chains2)
-    else:
-        K2 = _pairwise_l1_sparse(chains2)
-        if n <= 1400:  # cheap self-check band
-            assert np.array_equal(K2, _pairwise_l1_loop(chains2))
+    chains = [combing_chain(spec, "", b.elements[i]).scale(2) for i in range(n)]
     kernel = DisplacementKernel(
         ball=b,
-        values=K2.astype(np.float64) / 2.0,
-        twice=K2,
+        twice=l1_distance_matrix(chains),
         provenance="bicombing",
         displacement_constant=0.0,
         radius=radius,
@@ -246,37 +230,24 @@ def kernel_from_bicombing(spec: BicombingSpec, radius: int | None = None,
 
 
 def kernel_from_matrix(ball: CayleyBall, values: np.ndarray, provenance: str,
-                       displacement_constant: float, radius: int,
-                       twice: np.ndarray | None = None) -> DisplacementKernel:
-    """Wrap a precomputed symmetric matrix (used by action and user kernels)."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape[0] != values.shape[1]:
+                       displacement_constant: float, radius: int) -> DisplacementKernel:
+    """Wrap a precomputed symmetric matrix of kernel values."""
+    twice = 2.0 * np.asarray(values, dtype=np.float64)
+    if twice.shape[0] != twice.shape[1]:
         raise ValueError("kernel matrix must be square")
-    if not np.array_equal(values, values.T):
+    if not np.array_equal(twice, twice.T):
         raise ValueError("kernel matrix must be symmetric")
-    if np.any(np.diag(values) != 0.0):
+    if np.any(np.diag(twice) != 0):
         raise ValueError("kernel diagonal must vanish")
-    if np.any(values < 0.0):
+    if np.any(twice < 0):
         raise ValueError("kernel values must be nonnegative")
     return DisplacementKernel(
-        ball=ball, values=values, twice=twice, provenance=provenance,
+        ball=ball, twice=twice, provenance=provenance,
         displacement_constant=displacement_constant, radius=radius,
     )
 
 
 # -- displacement ------------------------------------------------------------
-
-
-def _translate_indices(kernel: DisplacementKernel, s: str, indices) -> list[int]:
-    out = []
-    for i in indices:
-        j = kernel.ball.canonical_index(s + kernel.ball.elements[i])
-        if j is None or j >= kernel.n:
-            raise OutOfBallError(
-                f"translate of {kernel.ball.elements[i]!r} by {s!r} left the kernel ball"
-            )
-        out.append(j)
-    return out
 
 
 def displacement_excess(kernel: DisplacementKernel, s: str, indices=None,
@@ -291,7 +262,7 @@ def displacement_excess(kernel: DisplacementKernel, s: str, indices=None,
     if indices is None:
         indices = range(kernel.n)
     indices = list(indices)
-    trans = _translate_indices(kernel, s, indices)
+    trans = kernel.translate(s, indices)
     if verify_decomposition is None:
         verify_decomposition = (
             kernel.provenance == "bicombing"
@@ -299,13 +270,8 @@ def displacement_excess(kernel: DisplacementKernel, s: str, indices=None,
             and (kernel.bicombing.antisymmetrized
                  or kernel.bicombing.kind == "tree_geodesic")
         )
-    base = np.ix_(indices, indices)
-    image = np.ix_(trans, trans)
-    if kernel.twice is not None:
-        diff2 = kernel.twice[image] - kernel.twice[base]
-        best = float(diff2.max()) / 2.0
-    else:
-        best = float((kernel.values[image] - kernel.values[base]).max())
+    diff2 = kernel.twice[np.ix_(trans, trans)] - kernel.twice[np.ix_(indices, indices)]
+    best = float(diff2.max()) / 2.0
     if verify_decomposition:
         for row in displacement_decomposition(kernel, s, indices):
             if row.excess > row.area_first + row.area_second:
@@ -347,7 +313,7 @@ def displacement_decomposition(kernel: DisplacementKernel, s: str,
             "the two-triangle decomposition needs an antisymmetric combing"
         )
     indices = list(indices)
-    trans = _translate_indices(kernel, s, indices)
+    trans = kernel.translate(s, indices)
     rows = []
     for a, ta in zip(indices, trans):
         for bidx, tb in zip(indices, trans):
@@ -375,20 +341,15 @@ def empirical_displacement_constant(kernel: DisplacementKernel, s_radius: int,
             f"scan split ({s_radius}, {pair_radius}) exceeds the kernel radius"
         )
     pair_indices = list(b.indices_within(pair_radius))
-    base = np.ix_(pair_indices, pair_indices)
-    best = 0.0
+    base = kernel.twice[np.ix_(pair_indices, pair_indices)]
+    best2 = 0
     for s_idx in b.indices_within(s_radius):
         s = b.elements[s_idx]
         if s == "":
             continue
-        trans = _translate_indices(kernel, s, pair_indices)
-        image = np.ix_(trans, trans)
-        if kernel.twice is not None:
-            val = float(np.abs(kernel.twice[image] - kernel.twice[base]).max()) / 2.0
-        else:
-            val = float(np.abs(kernel.values[image] - kernel.values[base]).max())
-        best = max(best, val)
-    return best
+        trans = kernel.translate(s, pair_indices)
+        best2 = max(best2, np.abs(kernel.twice[np.ix_(trans, trans)] - base).max())
+    return float(best2) / 2.0
 
 
 # -- conditional negative definiteness ----------------------------------------
@@ -404,21 +365,23 @@ def _mean_zero_basis(n: int) -> np.ndarray:
     return q
 
 
+def centered_min_eigenvalue(matrix: np.ndarray) -> float:
+    """Minimum eigenvalue of -matrix/2 restricted to mean-zero vectors; at
+    least CND_TOLERANCE certifies conditional negative definiteness."""
+    n = matrix.shape[0]
+    if n < 2:
+        raise ValueError("need at least two elements for a centered eigenvalue")
+    q = _mean_zero_basis(n)
+    m = q.T @ (-0.5 * matrix) @ q
+    return float(np.linalg.eigvalsh(0.5 * (m + m.T)).min())
+
+
 def cnd_min_eigenvalue(kernel: DisplacementKernel, indices=None) -> float:
-    """Minimum eigenvalue of -K/2 restricted to mean-zero vectors on the index
-    set; >= -1e-9 certifies conditional negative definiteness at the
-    documented tolerance."""
+    """Centered minimum eigenvalue of the kernel on the index set."""
     if indices is None:
         indices = range(kernel.n)
     indices = list(indices)
-    if len(indices) < 2:
-        raise ValueError("need at least two elements for a centered eigenvalue")
-    sub = kernel.values[np.ix_(indices, indices)]
-    a = -0.5 * sub
-    q = _mean_zero_basis(len(indices))
-    m = q.T @ a @ q
-    m = 0.5 * (m + m.T)
-    return float(np.linalg.eigvalsh(m).min())
+    return centered_min_eigenvalue(kernel.block(indices, indices))
 
 
 # -- cross validation ---------------------------------------------------------
@@ -427,10 +390,9 @@ def cnd_min_eigenvalue(kernel: DisplacementKernel, indices=None) -> float:
 def kernel_cross_validate(spec: BicombingSpec, radius: int | None = None,
                           kernel: DisplacementKernel | None = None,
                           tol: Fraction = Fraction(0)) -> Fraction:
-    """Max discrepancy between chain-arithmetic kernel values and the slot
-    embedding's squared distances over all scanned pairs; exactly 0 in exact
-    arithmetic.  Antisymmetrized chains are doubled to integer chains first
-    and the squared distance rescaled by 1/2."""
+    """Max discrepancy between the kernel engine's values and direct chain
+    arithmetic ||q[e,x] - q[e,y]||_1 over all scanned pairs; exactly 0 in
+    exact arithmetic."""
     b = spec.ball
     if radius is None:
         radius = b.radius if kernel is None else kernel.radius
@@ -439,16 +401,12 @@ def kernel_cross_validate(spec: BicombingSpec, radius: int | None = None,
         kernel = kernel_from_bicombing(spec, radius=radius)
     if n > kernel.n:
         raise OutOfBallError("cross-validation radius exceeds the kernel radius")
-    features = []
-    for i in range(n):
-        doubled = Chain1({e: c for e, c in _doubled_chain(spec, b.elements[i]).items()})
-        features.append(feature_embed(doubled))
+    chains = [combing_chain(spec, "", b.elements[i]) for i in range(n)]
     worst = Fraction(0)
     for i in range(n):
-        fi = features[i]
         for j in range(i + 1, n):
-            embedded = Fraction(fi.squared_distance(features[j]), 2)
-            disc = abs(kernel.exact(i, j) - embedded)
+            direct = (chains[i] - chains[j]).l1_norm()
+            disc = abs(kernel.exact(i, j) - direct)
             if disc > worst:
                 worst = disc
     if worst > tol:

@@ -157,6 +157,14 @@ class TestVerify:
         assert "FAIL kernel_diagonal_zero" in captured
         assert "K(5,5)" in captured
 
+    @pytest.mark.parametrize("index", ["99999", "-1"])
+    def test_sabotage_index_out_of_range_is_input_error(self, f2_file, tmp_path,
+                                                        capsys, index):
+        code = main(["verify", "--presentation", str(f2_file), "--radius", "2",
+                     "--out", str(tmp_path / "out"), "--sabotage-diagonal", index])
+        assert code == 2
+        assert "sabotage-diagonal" in capsys.readouterr().err
+
 
 class TestActionCommand:
     def test_projection_action_verdict(self, tmp_path):

@@ -244,7 +244,7 @@ class TestProperness:
 
         kernel = kernel_from_bicombing(tree_spec, radius=2)
         i = kernel.index_of("ab")
-        kernel.values[i, 0] = kernel.values[0, i] = 0.0  # fake a collapsed norm
+        kernel.twice[i, 0] = kernel.twice[0, i] = 0  # fake a collapsed norm
         with pytest.raises(PropernessError, match="ab"):
             properness_report(kernel)
 

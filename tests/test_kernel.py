@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from l1comb import (
     Chain1,
     NonIntegralChainError,
+    TreeActionSpec,
     ball,
     cnd_min_eigenvalue,
     combing_chain,
@@ -19,12 +21,32 @@ from l1comb import (
     kernel_cross_validate,
     kernel_from_bicombing,
     make_bicombing,
+    orbit_kernel,
 )
-from l1comb.kernel import (
-    _pairwise_l1_loop,
-    _pairwise_l1_sparse,
-    kernel_from_matrix,
-)
+from l1comb.kernel import DisplacementKernel, kernel_from_matrix, l1_distance_matrix
+
+EDGES = [(src, g) for src in ("", "a", "B", "ab", "ba") for g in "ab"]
+integer_chains = st.dictionaries(
+    st.sampled_from(EDGES), st.integers(-6, 6), max_size=6
+).map(Chain1)
+f2_words = st.text(alphabet="aAbB", max_size=3).map(free_reduce)
+
+
+@st.composite
+def f2xf2_to_f2(draw):
+    """Images of a, b, c, d under a homomorphism F2 x F2 -> F2: one factor
+    maps anywhere and the other trivially, or all four are powers of one
+    word (commuting elements of a free group)."""
+    shape = draw(st.sampled_from(["left", "right", "cyclic"]))
+    if shape == "cyclic":
+        root = draw(f2_words)
+        images = [invert(root) * -k if k < 0 else root * k
+                  for k in draw(st.lists(st.integers(-2, 2), min_size=4, max_size=4))]
+    else:
+        images = [draw(f2_words), draw(f2_words), "", ""]
+        if shape == "right":
+            images = images[2:] + images[:2]
+    return dict(zip("abcd", images))
 
 
 class TestKernelFromBicombing:
@@ -50,18 +72,32 @@ class TestKernelFromBicombing:
     def test_tree_displacement_constant_zero(self, tree_kernel):
         assert tree_kernel.displacement_constant == 0.0
 
-    def test_pairwise_builders_agree(self, surface_anti, tree_spec):
-        from l1comb.kernel import _doubled_chain
+    def test_exact_dtype(self, tree_kernel, surface_kernel):
+        for k in (tree_kernel, surface_kernel):
+            assert k.is_exact and k.twice.dtype == np.int64
+            assert not k.values.flags.writeable
 
-        for spec, radius in ((surface_anti, 2), (tree_spec, 3)):
-            b = spec.ball
-            chains = [
-                _doubled_chain(spec, b.elements[i])
-                for i in range(b.size_within(radius))
-            ]
-            assert np.array_equal(
-                _pairwise_l1_loop(chains), _pairwise_l1_sparse(chains)
-            )
+
+class TestEngineProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(integer_chains, min_size=1, max_size=6))
+    def test_entries_equal_chain_arithmetic(self, chains):
+        matrix = l1_distance_matrix(chains)
+        assert matrix.dtype == np.int64
+        for i, u in enumerate(chains):
+            for j, w in enumerate(chains):
+                assert matrix[i, j] == (u - w).l1_norm()
+
+    @settings(max_examples=25, deadline=None)
+    @given(f2xf2_to_f2())
+    def test_orbit_kernel_equals_reduced_word_length(self, f2xf2, images):
+        b = ball(f2xf2, 2)
+        action = TreeActionSpec(f2xf2, 2, images)
+        kernel = orbit_kernel(action, b)
+        phi = [action.apply(w) for w in b.elements]
+        for i, x in enumerate(phi):
+            for j, y in enumerate(phi):
+                assert kernel.twice[i, j] == 2 * len(free_reduce(invert(x) + y))
 
 
 class TestFeatureEmbedding:
@@ -177,11 +213,9 @@ class TestCnd:
     def test_centered_form_matches_feature_gram(self, surface_anti, surface_ball4):
         # oracle: for mean-zero integer v, -1/2 v K v' equals the Gram form of
         # the doubled slot embeddings scaled by 1/2 (integers throughout)
-        from l1comb.kernel import _doubled_chain
-
         n = surface_ball4.size_within(2)
         feats = [
-            feature_embed(Chain1(_doubled_chain(surface_anti, surface_ball4.elements[i])))
+            feature_embed(combing_chain(surface_anti, "", surface_ball4.elements[i]).scale(2))
             for i in range(n)
         ]
         kernel2 = [
@@ -226,9 +260,9 @@ class TestKernelDump:
     def test_half_integer_values_render_as_fractions(self, f2_ball4):
         from l1comb import kernel_dump
 
-        twice = np.array([[0, 1], [1, 0]])
-        kernel = kernel_from_matrix(
-            f2_ball4, twice / 2.0, "user_supplied", 0.0, 0, twice=twice
+        kernel = DisplacementKernel(
+            ball=f2_ball4, twice=np.array([[0, 1], [1, 0]]),
+            provenance="user_supplied", displacement_constant=0.0, radius=0,
         )
         assert "0,1,1/2" in kernel_dump(kernel).splitlines()
 
