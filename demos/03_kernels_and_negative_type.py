@@ -21,8 +21,8 @@ from l1comb import (
 print("=== the slot embedding on integer chains ===")
 u = Chain1({("", "a"): 2, ("a", "b"): -1})
 w = Chain1({("", "a"): -1})
-fu, fw = feature_embed(u), feature_embed(w)
-print("||J(u) - J(w)||^2 =", fu.squared_distance(fw),
+diff = feature_embed(u) - feature_embed(w)
+print("||J(u) - J(w)||^2 =", diff.dot(diff),
       " vs  ||u - w||_1 =", (u - w).l1_norm())
 
 print()

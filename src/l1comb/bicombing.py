@@ -1,11 +1,14 @@
 """Combings as equivariant 1-chains on Cayley graphs, with exact arithmetic.
 
 A combing assigns to each ordered vertex pair (x, y) a 1-chain q[x, y] whose
-boundary is y - x.  Chains here are finitely supported maps from canonically
-oriented edges (source word, lowercase generator) to rationals; path combings
-take values in {-1, 0, 1} and antisymmetrized combings in half-integers.
-Coefficients stay int/Fraction end to end so l1 norms and triangle areas are
-exact.
+boundary is y - x.  :class:`L1Vector` is the package's one finitely supported
+l1 vector: chains (:class:`Chain1`) are L1Vectors over canonically oriented
+edges (source word, lowercase generator), the mean-zero vectors of E
+(``espace.EVector``) are L1Vectors over group elements, and the slot
+embedding (``kernel.feature_embed``) is an L1Vector over (edge, slot) pairs.
+Path combings take values in {-1, 0, 1} and antisymmetrized combings in
+half-integers.  Coefficients stay int/Fraction end to end so l1 norms and
+triangle areas are exact.
 """
 
 from __future__ import annotations
@@ -22,62 +25,69 @@ Edge = tuple[str, str]  # (source vertex word, lowercase generator letter)
 KINDS = ("tree_geodesic", "shortlex", "shortlex_antisymmetrized")
 
 
-class Chain1:
-    """Finitely supported rational 1-chain on oriented edges."""
+def _add_coeff(acc: dict, key, value) -> None:
+    """Add ``value`` at ``key`` of a sparse coefficient dict, dropping zeros."""
+    v = acc.get(key, 0) + value
+    if v:
+        acc[key] = v
+    else:
+        acc.pop(key, None)
+
+
+class L1Vector:
+    """Finitely supported vector in l1 of a countable set: a coefficient dict
+    with zeros dropped.  Arithmetic keeps the coefficients' own number type,
+    so integer and Fraction vectors stay exact."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: dict[Edge, Rational] | None = None):
-        self.coeffs: dict[Edge, Rational] = {}
-        if coeffs:
-            for edge, c in coeffs.items():
-                if c:
-                    self.coeffs[edge] = c
+    def __init__(self, coeffs: dict | None = None):
+        self.coeffs = {key: c for key, c in (coeffs or {}).items() if c}
+
+    @classmethod
+    def _wrap(cls, coeffs: dict):
+        """Vector over ``coeffs`` as given: no zero dropping, no validation."""
+        out = object.__new__(cls)
+        out.coeffs = coeffs
+        return out
 
     def __eq__(self, other):
-        return isinstance(other, Chain1) and self.coeffs == other.coeffs
+        return type(other) is type(self) and self.coeffs == other.coeffs
 
     def __repr__(self):
-        return f"Chain1({self.coeffs!r})"
+        return f"{type(self).__name__}({self.coeffs!r})"
 
-    def __add__(self, other: "Chain1") -> "Chain1":
+    def __add__(self, other):
         out = dict(self.coeffs)
-        for edge, c in other.coeffs.items():
-            v = out.get(edge, 0) + c
-            if v:
-                out[edge] = v
-            else:
-                out.pop(edge, None)
-        res = Chain1()
-        res.coeffs = out
-        return res
+        for key, c in other.coeffs.items():
+            _add_coeff(out, key, c)
+        return self._wrap(out)
 
-    def __neg__(self) -> "Chain1":
-        res = Chain1()
-        res.coeffs = {edge: -c for edge, c in self.coeffs.items()}
-        return res
+    def __neg__(self):
+        return self._wrap({key: -c for key, c in self.coeffs.items()})
 
-    def __sub__(self, other: "Chain1") -> "Chain1":
+    def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, factor: Rational) -> "Chain1":
-        res = Chain1()
-        if factor:
-            res.coeffs = {edge: c * factor for edge, c in self.coeffs.items()}
-        return res
+    def scale(self, factor):
+        if not factor:
+            return self._wrap({})
+        return self._wrap({key: c * factor for key, c in self.coeffs.items()})
 
-    def l1_norm(self) -> Rational:
+    def l1_norm(self):
         return sum(abs(c) for c in self.coeffs.values())
 
-    def is_integral(self) -> bool:
-        return all(
-            isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1)
-            for c in self.coeffs.values()
-        )
+    def dot(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(b) < len(a):
+            a, b = b, a
+        return sum(c * b.get(key, 0) for key, c in a.items())
 
 
-def chain_l1_norm(chain: Chain1) -> Rational:
-    return chain.l1_norm()
+class Chain1(L1Vector):
+    """Finitely supported rational 1-chain on oriented edges."""
+
+    __slots__ = ()
 
 
 def boundary(chain: Chain1, ball: CayleyBall) -> dict[str, Rational]:
@@ -85,13 +95,8 @@ def boundary(chain: Chain1, ball: CayleyBall) -> dict[str, Rational]:
     source.  Vertex names come from the ball's canonical naming."""
     acc: dict[str, Rational] = {}
     for (src, g), c in chain.coeffs.items():
-        tgt = ball.name(src + g)
-        for v, s in ((tgt, c), (src, -c)):
-            t = acc.get(v, 0) + s
-            if t:
-                acc[v] = t
-            else:
-                acc.pop(v, None)
+        _add_coeff(acc, ball.name(src + g), c)
+        _add_coeff(acc, src, -c)
     return acc
 
 
@@ -178,6 +183,7 @@ def _raw_accumulate(spec: BicombingSpec, x: str, y: str,
         else:
             edge = (nxt, ch.lower())
             coeff = -factor
+        # inline rather than _add_coeff: this is the area scan's inner loop
         v = acc.get(edge, 0) + coeff
         if v:
             acc[edge] = v
@@ -203,19 +209,15 @@ def combing_chain(spec: BicombingSpec, x: str, y: str) -> Chain1:
     with boundary y - x."""
     acc: dict[Edge, Rational] = {}
     _accumulate(spec, x, y, acc)
-    out = Chain1()
-    out.coeffs = acc
-    return out
+    return Chain1._wrap(acc)
 
 
 def translate_chain(s: str, chain: Chain1, ball: CayleyBall) -> Chain1:
     """Left translation: relabel each edge (x, g) to (s x, g).  The relabeling
     is bijective, so the l1 norm is preserved exactly."""
-    out = Chain1()
-    out.coeffs = {
+    return Chain1._wrap({
         (ball.name(s + src), g): c for (src, g), c in chain.coeffs.items()
-    }
-    return out
+    })
 
 
 def area(spec: BicombingSpec, x: str, y: str, z: str) -> Rational:

@@ -508,6 +508,9 @@ def main(argv: list[str] | None = None) -> int:
         presentation = parse_presentation(text)
         if args.radius < 0:
             raise PresentationError("radius must be >= 0")
+        if args.cap < 1:
+            # a ball always holds the identity, so no run could meet this cap
+            raise PresentationError("cap must be >= 1")
         config = RunConfig(
             command=args.command,
             presentation_path=args.presentation,

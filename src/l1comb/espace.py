@@ -2,7 +2,9 @@
 cocycle, uniform bounds, and properness reporting.
 
 The space is spanned by finitely supported real functions on group elements
-with mean zero.  A displacement kernel K induces the seminorm
+with mean zero: :class:`EVector` is the package's l1 vector type
+(``bicombing.L1Vector``) over group-element words, plus the mean-zero check.
+A displacement kernel K induces the seminorm
 
     ||v||_f = (-1/2 sum_{x,y} v(x) v(y) K(x, y))^(1/2),
 
@@ -20,11 +22,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bicombing import L1Vector
 from .groups import CayleyBall
 from .kernel import DisplacementKernel
 
 FORM_HARD_FLOOR = -1e-6
 BOUND_TOLERANCE = 1e-9
+
+# op-norm probe step schedule
+INITIAL_STEP = 1.0
+STEP_DECAY = 0.5
+DECAY_EVERY = 50
 
 
 class SupportEscapeError(LookupError):
@@ -40,56 +48,22 @@ class MeanZeroError(ValueError):
     """Coefficients do not sum to zero."""
 
 
-class EVector:
+class EVector(L1Vector):
     """Finitely supported mean-zero function on group elements.
 
-    Integer-built vectors stay integer-exact under translation and chain
+    Integer-built vectors stay integer-exact under translation and vector
     arithmetic; float-built vectors must have mean zero within 1e-12 of their
     coefficient scale.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: dict[str, float] | None = None):
-        cleaned = {w: c for w, c in (coeffs or {}).items() if c}
-        total = sum(cleaned.values())
-        if cleaned:
-            scale = max(abs(c) for c in cleaned.values())
-            if isinstance(total, int):
-                if total != 0:
-                    raise MeanZeroError(f"coefficients sum to {total}, not 0")
-            elif abs(total) > 1e-12 * max(scale, 1.0):
-                raise MeanZeroError(f"coefficients sum to {total}, not 0")
-        self.coeffs = cleaned
-
-    def __eq__(self, other):
-        return isinstance(other, EVector) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"EVector({self.coeffs!r})"
-
-    def __add__(self, other: "EVector") -> "EVector":
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            v = out.get(w, 0) + c
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
-        res = EVector.__new__(EVector)
-        res.coeffs = out
-        return res
-
-    def __sub__(self, other: "EVector") -> "EVector":
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "EVector":
-        res = EVector.__new__(EVector)
-        res.coeffs = {w: c * factor for w, c in self.coeffs.items()} if factor else {}
-        return res
-
-    def l1_norm(self):
-        return sum(abs(c) for c in self.coeffs.values())
+        super().__init__(coeffs)
+        total = sum(self.coeffs.values())
+        limit = 0 if isinstance(total, int) else 1e-12 * max(self.max_abs(), 1.0)
+        if abs(total) > limit:
+            raise MeanZeroError(f"coefficients sum to {total}, not 0")
 
     def max_abs(self):
         return max((abs(c) for c in self.coeffs.values()), default=0)
@@ -108,9 +82,7 @@ def cocycle(s: str) -> EVector:
 def rep_apply(s: str, v: EVector, ball: CayleyBall) -> EVector:
     """pi(s) v: support shifted left by s.  Mean zero and the l1 norm are
     preserved exactly; coefficients are untouched."""
-    res = EVector.__new__(EVector)
-    res.coeffs = {ball.mul(s, w): c for w, c in v.coeffs.items()}
-    return res
+    return EVector._wrap({ball.mul(s, w): c for w, c in v.coeffs.items()})
 
 
 def check_cocycle_identity(s: str, t: str, ball: CayleyBall):
@@ -200,9 +172,6 @@ def uniform_bound(displacement_constant: float) -> float:
 class OpNormConfig:
     restarts: int = 32
     iterations: int = 500
-    decay_every: int = 50
-    decay: float = 0.5
-    initial_step: float = 1.0
     seed: int = 0
 
 
@@ -247,11 +216,11 @@ def op_norm_lower_bound(s: str, kernel: DisplacementKernel, radius: int,
         vec = rng.standard_normal(n)
         vec -= vec.mean()
         current = ratio(vec)
-        step = config.initial_step
+        step = INITIAL_STEP
         for it in range(config.iterations):
             total_iters += 1
-            if it and it % config.decay_every == 0:
-                step *= config.decay
+            if it and it % DECAY_EVERY == 0:
+                step *= STEP_DECAY
             j = rng.integers(n)
             delta = step * (1.0 if rng.integers(2) else -1.0)
             trial = vec.copy()
@@ -326,16 +295,15 @@ def cocycle_norm_rows(kernel: DisplacementKernel, radius: int | None = None,
     return report
 
 
-def properness_report(kernel: DisplacementKernel, radius: int | None = None,
-                      enforce_lower_bound: bool | None = None) -> NormReport:
+def properness_report(kernel: DisplacementKernel,
+                      radius: int | None = None) -> NormReport:
     """Per-element rows of :func:`cocycle_norm_rows` with the properness
     lower bound sqrt(d) + 2.  For combing kernels ||q[e,s]||_1 >= d(e,s), so
     every row must satisfy ||b(s)||_E >= sqrt(d) + 2 - 1e-9; a failing
-    element raises :class:`PropernessError` naming it."""
-    if enforce_lower_bound is None:
-        enforce_lower_bound = kernel.provenance == "bicombing"
+    element raises :class:`PropernessError` naming it.  Other kernels carry
+    no such bound and their rows are reported unchecked."""
     report = cocycle_norm_rows(kernel, radius)
-    if enforce_lower_bound:
+    if kernel.provenance == "bicombing":
         for row in report.rows:
             if row.norm_e < row.lower_bound - BOUND_TOLERANCE:
                 raise PropernessError(

@@ -333,9 +333,7 @@ class GroupPresentation:
         return self.normal(word) == ""
 
     def elements_equal(self, u: str, v: str) -> bool:
-        if self.reduction_mode == "dehn":
-            return self.is_identity(invert(u) + v)
-        return self.normal(u) == self.normal(v)
+        return self.is_identity(invert(u) + v)
 
     @property
     def has_geodesic_normal_forms(self) -> bool:
@@ -417,9 +415,14 @@ class CayleyBall:
     generator-order lexicographic); element 0 is the identity.  ``adjacency``
     maps each element index and alphabet letter to the index of the product
     when it stays inside the ball.  The ball is the canonical-naming authority
-    for its presentation: :meth:`name` returns a run-stable word for any
-    product, falling back to an oracle-checked overflow registry outside the
-    ball, so chain arithmetic stays exact.
+    for its presentation, and :meth:`_resolve` is its one element lookup:
+    :meth:`canonical_index` finds a word's element in the ball, and
+    :meth:`name` returns a run-stable word for any product, falling back to
+    an oracle-checked overflow registry outside the ball, so chain
+    arithmetic stays exact.  Where normal forms are canonical (free and
+    rewriting modes) the lookup is the normal form alone; in dehn mode the
+    triviality oracle scans the normal form's bucket (its exponent vector
+    when every relator has exponent sum zero, else one shared bucket).
     """
 
     def __init__(self, presentation: GroupPresentation, radius: int):
@@ -429,7 +432,10 @@ class CayleyBall:
         self.index: dict[str, int] = {IDENTITY: 0}
         self.distances: list[int] = [0]
         self.adjacency: list[dict[str, int]] = [{}]
-        self._buckets: dict[tuple, list[int]] = {}
+        # oracle-scan candidates by bucket key: ball elements, and the
+        # out-of-ball names handed out by name(); kept apart so that in-ball
+        # lookups never scan overflow words
+        self._buckets: dict[tuple, list[str]] = {}
         self._registry: dict[tuple, list[str]] = {}
         self._name_cache: dict[str, str] = {}
 
@@ -446,50 +452,42 @@ class CayleyBall:
         self.index[word] = idx
         self.distances.append(dist)
         self.adjacency.append({})
-        if self.presentation.reduction_mode == "dehn":
-            self._buckets.setdefault(self._bucket_key(word), []).append(idx)
+        if not self.presentation.has_geodesic_normal_forms:
+            self._buckets.setdefault(self._bucket_key(word), []).append(word)
         return idx
 
     # lookups ---------------------------------------------------------------
 
-    def canonical_index(self, word: str) -> int | None:
-        """Index of the element represented by ``word``, or None if outside."""
+    def _resolve(self, word: str,
+                 registry: dict[tuple, list[str]] | None = None) -> str | None:
+        """Known word for the element ``word`` represents: its normal form
+        when that is a ball element or normal forms are canonical, else the
+        ball element, then the ``registry`` word, that the triviality oracle
+        equates with it.  An unmatched normal form is added to ``registry``
+        and returned; without a registry the lookup misses with None."""
         pres = self.presentation
         w = pres.normal(word)
-        if pres.reduction_mode != "dehn":
-            return self.index.get(w)
-        hit = self.index.get(w)
-        if hit is not None:
-            return hit
-        for idx in self._buckets.get(self._bucket_key(w), ()):
-            if pres.is_identity(invert(self.elements[idx]) + w):
-                return idx
-        return None
+        if pres.has_geodesic_normal_forms or w in self.index:
+            return w
+        key = self._bucket_key(w)
+        for table in (self._buckets, registry or {}):
+            for known in table.get(key, ()):
+                if pres.is_identity(invert(known) + w):
+                    return known
+        if registry is None:
+            return None
+        registry.setdefault(key, []).append(w)
+        return w
+
+    def canonical_index(self, word: str) -> int | None:
+        """Index of the element represented by ``word``, or None if outside."""
+        return self.index.get(self._resolve(word))
 
     def name(self, word: str) -> str:
         """Run-stable canonical name, valid beyond the ball via the registry."""
-        cached = self._name_cache.get(word)
-        if cached is not None:
-            return cached
-        pres = self.presentation
-        w = pres.normal(word)
-        if pres.reduction_mode != "dehn":
-            self._name_cache[word] = w
-            return w
-        idx = self.canonical_index(w)
-        if idx is not None:
-            out = self.elements[idx]
-        else:
-            key = self._bucket_key(w)
-            out = None
-            for reg in self._registry.get(key, ()):
-                if pres.is_identity(invert(reg) + w):
-                    out = reg
-                    break
-            if out is None:
-                self._registry.setdefault(key, []).append(w)
-                out = w
-        self._name_cache[word] = out
+        out = self._name_cache.get(word)
+        if out is None:
+            out = self._name_cache[word] = self._resolve(word, self._registry)
         return out
 
     def mul(self, x: str, y: str) -> str:
@@ -536,9 +534,6 @@ def ball(presentation: GroupPresentation, radius: int,
     pres = presentation
     b = CayleyBall(pres, radius)
     alphabet = pres.alphabet
-    dehn = pres.reduction_mode == "dehn"
-    table = pres._dehn_table if dehn else None
-    lens = pres._dehn_lens if dehn else ()
 
     def record(i: int, letter: str, j: int) -> None:
         b.adjacency[i][letter] = j
@@ -554,30 +549,17 @@ def ball(presentation: GroupPresentation, radius: int,
                     record(i, letter, b.index[w[:-1]])
                     continue
                 cand = w + letter
-                if not dehn:
+                j = b.canonical_index(cand)
+                if j is None:
+                    # a candidate that reduces is a shorter element, which
+                    # an earlier layer holds; missing it here is a bug
                     nf = pres.normal(cand)
-                    j = b.index.get(nf)
-                    if j is None:
-                        if len(nf) != n + 1:
-                            raise AssertionError(
-                                f"normal form {nf!r} of {cand!r} skipped a BFS layer"
-                            )
-                        j = b._add_element(nf, n + 1)
-                        next_layer.append(j)
-                else:
-                    reducible = any(
-                        cand[k : k + L] in table
-                        for L in lens
-                        for k in range(len(cand) - L + 1)
-                    )
-                    j = b.canonical_index(cand)
-                    if j is None:
-                        if reducible:
-                            raise AssertionError(
-                                f"Dehn-reducible candidate {cand!r} not found in ball"
-                            )
-                        j = b._add_element(cand, n + 1)
-                        next_layer.append(j)
+                    if len(nf) != n + 1:
+                        raise AssertionError(
+                            f"normal form {nf!r} of {cand!r} skipped a BFS layer"
+                        )
+                    j = b._add_element(nf, n + 1)
+                    next_layer.append(j)
                 record(i, letter, j)
                 if len(b.elements) > cap:
                     raise BallCapError(

@@ -2,8 +2,8 @@
 
 The central object is a symmetric kernel K(x, y) = ||f(x) - f(y)||^2 indexed
 by a Cayley ball.  For a combing, K(x, y) = ||q[e,x] - q[e,y]||_1, and the
-slot embedding f realizes it explicitly: an integer chain becomes a +-1
-vector with one coordinate per (edge, slot), and squared distances of
+slot embedding f = J realizes it explicitly: an integer chain becomes a +-1
+``L1Vector`` with one coordinate per (edge, slot), and squared distances of
 embedded chains are l1 distances of the chains.  Combing values are
 half-integers, so the kernel engine embeds the doubled chains 2 q[e,x] as the
 rows of one integer sparse matrix F and forms every doubled entry at once,
@@ -18,13 +18,13 @@ blocks are derived from it on demand.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
 
-from .bicombing import BicombingSpec, Chain1, Edge, area, combing_chain
+from .bicombing import BicombingSpec, Chain1, Edge, L1Vector, area, combing_chain
 from .groups import CayleyBall, OutOfBallError
 
 CND_TOLERANCE = -1e-9
@@ -57,7 +57,6 @@ class DisplacementKernel:
     displacement_constant: float
     radius: int
     bicombing: BicombingSpec | None = None
-    scan_info: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.provenance not in PROVENANCES:
@@ -127,32 +126,11 @@ def kernel_dump(kernel: DisplacementKernel) -> str:
 # -- slot embedding ----------------------------------------------------------
 
 
-class FeatureVector:
-    """Explicit +-1 coordinates realizing the l1-to-squared-Hilbert embedding
-    on integer chains: edge value a > 0 fills slots 1..a with +1, a < 0 fills
-    slots a+1..0 with -1.  Inner products are integer-exact."""
-
-    __slots__ = ("slots",)
-
-    def __init__(self, slots: dict[tuple[Edge, int], int]):
-        self.slots = slots
-
-    def dot(self, other: "FeatureVector") -> int:
-        a, b = self.slots, other.slots
-        if len(b) < len(a):
-            a, b = b, a
-        return sum(v * b.get(k, 0) for k, v in a.items())
-
-    def norm_sq(self) -> int:
-        return len(self.slots)
-
-    def squared_distance(self, other: "FeatureVector") -> int:
-        # signed slots never collide with opposite signs, so the squared
-        # distance is the symmetric difference size
-        return self.norm_sq() + other.norm_sq() - 2 * self.dot(other)
-
-
-def feature_embed(chain: Chain1) -> FeatureVector:
+def feature_embed(chain: Chain1) -> L1Vector:
+    """The slot embedding J of an integer chain: edge value a > 0 fills slots
+    1..a of the edge with +1, a < 0 fills slots a+1..0 with -1.  Signed slots
+    of opposite sign never share a key, so ||J(u) - J(w)||^2 = ||u - w||_1,
+    and inner products (:meth:`L1Vector.dot`) are integer-exact."""
     slots: dict[tuple[Edge, int], int] = {}
     for edge, c in chain.coeffs.items():
         if isinstance(c, Fraction):
@@ -167,7 +145,7 @@ def feature_embed(chain: Chain1) -> FeatureVector:
         else:
             for k in range(c + 1, 1):
                 slots[(edge, k)] = -1
-    return FeatureVector(slots)
+    return L1Vector._wrap(slots)
 
 
 # -- the kernel engine -------------------------------------------------------
@@ -183,7 +161,7 @@ def l1_distance_matrix(chains: list[Chain1]) -> np.ndarray:
     indices: list[int] = []
     data: list[int] = []
     for chain in chains:
-        for key, sign in feature_embed(chain).slots.items():
+        for key, sign in feature_embed(chain).coeffs.items():
             indices.append(columns.setdefault(key, len(columns)))
             data.append(sign)
         indptr.append(len(indices))
@@ -222,10 +200,7 @@ def kernel_from_bicombing(spec: BicombingSpec, radius: int | None = None,
     )
     if scan_split is None:
         scan_split = (radius // 2, radius - radius // 2)
-    r_s, r_xy = scan_split
-    m = empirical_displacement_constant(kernel, r_s, r_xy)
-    kernel.displacement_constant = m
-    kernel.scan_info = {"s_radius": r_s, "pair_radius": r_xy, "two_sided": True}
+    kernel.displacement_constant = empirical_displacement_constant(kernel, *scan_split)
     return kernel
 
 
@@ -388,11 +363,10 @@ def cnd_min_eigenvalue(kernel: DisplacementKernel, indices=None) -> float:
 
 
 def kernel_cross_validate(spec: BicombingSpec, radius: int | None = None,
-                          kernel: DisplacementKernel | None = None,
-                          tol: Fraction = Fraction(0)) -> Fraction:
+                          kernel: DisplacementKernel | None = None) -> Fraction:
     """Max discrepancy between the kernel engine's values and direct chain
-    arithmetic ||q[e,x] - q[e,y]||_1 over all scanned pairs; exactly 0 in
-    exact arithmetic."""
+    arithmetic ||q[e,x] - q[e,y]||_1 over all scanned pairs; both are exact,
+    so any nonzero discrepancy raises."""
     b = spec.ball
     if radius is None:
         radius = b.radius if kernel is None else kernel.radius
@@ -409,8 +383,6 @@ def kernel_cross_validate(spec: BicombingSpec, radius: int | None = None,
             disc = abs(kernel.exact(i, j) - direct)
             if disc > worst:
                 worst = disc
-    if worst > tol:
-        raise AssertionError(
-            f"cross-validation discrepancy {worst} exceeds tolerance {tol}"
-        )
+    if worst:
+        raise AssertionError(f"cross-validation discrepancy {worst} is not 0")
     return worst

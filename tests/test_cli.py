@@ -71,6 +71,14 @@ class TestBallCommand:
         assert main(["ball", "--presentation", str(f2_file), "--radius", "6",
                      "--cap", "50", "--out", str(tmp_path / "out")]) == 3
 
+    @pytest.mark.parametrize("cap", [-5, 0])
+    def test_cap_below_one_is_input_error(self, f2_file, tmp_path, capsys, cap):
+        # every ball holds the identity, so such a cap can never be met
+        assert main(["ball", "--presentation", str(f2_file), "--cap", str(cap),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "cap" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestBicombingStats:
     def test_tree_stats_vanish(self, f2_file, tmp_path):

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from l1comb import (
     BallCapError,
@@ -282,3 +283,76 @@ class TestWordDistance:
                 ]
         for k in range(n):
             assert np.all(d <= d[:, [k]] + d[[k], :])
+
+
+LOOKUP_RADIUS = 4  # the surface ball first identifies distinct words at 4
+PRESENTATIONS = ["f2", "surface", "f2xf2"]
+
+
+@pytest.fixture(scope="module")
+def lookup_balls(f2, surface, f2xf2):
+    # fresh balls: name() registers overflow words, which must not leak into
+    # the session-wide fixtures
+    return {name: ball(pres, LOOKUP_RADIUS)
+            for name, pres in zip(PRESENTATIONS, (f2, surface, f2xf2))}
+
+
+@st.composite
+def padded_words(draw, pres, max_base, base=None):
+    """A word of at most ``max_base`` letters (or ``base``) with a relator, an
+    inverse relator or a cancelling pair t t^-1 spliced in: a longer,
+    unreduced word for the same element."""
+    if base is None:
+        base = draw(st.text(alphabet=pres.alphabet, max_size=max_base))
+    t = draw(st.text(alphabet=pres.alphabet, max_size=2))
+    fillers = [t + invert(t), *pres.relators, *map(invert, pres.relators)]
+    filler = draw(st.sampled_from(fillers))
+    cut = draw(st.integers(0, len(base)))
+    return base[:cut] + filler + base[cut:]
+
+
+@st.composite
+def equal_words(draw, pres, radius):
+    """Two padded words for one element of the radius ball; where the
+    presentation has relators, written as the two halves h, t^-1 of a
+    relator conjugate h t, which have distinct reduced forms."""
+    if not pres.relators:
+        u = draw(padded_words(pres, radius))
+        return u, draw(padded_words(pres, 0, base=u))
+    rel = draw(st.sampled_from([*pres.relators, *map(invert, pres.relators)]))
+    turn = draw(st.integers(0, len(rel) - 1))
+    conj = rel[turn:] + rel[:turn]
+    half = len(conj) // 2
+    prefix = draw(st.text(alphabet=pres.alphabet, max_size=radius - half))
+    return (draw(padded_words(pres, 0, base=prefix + conj[:half])),
+            draw(padded_words(pres, 0, base=prefix + invert(conj[half:]))))
+
+
+class TestLookupProperties:
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(PRESENTATIONS), st.data())
+    def test_name_resolves_to_the_same_index(self, lookup_balls, which, data):
+        b = lookup_balls[which]
+        w = data.draw(padded_words(b.presentation, LOOKUP_RADIUS + 3))
+        assert b.canonical_index(w) == b.canonical_index(b.name(w))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(PRESENTATIONS), st.booleans(), st.data())
+    def test_equality_matches_index_in_ball(self, lookup_balls, which, same, data):
+        b = lookup_balls[which]
+        pres = b.presentation
+        if same:
+            u, v = data.draw(equal_words(pres, LOOKUP_RADIUS))
+        else:
+            u = data.draw(padded_words(pres, LOOKUP_RADIUS))
+            v = data.draw(padded_words(pres, LOOKUP_RADIUS))
+        i, j = b.canonical_index(u), b.canonical_index(v)
+        assert i is not None and j is not None
+        assert pres.elements_equal(u, v) == (i == j)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from(PRESENTATIONS), st.integers(0, LOOKUP_RADIUS - 1))
+    def test_ball_is_a_prefix_of_the_next(self, lookup_balls, which, r):
+        pres = lookup_balls[which].presentation
+        inner, outer = ball(pres, r).elements, ball(pres, r + 1).elements
+        assert outer[: len(inner)] == inner

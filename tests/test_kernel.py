@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,16 +104,39 @@ class TestEngineProperties:
                 assert kernel.twice[i, j] == 2 * len(free_reduce(invert(x) + y))
 
 
+class TestL1VectorProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(integer_chains, integer_chains)
+    def test_distance_is_symmetric(self, u, w):
+        assert (u - w).l1_norm() == (w - u).l1_norm()
+
+    @settings(max_examples=80, deadline=None)
+    @given(integer_chains)
+    def test_negation_is_additive_inverse(self, u):
+        assert (u + (-u)).coeffs == {}
+
+    @settings(max_examples=80, deadline=None)
+    @given(integer_chains, integer_chains, integer_chains)
+    def test_triangle_inequality(self, u, v, w):
+        assert (u - w).l1_norm() <= (u - v).l1_norm() + (v - w).l1_norm()
+
+    @settings(max_examples=80, deadline=None)
+    @given(integer_chains, integer_chains)
+    def test_slot_embedding_squares_to_l1_distance(self, u, w):
+        diff = feature_embed(u) - feature_embed(w)
+        assert diff.dot(diff) == (u - w).l1_norm()
+
+
 class TestFeatureEmbedding:
     def test_single_edge(self):
         f = feature_embed(Chain1({("", "a"): 1}))
-        assert f.slots == {((("", "a")), 1): 1}
-        assert f.norm_sq() == 1
+        assert f.coeffs == {((("", "a")), 1): 1}
+        assert f.dot(f) == 1
 
     def test_slot_count_between_mixed_signs(self):
         v = feature_embed(Chain1({("", "a"): 2}))
         w = feature_embed(Chain1({("", "a"): -1}))
-        assert v.squared_distance(w) == 3
+        assert (v - w).dot(v - w) == 3
 
     def test_matches_l1_distance_on_random_integer_chains(self, f2_ball4):
         rng = random.Random(21)
@@ -126,7 +153,8 @@ class TestFeatureEmbedding:
         for _ in range(100):
             u, w = rand_chain(), rand_chain()
             expected = (u - w).l1_norm()  # direct chain-arithmetic oracle
-            assert feature_embed(u).squared_distance(feature_embed(w)) == expected
+            diff = feature_embed(u) - feature_embed(w)
+            assert diff.dot(diff) == expected
 
     def test_non_integer_coefficient_rejected(self):
         with pytest.raises(NonIntegralChainError):
@@ -219,7 +247,8 @@ class TestCnd:
             for i in range(n)
         ]
         kernel2 = [
-            [feats[i].squared_distance(feats[j]) for j in range(n)] for i in range(n)
+            [(feats[i] - feats[j]).dot(feats[i] - feats[j]) for j in range(n)]
+            for i in range(n)
         ]
         rng = random.Random(31)
         for _ in range(25):
@@ -280,3 +309,17 @@ class TestCrossValidation:
         assert kernel_cross_validate(
             surface_anti, radius=2, kernel=surface_kernel
         ) == 0
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # scipy is imported inside the kernel builder only: loading it eagerly
+    # adds a measurable share of every command's start-up time
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import l1comb, sys; assert 'scipy' not in sys.modules"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
