@@ -19,7 +19,7 @@ print()
 print("=== genus-2 surface group, relator abABcdCD, Dehn's algorithm ===")
 surface = GroupPresentation(("a", "b", "c", "d"), ("abABcdCD",), "dehn")
 print("relator reduces   ->", repr(reduce_word("abABcdCD", surface)))
-print("long subword      -> abABc becomes", repr(surface.dehn_reduce("abABc")))
+print("long subword      -> abABc becomes", repr(surface.normal("abABc")))
 
 # greedy reduction alone cannot see that the two relator halves agree, so
 # ball enumeration settles element identity with the triviality oracle

@@ -295,6 +295,9 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
     """Invariant suite over one presentation/combing/radius: cocycle identity,
     norm formula, conditional negative definiteness, per-vector bound,
     properness, plus the structural chain checks feeding them."""
+    if config.radius < 2:
+        raise ValueError(f"verify needs --radius >= 2, got {config.radius}: below 2 "
+                         "the sampled checks would see only the identity")
     pres = config.presentation
     results: list[CheckResult] = []
     b = ball(pres, config.radius, cap=config.cap)

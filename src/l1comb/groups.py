@@ -3,18 +3,30 @@
 Words are plain strings over single-letter lowercase generators; the uppercase
 letter is the inverse of its generator and the empty string is the identity
 (rendered as ``e`` in files and reports).  Three word-problem regimes are
-supported:
+supported.  All three run on one single-pass stack rewriter, ``_rewrite``,
+which cancels inverse pairs first and otherwise replaces left sides of a
+per-presentation table; the modes differ only in that table:
 
-* ``free`` -- free groups, free reduction only;
-* ``dehn`` -- C'(1/6) small-cancellation presentations, Dehn's algorithm
-  (the piece condition is machine-checked at parse time, otherwise the mode
-  is refused);
+* ``free`` -- free groups: an empty table, free cancellation only;
+* ``dehn`` -- C'(1/6) small-cancellation presentations: every subword longer
+  than half of a cyclic conjugate of a relator or its inverse maps to the
+  inverse of the rest, which is Dehn's algorithm in one pass (Domanski and
+  Anshel, 1985).  The piece condition is machine-checked at parse time,
+  otherwise the mode is refused;
 * ``rewriting`` -- a user-supplied shortlex-decreasing rewriting system,
   checked for local confluence on all critical pairs at parse time.
 
+The order in which the rewriter applies replacements changes no result.  A
+terminating, confluent system has one normal form per word, which every order
+reaches; and the confluence check's verdict is order-free too, because a
+critical pair is joinable exactly when its normal forms agree.  In dehn mode
+each step shortens the word and keeps its element, and by Greendlinger's lemma
+a freely reduced word with no table left side is trivial only when it is
+empty, so the triviality oracle is exact under any order.
+
 Normal forms are canonical within a run.  In ``free`` and ``rewriting`` modes
-the reduced word itself is canonical; in ``dehn`` mode greedy Dehn reduction
-is not canonical (distinct half-relator words can represent equal elements),
+the reduced word itself is canonical; in ``dehn`` mode a Dehn-reduced word is
+not canonical (distinct half-relator words can represent equal elements),
 so canonical shortlex-least geodesic words are assigned during Cayley-ball
 enumeration and element identity is decided by the Dehn-algorithm triviality
 oracle.
@@ -58,15 +70,37 @@ def invert(word: str) -> str:
     return word[::-1].swapcase()
 
 
+def _rewrite(word: str, table: dict[str, str], lens: tuple[int, ...]) -> str:
+    """The one word-problem engine: one left-to-right pass that cancels
+    inverse pairs and replaces each left side of ``table`` by its right side
+    (``lens``: the left-side lengths, longest first).  Letters move onto
+    ``out``, which stays freely reduced and free of left sides, so a left side
+    can only end at the letter just added; it is popped and its right side is
+    read next.  Each step shortens the word or makes it shortlex smaller."""
+    out = ""
+    i, n = 0, len(word)
+    while i < n:
+        ch = word[i]
+        i += 1
+        if out and out[-1] == ch.swapcase():
+            out = out[:-1]
+            continue
+        out += ch
+        m = len(out)
+        for L in lens:
+            if L <= m:
+                rhs = table.get(out[-L:])
+                if rhs is not None:
+                    out = out[:-L]
+                    word = rhs + word[i:]
+                    i, n = 0, len(word)
+                    break
+    return out
+
+
 def free_reduce(word: str) -> str:
     """Cancel adjacent inverse pairs until none remain."""
-    out: list[str] = []
-    for ch in word:
-        if out and out[-1] == ch.swapcase():
-            out.pop()
-        else:
-            out.append(ch)
-    return "".join(out)
+    return _rewrite(word, {}, ())
 
 
 def _lcp_len(a: str, b: str) -> int:
@@ -77,6 +111,16 @@ def _lcp_len(a: str, b: str) -> int:
     return n
 
 
+def _cyclic_conjugates(relators: tuple[str, ...]):
+    """Yield (conjugate, source relator) for every cyclic conjugate of each
+    relator and of its inverse, one per position: a proper power yields
+    identical strings at distinct positions."""
+    for rel in relators:
+        for w in (rel, invert(rel)):
+            for k in range(len(w)):
+                yield w[k:] + w[:k], rel
+
+
 def _check_small_cancellation(relators: tuple[str, ...]) -> None:
     """Verify the C'(1/6) metric piece condition on the symmetrized relator set.
 
@@ -84,7 +128,6 @@ def _check_small_cancellation(relators: tuple[str, ...]) -> None:
     conjugates of relators and their inverses; identical strings at different
     positions count (this rejects proper-power relators).
     """
-    conjugates: list[tuple[str, str]] = []  # (conjugate word, source relator)
     for rel in relators:
         if not rel:
             raise PresentationError("empty relator is not allowed in dehn mode")
@@ -92,9 +135,7 @@ def _check_small_cancellation(relators: tuple[str, ...]) -> None:
             raise PresentationError(
                 f"relator {rel!r} is not cyclically reduced (dehn mode requires it)"
             )
-        for w in (rel, invert(rel)):
-            for k in range(len(w)):
-                conjugates.append((w[k:] + w[:k], rel))
+    conjugates = list(_cyclic_conjugates(relators))
     for i, (w1, src1) in enumerate(conjugates):
         for j, (w2, _src2) in enumerate(conjugates):
             if i == j:
@@ -111,44 +152,19 @@ def _build_dehn_table(relators: tuple[str, ...]) -> dict[str, str]:
     """Map every relator subword longer than half its relator to the shorter
     replacement (the inverse of the complementary piece)."""
     table: dict[str, str] = {}
-    seen: set[str] = set()
-    for rel in relators:
-        for w in (rel, invert(rel)):
-            for k in range(len(w)):
-                conj = w[k:] + w[:k]
-                if conj in seen:
-                    continue
-                seen.add(conj)
-                half = len(conj) // 2
-                for cut in range(half + 1, len(conj) + 1):
-                    head, tail = conj[:cut], conj[cut:]
-                    repl = invert(tail)
-                    prev = table.get(head)
-                    if prev is not None and prev != repl:
-                        # cannot happen once C'(1/6) holds: a shared long
-                        # subword would be an oversized piece
-                        raise PresentationError(
-                            f"ambiguous Dehn replacement for subword {head!r}"
-                        )
-                    table[head] = repl
+    for conj, _rel in _cyclic_conjugates(relators):
+        for cut in range(len(conj) // 2 + 1, len(conj) + 1):
+            head, tail = conj[:cut], conj[cut:]
+            repl = invert(tail)
+            prev = table.get(head)
+            if prev is not None and prev != repl:
+                # cannot happen once C'(1/6) holds: a shared long
+                # subword would be an oversized piece
+                raise PresentationError(
+                    f"ambiguous Dehn replacement for subword {head!r}"
+                )
+            table[head] = repl
     return table
-
-
-def _apply_rules(word: str, rules: tuple[tuple[str, str], ...]) -> str:
-    """Exhaustively rewrite with the leftmost-longest strategy."""
-    changed = True
-    while changed:
-        changed = False
-        n = len(word)
-        for i in range(n):
-            for lhs, rhs in rules:
-                if word.startswith(lhs, i):
-                    word = word[:i] + rhs + word[i + len(lhs):]
-                    changed = True
-                    break
-            if changed:
-                break
-    return word
 
 
 def _shortlex_key(word: str, rank: dict[str, int]) -> tuple:
@@ -163,9 +179,9 @@ def _check_rule_orientation(rules, rank):
             )
 
 
-def _check_local_confluence(rules: tuple[tuple[str, str], ...]) -> None:
-    """Resolve every critical pair (overlap and containment) to a common form."""
-    nf = lambda w: _apply_rules(w, rules)
+def _check_local_confluence(rules: tuple[tuple[str, str], ...], nf) -> None:
+    """Resolve every critical pair (overlap and containment) to a common
+    normal form under ``nf``."""
     for (l1, r1), (l2, r2) in itertools.product(rules, repeat=2):
         # proper overlaps: a suffix of l1 equals a prefix of l2
         for k in range(1, min(len(l1), len(l2))):
@@ -207,9 +223,8 @@ class GroupPresentation:
 
     alphabet: str = field(init=False, repr=False, compare=False, default="")
     _rank: dict = field(init=False, repr=False, compare=False, default=None)
-    _dehn_table: dict = field(init=False, repr=False, compare=False, default=None)
-    _dehn_lens: tuple = field(init=False, repr=False, compare=False, default=())
-    _rules: tuple = field(init=False, repr=False, compare=False, default=())
+    _table: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _lens: tuple = field(init=False, repr=False, compare=False, default=())
     _abelian_zero: bool = field(init=False, repr=False, compare=False, default=False)
 
     def __post_init__(self):
@@ -241,10 +256,7 @@ class GroupPresentation:
                 raise PresentationError("free mode admits no relators")
         elif self.reduction_mode == "dehn":
             _check_small_cancellation(self.relators)
-            table = _build_dehn_table(self.relators)
-            object.__setattr__(self, "_dehn_table", table)
-            lens = tuple(sorted({len(k) for k in table}, reverse=True))
-            object.__setattr__(self, "_dehn_lens", lens)
+            object.__setattr__(self, "_table", _build_dehn_table(self.relators))
         else:
             for lhs, rhs in self.rewriting_rules:
                 for ch in lhs + rhs:
@@ -254,21 +266,22 @@ class GroupPresentation:
                         )
                 if not lhs:
                     raise PresentationError("rewriting rule with empty left side")
-            # group structure always includes free cancellation
-            rules = list(dict.fromkeys(self.rewriting_rules))
-            for g in gens:
-                for pair in (g + g.upper(), g.upper() + g):
-                    if all(pair != lhs for lhs, _ in rules):
-                        rules.append((pair, ""))
-            rules = tuple(sorted(rules, key=lambda r: (-len(r[0]), r[0])))
+            # group structure always includes free cancellation; the engine
+            # applies it first, so the confluence check covers it as rules
+            cancel = [(p, "") for g in gens for p in (g + g.upper(), g.upper() + g)]
+            rules = tuple(dict.fromkeys([*self.rewriting_rules, *cancel]))
             _check_rule_orientation(rules, self._rank)
-            _check_local_confluence(rules)
-            object.__setattr__(self, "_rules", rules)
-            for rel in self.relators:
-                if _apply_rules(rel, rules) != "":
-                    raise PresentationError(
-                        f"relator {rel!r} does not rewrite to the identity"
-                    )
+            object.__setattr__(self, "_table", dict(rules))
+        object.__setattr__(
+            self, "_lens", tuple(sorted({len(k) for k in self._table}, reverse=True))
+        )
+        if self.reduction_mode == "rewriting":
+            _check_local_confluence(rules, self.normal)
+        for rel in self.relators:
+            if self.normal(rel) != "":
+                raise PresentationError(
+                    f"relator {rel!r} does not rewrite to the identity"
+                )
 
         object.__setattr__(
             self, "_abelian_zero",
@@ -284,50 +297,21 @@ class GroupPresentation:
 
     def exponent_vector(self, word: str) -> tuple[int, ...]:
         counts = [0] * len(self.generators)
-        pos = {g: i for i, g in enumerate(self.generators)}
         for ch in word:
-            if ch.islower():
-                counts[pos[ch]] += 1
-            else:
-                counts[pos[ch.lower()]] -= 1
+            # the alphabet interleaves each generator with its inverse
+            counts[self._rank[ch] // 2] += 1 if ch.islower() else -1
         return tuple(counts)
 
     def shortlex_key(self, word: str) -> tuple:
         return _shortlex_key(word, self._rank)
 
     def normal(self, word: str) -> str:
-        """Mode-specific reduction (canonical in free/rewriting modes)."""
-        if self.reduction_mode == "free":
-            return free_reduce(word)
-        if self.reduction_mode == "rewriting":
-            return _apply_rules(word, self._rules)
-        return self.dehn_reduce(word)
-
-    def dehn_reduce(self, word: str) -> str:
-        """Free reduction interleaved with greedy replacement of relator
-        subwords longer than half their relator (leftmost, longest first)."""
-        table = self._dehn_table
-        word = free_reduce(word)
-        if not table:
-            return word
-        lens = self._dehn_lens
-        while True:
-            n = len(word)
-            hit = None
-            for i in range(n):
-                for L in lens:
-                    if i + L > n:
-                        continue
-                    sub = word[i : i + L]
-                    if sub in table:
-                        hit = (i, L, table[sub])
-                        break
-                if hit:
-                    break
-            if hit is None:
-                return word
-            i, L, repl = hit
-            word = free_reduce(word[:i] + repl + word[i + L :])
+        """Reduce ``word`` with the one engine and this presentation's table:
+        the canonical shortlex-least word in free and rewriting modes, and in
+        dehn mode a Dehn-reduced word that is empty exactly when the element
+        is trivial.  Neither depends on the order of the replacements (see
+        the module docstring: confluence, and Greendlinger's lemma)."""
+        return _rewrite(word, self._table, self._lens)
 
     def is_identity(self, word: str) -> bool:
         return self.normal(word) == ""
@@ -459,12 +443,12 @@ class CayleyBall:
     # lookups ---------------------------------------------------------------
 
     def _resolve(self, word: str,
-                 registry: dict[tuple, list[str]] | None = None) -> str | None:
+                 registry: dict[tuple, list[str]] | None = None) -> str:
         """Known word for the element ``word`` represents: its normal form
         when that is a ball element or normal forms are canonical, else the
         ball element, then the ``registry`` word, that the triviality oracle
-        equates with it.  An unmatched normal form is added to ``registry``
-        and returned; without a registry the lookup misses with None."""
+        equates with it.  An unmatched normal form is returned, and added to
+        ``registry`` when one is given; it is never a key of ``index``."""
         pres = self.presentation
         w = pres.normal(word)
         if pres.has_geodesic_normal_forms or w in self.index:
@@ -474,9 +458,8 @@ class CayleyBall:
             for known in table.get(key, ()):
                 if pres.is_identity(invert(known) + w):
                     return known
-        if registry is None:
-            return None
-        registry.setdefault(key, []).append(w)
+        if registry is not None:
+            registry.setdefault(key, []).append(w)
         return w
 
     def canonical_index(self, word: str) -> int | None:
@@ -549,11 +532,11 @@ def ball(presentation: GroupPresentation, radius: int,
                     record(i, letter, b.index[w[:-1]])
                     continue
                 cand = w + letter
-                j = b.canonical_index(cand)
+                nf = b._resolve(cand)
+                j = b.index.get(nf)
                 if j is None:
                     # a candidate that reduces is a shorter element, which
                     # an earlier layer holds; missing it here is a bug
-                    nf = pres.normal(cand)
                     if len(nf) != n + 1:
                         raise AssertionError(
                             f"normal form {nf!r} of {cand!r} skipped a BFS layer"

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from l1comb.cli import main
@@ -173,6 +175,16 @@ class TestVerify:
         assert code == 2
         assert "sabotage-diagonal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("radius", [0, 1])
+    def test_radius_below_two_is_input_error(self, surface_file, tmp_path,
+                                             capsys, radius):
+        # the sampled checks would see only the identity
+        out = tmp_path / "out"
+        assert main(["verify", "--presentation", str(surface_file),
+                     "--radius", str(radius), "--out", str(out)]) == 2
+        assert "radius" in capsys.readouterr().err
+        assert not (out / "verify.csv").exists()
+
 
 class TestActionCommand:
     def test_projection_action_verdict(self, tmp_path):
@@ -200,3 +212,48 @@ class TestActionCommand:
     def test_action_without_inputs_is_input_error(self, f2_file, tmp_path):
         assert main(["action", "--presentation", str(f2_file),
                      "--out", str(tmp_path / "out")]) == 2
+
+
+# run-dependent header lines, left out of every body comparison
+UNSTABLE_HEADER = ("# timestamp:", "# presentation:", "# seed:")
+
+# sha256 of each CSV body (header lines other than UNSTABLE_HEADER included),
+# recorded before the word-problem engine became one rewriter
+GOLDEN_DIGESTS = {
+    "ball.csv":
+        "deaadf37cb7c1a12ed41926a96fcb3159990b62bf285160a85233f68840ecd69",
+    "bicombing.csv":
+        "b392222488387d2263951565b516bfb853e8acb462708ab7ebd75e3414877059",
+    "norms.csv":
+        "c62783170e5b7169682ef1ac193bfe6a299fbcd5477f250d701a04750c742dd5",
+    "kernel.csv":
+        "830edc1069058062fb57a49dad78cef7905ae00f7010d7274d49cf9f16ff78ac",
+    "action.csv":
+        "acddec993731ce7f7936f873173adc2052781afafbf956659d07aa8b984e090b",
+}
+
+
+def _body_digest(path):
+    lines = path.read_text().splitlines(keepends=True)
+    return hashlib.sha256("".join(
+        line for line in lines if not line.startswith(UNSTABLE_HEADER)
+    ).encode()).hexdigest()
+
+
+def test_csv_bodies_match_golden_digests(surface_file, tmp_path):
+    prod = tmp_path / "prod.txt"
+    prod.write_text(PRODUCT)
+    proj = tmp_path / "proj.txt"
+    proj.write_text(PROJECTION)
+    runs = [
+        ["ball", "--presentation", str(surface_file), "--radius", "3"],
+        ["bicombing-stats", "--presentation", str(surface_file), "--radius", "1"],
+        ["norms", "--presentation", str(surface_file), "--radius", "2"],
+        ["action", "--presentation", str(prod), "--action", str(proj),
+         "--radius", "3"],
+    ]
+    out = tmp_path / "out"
+    for argv in runs:
+        assert main(argv + ["--out", str(out)]) == 0
+    digests = {name: _body_digest(out / name) for name in GOLDEN_DIGESTS}
+    assert digests == GOLDEN_DIGESTS

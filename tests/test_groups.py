@@ -144,7 +144,7 @@ class TestReduction:
 
     def test_dehn_reduces_long_subword(self, surface):
         # a 5-letter relator prefix contracts to the 3-letter complement
-        assert surface.dehn_reduce("abABc") == "dcD"
+        assert surface.normal("abABc") == "dcD"
 
     def test_multiply(self, f2, surface):
         assert multiply("a", "A", f2) == ""
@@ -290,11 +290,15 @@ PRESENTATIONS = ["f2", "surface", "f2xf2"]
 
 
 @pytest.fixture(scope="module")
-def lookup_balls(f2, surface, f2xf2):
+def presentations(f2, surface, f2xf2):
+    return dict(zip(PRESENTATIONS, (f2, surface, f2xf2)))
+
+
+@pytest.fixture(scope="module")
+def lookup_balls(presentations):
     # fresh balls: name() registers overflow words, which must not leak into
     # the session-wide fixtures
-    return {name: ball(pres, LOOKUP_RADIUS)
-            for name, pres in zip(PRESENTATIONS, (f2, surface, f2xf2))}
+    return {name: ball(pres, LOOKUP_RADIUS) for name, pres in presentations.items()}
 
 
 @st.composite
@@ -356,3 +360,79 @@ class TestLookupProperties:
         pres = lookup_balls[which].presentation
         inner, outer = ball(pres, r).elements, ball(pres, r + 1).elements
         assert outer[: len(inner)] == inner
+
+
+@st.composite
+def relator_words(draw, pres, max_chunks=6):
+    """Words built from single letters and subwords of relator conjugates,
+    so that Dehn replacements and rewriting rules fire often."""
+    chunks = [*pres.alphabet, *(c[:k] for rel in pres.relators
+                                for c in _symmetrized(rel)
+                                for k in range(2, len(c) + 1))]
+    return "".join(draw(st.lists(st.sampled_from(chunks), max_size=max_chunks)))
+
+
+@st.composite
+def trivial_words(draw, pres):
+    """Products of conjugates u c u^-1 of relator conjugates c."""
+    conjugates = [c for rel in pres.relators for c in _symmetrized(rel)]
+    out = ""
+    for _ in range(draw(st.integers(1, 3))):
+        u = draw(st.text(alphabet=pres.alphabet, max_size=4))
+        out += u + draw(st.sampled_from(conjugates)) + invert(u)
+    return out
+
+
+def _forbidden_subwords(pres):
+    # what a reduced word may not contain, computed from the presentation
+    # itself: in dehn mode every subword longer than half of a cyclic
+    # conjugate of a relator or its inverse, else every rule left side
+    if pres.reduction_mode == "dehn":
+        return {c[:k] for rel in pres.relators for c in _symmetrized(rel)
+                for k in range(len(c) // 2 + 1, len(c) + 1)}
+    return {lhs for lhs, _ in pres.rewriting_rules}
+
+
+class TestRewriterProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(PRESENTATIONS), st.data())
+    def test_normal_form_is_reduced(self, presentations, which, data):
+        pres = presentations[which]
+        w = data.draw(relator_words(pres))
+        nf = pres.normal(w)
+        assert len(nf) <= len(w)
+        assert pres.normal(nf) == nf
+        assert all(x != y.swapcase() for x, y in zip(nf, nf[1:]))
+        assert not [sub for sub in _forbidden_subwords(pres) if sub in nf]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["f2", "f2xf2"]), st.data())
+    def test_canonical_normal_form_is_multiplicative(self, presentations,
+                                                     which, data):
+        pres = presentations[which]
+        u, v = data.draw(relator_words(pres)), data.draw(relator_words(pres))
+        assert pres.normal(u + v) == pres.normal(pres.normal(u) + pres.normal(v))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_product_normal_form_splits_into_factors(self, f2xf2, data):
+        # independent oracle: F2 x F2 is the direct product of the free
+        # groups on a, b and on c, d
+        w = data.draw(relator_words(f2xf2))
+        ab = "".join(ch for ch in w if ch in "aAbB")
+        cd = "".join(ch for ch in w if ch in "cCdD")
+        assert f2xf2.normal(w) == free_reduce(ab) + free_reduce(cd)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_conjugated_relators_are_trivial(self, surface, data):
+        u = data.draw(relator_words(surface))
+        for c in _symmetrized(surface.relators[0]):
+            assert surface.is_identity(u + c + invert(u))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_trivial_words_have_zero_exponents(self, surface, data):
+        w = data.draw(st.one_of(relator_words(surface), trivial_words(surface)))
+        if surface.is_identity(w):
+            assert not any(surface.exponent_vector(w))
