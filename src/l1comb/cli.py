@@ -2,7 +2,8 @@
 self-describing CSV reports with stable exit codes.
 
 Exit codes: 0 all checks pass, 1 invariant violation, 2 input error,
-3 resource cap exceeded.  Every CSV starts with ``# key: value`` comment
+3 resource cap exceeded, 4 internal error (any other exception; the traceback
+goes to stderr).  Every CSV starts with ``# key: value`` comment
 lines (seed, generating set, bicombing kind, tolerances); the timestamp line
 is informational and excluded from determinism comparisons.
 """
@@ -38,6 +39,7 @@ from .bicombing import (
     translate_chain,
 )
 from .kernel import (
+    DecompositionError,
     cnd_min_eigenvalue,
     kernel_cross_validate,
     kernel_dump,
@@ -46,7 +48,9 @@ from .kernel import (
 from .espace import (
     BOUND_TOLERANCE,
     EVector,
+    NonCndFormError,
     OpNormConfig,
+    PropernessError,
     check_cocycle_identity,
     norm_e,
     op_norm_lower_bound,
@@ -67,6 +71,7 @@ EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 KIND_BY_FLAG = {
     "tree": "tree_geodesic",
@@ -207,7 +212,10 @@ def cmd_norms(config: RunConfig) -> int:
         ["word", "d", "norm_f", "norm_l1", "norm_E", "lower_bound"],
         rows, extra={"displacement_constant": kernel.displacement_constant},
     )
-    (config.out_dir / "kernel.csv").write_text(kernel_dump(kernel))
+    # one row at a time, so the whole file never exists as one string
+    with (config.out_dir / "kernel.csv").open("w") as fh:
+        for i in range(kernel.n):
+            fh.write(kernel_dump(kernel, [i]))
     print(f"{len(rows)} cocycle norm rows -> {path}")
     return EXIT_OK
 
@@ -374,14 +382,17 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
     # kernel structure
     import numpy as np
 
+    # witnesses are located only on failure: each search builds a temporary
+    # as large as what it searches
     twice = kernel.twice
-    diag = np.flatnonzero(np.diag(twice))
-    check("kernel_diagonal_zero", diag.size == 0,
-          f"K({diag[0] if diag.size else 0},{diag[0] if diag.size else 0}) != 0")
+    diag = np.diagonal(twice)
+    ok = not diag.any()
+    d = 0 if ok else np.flatnonzero(diag)[0]
+    check("kernel_diagonal_zero", ok, f"K({d},{d}) != 0")
     check("kernel_symmetry", np.array_equal(twice, twice.T), "K != K^T")
-    neg = np.argwhere(twice < 0)
-    check("kernel_nonnegative", neg.size == 0,
-          f"K{tuple(neg[0]) if neg.size else ()} < 0")
+    ok = twice.min() >= 0
+    check("kernel_nonnegative", ok,
+          "" if ok else f"K{tuple(np.argwhere(twice < 0)[0].tolist())} < 0")
 
     r_cnd = _largest_radius_with(b, 600)
     ev = cnd_min_eigenvalue(kernel, range(b.size_within(r_cnd)))
@@ -537,6 +548,14 @@ def main(argv: list[str] | None = None) -> int:
     except (PresentationError, WordError, ActionError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except (PropernessError, DecompositionError, NonCndFormError) as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except Exception:
+        import traceback  # only on this path: it adds to every command's start-up
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 def console_main() -> None:

@@ -6,13 +6,17 @@ slot embedding f = J realizes it explicitly: an integer chain becomes a +-1
 ``L1Vector`` with one coordinate per (edge, slot), and squared distances of
 embedded chains are l1 distances of the chains.  Combing values are
 half-integers, so the kernel engine embeds the doubled chains 2 q[e,x] as the
-rows of one integer sparse matrix F and forms every doubled entry at once,
+rows of one integer sparse matrix F and forms every doubled entry,
 
     2 K(x_i, x_j) = |F_i|^2 + |F_j|^2 - 2 <F_i, F_j>,
 
-in exact int64 arithmetic.  Tree actions pull back tree-geodesic chains
-through the same engine.  A kernel stores only this doubled matrix; float
-blocks are derived from it on demand.
+exactly, one strip of rows at a time.  F has +-1 entries, so |F_i|^2 is the
+number of nonzeros of row i and every entry is at most 4 max_i |F_i|^2; the
+matrix is stored in the narrowest signed integer type holding that bound
+(int8 while every |F_i|^2 is at most 31), and differences of two entries fit
+the same type.  Tree actions pull back tree-geodesic chains through the same engine.
+A kernel stores only this doubled matrix; float blocks are derived from it on
+demand, and :func:`kernel_dump` renders it a row at a time.
 """
 
 from __future__ import annotations
@@ -44,11 +48,11 @@ class DecompositionError(AssertionError):
 class DisplacementKernel:
     """Dense symmetric kernel over (a radius prefix of) a Cayley ball.
 
-    ``twice`` is the one stored matrix, holding 2K: int64 and exact for
-    combing and tree-action kernels, float64 for user-supplied ones.
-    Exactness is read from its dtype.  ``displacement_constant`` is the
-    two-sided empirical displacement bound for the recorded scan split, or a
-    declared constant.
+    ``twice`` is the one stored matrix, holding 2K: exact, in the narrowest
+    signed integer type that holds its entries, for combing and tree-action
+    kernels, and float64 for user-supplied ones.  Exactness is read from its
+    dtype.  ``displacement_constant`` is the two-sided empirical displacement
+    bound for the recorded scan split, or a declared constant.
     """
 
     ball: CayleyBall
@@ -108,14 +112,24 @@ class DisplacementKernel:
         return out
 
 
-def kernel_dump(kernel: DisplacementKernel) -> str:
-    """Kernel CSV: header ``i,j,K`` and one row per pair i <= j, indices in
-    ball ordering; exact values render as fractions."""
-    exact = kernel.is_exact
-    # kernels take few distinct values, so each is rendered once
-    label = functools.cache(lambda t: str(Fraction(t, 2) if exact else t / 2.0))
-    chunks = ["i,j,K\n"]
-    for i in range(kernel.n):
+@functools.cache
+def _fraction_label(twice: int) -> str:
+    # exact kernels take few distinct values, so each is rendered once
+    return str(Fraction(twice, 2))
+
+
+def kernel_dump(kernel: DisplacementKernel, rows=None) -> str:
+    """Kernel CSV lines of the given rows (all by default): one line per pair
+    i <= j, indices in ball ordering, exact values as fractions; the header
+    ``i,j,K`` comes with row 0.  Concatenating the dumps of rows 0..n-1 gives
+    the whole file, so it can be written a row at a time."""
+    if rows is None:
+        rows = range(kernel.n)
+    label = _fraction_label if kernel.is_exact else (lambda t: str(t / 2.0))
+    chunks = []
+    for i in rows:
+        if i == 0:
+            chunks.append("i,j,K\n")
         chunks.append("".join(
             f"{i},{j},{label(t)}\n"
             for j, t in enumerate(kernel.twice[i, i:].tolist(), start=i)
@@ -152,8 +166,13 @@ def feature_embed(chain: Chain1) -> L1Vector:
 
 
 def l1_distance_matrix(chains: list[Chain1]) -> np.ndarray:
-    """Exact int64 matrix of ||u - w||_1 over integer chains, computed as
-    squared distances of their slot embeddings stacked into a sparse F."""
+    """Exact matrix of ||u - w||_1 over integer chains, computed as squared
+    distances of their slot embeddings stacked into a sparse F.
+
+    The result has the narrowest signed integer dtype holding 4 max_i |F_i|^2,
+    which bounds every entry.  It is filled in row strips, each formed in
+    int64 and no larger than the finished matrix, so the whole product F Fᵀ
+    never exists at once."""
     import scipy.sparse as sp
 
     columns: dict[tuple[Edge, int], int] = {}
@@ -165,13 +184,23 @@ def l1_distance_matrix(chains: list[Chain1]) -> np.ndarray:
             indices.append(columns.setdefault(key, len(columns)))
             data.append(sign)
         indptr.append(len(indices))
+    n = len(chains)
     F = sp.csr_matrix((data, indices, indptr), dtype=np.int64,
-                      shape=(len(chains), max(len(columns), 1)))
+                      shape=(n, max(len(columns), 1)))
+    Ft = F.T.tocsr()
     norms = np.diff(F.indptr).astype(np.int64)  # +-1 entries: |F_i|^2 = nnz
-    out = (F @ F.T).toarray()
-    out *= -2
-    out += norms[:, None]
-    out += norms[None, :]
+    bound = 4 * int(norms.max(initial=0))
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if np.iinfo(t).max >= bound)
+    out = np.empty((n, n), dtype=dtype)
+    step = max(1, n * out.itemsize // 8)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        strip = (F[lo:hi] @ Ft).toarray()
+        strip *= -2
+        strip += norms[lo:hi, None]
+        strip += norms[None, :]
+        out[lo:hi] = strip
     return out
 
 

@@ -1,8 +1,20 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from l1comb import GroupPresentation, ball, cli
 from l1comb.cli import main
+from l1comb.espace import NonCndFormError, PropernessError
+from l1comb.groups import OutOfBallError
+from l1comb.kernel import DecompositionError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 F2 = "generators: a b\nrelators: (none)\nmode: free\n"
 SURFACE = "generators: a b c d\nrelators: abABcdCD\nmode: dehn\n"
@@ -167,6 +179,21 @@ class TestVerify:
         assert "FAIL kernel_diagonal_zero" in captured
         assert "K(5,5)" in captured
 
+    def test_negative_entry_fails_with_its_position(self, f2_file, tmp_path,
+                                                     capsys, monkeypatch):
+        build = cli.kernel_from_bicombing
+
+        def negative(spec):
+            kernel = build(spec)
+            kernel.twice[1, 2] = kernel.twice[2, 1] = -2
+            return kernel
+
+        monkeypatch.setattr(cli, "kernel_from_bicombing", negative)
+        code = main(["verify", "--presentation", str(f2_file), "--radius", "2",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "FAIL kernel_nonnegative [K(1, 2) < 0]" in capsys.readouterr().out
+
     @pytest.mark.parametrize("index", ["99999", "-1"])
     def test_sabotage_index_out_of_range_is_input_error(self, f2_file, tmp_path,
                                                         capsys, index):
@@ -184,6 +211,40 @@ class TestVerify:
                      "--radius", str(radius), "--out", str(out)]) == 2
         assert "radius" in capsys.readouterr().err
         assert not (out / "verify.csv").exists()
+
+
+class TestExitCodes:
+    def _run_raising(self, exc, f2_file, tmp_path, monkeypatch):
+        def handler(config):
+            raise exc
+
+        monkeypatch.setitem(cli._HANDLERS, "ball", handler)
+        return main(["ball", "--presentation", str(f2_file),
+                     "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("exc", [
+        PropernessError("row s has norm below its bound"),
+        DecompositionError("excess above the triangle bound"),
+        NonCndFormError("quadratic form below the floor"),
+    ], ids=lambda exc: type(exc).__name__)
+    def test_invariant_violation_exits_1(self, f2_file, tmp_path, monkeypatch,
+                                         capsys, exc):
+        assert self._run_raising(exc, f2_file, tmp_path, monkeypatch) == 1
+        err = capsys.readouterr().err
+        assert err == f"invariant violation: {exc}\n"
+
+    @pytest.mark.parametrize("exc", [
+        IndexError("list index out of range"),
+        KeyError("missing"),
+        AssertionError("internal check"),
+        OutOfBallError("translate left the ball"),
+        ZeroDivisionError("division by zero"),
+    ], ids=lambda exc: type(exc).__name__)
+    def test_other_exceptions_are_internal_errors(self, f2_file, tmp_path,
+                                                  monkeypatch, capsys, exc):
+        assert self._run_raising(exc, f2_file, tmp_path, monkeypatch) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback") and type(exc).__name__ in err
 
 
 class TestActionCommand:
@@ -257,3 +318,58 @@ def test_csv_bodies_match_golden_digests(surface_file, tmp_path):
         assert main(argv + ["--out", str(out)]) == 0
     digests = {name: _body_digest(out / name) for name in GOLDEN_DIGESTS}
     assert digests == GOLDEN_DIGESTS
+
+
+def test_kernel_csv_is_streamed(surface_file, tmp_path, monkeypatch):
+    # trace allocations from the first dump call on: by then the ball, chains
+    # and kernel exist, and only the writing of kernel.csv is left
+    dump = cli.kernel_dump
+    base = []
+
+    def traced_dump(*args, **kwargs):
+        if not base:
+            tracemalloc.start()
+            base.append(tracemalloc.get_traced_memory()[0])
+        return dump(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "kernel_dump", traced_dump)
+    out = tmp_path / "out"
+    try:
+        assert main(["norms", "--presentation", str(surface_file), "--radius", "3",
+                     "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base[0]
+    finally:
+        tracemalloc.stop()
+    size = (out / "kernel.csv").stat().st_size
+    assert size > 900_000  # ~1 MB: 104,653 rows for 457 elements
+    assert peak < size / 10, peak
+
+
+def test_benchmark_tracer_counts_the_streamed_kernel_csv(surface_file, tmp_path):
+    # perfbench/tracer.py sums len() of every kernel_dump result; run it in a
+    # child, since installing it patches l1comb for the rest of the process
+    script = (
+        "import json, sys\n"
+        "from tracer import Tracer, install\n"
+        "from l1comb import cli\n"
+        "tracer = Tracer()\n"
+        "install(tracer)\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps({'code': code, 'counters': tracer.report()['counters']}))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), str(ROOT / "perfbench"), env.get("PYTHONPATH"))
+        if p
+    )
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, "-c", script, "norms", "--presentation", str(surface_file),
+         "--radius", "2", "--out", str(out)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report["code"] == 0
+    surface = GroupPresentation(("a", "b", "c", "d"), ("abABcdCD",), "dehn")
+    assert report["counters"]["kernel.n"] == len(ball(surface, 2))
+    assert report["counters"]["kernel.dump_bytes"] == (out / "kernel.csv").stat().st_size

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from l1comb import (
     Chain1,
@@ -34,6 +34,26 @@ integer_chains = st.dictionaries(
     st.sampled_from(EDGES), st.integers(-6, 6), max_size=6
 ).map(Chain1)
 f2_words = st.text(alphabet="aAbB", max_size=3).map(free_reduce)
+# enough edges for one chain of 8,192+ slots, the first that needs int32
+WIDE_EDGES = [("a" * k, g) for k in range(120) for g in "ab"]
+wide_chains = st.dictionaries(
+    st.sampled_from(WIDE_EDGES), st.integers(-40, 40), max_size=12
+).map(Chain1)
+
+
+def narrowest_signed(bound: int) -> np.dtype:
+    # -bound - 1 makes min_scalar_type pick a signed type that also holds bound
+    return np.min_scalar_type(-bound - 1)
+
+
+def assert_engine_matches_chains(chains):
+    matrix = l1_distance_matrix(chains)
+    # |J(u)|^2 = ||u||_1, and every entry is at most 4 max_i |J(u_i)|^2
+    assert matrix.dtype.kind == "i"
+    assert matrix.dtype == narrowest_signed(4 * max(int(u.l1_norm()) for u in chains))
+    for i, u in enumerate(chains):
+        for j, w in enumerate(chains):
+            assert matrix[i, j] == (u - w).l1_norm()
 
 
 @st.composite
@@ -76,21 +96,36 @@ class TestKernelFromBicombing:
     def test_tree_displacement_constant_zero(self, tree_kernel):
         assert tree_kernel.displacement_constant == 0.0
 
-    def test_exact_dtype(self, tree_kernel, surface_kernel):
-        for k in (tree_kernel, surface_kernel):
-            assert k.is_exact and k.twice.dtype == np.int64
+    def test_exact_dtype(self, tree_kernel, tree_spec, surface_kernel, surface_anti):
+        for k, spec in ((tree_kernel, tree_spec), (surface_kernel, surface_anti)):
+            assert k.is_exact and k.twice.dtype.kind == "i"
+            # the engine embeds the doubled chains 2 q[e, x]
+            nnz = max(int(combing_chain(spec, "", x).scale(2).l1_norm())
+                      for x in spec.ball.elements[:k.n])
+            assert k.twice.dtype == narrowest_signed(4 * nnz)
             assert not k.values.flags.writeable
+
+    @pytest.mark.parametrize("kind", ["tree_geodesic", "shortlex_antisymmetrized"])
+    def test_radius_zero_kernel_is_signed_and_exact(self, f2, surface, kind):
+        pres = f2 if kind == "tree_geodesic" else surface
+        k = kernel_from_bicombing(make_bicombing(kind, ball(pres, 0)))
+        # the bound is 0, where min_scalar_type would give uint8
+        assert k.n == 1 and k.is_exact and k.twice.dtype == np.int8
+        assert k.exact(0, 0) == 0
 
 
 class TestEngineProperties:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(integer_chains, min_size=1, max_size=6))
     def test_entries_equal_chain_arithmetic(self, chains):
-        matrix = l1_distance_matrix(chains)
-        assert matrix.dtype == np.int64
-        for i, u in enumerate(chains):
-            for j, w in enumerate(chains):
-                assert matrix[i, j] == (u - w).l1_norm()
+        assert_engine_matches_chains(chains)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(wide_chains, min_size=1, max_size=4))
+    @example([Chain1({WIDE_EDGES[0]: 40}), Chain1({WIDE_EDGES[1]: -40})])  # int16
+    @example([Chain1(dict.fromkeys(WIDE_EDGES[:210], 40)), Chain1({})])  # int32
+    def test_wide_coefficients_stay_exact(self, chains):
+        assert_engine_matches_chains(chains)
 
     @settings(max_examples=25, deadline=None)
     @given(f2xf2_to_f2())
@@ -294,6 +329,21 @@ class TestKernelDump:
             provenance="user_supplied", displacement_constant=0.0, radius=0,
         )
         assert "0,1,1/2" in kernel_dump(kernel).splitlines()
+
+    def test_row_dumps_concatenate_to_the_whole_dump(self, tree_kernel, surface,
+                                                     f2_ball4):
+        from l1comb import kernel_dump
+
+        small = kernel_from_bicombing(
+            make_bicombing("shortlex_antisymmetrized", ball(surface, 2))
+        )
+        user = kernel_from_matrix(f2_ball4, np.array([[0, 1.5], [1.5, 0]]),
+                                  "user_supplied", 0.0, 0)
+        for k in (tree_kernel, small, user):
+            whole = kernel_dump(k)
+            assert "".join(kernel_dump(k, [i]) for i in range(k.n)) == whole
+            assert whole.startswith("i,j,K\n0,0,0")
+        assert kernel_dump(user, [0]) == "i,j,K\n0,0,0.0\n0,1,1.5\n"
 
 
 class TestCrossValidation:
