@@ -40,8 +40,8 @@ print("||b(abab)||_f =", norm_f(v, K), " ||b(abab)||_E =", norm_e(v, K))
 w = rep_apply("BA", v, b5)  # support becomes {ab, BA}, still inside the ball
 print("after translating by BA:   ||.||_E =", norm_e(w, K), "(isometric here)")
 
-check = per_vector_bound_check("ab", EVector({"a": 1.0, "b": 1.0, "": -2.0}), K)
-print(f"form growth {check.lhs} <= (excess/2) l1^2 = {check.rhs}: {check.passed}")
+check = per_vector_bound_check("ab", EVector({"a": 1, "b": 1, "": -2}), K)
+print(f"form growth {check.lhs} <= (excess/2) l1^2 = {check.rhs} (exact): {check.passed}")
 
 print()
 print("=== uniform bounds ===")

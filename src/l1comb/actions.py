@@ -10,6 +10,7 @@ definiteness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -128,7 +129,6 @@ def orbit_kernel(action: TreeActionSpec, ball: CayleyBall) -> DisplacementKernel
     return DisplacementKernel(
         ball=ball,
         twice=l1_distance_matrix(chains),
-        provenance="tree_action",
         displacement_constant=0.0,
         radius=ball.radius,
     )
@@ -148,10 +148,19 @@ class QuasiTreeKernelInput:
     delta: float = 0.0
 
 
+def _finite(text: str, name: str, line: str) -> float:
+    # comparisons with nan are all false, so a nan would pass every check
+    value = float(text)
+    if not math.isfinite(value):
+        raise ActionError(f"{name} {text!r} in {line!r} is not finite")
+    return value
+
+
 def parse_quasitree_csv(text: str) -> QuasiTreeKernelInput:
     """Parse the quasi-tree kernel format: a ``delta: value`` header line, the
     column header ``x,y,d,K``, then one pair per row.  Every unordered pair of
-    the labels appearing must be present."""
+    the labels appearing must be present exactly once; ``d``, ``K`` and
+    ``delta`` must be finite numbers and ``delta`` nonnegative."""
     delta = None
     rows = []
     saw_header = False
@@ -160,7 +169,9 @@ def parse_quasitree_csv(text: str) -> QuasiTreeKernelInput:
         if not line:
             continue
         if line.startswith("delta:"):
-            delta = float(line.split(":", 1)[1])
+            delta = _finite(line.split(":", 1)[1].strip(), "delta", line)
+            if delta < 0:
+                raise ActionError(f"delta must be nonnegative, got {delta}")
             continue
         if line.replace(" ", "") == "x,y,d,K":
             saw_header = True
@@ -169,7 +180,7 @@ def parse_quasitree_csv(text: str) -> QuasiTreeKernelInput:
         if len(parts) != 4:
             raise ActionError(f"bad kernel row {line!r}")
         x, y, d, k = parts
-        rows.append((x, y, float(d), float(k)))
+        rows.append((x, y, _finite(d, "d", line), _finite(k, "K", line)))
     if delta is None:
         raise ActionError("missing delta: header line")
     if not saw_header:
@@ -183,6 +194,8 @@ def parse_quasitree_csv(text: str) -> QuasiTreeKernelInput:
     kernel_values: dict[tuple[str, str], float] = {}
     for x, y, d, k in rows:
         key = (x, y) if x <= y else (y, x)
+        if key in kernel_values:
+            raise ActionError(f"pair ({x!r}, {y!r}) given twice")
         distances[key] = d
         kernel_values[key] = k
     for i, x in enumerate(labels):

@@ -1,14 +1,16 @@
 """Mean-zero vectors, the split norm, the translation representation and its
 cocycle, uniform bounds, and properness reporting.
 
-The space is spanned by finitely supported real functions on group elements
-with mean zero: :class:`EVector` is the package's l1 vector type
+The space is spanned by finitely supported rational functions on group
+elements with mean zero: :class:`EVector` is the package's l1 vector type
 (``bicombing.L1Vector``) over group-element words, plus the mean-zero check.
 A displacement kernel K induces the seminorm
 
-    ||v||_f = (-1/2 sum_{x,y} v(x) v(y) K(x, y))^(1/2),
+    ||v||_f = Q(v)^(1/2),   Q(v) = -1/2 sum_{x,y} v(x) v(y) K(x, y),
 
-and the working norm is ||v||_E = ||v||_f + ||v||_1.  The left translation
+and the working norm is ||v||_E = ||v||_f + ||v||_1.  Q is exact, read off the
+integer matrix 2K, so the inequalities below are decided in rationals; floats
+enter only through square roots and the operator-norm probe.  The left translation
 representation pi(s)v(x) = v(s^-1 x) preserves ||.||_1 exactly and moves
 ||.||_f by at most the displacement excess of K; the cocycle b(s) =
 delta_s - delta_e turns pi into an affine action whose growth is governed by
@@ -19,15 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 
 from .bicombing import L1Vector
 from .groups import CayleyBall
 from .kernel import DisplacementKernel
-
-FORM_HARD_FLOOR = -1e-6
-BOUND_TOLERANCE = 1e-9
 
 # op-norm probe step schedule
 INITIAL_STEP = 1.0
@@ -40,8 +41,8 @@ class SupportEscapeError(LookupError):
 
 
 class NonCndFormError(ArithmeticError):
-    """The quadratic form went below the hard floor: the kernel is not
-    conditionally negative definite (construction bug)."""
+    """The quadratic form went negative: the kernel is not conditionally
+    negative definite (construction bug)."""
 
 
 class MeanZeroError(ValueError):
@@ -51,18 +52,19 @@ class MeanZeroError(ValueError):
 class EVector(L1Vector):
     """Finitely supported mean-zero function on group elements.
 
-    Integer-built vectors stay integer-exact under translation and vector
-    arithmetic; float-built vectors must have mean zero within 1e-12 of their
-    coefficient scale.
+    Coefficients are rationals (int or Fraction), so vectors stay exact under
+    translation and vector arithmetic and their mean is exactly zero; float
+    coefficients raise TypeError.
     """
 
     __slots__ = ()
 
-    def __init__(self, coeffs: dict[str, float] | None = None):
+    def __init__(self, coeffs: dict[str, Rational] | None = None):
         super().__init__(coeffs)
         total = sum(self.coeffs.values())
-        limit = 0 if isinstance(total, int) else 1e-12 * max(self.max_abs(), 1.0)
-        if abs(total) > limit:
+        if not isinstance(total, Rational):
+            raise TypeError(f"coefficients must be int or Fraction, not {type(total).__name__}")
+        if total:
             raise MeanZeroError(f"coefficients sum to {total}, not 0")
 
     def max_abs(self):
@@ -95,34 +97,38 @@ def check_cocycle_identity(s: str, t: str, ball: CayleyBall):
 # -- norms ---------------------------------------------------------------------
 
 
-def _support_indices(v: EVector, kernel: DisplacementKernel) -> tuple[list[int], np.ndarray]:
+def _support_indices(v: EVector, kernel: DisplacementKernel) -> list[int]:
     idx = []
-    coeffs = []
-    for w, c in v.coeffs.items():
+    for w in v.coeffs:
         j = kernel.ball.canonical_index(w)
         if j is None or j >= kernel.n:
             raise SupportEscapeError(f"support element {w!r} is outside the kernel ball")
         idx.append(j)
-        coeffs.append(float(c))
-    return idx, np.asarray(coeffs)
+    return idx
 
 
-def quadratic_form(v: EVector, kernel: DisplacementKernel) -> float:
-    """-1/2 sum v(x) v(y) K(x, y); nonnegative for CND kernels up to noise."""
+def quadratic_form(v: EVector, kernel: DisplacementKernel) -> Fraction:
+    """Q(v) = -1/2 sum v(x) v(y) K(x, y), exactly; nonnegative for CND
+    kernels."""
     if not v.coeffs:
-        return 0.0
-    idx, c = _support_indices(v, kernel)
-    return float(-0.5 * c @ kernel.block(idx, idx) @ c)
+        return Fraction(0)
+    idx = _support_indices(v, kernel)
+    c = list(v.coeffs.values())
+    # Python ints from .tolist(): products of coefficients and entries would
+    # overflow the kernel's narrow integer dtype
+    rows = kernel.twice[np.ix_(idx, idx)].tolist()
+    total = sum(ci * sum(cj * t for cj, t in zip(c, row)) for ci, row in zip(c, rows))
+    return Fraction(-total, 4)
 
 
 def norm_f(v: EVector, kernel: DisplacementKernel) -> float:
     q = quadratic_form(v, kernel)
-    if q < FORM_HARD_FLOOR:
+    if q < 0:
         raise NonCndFormError(
-            f"quadratic form value {q} is below {FORM_HARD_FLOOR}; "
+            f"quadratic form value {q} is negative; "
             "the kernel is not conditionally negative definite"
         )
-    return math.sqrt(max(q, 0.0))
+    return math.sqrt(q)
 
 
 def norm_e(v: EVector, kernel: DisplacementKernel) -> float:
@@ -134,28 +140,30 @@ def norm_e(v: EVector, kernel: DisplacementKernel) -> float:
 
 @dataclass(frozen=True)
 class BoundCheck:
-    lhs: float
-    rhs: float
+    lhs: Fraction
+    rhs: Fraction
     passed: bool
-    excess: float
+    excess: Fraction
 
 
 def per_vector_bound_check(s: str, v: EVector, kernel: DisplacementKernel) -> BoundCheck:
-    """Check ||pi(s)v||_f^2 - ||v||_f^2 <= (excess/2) ||v||_1^2 + 1e-9, where
-    the excess is the exact two-sided displacement of K over the support:
+    """Check ||pi(s)v||_f^2 - ||v||_f^2 <= (excess/2) ||v||_1^2 exactly, where
+    the excess is the two-sided displacement of K over the support:
     max |K(sx, sy) - K(x, y)|.  (The one-sided maximum does not bound the
     form difference when some pair contracts strictly while none expands, so
-    the two-sided quantity is the one the inequality needs.)"""
+    the two-sided quantity is the one the inequality needs.)  The left side
+    is formed from the translated vector pi(s)v, independently of the kernel
+    indices of the translates that give the excess."""
     if not v.coeffs:
-        return BoundCheck(0.0, 0.0, True, 0.0)
-    idx, _ = _support_indices(v, kernel)
+        return BoundCheck(Fraction(0), Fraction(0), True, Fraction(0))
+    idx = _support_indices(v, kernel)
     trans = kernel.translate(s, idx, SupportEscapeError)
     diff2 = kernel.twice[np.ix_(trans, trans)] - kernel.twice[np.ix_(idx, idx)]
-    excess = float(np.abs(diff2).max()) / 2.0
+    excess = Fraction(np.abs(diff2).max().item(), 2)
     lhs = quadratic_form(rep_apply(s, v, kernel.ball), kernel) - quadratic_form(v, kernel)
-    l1 = float(v.l1_norm())
-    rhs = 0.5 * excess * l1 * l1
-    return BoundCheck(lhs=lhs, rhs=rhs, passed=lhs <= rhs + BOUND_TOLERANCE, excess=excess)
+    l1 = v.l1_norm()
+    rhs = excess * l1 * l1 / 2
+    return BoundCheck(lhs=lhs, rhs=rhs, passed=lhs <= rhs, excess=excess)
 
 
 def uniform_bound(displacement_constant: float) -> float:
@@ -299,15 +307,19 @@ def properness_report(kernel: DisplacementKernel,
                       radius: int | None = None) -> NormReport:
     """Per-element rows of :func:`cocycle_norm_rows` with the properness
     lower bound sqrt(d) + 2.  For combing kernels ||q[e,s]||_1 >= d(e,s), so
-    every row must satisfy ||b(s)||_E >= sqrt(d) + 2 - 1e-9; a failing
-    element raises :class:`PropernessError` naming it.  Other kernels carry
-    no such bound and their rows are reported unchecked."""
+    every row must satisfy ||b(s)||_E >= sqrt(d) + 2, that is
+    2K(s, e) >= 2 d(e, s), which is decided in integers; a failing element
+    raises :class:`PropernessError` naming it.  Tree-action kernels carry no
+    such bound and their rows are reported unchecked."""
     report = cocycle_norm_rows(kernel, radius)
-    if kernel.provenance == "bicombing":
-        for row in report.rows:
-            if row.norm_e < row.lower_bound - BOUND_TOLERANCE:
+    if kernel.bicombing is not None:
+        twice_to_e = kernel.twice[:, 0].tolist()
+        # the rows are the elements 1, 2, ... of the ball, in order
+        for i, row in enumerate(report.rows, start=1):
+            if twice_to_e[i] < 2 * row.distance:
                 raise PropernessError(
                     f"||b({row.word})||_E = {row.norm_e} is below the lower "
-                    f"bound {row.lower_bound}"
+                    f"bound {row.lower_bound}: 2K(s, e) = {twice_to_e[i]} < "
+                    f"2 d(e, s) = {2 * row.distance}"
                 )
     return report

@@ -15,8 +15,10 @@ number of nonzeros of row i and every entry is at most 4 max_i |F_i|^2; the
 matrix is stored in the narrowest signed integer type holding that bound
 (int8 while every |F_i|^2 is at most 31), and differences of two entries fit
 the same type.  Tree actions pull back tree-geodesic chains through the same engine.
-A kernel stores only this doubled matrix; float blocks are derived from it on
-demand, and :func:`kernel_dump` renders it a row at a time.
+A kernel stores only this doubled integer matrix, so every inequality read off
+it can be decided exactly; float blocks are derived from it on demand for the
+eigenvalue cross-check and the operator-norm probe, and :func:`kernel_dump`
+renders it a row at a time.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ from .groups import CayleyBall, OutOfBallError
 
 CND_TOLERANCE = -1e-9
 
-PROVENANCES = ("bicombing", "tree_action", "user_supplied")
-
 
 class NonIntegralChainError(ValueError):
     """The slot embedding is defined on integer chains only."""
@@ -48,31 +48,23 @@ class DecompositionError(AssertionError):
 class DisplacementKernel:
     """Dense symmetric kernel over (a radius prefix of) a Cayley ball.
 
-    ``twice`` is the one stored matrix, holding 2K: exact, in the narrowest
-    signed integer type that holds its entries, for combing and tree-action
-    kernels, and float64 for user-supplied ones.  Exactness is read from its
-    dtype.  ``displacement_constant`` is the two-sided empirical displacement
-    bound for the recorded scan split, or a declared constant.
+    ``twice`` is the one stored matrix, holding 2K exactly in the narrowest
+    signed integer type that holds its entries.  ``bicombing`` is the combing
+    a kernel was built from, and None for tree-action kernels; the combing
+    bounds (properness, two-triangle decomposition) apply only when it is
+    set.  ``displacement_constant`` is the two-sided empirical displacement
+    bound for the recorded scan split, or 0 for an isometric action.
     """
 
     ball: CayleyBall
     twice: np.ndarray
-    provenance: str
     displacement_constant: float
     radius: int
     bicombing: BicombingSpec | None = None
 
-    def __post_init__(self):
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-
     @property
     def n(self) -> int:
         return self.twice.shape[0]
-
-    @property
-    def is_exact(self) -> bool:
-        return self.twice.dtype.kind == "i"
 
     @property
     def values(self) -> np.ndarray:
@@ -120,18 +112,17 @@ def _fraction_label(twice: int) -> str:
 
 def kernel_dump(kernel: DisplacementKernel, rows=None) -> str:
     """Kernel CSV lines of the given rows (all by default): one line per pair
-    i <= j, indices in ball ordering, exact values as fractions; the header
+    i <= j, indices in ball ordering, values as exact fractions; the header
     ``i,j,K`` comes with row 0.  Concatenating the dumps of rows 0..n-1 gives
     the whole file, so it can be written a row at a time."""
     if rows is None:
         rows = range(kernel.n)
-    label = _fraction_label if kernel.is_exact else (lambda t: str(t / 2.0))
     chunks = []
     for i in rows:
         if i == 0:
             chunks.append("i,j,K\n")
         chunks.append("".join(
-            f"{i},{j},{label(t)}\n"
+            f"{i},{j},{_fraction_label(t)}\n"
             for j, t in enumerate(kernel.twice[i, i:].tolist(), start=i)
         ))
     return "".join(chunks)
@@ -222,7 +213,6 @@ def kernel_from_bicombing(spec: BicombingSpec, radius: int | None = None,
     kernel = DisplacementKernel(
         ball=b,
         twice=l1_distance_matrix(chains),
-        provenance="bicombing",
         displacement_constant=0.0,
         radius=radius,
         bicombing=spec,
@@ -231,24 +221,6 @@ def kernel_from_bicombing(spec: BicombingSpec, radius: int | None = None,
         scan_split = (radius // 2, radius - radius // 2)
     kernel.displacement_constant = empirical_displacement_constant(kernel, *scan_split)
     return kernel
-
-
-def kernel_from_matrix(ball: CayleyBall, values: np.ndarray, provenance: str,
-                       displacement_constant: float, radius: int) -> DisplacementKernel:
-    """Wrap a precomputed symmetric matrix of kernel values."""
-    twice = 2.0 * np.asarray(values, dtype=np.float64)
-    if twice.shape[0] != twice.shape[1]:
-        raise ValueError("kernel matrix must be square")
-    if not np.array_equal(twice, twice.T):
-        raise ValueError("kernel matrix must be symmetric")
-    if np.any(np.diag(twice) != 0):
-        raise ValueError("kernel diagonal must vanish")
-    if np.any(twice < 0):
-        raise ValueError("kernel values must be nonnegative")
-    return DisplacementKernel(
-        ball=ball, twice=twice, provenance=provenance,
-        displacement_constant=displacement_constant, radius=radius,
-    )
 
 
 # -- displacement ------------------------------------------------------------
@@ -269,8 +241,7 @@ def displacement_excess(kernel: DisplacementKernel, s: str, indices=None,
     trans = kernel.translate(s, indices)
     if verify_decomposition is None:
         verify_decomposition = (
-            kernel.provenance == "bicombing"
-            and kernel.bicombing is not None
+            kernel.bicombing is not None
             and (kernel.bicombing.antisymmetrized
                  or kernel.bicombing.kind == "tree_geodesic")
         )

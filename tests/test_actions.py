@@ -73,7 +73,7 @@ class TestOrbitKernel:
         kernel = orbit_kernel(action, f2_ball4)
         assert np.array_equal(kernel.values, tree_kernel.values)
         assert kernel.displacement_constant == 0.0
-        assert kernel.provenance == "tree_action"
+        assert kernel.bicombing is None
 
     def test_projection_kernel_values(self, f2xf2, f2xf2_ball3):
         action = parse_action(PROJECTION_ACTION, f2xf2)
@@ -189,6 +189,33 @@ class TestQuasiTreeParsing:
     def test_missing_delta_rejected(self):
         with pytest.raises(ActionError, match="delta"):
             parse_quasitree_csv("x,y,d,K\ne,a,1,1\n")
+
+    @pytest.mark.parametrize("text", [
+        "delta: 0\nx,y,d,K\ne,a,1,nan\n",
+        "delta: 0\nx,y,d,K\ne,a,inf,1\n",
+        "delta: 0\nx,y,d,K\ne,a,1,-inf\n",
+    ], ids=["K-nan", "d-inf", "K-minus-inf"])
+    def test_non_finite_row_rejected(self, text):
+        # every comparison with nan is false, so such a row used to pass
+        with pytest.raises(ActionError, match="not finite"):
+            parse_quasitree_csv(text)
+
+    def test_non_finite_delta_rejected(self):
+        # delta: nan skipped the lower bound: a,b,2,1.5 passed, yet fails at delta 0
+        text = "x,y,d,K\ne,a,1,1\ne,b,1,1\na,b,2,1.5\n"
+        assert not validate_quasitree_kernel(parse_quasitree_csv("delta: 0\n" + text)).passed
+        with pytest.raises(ActionError, match="delta 'nan'.*not finite"):
+            parse_quasitree_csv("delta: nan\n" + text)
+
+    def test_negative_delta_rejected(self):
+        with pytest.raises(ActionError, match="nonnegative"):
+            parse_quasitree_csv("delta: -1\nx,y,d,K\ne,a,1,1\n")
+
+    @pytest.mark.parametrize("second", ["e,a,1,1", "a,e,1,1"])
+    def test_repeated_pair_rejected(self, second):
+        # the last row used to overwrite the first: e,a,1,5 then e,a,1,1 passed
+        with pytest.raises(ActionError, match="given twice"):
+            parse_quasitree_csv(f"delta: 0\nx,y,d,K\ne,a,1,5\n{second}\n")
 
 
 class TestGrowthReport:

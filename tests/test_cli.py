@@ -179,6 +179,15 @@ class TestVerify:
         assert "FAIL kernel_diagonal_zero" in captured
         assert "K(5,5)" in captured
 
+    def test_norm_formula_verdict_ignores_tol(self, f2_file, tmp_path, capsys):
+        # --tol governs only the float kernel_cnd cross-check: the sabotaged
+        # diagonal puts Q(b(s)) 1/2 below K(s, e), whatever the tolerance
+        code = main(["verify", "--presentation", str(f2_file), "--radius", "3",
+                     "--out", str(tmp_path / "out"), "--tol", "1e9",
+                     "--sabotage-diagonal", "4"])
+        assert code == 1
+        assert "FAIL norm_formula" in capsys.readouterr().out
+
     def test_negative_entry_fails_with_its_position(self, f2_file, tmp_path,
                                                      capsys, monkeypatch):
         build = cli.kernel_from_bicombing

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,7 +37,10 @@ class TestEVector:
         with pytest.raises(MeanZeroError):
             EVector({"a": 1})
         with pytest.raises(MeanZeroError):
-            EVector({"a": 0.5, "": -0.4})
+            EVector({"a": Fraction(1, 2), "": Fraction(-2, 5)})
+        # a float mean cannot be decided exactly
+        with pytest.raises(TypeError):
+            EVector({"a": 0.5, "": -0.5})
 
     def test_zero_coefficients_dropped(self):
         v = EVector({"a": 1, "b": 0, "": -1})
@@ -141,10 +145,11 @@ class TestNorms:
 
     def test_non_cnd_kernel_detected_under_the_root(self, f2_ball4):
         from l1comb import NonCndFormError
-        from l1comb.kernel import kernel_from_matrix
+        from l1comb.kernel import DisplacementKernel
 
-        values = np.array([[0.0, 9.0, 1.0], [9.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-        bad = kernel_from_matrix(f2_ball4, values, "user_supplied", 0.0, 1)
+        values = np.array([[0, 9, 1], [9, 0, 1], [1, 1, 0]], dtype=np.int8)
+        bad = DisplacementKernel(ball=f2_ball4, twice=2 * values,
+                                 displacement_constant=0.0, radius=1)
         v = EVector({"": 1, "a": 1, "A": -2})
         with pytest.raises(NonCndFormError):
             norm_f(v, bad)
@@ -171,7 +176,10 @@ class TestPerVectorBound:
         for _ in range(30):
             s = surface_ball4.elements[rng.randrange(inner)]
             v = _random_mean_zero(rng, surface_ball4.elements[:inner])
-            assert per_vector_bound_check(s, v, surface_kernel).passed
+            res = per_vector_bound_check(s, v, surface_kernel)
+            assert res.passed
+            # decided exactly, with no tolerance
+            assert all(isinstance(x, Fraction) for x in (res.lhs, res.rhs, res.excess))
 
 
 class TestUniformBound:

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from l1comb import (
     Chain1,
+    EVector,
     NonIntegralChainError,
     TreeActionSpec,
     ball,
@@ -26,8 +27,9 @@ from l1comb import (
     kernel_from_bicombing,
     make_bicombing,
     orbit_kernel,
+    quadratic_form,
 )
-from l1comb.kernel import DisplacementKernel, kernel_from_matrix, l1_distance_matrix
+from l1comb.kernel import DisplacementKernel, l1_distance_matrix
 
 EDGES = [(src, g) for src in ("", "a", "B", "ab", "ba") for g in "ab"]
 integer_chains = st.dictionaries(
@@ -98,7 +100,7 @@ class TestKernelFromBicombing:
 
     def test_exact_dtype(self, tree_kernel, tree_spec, surface_kernel, surface_anti):
         for k, spec in ((tree_kernel, tree_spec), (surface_kernel, surface_anti)):
-            assert k.is_exact and k.twice.dtype.kind == "i"
+            assert k.twice.dtype.kind == "i"
             # the engine embeds the doubled chains 2 q[e, x]
             nnz = max(int(combing_chain(spec, "", x).scale(2).l1_norm())
                       for x in spec.ball.elements[:k.n])
@@ -110,7 +112,7 @@ class TestKernelFromBicombing:
         pres = f2 if kind == "tree_geodesic" else surface
         k = kernel_from_bicombing(make_bicombing(kind, ball(pres, 0)))
         # the bound is 0, where min_scalar_type would give uint8
-        assert k.n == 1 and k.is_exact and k.twice.dtype == np.int8
+        assert k.n == 1 and k.twice.dtype == np.int8
         assert k.exact(0, 0) == 0
 
 
@@ -258,8 +260,9 @@ class TestDisplacement:
 class TestCnd:
     def test_zero_kernel(self, f2_ball4):
         n = f2_ball4.size_within(1)
-        kernel = kernel_from_matrix(
-            f2_ball4, np.zeros((n, n)), "user_supplied", 0.0, 1
+        kernel = DisplacementKernel(
+            ball=f2_ball4, twice=np.zeros((n, n), dtype=np.int8),
+            displacement_constant=0.0, radius=1,
         )
         assert cnd_min_eigenvalue(kernel) == 0.0
 
@@ -273,9 +276,11 @@ class TestCnd:
             surface_kernel, surface_ball4.indices_within(2)
         ) >= -1e-9
 
-    def test_centered_form_matches_feature_gram(self, surface_anti, surface_ball4):
+    def test_centered_form_matches_feature_gram(self, surface_anti, surface_ball4,
+                                                surface_kernel):
         # oracle: for mean-zero integer v, -1/2 v K v' equals the Gram form of
-        # the doubled slot embeddings scaled by 1/2 (integers throughout)
+        # the doubled slot embeddings scaled by 1/2 (integers throughout), and
+        # quadratic_form returns it exactly
         n = surface_ball4.size_within(2)
         feats = [
             feature_embed(combing_chain(surface_anti, "", surface_ball4.elements[i]).scale(2))
@@ -303,6 +308,10 @@ class TestCnd:
             )
             assert form2 == gram2
             assert form2 >= 0
+            v = EVector({surface_ball4.elements[i]: c for i, c in zip(support, coeffs)})
+            q = quadratic_form(v, surface_kernel)
+            assert isinstance(q, Fraction)
+            assert q == Fraction(form2, 4)
 
     def test_needs_two_elements(self, tree_kernel):
         with pytest.raises(ValueError):
@@ -326,24 +335,20 @@ class TestKernelDump:
 
         kernel = DisplacementKernel(
             ball=f2_ball4, twice=np.array([[0, 1], [1, 0]]),
-            provenance="user_supplied", displacement_constant=0.0, radius=0,
+            displacement_constant=0.0, radius=0,
         )
         assert "0,1,1/2" in kernel_dump(kernel).splitlines()
 
-    def test_row_dumps_concatenate_to_the_whole_dump(self, tree_kernel, surface,
-                                                     f2_ball4):
+    def test_row_dumps_concatenate_to_the_whole_dump(self, tree_kernel, surface):
         from l1comb import kernel_dump
 
         small = kernel_from_bicombing(
             make_bicombing("shortlex_antisymmetrized", ball(surface, 2))
         )
-        user = kernel_from_matrix(f2_ball4, np.array([[0, 1.5], [1.5, 0]]),
-                                  "user_supplied", 0.0, 0)
-        for k in (tree_kernel, small, user):
+        for k in (tree_kernel, small):
             whole = kernel_dump(k)
             assert "".join(kernel_dump(k, [i]) for i in range(k.n)) == whole
             assert whole.startswith("i,j,K\n0,0,0")
-        assert kernel_dump(user, [0]) == "i,j,K\n0,0,0.0\n0,1,1.5\n"
 
 
 class TestCrossValidation:
