@@ -6,19 +6,21 @@ slot embedding f = J realizes it explicitly: an integer chain becomes a +-1
 ``L1Vector`` with one coordinate per (edge, slot), and squared distances of
 embedded chains are l1 distances of the chains.  Combing values are
 half-integers, so the kernel engine embeds the doubled chains 2 q[e,x] as the
-rows of one integer sparse matrix F and forms every doubled entry,
+rows of one integer matrix F, kept in numpy arrays with a column-major copy,
+and evaluates every doubled entry,
 
     2 K(x_i, x_j) = |F_i|^2 + |F_j|^2 - 2 <F_i, F_j>,
 
-exactly, one strip of rows at a time.  F has +-1 entries, so |F_i|^2 is the
-number of nonzeros of row i and every entry is at most 4 max_i |F_i|^2; the
-matrix is stored in the narrowest signed integer type holding that bound
-(int8 while every |F_i|^2 is at most 31), and differences of two entries fit
-the same type.  Tree actions pull back tree-geodesic chains through the same engine.
-A kernel stores only this doubled integer matrix, so every inequality read off
-it can be decided exactly; float blocks are derived from it on demand for the
-eigenvalue cross-check and the operator-norm probe, and :func:`kernel_dump`
-renders it a row at a time.
+exactly, one row at a time, counting the columns row i shares with each row.
+|F_i|^2 is the number of nonzeros of row i and every entry is at most
+4 max_i |F_i|^2; the matrix is stored in the narrowest signed integer type
+holding that bound (int8 while every |F_i|^2 is at most 31), and differences
+of two entries fit the same type.  Tree actions pull back tree-geodesic chains
+through the same engine.  A combing kernel keeps F: when every stored row
+equals its re-evaluation, 2K is a matrix of squared distances of integer
+vectors, so of negative type, and every inequality read off it is decided
+exactly; float blocks are derived on demand for the eigenvalue cross-check and
+the operator-norm probe, and :func:`kernel_dump` renders 2K a row at a time.
 """
 
 from __future__ import annotations
@@ -52,8 +54,10 @@ class DisplacementKernel:
     signed integer type that holds its entries.  ``bicombing`` is the combing
     a kernel was built from, and None for tree-action kernels; the combing
     bounds (properness, two-triangle decomposition) apply only when it is
-    set.  ``displacement_constant`` is the two-sided empirical displacement
-    bound for the recorded scan split, or 0 for an isometric action.
+    set.  ``embedding`` is the slot embedding of a combing kernel's doubled
+    chains, which re-evaluates any row of ``twice``.  ``displacement_constant``
+    is the two-sided empirical displacement bound for the recorded scan split,
+    or 0 for an isometric action.
     """
 
     ball: CayleyBall
@@ -61,6 +65,7 @@ class DisplacementKernel:
     displacement_constant: float
     radius: int
     bicombing: BicombingSpec | None = None
+    embedding: SlotEmbedding | None = None
 
     @property
     def n(self) -> int:
@@ -156,42 +161,43 @@ def feature_embed(chain: Chain1) -> L1Vector:
 # -- the kernel engine -------------------------------------------------------
 
 
-def l1_distance_matrix(chains: list[Chain1]) -> np.ndarray:
-    """Exact matrix of ||u - w||_1 over integer chains, computed as squared
-    distances of their slot embeddings stacked into a sparse F.
+class SlotEmbedding:
+    """Slot embeddings of integer chains as the rows of F: row i has columns
+    ``cols[ptr[i]:ptr[i+1]]``, column c rows ``col_rows[col_ptr[c]:col_ptr[c+1]]``.
+    A column's slot fixes the sign of all its entries, so <F_i, F_j> counts
+    the columns rows i and j share."""
 
-    The result has the narrowest signed integer dtype holding 4 max_i |F_i|^2,
-    which bounds every entry.  It is filled in row strips, each formed in
-    int64 and no larger than the finished matrix, so the whole product F Fᵀ
-    never exists at once."""
-    import scipy.sparse as sp
+    def __init__(self, chains: list[Chain1]):
+        columns: dict[tuple[Edge, int], int] = {}
+        rows = [[columns.setdefault(key, len(columns)) for key in feature_embed(c).coeffs]
+                for c in chains]
+        self.norms = np.array([len(r) for r in rows], dtype=np.int64)  # |F_i|^2
+        self.ptr = np.concatenate(([0], np.cumsum(self.norms)))
+        self.cols = np.fromiter((c for r in rows for c in r), np.int32, self.ptr[-1])
+        self.col_rows = np.repeat(np.arange(len(rows), dtype=np.int32), self.norms)[
+            np.argsort(self.cols, kind="stable")]
+        self.col_ptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(self.cols, minlength=len(columns)))))
 
-    columns: dict[tuple[Edge, int], int] = {}
-    indptr = [0]
-    indices: list[int] = []
-    data: list[int] = []
-    for chain in chains:
-        for key, sign in feature_embed(chain).coeffs.items():
-            indices.append(columns.setdefault(key, len(columns)))
-            data.append(sign)
-        indptr.append(len(indices))
-    n = len(chains)
-    F = sp.csr_matrix((data, indices, indptr), dtype=np.int64,
-                      shape=(n, max(len(columns), 1)))
-    Ft = F.T.tocsr()
-    norms = np.diff(F.indptr).astype(np.int64)  # +-1 entries: |F_i|^2 = nnz
-    bound = 4 * int(norms.max(initial=0))
-    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
-                 if np.iinfo(t).max >= bound)
-    out = np.empty((n, n), dtype=dtype)
-    step = max(1, n * out.itemsize // 8)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        strip = (F[lo:hi] @ Ft).toarray()
-        strip *= -2
-        strip += norms[lo:hi, None]
-        strip += norms[None, :]
-        out[lo:hi] = strip
+    def row(self, i: int) -> np.ndarray:
+        """Exact int64 |F_i - F_j|^2 = |F_i|^2 + |F_j|^2 - 2 <F_i, F_j>, all j."""
+        cols = self.cols[self.ptr[i]:self.ptr[i + 1]]
+        starts = self.col_ptr[cols]
+        lens = self.col_ptr[cols + 1] - starts
+        gather = np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)
+        shared = np.bincount(self.col_rows[gather], minlength=len(self.norms))
+        return self.norms[i] + self.norms - 2 * shared
+
+
+def l1_distance_matrix(chains: list[Chain1] | SlotEmbedding) -> np.ndarray:
+    """Exact ||u - w||_1 over integer chains (or their embedding F), filled a row
+    at a time into the narrowest signed int dtype holding the bound 4 max |F_i|^2."""
+    F = chains if isinstance(chains, SlotEmbedding) else SlotEmbedding(chains)
+    bound = 4 * int(F.norms.max(initial=0))
+    out = np.empty((len(F.norms),) * 2, dtype=next(
+        t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= bound))
+    for i in range(len(out)):
+        out[i] = F.row(i)
     return out
 
 
@@ -209,13 +215,15 @@ def kernel_from_bicombing(spec: BicombingSpec, radius: int | None = None,
             f"kernel radius {radius} exceeds the ball radius {b.radius}"
         )
     n = b.size_within(radius)
-    chains = [combing_chain(spec, "", b.elements[i]).scale(2) for i in range(n)]
+    embedding = SlotEmbedding(
+        [combing_chain(spec, "", b.elements[i]).scale(2) for i in range(n)])
     kernel = DisplacementKernel(
         ball=b,
-        twice=l1_distance_matrix(chains),
+        twice=l1_distance_matrix(embedding),
         displacement_constant=0.0,
         radius=radius,
         bicombing=spec,
+        embedding=embedding,
     )
     if scan_split is None:
         scan_split = (radius // 2, radius - radius // 2)
@@ -357,6 +365,18 @@ def cnd_min_eigenvalue(kernel: DisplacementKernel, indices=None) -> float:
         indices = range(kernel.n)
     indices = list(indices)
     return centered_min_eigenvalue(kernel.block(indices, indices))
+
+
+def first_unrealized_pair(kernel: DisplacementKernel) -> tuple[int, int] | None:
+    """First pair (i, j) whose stored 2K differs from |F_i - F_j|^2 as the
+    kernel's slot embedding F re-evaluates it, row by row, or None.  None is
+    an exact certificate of negative type: 2K is then a matrix of squared
+    distances between integer vectors, which is CND by Schoenberg's theorem."""
+    for i in range(kernel.n):
+        bad = np.flatnonzero(kernel.twice[i] != kernel.embedding.row(i))
+        if bad.size:
+            return i, int(bad[0])
+    return None
 
 
 # -- cross validation ---------------------------------------------------------

@@ -203,6 +203,56 @@ class TestVerify:
         assert code == 1
         assert "FAIL kernel_nonnegative [K(1, 2) < 0]" in capsys.readouterr().out
 
+    def test_corrupted_far_pair_fails_exact_cnd(self, f2_file, tmp_path,
+                                                 capsys, monkeypatch):
+        # 2K(484, 483) lies outside the float cross-check's 600 elements and
+        # the cross-validation's 200; --tol 1e9 makes the float test vacuous
+        build = cli.kernel_from_bicombing
+
+        def corrupted(spec):
+            kernel = build(spec)
+            kernel.twice[484, 483] += 1
+            kernel.twice[483, 484] += 1
+            return kernel
+
+        monkeypatch.setattr(cli, "kernel_from_bicombing", corrupted)
+        code = main(["verify", "--presentation", str(f2_file), "--radius", "5",
+                     "--tol", "1e9", "--out", str(tmp_path / "out")])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "FAIL kernel_cnd [2K(483, 484)" in out
+        assert out.count("FAIL") == 1
+
+    def test_norm_formula_compares_with_chain_arithmetic(self, f2_file, tmp_path,
+                                                         capsys, monkeypatch):
+        build = cli.kernel_from_bicombing
+
+        def raised(spec):
+            kernel = build(spec)
+            kernel.twice[700, 0] += 2
+            kernel.twice[0, 700] += 2
+            return kernel
+
+        monkeypatch.setattr(cli, "kernel_from_bicombing", raised)
+        code = main(["verify", "--presentation", str(f2_file), "--radius", "6",
+                     "--tol", "1e9", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "FAIL norm_formula" in capsys.readouterr().out
+
+    def test_asymmetric_pair_is_named(self, f2_file, tmp_path, capsys, monkeypatch):
+        build = cli.kernel_from_bicombing
+
+        def asymmetric(spec):
+            kernel = build(spec)
+            kernel.twice[7, 3] += 2
+            return kernel
+
+        monkeypatch.setattr(cli, "kernel_from_bicombing", asymmetric)
+        code = main(["verify", "--presentation", str(f2_file), "--radius", "2",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "FAIL kernel_symmetry [K(3, 7) != K(7, 3)]" in capsys.readouterr().out
+
     @pytest.mark.parametrize("index", ["99999", "-1"])
     def test_sabotage_index_out_of_range_is_input_error(self, f2_file, tmp_path,
                                                         capsys, index):

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from l1comb import (
     orbit_kernel,
     quadratic_form,
 )
-from l1comb.kernel import DisplacementKernel, l1_distance_matrix
+from l1comb.kernel import DisplacementKernel, first_unrealized_pair, l1_distance_matrix
 
 EDGES = [(src, g) for src in ("", "a", "B", "ab", "ba") for g in "ab"]
 integer_chains = st.dictionaries(
@@ -366,15 +367,56 @@ class TestCrossValidation:
         ) == 0
 
 
-def test_package_import_leaves_scipy_unloaded():
-    # scipy is imported inside the kernel builder only: loading it eagerly
-    # adds a measurable share of every command's start-up time
+def test_engine_peak_memory_stays_near_its_output(f2):
+    # the engine fills its output one row at a time: no strip, product or
+    # n x n temporary may exist beside it
+    b = ball(f2, 6)
+    spec = make_bicombing("tree_geodesic", b)
+    chains = [combing_chain(spec, "", x).scale(2) for x in b.elements]
+    tracemalloc.start()
+    try:
+        matrix = l1_distance_matrix(chains)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(chains) == 1457
+    assert peak <= 2.5 * matrix.nbytes, peak / matrix.nbytes
+
+
+def test_slot_embedding_rows_match_the_matrix(tree_kernel, surface_kernel):
+    for k in (tree_kernel, surface_kernel):
+        for i in range(0, k.n, 37):
+            assert np.array_equal(k.embedding.row(i), k.twice[i])
+        assert first_unrealized_pair(k) is None
+        k.twice[5, 3] += 1
+        try:
+            assert first_unrealized_pair(k) == (5, 3)
+        finally:
+            k.twice[5, 3] -= 1
+
+
+def test_commands_leave_scipy_unloaded(tmp_path):
+    # the kernel engine is numpy only: verify and action run without scipy
+    (tmp_path / "f2.txt").write_text("generators: a b\nrelators: (none)\nmode: free\n")
+    (tmp_path / "prod.txt").write_text(
+        "generators: a b c d\nrelators: acAC adAD bcBC bdBD\nmode: rewriting\n"
+        "rules:\n" + "".join(f"{x}{y} -> {y}{x}\n" for x in "cCdD" for y in "aAbB")
+    )
+    (tmp_path / "proj.txt").write_text("target_rank: 2\na -> a\nb -> b\nc -> e\nd -> e\n")
+    script = (
+        "import sys\n"
+        "from l1comb.cli import main\n"
+        "assert main(['verify', '--presentation', 'f2.txt', '--radius', '3',"
+        " '--out', 'out']) == 0\n"
+        "assert main(['action', '--presentation', 'prod.txt', '--action', 'proj.txt',"
+        " '--radius', '2', '--out', 'out']) == 0\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     result = subprocess.run(
-        [sys.executable, "-c",
-         "import l1comb, sys; assert 'scipy' not in sys.modules"],
+        [sys.executable, "-c", script], cwd=tmp_path,
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
