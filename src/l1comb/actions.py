@@ -25,8 +25,8 @@ from .groups import (
 from .kernel import (
     CND_TOLERANCE,
     DisplacementKernel,
+    SlotEmbedding,
     centered_min_eigenvalue,
-    l1_distance_matrix,
 )
 from .espace import NormReport, cocycle_norm_rows
 
@@ -125,10 +125,10 @@ def orbit_kernel(action: TreeActionSpec, ball: CayleyBall) -> DisplacementKernel
     letters = _target_alphabet(action.target_rank)[::2]
     # geodesics from e in a free group need no ball lookups: radius 0 suffices
     tree = BicombingSpec("tree_geodesic", CayleyBall(GroupPresentation(tuple(letters)), 0))
-    chains = [combing_chain(tree, "", action.apply(w)).scale(2) for w in ball.elements]
     return DisplacementKernel(
         ball=ball,
-        twice=l1_distance_matrix(chains),
+        embedding=SlotEmbedding(
+            combing_chain(tree, "", action.apply(w)).scale(2) for w in ball.elements),
         displacement_constant=0.0,
         radius=ball.radius,
     )

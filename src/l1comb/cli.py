@@ -41,10 +41,10 @@ from .bicombing import (
 from .kernel import (
     DecompositionError,
     cnd_min_eigenvalue,
-    first_unrealized_pair,
     kernel_cross_validate,
     kernel_dump,
     kernel_from_bicombing,
+    served_rows,
 )
 from .espace import (
     EVector,
@@ -56,7 +56,6 @@ from .espace import (
     op_norm_lower_bound,
     per_vector_bound_check,
     properness_report,
-    quadratic_form,
     uniform_bound,
 )
 from .actions import (
@@ -310,15 +309,24 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
     pres = config.presentation
     results: list[CheckResult] = []
     b = ball(pres, config.radius, cap=config.cap)
-    i = config.sabotage_diagonal
-    if i is not None and not 0 <= i < len(b):
+    sabotage = config.sabotage_diagonal
+    if sabotage is not None and not 0 <= sabotage < len(b):
         raise ValueError(
-            f"--sabotage-diagonal {i} is outside the kernel index range 0..{len(b) - 1}"
+            f"--sabotage-diagonal {sabotage} is outside the kernel index range "
+            f"0..{len(b) - 1}"
         )
     spec = make_bicombing(config.bicombing_kind, b)
     kernel = kernel_from_bicombing(spec)
-    if i is not None:
-        kernel.twice[i, i] = 2
+    if sabotage is not None:
+        serve = kernel.row
+
+        def sabotaged(i):
+            row = serve(i)
+            if i == sabotage:
+                row[i] = 2
+            return row
+
+        kernel.row = sabotaged
     rng = random.Random(config.seed)
     inner = config.radius // 2
     n_inner = b.size_within(inner)
@@ -379,27 +387,33 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
             break
     check("combing_lower_bound", bad is None, bad or "")
 
-    # kernel structure
+    # kernel structure, in one pass over the rows the kernel serves: only F is
+    # stored, and each row is evaluated, checked and dropped in turn
     import numpy as np
 
-    # witnesses are located only on failure: each search builds a temporary
-    # as large as what it searches
-    twice = kernel.twice
-    diag = np.diagonal(twice)
-    ok = not diag.any()
-    d = 0 if ok else np.flatnonzero(diag)[0]
-    check("kernel_diagonal_zero", ok, f"K({d},{d}) != 0")
-    # row by row: twice == twice.T would build an n x n temporary
-    bad = next(((i, j) for i in range(len(twice)) for j in
-                (np.flatnonzero(twice[i, i:] != twice[i:, i])[:1] + i).tolist()), None)
+    diagonal = np.empty(kernel.n, dtype=np.int64)
+    negative = None
+    # (i, j) -> served 2K(i, j) minus |F_i - F_j|^2, wherever they differ
+    deviation: dict[tuple[int, int], int] = {}
+    for i, row, dev in served_rows(kernel):
+        diagonal[i] = row[i]
+        if negative is None and row.min() < 0:
+            negative = (i, int(np.flatnonzero(row < 0)[0]))
+        for j in np.flatnonzero(dev).tolist():
+            deviation[i, j] = int(dev[j])
+    d = next(iter(np.flatnonzero(diagonal).tolist()), None)
+    check("kernel_diagonal_zero", d is None, f"K({d},{d}) != 0")
+    # F's distances are symmetric, so a served pair is asymmetric exactly
+    # where its two entries deviate from them by different amounts
+    bad = min(((min(p), max(p)) for p, dev in deviation.items()
+               if deviation.get(p[::-1], 0) != dev), default=None)
     check("kernel_symmetry", bad is None, f"K{bad} != K{bad[::-1]}" if bad else "")
-    ok = twice.min() >= 0
-    check("kernel_nonnegative", ok,
-          "" if ok else f"K{tuple(np.argwhere(twice < 0)[0].tolist())} < 0")
+    check("kernel_nonnegative", negative is None, f"K{negative} < 0")
 
-    # exact: every row of 2K re-evaluates from the slot embedding; the float
-    # eigenvalue test on the first <= 600 elements is a cross-check
-    pair = first_unrealized_pair(kernel)
+    # exact: every served row equals its re-evaluation from the slot
+    # embedding; the float eigenvalue test on the first <= 600 elements is a
+    # cross-check
+    pair = next(iter(deviation), None)
     r_cnd = _largest_radius_with(b, 600)
     ev = cnd_min_eigenvalue(kernel, range(b.size_within(r_cnd)))
     check("kernel_cnd", pair is None and ev >= -config.tolerance,
@@ -426,11 +440,14 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
     check("cocycle_identity", bad is None, bad or "")
 
     # ||b(s)||_1 = 2, so ||b(s)||_E = sqrt(K(s, e)) + 2 iff Q(b(s)) equals
-    # K(s, e) = ||q[e,s]||_1, here computed by chain arithmetic
+    # K(s, e) = ||q[e,s]||_1, here computed by chain arithmetic.  Q(b(s)) =
+    # (4K(s, e) - 2K(s, s) - 2K(e, e)) / 4 reads column 0 as row(0), symmetry
+    # being checked above, and the diagonal from the pass above
     bad = None
+    twice_to_e = kernel.row(0).tolist()
     for i in range(1, len(b.elements)):
         s = b.elements[i]
-        direct = quadratic_form(EVector({s: 1, "": -1}), kernel)
+        direct = Fraction(2 * twice_to_e[i] - int(diagonal[i]) - int(diagonal[0]), 4)
         norm = combing_chain(spec, "", s).l1_norm()
         if direct != norm:
             bad = f"Q(b({_word(s)})) = {direct} but ||q[e,{_word(s)}]||_1 = {norm}"

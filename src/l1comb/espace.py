@@ -9,7 +9,7 @@ A displacement kernel K induces the seminorm
     ||v||_f = Q(v)^(1/2),   Q(v) = -1/2 sum_{x,y} v(x) v(y) K(x, y),
 
 and the working norm is ||v||_E = ||v||_f + ||v||_1.  Q is exact, read off the
-integer matrix 2K, so the inequalities below are decided in rationals; floats
+integer rows of 2K, so the inequalities below are decided in rationals; floats
 enter only through square roots and the operator-norm probe.  The left translation
 representation pi(s)v(x) = v(s^-1 x) preserves ||.||_1 exactly and moves
 ||.||_f by at most the displacement excess of K; the cocycle b(s) =
@@ -114,9 +114,9 @@ def quadratic_form(v: EVector, kernel: DisplacementKernel) -> Fraction:
         return Fraction(0)
     idx = _support_indices(v, kernel)
     c = list(v.coeffs.values())
-    # Python ints from .tolist(): products of coefficients and entries would
-    # overflow the kernel's narrow integer dtype
-    rows = kernel.twice[np.ix_(idx, idx)].tolist()
+    # Python ints from .tolist(), so products with int or Fraction
+    # coefficients stay exact
+    rows = kernel.twice_block(idx, idx).tolist()
     total = sum(ci * sum(cj * t for cj, t in zip(c, row)) for ci, row in zip(c, rows))
     return Fraction(-total, 4)
 
@@ -158,7 +158,7 @@ def per_vector_bound_check(s: str, v: EVector, kernel: DisplacementKernel) -> Bo
         return BoundCheck(Fraction(0), Fraction(0), True, Fraction(0))
     idx = _support_indices(v, kernel)
     trans = kernel.translate(s, idx, SupportEscapeError)
-    diff2 = kernel.twice[np.ix_(trans, trans)] - kernel.twice[np.ix_(idx, idx)]
+    diff2 = kernel.twice_block(trans, trans) - kernel.twice_block(idx, idx)
     excess = Fraction(np.abs(diff2).max().item(), 2)
     lhs = quadratic_form(rep_apply(s, v, kernel.ball), kernel) - quadratic_form(v, kernel)
     l1 = v.l1_norm()
@@ -284,18 +284,19 @@ def cocycle_norm_rows(kernel: DisplacementKernel, radius: int | None = None,
                       element_filter=None) -> NormReport:
     """Rows (s, d(e,s), ||b(s)||_f, ||b(s)||_1, ||b(s)||_E, sqrt(d) + 2) for
     s != e in the radius ball, with ||b(s)||_f = sqrt(K(s, e)) read directly
-    from the kernel."""
+    from the kernel's column 0, as row(0)."""
     if radius is None:
         radius = kernel.radius
     ball = kernel.ball
     n = min(ball.size_within(radius), kernel.n)
+    twice_to_e = kernel.row(0).tolist()
     report = NormReport()
     for i in range(1, n):
         word = ball.elements[i]
         if element_filter is not None and not element_filter(word):
             continue
         d = ball.distances[i]
-        nf = math.sqrt(max(kernel.value(i, 0), 0.0))
+        nf = math.sqrt(max(twice_to_e[i] / 2.0, 0.0))
         report.rows.append(NormRow(
             word=word, distance=d, norm_f=nf, norm_l1=2.0, norm_e=nf + 2.0,
             lower_bound=math.sqrt(d) + 2.0,
@@ -313,7 +314,7 @@ def properness_report(kernel: DisplacementKernel,
     such bound and their rows are reported unchecked."""
     report = cocycle_norm_rows(kernel, radius)
     if kernel.bicombing is not None:
-        twice_to_e = kernel.twice[:, 0].tolist()
+        twice_to_e = kernel.row(0).tolist()
         # the rows are the elements 1, 2, ... of the ball, in order
         for i, row in enumerate(report.rows, start=1):
             if twice_to_e[i] < 2 * row.distance:

@@ -6,26 +6,24 @@ slot embedding f = J realizes it explicitly: an integer chain becomes a +-1
 ``L1Vector`` with one coordinate per (edge, slot), and squared distances of
 embedded chains are l1 distances of the chains.  Combing values are
 half-integers, so the kernel engine embeds the doubled chains 2 q[e,x] as the
-rows of one integer matrix F, kept in numpy arrays with a column-major copy,
-and evaluates every doubled entry,
+rows of one integer matrix F, kept in numpy arrays with a column-major copy.
+F is a kernel's only stored state: every doubled entry,
 
     2 K(x_i, x_j) = |F_i|^2 + |F_j|^2 - 2 <F_i, F_j>,
 
-exactly, one row at a time, counting the columns row i shares with each row.
-|F_i|^2 is the number of nonzeros of row i and every entry is at most
-4 max_i |F_i|^2; the matrix is stored in the narrowest signed integer type
-holding that bound (int8 while every |F_i|^2 is at most 31), and differences
-of two entries fit the same type.  Tree actions pull back tree-geodesic chains
-through the same engine.  A combing kernel keeps F: when every stored row
-equals its re-evaluation, 2K is a matrix of squared distances of integer
-vectors, so of negative type, and every inequality read off it is decided
-exactly; float blocks are derived on demand for the eigenvalue cross-check and
-the operator-norm probe, and :func:`kernel_dump` renders 2K a row at a time.
+is evaluated exactly, one int64 row at a time, by counting the columns row i
+shares with each row, and no n x n matrix is ever stored.  Tree actions pull
+back tree-geodesic chains through the same engine.  Since every row is a row
+of squared distances of integer vectors, 2K is of negative type, and every
+inequality read off it is decided exactly; float blocks are derived on demand
+for the eigenvalue cross-check and the operator-norm probe, and
+:func:`kernel_dump` renders 2K a row at a time.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -48,39 +46,57 @@ class DecompositionError(AssertionError):
 
 @dataclass
 class DisplacementKernel:
-    """Dense symmetric kernel over (a radius prefix of) a Cayley ball.
+    """Symmetric kernel over (a radius prefix of) a Cayley ball, stored as the
+    slot embedding F of its doubled chains alone.
 
-    ``twice`` is the one stored matrix, holding 2K exactly in the narrowest
-    signed integer type that holds its entries.  ``bicombing`` is the combing
-    a kernel was built from, and None for tree-action kernels; the combing
-    bounds (properness, two-triangle decomposition) apply only when it is
-    set.  ``embedding`` is the slot embedding of a combing kernel's doubled
-    chains, which re-evaluates any row of ``twice``.  ``displacement_constant``
-    is the two-sided empirical displacement bound for the recorded scan split,
+    :meth:`row` evaluates one exact int64 row of 2K from ``embedding``, and
+    every read of the kernel's entries and blocks goes through it.
+    ``bicombing`` is the combing a kernel was built from, and None for
+    tree-action kernels; the combing bounds (properness, two-triangle
+    decomposition) apply only when it is set.  ``displacement_constant`` is
+    the two-sided empirical displacement bound for the recorded scan split,
     or 0 for an isometric action.
     """
 
     ball: CayleyBall
-    twice: np.ndarray
+    embedding: SlotEmbedding
     displacement_constant: float
     radius: int
     bicombing: BicombingSpec | None = None
-    embedding: SlotEmbedding | None = None
+
+    # no matrix is stored; the benchmark tracer (perfbench/tracer.py) reads
+    # this name until its kernel.matrix_bytes upkeep (ROADMAP direction 7)
+    twice = None
 
     @property
     def n(self) -> int:
-        return self.twice.shape[0]
+        return len(self.embedding.norms)
 
-    @property
-    def values(self) -> np.ndarray:
-        """Read-only float copy of K, derived from ``twice``."""
-        out = self.twice / 2.0
-        out.flags.writeable = False
+    def row(self, i: int) -> np.ndarray:
+        """Row i of 2K, exact int64, evaluated from F."""
+        return self.embedding.row(i)
+
+    def twice_block(self, rows, cols) -> np.ndarray:
+        """Exact int64 block 2K[rows, cols], reading each row once."""
+        rows = list(rows)
+        cols = np.asarray(list(cols), dtype=np.intp)
+        out = np.empty((len(rows), len(cols)), dtype=np.int64)
+        for k, i in enumerate(rows):
+            out[k] = self.row(i)[cols]
         return out
 
     def block(self, rows, cols) -> np.ndarray:
         """Float block K[rows, cols]."""
-        return self.twice[np.ix_(rows, cols)] / 2.0
+        return self.twice_block(rows, cols) / 2.0
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """Read-only float K as one n x n array, materialized from F on the
+        first read and kept.  No command reads it; tests and the benchmark
+        tracer do."""
+        out = l1_distance_matrix(self.embedding) / 2.0
+        out.flags.writeable = False
+        return out
 
     def index_of(self, word: str) -> int:
         idx = self.ball.canonical_index(word)
@@ -89,10 +105,10 @@ class DisplacementKernel:
         return idx
 
     def value(self, i: int, j: int) -> float:
-        return float(self.twice[i, j]) / 2.0
+        return float(self.row(i)[j]) / 2.0
 
     def exact(self, i: int, j: int) -> Fraction:
-        return Fraction(self.twice[i, j].item()) / 2
+        return Fraction(self.row(i)[j].item(), 2)
 
     def translate(self, s: str, indices, error: type = OutOfBallError) -> list[int]:
         """Kernel indices of s x for the elements x at ``indices``; raises
@@ -128,7 +144,7 @@ def kernel_dump(kernel: DisplacementKernel, rows=None) -> str:
             chunks.append("i,j,K\n")
         chunks.append("".join(
             f"{i},{j},{_fraction_label(t)}\n"
-            for j, t in enumerate(kernel.twice[i, i:].tolist(), start=i)
+            for j, t in enumerate(kernel.row(i)[i:].tolist(), start=i)
         ))
     return "".join(chunks)
 
@@ -167,29 +183,41 @@ class SlotEmbedding:
     A column's slot fixes the sign of all its entries, so <F_i, F_j> counts
     the columns rows i and j share."""
 
-    def __init__(self, chains: list[Chain1]):
+    def __init__(self, chains: Iterable[Chain1]):
+        # chains may be a generator: each is embedded and dropped in turn
         columns: dict[tuple[Edge, int], int] = {}
-        rows = [[columns.setdefault(key, len(columns)) for key in feature_embed(c).coeffs]
-                for c in chains]
-        self.norms = np.array([len(r) for r in rows], dtype=np.int64)  # |F_i|^2
+        norms: list[int] = []
+
+        def column_ids():
+            for chain in chains:
+                keys = feature_embed(chain).coeffs
+                norms.append(len(keys))
+                for key in keys:
+                    yield columns.setdefault(key, len(columns))
+
+        self.cols = np.fromiter(column_ids(), np.int32)
+        self.norms = np.array(norms, dtype=np.int64)  # |F_i|^2
         self.ptr = np.concatenate(([0], np.cumsum(self.norms)))
-        self.cols = np.fromiter((c for r in rows for c in r), np.int32, self.ptr[-1])
-        self.col_rows = np.repeat(np.arange(len(rows), dtype=np.int32), self.norms)[
+        self.col_rows = np.repeat(np.arange(len(norms), dtype=np.int32), self.norms)[
             np.argsort(self.cols, kind="stable")]
         self.col_ptr = np.concatenate(
             ([0], np.cumsum(np.bincount(self.cols, minlength=len(columns)))))
 
     def row(self, i: int) -> np.ndarray:
         """Exact int64 |F_i - F_j|^2 = |F_i|^2 + |F_j|^2 - 2 <F_i, F_j>, all j."""
-        cols = self.cols[self.ptr[i]:self.ptr[i + 1]]
-        starts = self.col_ptr[cols]
-        lens = self.col_ptr[cols + 1] - starts
-        gather = np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)
-        shared = np.bincount(self.col_rows[gather], minlength=len(self.norms))
-        return self.norms[i] + self.norms - 2 * shared
+        col_ptr, col_rows = self.col_ptr, self.col_rows
+        # a row has few columns (|F_i|^2 of them), so slicing each is cheap
+        sharing = [col_rows[col_ptr[c]:col_ptr[c + 1]]
+                   for c in self.cols[self.ptr[i]:self.ptr[i + 1]].tolist()]
+        out = np.bincount(np.concatenate(sharing) if sharing else col_rows[:0],
+                          minlength=len(self.norms))
+        out *= -2
+        out += self.norms
+        out += self.norms[i]
+        return out
 
 
-def l1_distance_matrix(chains: list[Chain1] | SlotEmbedding) -> np.ndarray:
+def l1_distance_matrix(chains: Iterable[Chain1] | SlotEmbedding) -> np.ndarray:
     """Exact ||u - w||_1 over integer chains (or their embedding F), filled a row
     at a time into the narrowest signed int dtype holding the bound 4 max |F_i|^2."""
     F = chains if isinstance(chains, SlotEmbedding) else SlotEmbedding(chains)
@@ -215,15 +243,13 @@ def kernel_from_bicombing(spec: BicombingSpec, radius: int | None = None,
             f"kernel radius {radius} exceeds the ball radius {b.radius}"
         )
     n = b.size_within(radius)
-    embedding = SlotEmbedding(
-        [combing_chain(spec, "", b.elements[i]).scale(2) for i in range(n)])
     kernel = DisplacementKernel(
         ball=b,
-        twice=l1_distance_matrix(embedding),
+        embedding=SlotEmbedding(
+            combing_chain(spec, "", b.elements[i]).scale(2) for i in range(n)),
         displacement_constant=0.0,
         radius=radius,
         bicombing=spec,
-        embedding=embedding,
     )
     if scan_split is None:
         scan_split = (radius // 2, radius - radius // 2)
@@ -253,7 +279,7 @@ def displacement_excess(kernel: DisplacementKernel, s: str, indices=None,
             and (kernel.bicombing.antisymmetrized
                  or kernel.bicombing.kind == "tree_geodesic")
         )
-    diff2 = kernel.twice[np.ix_(trans, trans)] - kernel.twice[np.ix_(indices, indices)]
+    diff2 = kernel.twice_block(trans, trans) - kernel.twice_block(indices, indices)
     best = float(diff2.max()) / 2.0
     if verify_decomposition:
         for row in displacement_decomposition(kernel, s, indices):
@@ -297,12 +323,13 @@ def displacement_decomposition(kernel: DisplacementKernel, s: str,
         )
     indices = list(indices)
     trans = kernel.translate(s, indices)
+    diff2 = (kernel.twice_block(trans, trans) - kernel.twice_block(indices, indices)).tolist()
     rows = []
-    for a, ta in zip(indices, trans):
-        for bidx, tb in zip(indices, trans):
+    for a, diff2_a in zip(indices, diff2):
+        for bidx, d2 in zip(indices, diff2_a):
             if bidx <= a:
                 continue
-            excess = kernel.exact(ta, tb) - kernel.exact(a, bidx)
+            excess = Fraction(d2, 2)
             t1, t2 = two_triangle_bound(
                 spec, s, kernel.ball.elements[a], kernel.ball.elements[bidx]
             )
@@ -324,39 +351,40 @@ def empirical_displacement_constant(kernel: DisplacementKernel, s_radius: int,
             f"scan split ({s_radius}, {pair_radius}) exceeds the kernel radius"
         )
     pair_indices = list(b.indices_within(pair_radius))
-    base = kernel.twice[np.ix_(pair_indices, pair_indices)]
+    base = kernel.twice_block(pair_indices, pair_indices)
     best2 = 0
     for s_idx in b.indices_within(s_radius):
         s = b.elements[s_idx]
         if s == "":
             continue
         trans = kernel.translate(s, pair_indices)
-        best2 = max(best2, np.abs(kernel.twice[np.ix_(trans, trans)] - base).max())
+        best2 = max(best2, int(np.abs(kernel.twice_block(trans, trans) - base).max()))
     return float(best2) / 2.0
 
 
 # -- conditional negative definiteness ----------------------------------------
 
 
-def _mean_zero_basis(n: int) -> np.ndarray:
-    # orthonormal Helmert-style basis of the mean-zero subspace
-    q = np.zeros((n, n - 1))
-    for k in range(1, n):
-        q[:k, k - 1] = 1.0
-        q[k, k - 1] = -float(k)
-        q[:, k - 1] /= np.sqrt(k * (k + 1))
-    return q
-
-
 def centered_min_eigenvalue(matrix: np.ndarray) -> float:
     """Minimum eigenvalue of -matrix/2 restricted to mean-zero vectors; at
-    least CND_TOLERANCE certifies conditional negative definiteness."""
+    least CND_TOLERANCE certifies conditional negative definiteness.  The
+    float ``matrix`` is overwritten: it is scaled in place, then reflected in
+    place by the Householder reflection H that swaps e_0 with the unit
+    all-ones vector, so that rows and columns 1.. of H A H hold A on the
+    mean-zero vectors (the orthonormal basis He_1, ..., He_{n-1})."""
     n = matrix.shape[0]
     if n < 2:
         raise ValueError("need at least two elements for a centered eigenvalue")
-    q = _mean_zero_basis(n)
-    m = q.T @ (-0.5 * matrix) @ q
-    return float(np.linalg.eigvalsh(0.5 * (m + m.T)).min())
+    matrix *= -0.5
+    u = np.full(n, 1.0 / np.sqrt(n))
+    u[0] -= 1.0  # H = I - 2 u u^T / |u|^2
+    beta = u @ u
+    w = matrix @ u
+    # H A H = A - u p^T - p u^T
+    p = (2.0 / beta) * w - (2.0 * (u @ w) / beta**2) * u
+    matrix -= np.outer(u, p)
+    matrix -= np.outer(p, u)
+    return float(np.linalg.eigvalsh(matrix[1:, 1:]).min())
 
 
 def cnd_min_eigenvalue(kernel: DisplacementKernel, indices=None) -> float:
@@ -367,13 +395,22 @@ def cnd_min_eigenvalue(kernel: DisplacementKernel, indices=None) -> float:
     return centered_min_eigenvalue(kernel.block(indices, indices))
 
 
-def first_unrealized_pair(kernel: DisplacementKernel) -> tuple[int, int] | None:
-    """First pair (i, j) whose stored 2K differs from |F_i - F_j|^2 as the
-    kernel's slot embedding F re-evaluates it, row by row, or None.  None is
-    an exact certificate of negative type: 2K is then a matrix of squared
-    distances between integer vectors, which is CND by Schoenberg's theorem."""
+def served_rows(kernel: DisplacementKernel):
+    """Yield (i, row i of 2K as the kernel serves it, that row minus
+    |F_i - F_j|^2 as the kernel's slot embedding F re-evaluates it) for every
+    i, in one pass that holds one row at a time."""
     for i in range(kernel.n):
-        bad = np.flatnonzero(kernel.twice[i] != kernel.embedding.row(i))
+        row = kernel.row(i)
+        yield i, row, row - kernel.embedding.row(i)
+
+
+def first_unrealized_pair(kernel: DisplacementKernel) -> tuple[int, int] | None:
+    """First pair (i, j), in row order, whose served 2K differs from its
+    re-evaluation from F, or None.  None is an exact certificate of negative
+    type: 2K is then a matrix of squared distances between integer vectors,
+    which is CND by Schoenberg's theorem."""
+    for i, _, deviation in served_rows(kernel):
+        bad = np.flatnonzero(deviation)
         if bad.size:
             return i, int(bad[0])
     return None
@@ -398,9 +435,10 @@ def kernel_cross_validate(spec: BicombingSpec, radius: int | None = None,
     chains = [combing_chain(spec, "", b.elements[i]) for i in range(n)]
     worst = Fraction(0)
     for i in range(n):
+        row = kernel.row(i)[:n].tolist()
         for j in range(i + 1, n):
             direct = (chains[i] - chains[j]).l1_norm()
-            disc = abs(kernel.exact(i, j) - direct)
+            disc = abs(Fraction(row[j], 2) - direct)
             if disc > worst:
                 worst = disc
     if worst:

@@ -10,6 +10,23 @@ from l1comb import (
 SWAP_RULES = tuple((x + y, y + x) for x in "cCdD" for y in "aAbB")
 
 
+def serve_rows(kernel, entries):
+    """Make ``kernel`` serve rows of 2K with ``entries[i, j]`` in place of its
+    own values at (i, j); every read of 2K goes through ``kernel.row``, and
+    ``del kernel.row`` restores the rows the kernel evaluates from F."""
+    row = kernel.row
+
+    def served(i):
+        out = row(i)
+        for (r, j), value in entries.items():
+            if r == i:
+                out[j] = value
+        return out
+
+    kernel.row = served
+    return kernel
+
+
 @pytest.fixture(scope="session")
 def f2():
     return GroupPresentation(("a", "b"))

@@ -7,6 +7,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from conftest import SWAP_RULES, serve_rows
 
 from l1comb import GroupPresentation, ball, cli
 from l1comb.cli import main
@@ -193,9 +194,7 @@ class TestVerify:
         build = cli.kernel_from_bicombing
 
         def negative(spec):
-            kernel = build(spec)
-            kernel.twice[1, 2] = kernel.twice[2, 1] = -2
-            return kernel
+            return serve_rows(build(spec), {(1, 2): -2, (2, 1): -2})
 
         monkeypatch.setattr(cli, "kernel_from_bicombing", negative)
         code = main(["verify", "--presentation", str(f2_file), "--radius", "2",
@@ -211,9 +210,8 @@ class TestVerify:
 
         def corrupted(spec):
             kernel = build(spec)
-            kernel.twice[484, 483] += 1
-            kernel.twice[483, 484] += 1
-            return kernel
+            t = kernel.row(484)[483] + 1
+            return serve_rows(kernel, {(484, 483): t, (483, 484): t})
 
         monkeypatch.setattr(cli, "kernel_from_bicombing", corrupted)
         code = main(["verify", "--presentation", str(f2_file), "--radius", "5",
@@ -229,9 +227,8 @@ class TestVerify:
 
         def raised(spec):
             kernel = build(spec)
-            kernel.twice[700, 0] += 2
-            kernel.twice[0, 700] += 2
-            return kernel
+            t = kernel.row(700)[0] + 2
+            return serve_rows(kernel, {(700, 0): t, (0, 700): t})
 
         monkeypatch.setattr(cli, "kernel_from_bicombing", raised)
         code = main(["verify", "--presentation", str(f2_file), "--radius", "6",
@@ -244,8 +241,7 @@ class TestVerify:
 
         def asymmetric(spec):
             kernel = build(spec)
-            kernel.twice[7, 3] += 2
-            return kernel
+            return serve_rows(kernel, {(7, 3): kernel.row(7)[3] + 2})
 
         monkeypatch.setattr(cli, "kernel_from_bicombing", asymmetric)
         code = main(["verify", "--presentation", str(f2_file), "--radius", "2",
@@ -404,31 +400,63 @@ def test_kernel_csv_is_streamed(surface_file, tmp_path, monkeypatch):
     assert peak < size / 10, peak
 
 
-def test_benchmark_tracer_counts_the_streamed_kernel_csv(surface_file, tmp_path):
-    # perfbench/tracer.py sums len() of every kernel_dump result; run it in a
-    # child, since installing it patches l1comb for the rest of the process
+@pytest.mark.parametrize("command, radius", [("verify", 7), ("norms", 6)])
+def test_commands_store_no_n_by_n_matrix(f2_file, tmp_path, command, radius):
+    # at these radii one int8 n x n matrix (n^2 bytes: 19 MB for verify, whose
+    # float cross-check block on 485 elements is ~2 MB, and 2.1 MB for norms)
+    # would outweigh everything else the command allocates
+    n = 2 * 3**radius - 1  # |ball(radius)| in F2
+    tracemalloc.start()
+    try:
+        assert main([command, "--presentation", str(f2_file), "--radius", str(radius),
+                     "--out", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n, (peak, n * n)
+
+
+def test_benchmark_tracer_counts_the_streamed_kernel_csv(surface_file, f2_file,
+                                                          tmp_path):
+    # perfbench/tracer.py sums len() of every kernel_dump result and reads the
+    # kernel's n, values and twice; run it in a child, since installing it
+    # patches l1comb for the rest of the process
+    prod = tmp_path / "prod.txt"
+    prod.write_text(PRODUCT)
+    proj = tmp_path / "proj.txt"
+    proj.write_text(PROJECTION)
+    out = tmp_path / "out"
+    runs = [
+        ["norms", "--presentation", str(surface_file), "--radius", "2"],
+        ["verify", "--presentation", str(f2_file), "--radius", "3"],
+        ["action", "--presentation", str(prod), "--action", str(proj), "--radius", "2"],
+        ["opnorm", "--presentation", str(prod), "--radius", "2"],
+    ]
     script = (
         "import json, sys\n"
         "from tracer import Tracer, install\n"
         "from l1comb import cli\n"
         "tracer = Tracer()\n"
         "install(tracer)\n"
-        "code = cli.main(sys.argv[1:])\n"
-        "print(json.dumps({'code': code, 'counters': tracer.report()['counters']}))\n"
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps({'codes': codes, 'counters': tracer.report()['counters']}))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), str(ROOT / "perfbench"), env.get("PYTHONPATH"))
         if p
     )
-    out = tmp_path / "out"
     result = subprocess.run(
-        [sys.executable, "-c", script, "norms", "--presentation", str(surface_file),
-         "--radius", "2", "--out", str(out)],
+        [sys.executable, "-c", script,
+         json.dumps([argv + ["--out", str(out)] for argv in runs])],
         capture_output=True, text=True, env=env, check=True,
     )
     report = json.loads(result.stdout.splitlines()[-1])
-    assert report["code"] == 0
+    assert report["codes"] == [0, 0, 0, 0]
     surface = GroupPresentation(("a", "b", "c", "d"), ("abABcdCD",), "dehn")
-    assert report["counters"]["kernel.n"] == len(ball(surface, 2))
+    product = GroupPresentation(("a", "b", "c", "d"), ("acAC", "adAD", "bcBC", "bdBD"),
+                                "rewriting", SWAP_RULES)
+    # kernels built: surface norms r=2, F2 verify r=3 and F2 x F2 opnorm r=2
+    assert report["counters"]["kernel.n"] == (
+        len(ball(surface, 2)) + 2 * 3**3 - 1 + len(ball(product, 2)))
     assert report["counters"]["kernel.dump_bytes"] == (out / "kernel.csv").stat().st_size

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import serve_rows
 
 from l1comb import (
     EVector,
@@ -144,12 +145,14 @@ class TestNorms:
             norm_f(v, tree_kernel)
 
     def test_non_cnd_kernel_detected_under_the_root(self, f2_ball4):
-        from l1comb import NonCndFormError
-        from l1comb.kernel import DisplacementKernel
+        from l1comb import Chain1, NonCndFormError
+        from l1comb.kernel import DisplacementKernel, SlotEmbedding
 
         values = np.array([[0, 9, 1], [9, 0, 1], [1, 1, 0]], dtype=np.int8)
-        bad = DisplacementKernel(ball=f2_ball4, twice=2 * values,
-                                 displacement_constant=0.0, radius=1)
+        bad = serve_rows(
+            DisplacementKernel(ball=f2_ball4, embedding=SlotEmbedding([Chain1()] * 3),
+                               displacement_constant=0.0, radius=1),
+            {(i, j): 2 * int(t) for (i, j), t in np.ndenumerate(values)})
         v = EVector({"": 1, "a": 1, "A": -2})
         with pytest.raises(NonCndFormError):
             norm_f(v, bad)
@@ -252,7 +255,7 @@ class TestProperness:
 
         kernel = kernel_from_bicombing(tree_spec, radius=2)
         i = kernel.index_of("ab")
-        kernel.twice[i, 0] = kernel.twice[0, i] = 0  # fake a collapsed norm
+        serve_rows(kernel, {(i, 0): 0, (0, i): 0})  # fake a collapsed norm
         with pytest.raises(PropernessError, match="ab"):
             properness_report(kernel)
 

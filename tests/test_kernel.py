@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import serve_rows
 from hypothesis import example, given, settings, strategies as st
 
 from l1comb import (
@@ -30,7 +31,13 @@ from l1comb import (
     orbit_kernel,
     quadratic_form,
 )
-from l1comb.kernel import DisplacementKernel, first_unrealized_pair, l1_distance_matrix
+from l1comb.kernel import (
+    DisplacementKernel,
+    SlotEmbedding,
+    centered_min_eigenvalue,
+    first_unrealized_pair,
+    l1_distance_matrix,
+)
 
 EDGES = [(src, g) for src in ("", "a", "B", "ab", "ba") for g in "ab"]
 integer_chains = st.dictionaries(
@@ -101,11 +108,12 @@ class TestKernelFromBicombing:
 
     def test_exact_dtype(self, tree_kernel, tree_spec, surface_kernel, surface_anti):
         for k, spec in ((tree_kernel, tree_spec), (surface_kernel, surface_anti)):
-            assert k.twice.dtype.kind == "i"
+            matrix = l1_distance_matrix(k.embedding)
+            assert matrix.dtype.kind == "i"
             # the engine embeds the doubled chains 2 q[e, x]
             nnz = max(int(combing_chain(spec, "", x).scale(2).l1_norm())
                       for x in spec.ball.elements[:k.n])
-            assert k.twice.dtype == narrowest_signed(4 * nnz)
+            assert matrix.dtype == narrowest_signed(4 * nnz)
             assert not k.values.flags.writeable
 
     @pytest.mark.parametrize("kind", ["tree_geodesic", "shortlex_antisymmetrized"])
@@ -113,7 +121,7 @@ class TestKernelFromBicombing:
         pres = f2 if kind == "tree_geodesic" else surface
         k = kernel_from_bicombing(make_bicombing(kind, ball(pres, 0)))
         # the bound is 0, where min_scalar_type would give uint8
-        assert k.n == 1 and k.twice.dtype == np.int8
+        assert k.n == 1 and l1_distance_matrix(k.embedding).dtype == np.int8
         assert k.exact(0, 0) == 0
 
 
@@ -138,8 +146,9 @@ class TestEngineProperties:
         kernel = orbit_kernel(action, b)
         phi = [action.apply(w) for w in b.elements]
         for i, x in enumerate(phi):
+            row = kernel.row(i)
             for j, y in enumerate(phi):
-                assert kernel.twice[i, j] == 2 * len(free_reduce(invert(x) + y))
+                assert row[j] == 2 * len(free_reduce(invert(x) + y))
 
 
 class TestL1VectorProperties:
@@ -262,7 +271,7 @@ class TestCnd:
     def test_zero_kernel(self, f2_ball4):
         n = f2_ball4.size_within(1)
         kernel = DisplacementKernel(
-            ball=f2_ball4, twice=np.zeros((n, n), dtype=np.int8),
+            ball=f2_ball4, embedding=SlotEmbedding([Chain1()] * n),
             displacement_constant=0.0, radius=1,
         )
         assert cnd_min_eigenvalue(kernel) == 0.0
@@ -318,6 +327,20 @@ class TestCnd:
         with pytest.raises(ValueError):
             cnd_min_eigenvalue(tree_kernel, [0])
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 9).flatmap(lambda n: st.lists(
+        st.integers(-20, 20), min_size=n * n, max_size=n * n).map(
+        lambda xs: np.array(xs, dtype=float).reshape(n, n))))
+    def test_matches_an_explicit_mean_zero_basis(self, m):
+        m = m + m.T
+        n = len(m)
+        # reference: -M/2 in an orthonormal basis of the mean-zero vectors,
+        # the last n - 1 columns of a QR basis whose first column is all-ones
+        q = np.linalg.qr(np.column_stack([np.ones(n), np.eye(n)[:, :-1]]))[0][:, 1:]
+        expected = np.linalg.eigvalsh(q.T @ (-0.5 * m) @ q).min()
+        # float64 rounding of O(n) operations on entries up to 40
+        assert abs(centered_min_eigenvalue(m.copy()) - expected) <= 1e-12 * n * 40
+
 
 class TestKernelDump:
     def test_upper_triangle_with_header(self, f2):
@@ -334,8 +357,9 @@ class TestKernelDump:
     def test_half_integer_values_render_as_fractions(self, f2_ball4):
         from l1comb import kernel_dump
 
+        # 2K(0, 1) = ||0 - 1 edge||_1 = 1
         kernel = DisplacementKernel(
-            ball=f2_ball4, twice=np.array([[0, 1], [1, 0]]),
+            ball=f2_ball4, embedding=SlotEmbedding([Chain1(), Chain1({("", "a"): 1})]),
             displacement_constant=0.0, radius=0,
         )
         assert "0,1,1/2" in kernel_dump(kernel).splitlines()
@@ -385,14 +409,15 @@ def test_engine_peak_memory_stays_near_its_output(f2):
 
 def test_slot_embedding_rows_match_the_matrix(tree_kernel, surface_kernel):
     for k in (tree_kernel, surface_kernel):
+        matrix = l1_distance_matrix(k.embedding)
         for i in range(0, k.n, 37):
-            assert np.array_equal(k.embedding.row(i), k.twice[i])
+            assert np.array_equal(k.row(i), matrix[i])
         assert first_unrealized_pair(k) is None
-        k.twice[5, 3] += 1
+        serve_rows(k, {(5, 3): k.row(5)[3] + 1})
         try:
             assert first_unrealized_pair(k) == (5, 3)
         finally:
-            k.twice[5, 3] -= 1
+            del k.row
 
 
 def test_commands_leave_scipy_unloaded(tmp_path):
