@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
+from ._numpy import np
 from .bicombing import BicombingSpec, combing_chain
 from .groups import (
     CayleyBall,

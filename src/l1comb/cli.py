@@ -12,6 +12,7 @@ timestamp line is informational and excluded from determinism comparisons.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from dataclasses import dataclass, field
@@ -19,6 +20,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 
+from ._numpy import np
 from .groups import (
     BallCapError,
     DEFAULT_BALL_CAP,
@@ -389,8 +391,6 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
 
     # kernel structure, in one pass over the rows the kernel serves: only F is
     # stored, and each row is evaluated, checked and dropped in turn
-    import numpy as np
-
     diagonal = np.empty(kernel.n, dtype=np.int64)
     negative = None
     # (i, j) -> served 2K(i, j) minus |F_i - F_j|^2, wherever they differ
@@ -517,7 +517,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="tolerance of the float cross-check in verify's "
                             "kernel_cnd (centered min eigenvalue >= -TOL, "
                             "beside the exact slot-embedding certificate); "
-                            "every other verdict is exact")
+                            "a finite number >= 0; every other verdict is exact")
         if name == "action":
             p.add_argument("--action", type=Path, default=None)
             p.add_argument("--quasitree", type=Path, default=None)
@@ -552,6 +552,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.cap < 1:
             # a ball always holds the identity, so no run could meet this cap
             raise PresentationError("cap must be >= 1")
+        if not 0 <= args.tol < math.inf:  # also rejects nan
+            raise PresentationError(f"--tol must be a finite number >= 0, got {args.tol}")
         config = RunConfig(
             command=args.command,
             presentation_path=args.presentation,

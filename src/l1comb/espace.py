@@ -20,12 +20,12 @@ K(s, e).
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 
-import numpy as np
-
+from ._numpy import np
 from .bicombing import L1Vector
 from .groups import CayleyBall
 from .kernel import DisplacementKernel
@@ -220,8 +220,8 @@ def op_norm_lower_bound(s: str, kernel: DisplacementKernel, radius: int,
     best = 0.0
     total_iters = 0
     for restart in range(config.restarts):
-        rng = np.random.default_rng(config.seed * 100_003 + restart)
-        vec = rng.standard_normal(n)
+        rng = random.Random(config.seed * 100_003 + restart)
+        vec = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
         vec -= vec.mean()
         current = ratio(vec)
         step = INITIAL_STEP
@@ -229,10 +229,9 @@ def op_norm_lower_bound(s: str, kernel: DisplacementKernel, radius: int,
             total_iters += 1
             if it and it % DECAY_EVERY == 0:
                 step *= STEP_DECAY
-            j = rng.integers(n)
-            delta = step * (1.0 if rng.integers(2) else -1.0)
+            j = rng.randrange(n)
             trial = vec.copy()
-            trial[j] += delta
+            trial[j] += step if rng.getrandbits(1) else -step
             trial -= trial.mean()
             val = ratio(trial)
             if val > current:

@@ -18,6 +18,9 @@ of squared distances of integer vectors, 2K is of negative type, and every
 inequality read off it is decided exactly; float blocks are derived on demand
 for the eigenvalue cross-check and the operator-norm probe, and
 :func:`kernel_dump` renders 2K a row at a time.
+
+numpy comes from :mod:`l1comb._numpy` and is imported when the first kernel
+is built, so ``import l1comb`` and the combing layer run without it.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-import numpy as np
-
+from ._numpy import np
 from .bicombing import BicombingSpec, Chain1, Edge, L1Vector, area, combing_chain
 from .groups import CayleyBall, OutOfBallError
 

@@ -257,6 +257,16 @@ class TestVerify:
         assert code == 2
         assert "sabotage-diagonal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+    def test_tol_not_finite_nonnegative_is_input_error(self, f2_file, tmp_path,
+                                                       capsys, tol):
+        # on a correct kernel, not a FAIL kernel_cnd with exit 1
+        out = tmp_path / "out"
+        assert main(["verify", "--presentation", str(f2_file), "--radius", "3",
+                     "--out", str(out), f"--tol={tol}"]) == 2
+        assert "--tol" in capsys.readouterr().err
+        assert not (out / "verify.csv").exists()
+
     @pytest.mark.parametrize("radius", [0, 1])
     def test_radius_below_two_is_input_error(self, surface_file, tmp_path,
                                              capsys, radius):

@@ -420,9 +420,26 @@ def test_slot_embedding_rows_match_the_matrix(tree_kernel, surface_kernel):
             del k.row
 
 
-def test_commands_leave_scipy_unloaded(tmp_path):
-    # the kernel engine is numpy only: verify and action run without scipy
+F2_ACTION = ["action", "--presentation", "prod.txt", "--action", "proj.txt",
+             "--radius", "2"]
+
+
+@pytest.mark.parametrize("commands, unloaded", [
+    # the kernel engine is numpy only
+    pytest.param([["verify", "--presentation", "f2.txt", "--radius", "3"], F2_ACTION],
+                 "scipy", id="kernel-engine-without-scipy"),
+    # numpy's __init__ loads numpy.linalg, so numpy itself never ran: the
+    # combing layer is integer and rational arithmetic only
+    pytest.param([["ball", "--presentation", "surface.txt", "--radius", "1"],
+                  ["bicombing-stats", "--presentation", "surface.txt", "--radius", "1"]],
+                 "numpy.linalg", id="combing-layer-without-numpy"),
+    pytest.param([F2_ACTION, ["opnorm", "--presentation", "prod.txt", "--radius", "2"]],
+                 "numpy.random", id="opnorm-probe-without-numpy-random"),
+])
+def test_commands_leave_module_unloaded(tmp_path, commands, unloaded):
     (tmp_path / "f2.txt").write_text("generators: a b\nrelators: (none)\nmode: free\n")
+    (tmp_path / "surface.txt").write_text(
+        "generators: a b c d\nrelators: abABcdCD\nmode: dehn\n")
     (tmp_path / "prod.txt").write_text(
         "generators: a b c d\nrelators: acAC adAD bcBC bdBD\nmode: rewriting\n"
         "rules:\n" + "".join(f"{x}{y} -> {y}{x}\n" for x in "cCdD" for y in "aAbB")
@@ -430,12 +447,11 @@ def test_commands_leave_scipy_unloaded(tmp_path):
     (tmp_path / "proj.txt").write_text("target_rank: 2\na -> a\nb -> b\nc -> e\nd -> e\n")
     script = (
         "import sys\n"
+        "import l1comb\n"
         "from l1comb.cli import main\n"
-        "assert main(['verify', '--presentation', 'f2.txt', '--radius', '3',"
-        " '--out', 'out']) == 0\n"
-        "assert main(['action', '--presentation', 'prod.txt', '--action', 'proj.txt',"
-        " '--radius', '2', '--out', 'out']) == 0\n"
-        "assert 'scipy' not in sys.modules\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv + ['--out', 'out']) == 0, argv\n"
+        f"assert {unloaded!r} not in sys.modules\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
