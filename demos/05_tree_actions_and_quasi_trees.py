@@ -1,9 +1,9 @@
 """Actions on trees, orbit kernels, and validated quasi-tree inputs.
 
 A homomorphism to a free group presents an isometric action on that group's
-Cayley tree; the orbit kernel has displacement constant exactly 0, so the
-affine action is uniformly Lipschitz with bound 1, and orbit growth decides
-boundedness on the scanned range.  Quasi-tree geometry enters only through
+Cayley tree; the orbit kernel's measured displacement constant reads 0, so
+the affine action is uniformly Lipschitz with bound 1, and orbit growth
+decides boundedness on the scanned range.  Quasi-tree geometry enters only through
 kernels validated against the sandwich d - delta <= K <= d.
 """
 
@@ -23,6 +23,7 @@ print("=== the free group acting on its own tree ===")
 f2 = GroupPresentation(("a", "b"))
 identity = parse_action("target_rank: 2\na -> a\nb -> b\n", f2)
 K = orbit_kernel(identity, ball(f2, 5))
+print("measured displacement constant M =", K.displacement_constant)
 growth = orbit_growth_report(K)
 print("verdict:", growth.verdict, " fitted c =", round(growth.fitted_constant, 9))
 print("sphere maxima:", {n: round(v, 4) for n, v in sorted(growth.sphere_maxima.items())})

@@ -2,10 +2,10 @@
 
 A tree action is presented by a homomorphism from the source group to a free
 group acting on its own Cayley tree; the orbit of the basepoint e pulls the
-tree metric back to a displacement kernel with constant 0 (the action is
-isometric).  Quasi-tree geometry enters only through user-supplied kernels
-checked against the sandwich d - Delta <= K <= d and conditional negative
-definiteness.
+tree-geodesic combing back to a displacement kernel, whose measured constant
+is 0 (the action is isometric).  Quasi-tree geometry enters only through
+user-supplied kernels checked against the sandwich d - Delta <= K <= d and
+conditional negative definiteness.
 """
 
 from __future__ import annotations
@@ -14,19 +14,14 @@ import math
 from dataclasses import dataclass, field, replace
 
 from ._numpy import np
-from .bicombing import BicombingSpec, combing_chain
+from .bicombing import BicombingSpec
 from .groups import (
     CayleyBall,
     GroupPresentation,
     free_reduce,
     invert,
 )
-from .kernel import (
-    CND_TOLERANCE,
-    DisplacementKernel,
-    SlotEmbedding,
-    centered_min_eigenvalue,
-)
+from .kernel import DisplacementKernel, centered_min_eigenvalue, kernel_from_bicombing
 from .espace import NormReport, cocycle_norm_rows
 
 
@@ -118,19 +113,14 @@ def parse_action(text: str, presentation: GroupPresentation) -> TreeActionSpec:
 
 def orbit_kernel(action: TreeActionSpec, ball: CayleyBall) -> DisplacementKernel:
     """K(s, t) = tree distance between the images of s and t: the reduced word
-    length of phi(s)^-1 phi(t), pulled back from the tree-geodesic chains
-    q[e, phi(s)] of the target free group through the kernel engine.  The
-    action is isometric, so the displacement constant is exactly 0."""
+    length of phi(s)^-1 phi(t), the tree-geodesic chains q[e, phi(s)] of the
+    target free group pulled back along phi.  The displacement constant is
+    measured over the kernel's scan split; the action is isometric, so it
+    reads 0."""
     letters = _target_alphabet(action.target_rank)[::2]
     # geodesics from e in a free group need no ball lookups: radius 0 suffices
     tree = BicombingSpec("tree_geodesic", CayleyBall(GroupPresentation(tuple(letters)), 0))
-    return DisplacementKernel(
-        ball=ball,
-        embedding=SlotEmbedding(
-            combing_chain(tree, "", action.apply(w)).scale(2) for w in ball.elements),
-        displacement_constant=0.0,
-        radius=ball.radius,
-    )
+    return kernel_from_bicombing(tree, ball=ball, phi=action.apply)
 
 
 # -- quasi-tree kernel inputs ---------------------------------------------------
@@ -158,8 +148,9 @@ def _finite(text: str, name: str, line: str) -> float:
 def parse_quasitree_csv(text: str) -> QuasiTreeKernelInput:
     """Parse the quasi-tree kernel format: a ``delta: value`` header line, the
     column header ``x,y,d,K``, then one pair per row.  Every unordered pair of
-    the labels appearing must be present exactly once; ``d``, ``K`` and
-    ``delta`` must be finite numbers and ``delta`` nonnegative."""
+    the labels appearing must be present exactly once, and no row may pair a
+    label with itself; ``d``, ``K`` and ``delta`` must be finite numbers and
+    ``delta`` nonnegative."""
     delta = None
     rows = []
     saw_header = False
@@ -179,6 +170,8 @@ def parse_quasitree_csv(text: str) -> QuasiTreeKernelInput:
         if len(parts) != 4:
             raise ActionError(f"bad kernel row {line!r}")
         x, y, d, k = parts
+        if x == y:
+            raise ActionError(f"row {line!r} pairs {x!r} with itself")
         rows.append((x, y, _finite(d, "d", line), _finite(k, "K", line)))
     if delta is None:
         raise ActionError("missing delta: header line")
@@ -218,10 +211,10 @@ class QuasiTreeReport:
 
 
 def validate_quasitree_kernel(data: QuasiTreeKernelInput,
-                              translations: list[dict[str, str]] | None = None
-                              ) -> QuasiTreeReport:
+                              translations: list[dict[str, str]] | None = None,
+                              tolerance: float = 1e-9) -> QuasiTreeReport:
     """Check the sandwich d - delta <= K <= d on every pair and conditional
-    negative definiteness (centered minimum eigenvalue >= -1e-9).  When
+    negative definiteness (centered minimum eigenvalue >= -tolerance).  When
     translation tables are supplied, also check the derived displacement bound
     K(sx, sy) <= K(x, y) + delta on pairs whose images are listed; otherwise
     the declared delta is recorded as-is."""
@@ -251,7 +244,7 @@ def validate_quasitree_kernel(data: QuasiTreeKernelInput,
     min_eig = float("nan")
     if n >= 2:
         min_eig = centered_min_eigenvalue(mat)
-        if min_eig < CND_TOLERANCE:
+        if min_eig < -tolerance:
             failures.append(
                 f"conditional negative definiteness fails: centered min eigenvalue {min_eig}"
             )

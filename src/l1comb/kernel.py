@@ -1,23 +1,26 @@
-"""Squared-Hilbert-distance kernels from combings and actions.
+"""Squared-Hilbert-distance kernels pulled back from combings.
 
 The central object is a symmetric kernel K(x, y) = ||f(x) - f(y)||^2 indexed
-by a Cayley ball.  For a combing, K(x, y) = ||q[e,x] - q[e,y]||_1, and the
-slot embedding f = J realizes it explicitly: an integer chain becomes a +-1
-``L1Vector`` with one coordinate per (edge, slot), and squared distances of
-embedded chains are l1 distances of the chains.  Combing values are
-half-integers, so the kernel engine embeds the doubled chains 2 q[e,x] as the
+by a Cayley ball.  For a combing q and a map phi from the ball to the
+combing's group (a homomorphism, or the identity), K(x, y) = ||q[e,phi(x)] -
+q[e,phi(y)]||_1, and the slot embedding f = J realizes it explicitly: an
+integer chain becomes a +-1 ``L1Vector`` with one coordinate per (edge,
+slot), and squared distances of embedded chains are l1 distances of the
+chains.  Combing values are half-integers, so the one kernel builder,
+:func:`kernel_from_bicombing`, embeds the doubled chains 2 q[e,phi(x)] as the
 rows of one integer matrix F, kept in numpy arrays with a column-major copy.
 F is a kernel's only stored state: every doubled entry,
 
     2 K(x_i, x_j) = |F_i|^2 + |F_j|^2 - 2 <F_i, F_j>,
 
 is evaluated exactly, one int64 row at a time, by counting the columns row i
-shares with each row, and no n x n matrix is ever stored.  Tree actions pull
-back tree-geodesic chains through the same engine.  Since every row is a row
-of squared distances of integer vectors, 2K is of negative type, and every
-inequality read off it is decided exactly; float blocks are derived on demand
-for the eigenvalue cross-check and the operator-norm probe, and
-:func:`kernel_dump` renders 2K a row at a time.
+shares with each row, and no n x n matrix is ever stored.  Tree actions are
+the case of a tree-geodesic combing and phi a homomorphism to a free group.
+Since every row is a row of squared distances of integer vectors, 2K is of
+negative type, and every inequality read off it is decided exactly,
+conditional negative definiteness included (:func:`served_rows`); float
+blocks are derived on demand for eigenvalue diagnostics and the
+operator-norm probe, and :func:`kernel_dump` renders 2K a row at a time.
 
 numpy comes from :mod:`l1comb._numpy` and is imported when the first kernel
 is built, so ``import l1comb`` and the combing layer run without it.
@@ -26,7 +29,7 @@ is built, so ``import l1comb`` and the combing layer run without it.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -35,15 +38,9 @@ from ._numpy import np
 from .bicombing import BicombingSpec, Chain1, Edge, L1Vector, area, combing_chain
 from .groups import CayleyBall, OutOfBallError
 
-CND_TOLERANCE = -1e-9
-
 
 class NonIntegralChainError(ValueError):
     """The slot embedding is defined on integer chains only."""
-
-
-class DecompositionError(AssertionError):
-    """A pairwise displacement excess exceeded its two-triangle bound."""
 
 
 @dataclass
@@ -54,10 +51,10 @@ class DisplacementKernel:
     :meth:`row` evaluates one exact int64 row of 2K from ``embedding``, and
     every read of the kernel's entries and blocks goes through it.
     ``bicombing`` is the combing a kernel was built from, and None for
-    tree-action kernels; the combing bounds (properness, two-triangle
-    decomposition) apply only when it is set.  ``displacement_constant`` is
-    the two-sided empirical displacement bound for the recorded scan split,
-    or 0 for an isometric action.
+    kernels pulled back along a homomorphism (tree actions); the combing
+    bounds (properness, two-triangle decomposition) apply only when it is
+    set.  ``displacement_constant`` is the two-sided empirical displacement
+    bound for the scan split of the build.
     """
 
     ball: CayleyBall
@@ -232,26 +229,32 @@ def l1_distance_matrix(chains: Iterable[Chain1] | SlotEmbedding) -> np.ndarray:
 
 
 def kernel_from_bicombing(spec: BicombingSpec, radius: int | None = None,
-                          scan_split: tuple[int, int] | None = None) -> DisplacementKernel:
-    """Kernel K(x, y) = ||q[e,x] - q[e,y]||_1 over the ball prefix of the given
-    radius, exact through the doubled chains.  The displacement constant is
-    the two-sided empirical excess max |K(sx,sy) - K(x,y)| over the scan split
+                          scan_split: tuple[int, int] | None = None, *,
+                          ball: CayleyBall | None = None,
+                          phi: Callable[[str], str] | None = None) -> DisplacementKernel:
+    """Kernel K(x, y) = ||q[e,phi(x)] - q[e,phi(y)]||_1 over the prefix of the
+    given radius of ``ball``, exact through the doubled chains.  By default
+    phi is the identity and ``ball`` the combing's own ball; otherwise phi
+    maps words of ``ball`` to words of the combing's group, and the kernel
+    records no combing.  The displacement constant is measured: the
+    two-sided empirical excess max |K(sx,sy) - K(x,y)| over the scan split
     (s up to the first radius, pairs up to the second)."""
-    b = spec.ball
+    b = spec.ball if ball is None else ball
     if radius is None:
         radius = b.radius
     if radius > b.radius:
         raise OutOfBallError(
             f"kernel radius {radius} exceeds the ball radius {b.radius}"
         )
-    n = b.size_within(radius)
+    words = b.elements[:b.size_within(radius)]
     kernel = DisplacementKernel(
         ball=b,
         embedding=SlotEmbedding(
-            combing_chain(spec, "", b.elements[i]).scale(2) for i in range(n)),
+            combing_chain(spec, "", w).scale(2)
+            for w in (words if phi is None else map(phi, words))),
         displacement_constant=0.0,
         radius=radius,
-        bicombing=spec,
+        bicombing=spec if phi is None else None,
     )
     if scan_split is None:
         scan_split = (radius // 2, radius - radius // 2)
@@ -260,37 +263,6 @@ def kernel_from_bicombing(spec: BicombingSpec, radius: int | None = None,
 
 
 # -- displacement ------------------------------------------------------------
-
-
-def displacement_excess(kernel: DisplacementKernel, s: str, indices=None,
-                        verify_decomposition: bool | None = None) -> float:
-    """max over x, y in the index set of K(sx, sy) - K(x, y).
-
-    For antisymmetric combing kernels the excess of every pair is verified
-    against its exact two-triangle area bound (see
-    :func:`two_triangle_bound`); a violation raises
-    :class:`DecompositionError`.
-    """
-    if indices is None:
-        indices = range(kernel.n)
-    indices = list(indices)
-    trans = kernel.translate(s, indices)
-    if verify_decomposition is None:
-        verify_decomposition = (
-            kernel.bicombing is not None
-            and (kernel.bicombing.antisymmetrized
-                 or kernel.bicombing.kind == "tree_geodesic")
-        )
-    diff2 = kernel.twice_block(trans, trans) - kernel.twice_block(indices, indices)
-    best = float(diff2.max()) / 2.0
-    if verify_decomposition:
-        for row in displacement_decomposition(kernel, s, indices):
-            if row.excess > row.area_first + row.area_second:
-                raise DecompositionError(
-                    f"excess {row.excess} for pair ({row.x!r}, {row.y!r}) under "
-                    f"{s!r} exceeds triangle bound {row.area_first + row.area_second}"
-                )
-    return best
 
 
 @dataclass(frozen=True)
@@ -368,12 +340,13 @@ def empirical_displacement_constant(kernel: DisplacementKernel, s_radius: int,
 
 
 def centered_min_eigenvalue(matrix: np.ndarray) -> float:
-    """Minimum eigenvalue of -matrix/2 restricted to mean-zero vectors; at
-    least CND_TOLERANCE certifies conditional negative definiteness.  The
-    float ``matrix`` is overwritten: it is scaled in place, then reflected in
-    place by the Householder reflection H that swaps e_0 with the unit
-    all-ones vector, so that rows and columns 1.. of H A H hold A on the
-    mean-zero vectors (the orthonormal basis He_1, ..., He_{n-1})."""
+    """Minimum eigenvalue of -matrix/2 restricted to mean-zero vectors; up to
+    float rounding it is nonnegative exactly when the matrix is conditionally
+    negative definite.  The float ``matrix`` is overwritten: it is scaled in
+    place, then reflected in place by the Householder reflection H that swaps
+    e_0 with the unit all-ones vector, so that rows and columns 1.. of H A H
+    hold A on the mean-zero vectors (the orthonormal basis He_1, ...,
+    He_{n-1})."""
     n = matrix.shape[0]
     if n < 2:
         raise ValueError("need at least two elements for a centered eigenvalue")
@@ -400,22 +373,13 @@ def cnd_min_eigenvalue(kernel: DisplacementKernel, indices=None) -> float:
 def served_rows(kernel: DisplacementKernel):
     """Yield (i, row i of 2K as the kernel serves it, that row minus
     |F_i - F_j|^2 as the kernel's slot embedding F re-evaluates it) for every
-    i, in one pass that holds one row at a time."""
+    i, in one pass that holds one row at a time.  A deviation that is zero
+    everywhere is an exact certificate of negative type: 2K is then a matrix
+    of squared distances between integer vectors, which is CND by
+    Schoenberg's theorem."""
     for i in range(kernel.n):
         row = kernel.row(i)
         yield i, row, row - kernel.embedding.row(i)
-
-
-def first_unrealized_pair(kernel: DisplacementKernel) -> tuple[int, int] | None:
-    """First pair (i, j), in row order, whose served 2K differs from its
-    re-evaluation from F, or None.  None is an exact certificate of negative
-    type: 2K is then a matrix of squared distances between integer vectors,
-    which is CND by Schoenberg's theorem."""
-    for i, _, deviation in served_rows(kernel):
-        bad = np.flatnonzero(deviation)
-        if bad.size:
-            return i, int(bad[0])
-    return None
 
 
 # -- cross validation ---------------------------------------------------------

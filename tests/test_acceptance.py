@@ -187,6 +187,7 @@ def test_criterion_5_tree_action_pipeline(capsys):
             "target_rank: 2\na -> a\nb -> b\nc -> e\nd -> e\n", product
         )
         proj_kernel = orbit_kernel(projection, b4)
+        assert proj_kernel.displacement_constant == 0.0
         trivial_factor = orbit_growth_report(
             proj_kernel, element_filter=lambda w: all(ch in "cCdD" for ch in w)
         )

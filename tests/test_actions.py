@@ -8,7 +8,7 @@ from l1comb import (
     ActionError,
     QuasiTreeKernelInput,
     ball,
-    displacement_excess,
+    empirical_displacement_constant,
     free_reduce,
     invert,
     op_norm_lower_bound,
@@ -100,8 +100,13 @@ class TestOrbitKernel:
         action = parse_action(IDENTITY_ACTION, f2)
         kernel = orbit_kernel(action, f2_ball4)
         config = OpNormConfig(restarts=4, iterations=100, seed=6)
+        assert kernel.displacement_constant == 0.0
+        assert empirical_displacement_constant(kernel, 2, 2) == 0.0
+        pairs = list(f2_ball4.indices_within(2))
         for s in ("a", "bA"):
-            assert displacement_excess(kernel, s, f2_ball4.indices_within(2)) == 0.0
+            trans = kernel.translate(s, pairs)
+            assert np.array_equal(kernel.twice_block(trans, trans),
+                                  kernel.twice_block(pairs, pairs))
             assert op_norm_lower_bound(s, kernel, 2, config).value <= 1 + 1e-9
 
 
@@ -216,6 +221,12 @@ class TestQuasiTreeParsing:
         # the last row used to overwrite the first: e,a,1,5 then e,a,1,1 passed
         with pytest.raises(ActionError, match="given twice"):
             parse_quasitree_csv(f"delta: 0\nx,y,d,K\ne,a,1,5\n{second}\n")
+
+    @pytest.mark.parametrize("row", ["a,a,0,5", "a,a,0,0", "c,c,0,0"])
+    def test_self_pair_rejected(self, row):
+        # such a row used to be read and then ignored
+        with pytest.raises(ActionError, match="with itself"):
+            parse_quasitree_csv(f"delta: 0\nx,y,d,K\na,b,1,1\n{row}\n")
 
 
 class TestGrowthReport:

@@ -13,7 +13,6 @@ from l1comb import GroupPresentation, ball, cli
 from l1comb.cli import main
 from l1comb.espace import NonCndFormError, PropernessError
 from l1comb.groups import OutOfBallError
-from l1comb.kernel import DecompositionError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -181,7 +180,7 @@ class TestVerify:
         assert "K(5,5)" in captured
 
     def test_norm_formula_verdict_ignores_tol(self, f2_file, tmp_path, capsys):
-        # --tol governs only the float kernel_cnd cross-check: the sabotaged
+        # --tol governs only the quasi-tree negative-type check: the sabotaged
         # diagonal puts Q(b(s)) 1/2 below K(s, e), whatever the tolerance
         code = main(["verify", "--presentation", str(f2_file), "--radius", "3",
                      "--out", str(tmp_path / "out"), "--tol", "1e9",
@@ -204,8 +203,8 @@ class TestVerify:
 
     def test_corrupted_far_pair_fails_exact_cnd(self, f2_file, tmp_path,
                                                  capsys, monkeypatch):
-        # 2K(484, 483) lies outside the float cross-check's 600 elements and
-        # the cross-validation's 200; --tol 1e9 makes the float test vacuous
+        # 2K(484, 483) lies outside the cross-validation's 200 elements, and
+        # verify's verdicts ignore --tol
         build = cli.kernel_from_bicombing
 
         def corrupted(spec):
@@ -289,7 +288,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("exc", [
         PropernessError("row s has norm below its bound"),
-        DecompositionError("excess above the triangle bound"),
         NonCndFormError("quadratic form below the floor"),
     ], ids=lambda exc: type(exc).__name__)
     def test_invariant_violation_exits_1(self, f2_file, tmp_path, monkeypatch,
@@ -334,6 +332,32 @@ class TestActionCommand:
                      "--quasitree", str(good), "--out", str(out)]) == 0
         assert main(["action", "--presentation", str(f2_file),
                      "--quasitree", str(bad), "--out", str(out)]) == 1
+
+    def test_tol_governs_quasitree_cnd(self, f2_file, tmp_path):
+        # K = d: the sandwich holds, and the centered min eigenvalue is -1.7e-4
+        path = tmp_path / "near.csv"
+        path.write_text("delta: 0\nx,y,d,K\na,b,1,1\nb,c,1,1\na,c,4.001,4.001\n")
+        argv = ["action", "--presentation", str(f2_file), "--quasitree", str(path),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert main(argv + ["--tol", "1e-3"]) == 0
+        header = (tmp_path / "out" / "quasitree.csv").read_text()
+        assert "# tolerance: 0.001\n" in header
+
+    def test_tol_leaves_the_sandwich_alone(self, f2_file, tmp_path, capsys):
+        # the sandwich keeps its own 1e-12 slack: K = d + 1e-6 fails at any --tol
+        path = tmp_path / "above.csv"
+        path.write_text("delta: 0\nx,y,d,K\na,b,1,1.000001\n")
+        assert main(["action", "--presentation", str(f2_file), "--quasitree", str(path),
+                     "--out", str(tmp_path / "out"), "--tol", "1"]) == 1
+        assert "upper bound violated" in capsys.readouterr().out
+
+    def test_quasitree_self_pair_is_input_error(self, f2_file, tmp_path, capsys):
+        path = tmp_path / "self.csv"
+        path.write_text("delta: 0\nx,y,d,K\na,b,1,1\na,a,0,5\n")
+        assert main(["action", "--presentation", str(f2_file), "--quasitree", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "with itself" in capsys.readouterr().err
 
     def test_action_without_inputs_is_input_error(self, f2_file, tmp_path):
         assert main(["action", "--presentation", str(f2_file),
@@ -412,9 +436,8 @@ def test_kernel_csv_is_streamed(surface_file, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command, radius", [("verify", 7), ("norms", 6)])
 def test_commands_store_no_n_by_n_matrix(f2_file, tmp_path, command, radius):
-    # at these radii one int8 n x n matrix (n^2 bytes: 19 MB for verify, whose
-    # float cross-check block on 485 elements is ~2 MB, and 2.1 MB for norms)
-    # would outweigh everything else the command allocates
+    # at these radii one int8 n x n matrix (n^2 bytes: 19 MB for verify and
+    # 2.1 MB for norms) would outweigh everything else the command allocates
     n = 2 * 3**radius - 1  # |ball(radius)| in F2
     tracemalloc.start()
     try:
@@ -470,3 +493,10 @@ def test_benchmark_tracer_counts_the_streamed_kernel_csv(surface_file, f2_file,
     assert report["counters"]["kernel.n"] == (
         len(ball(surface, 2)) + 2 * 3**3 - 1 + len(ball(product, 2)))
     assert report["counters"]["kernel.dump_bytes"] == (out / "kernel.csv").stat().st_size
+    # the tracer patches kernel.empirical_displacement_constant and unpacks its
+    # (kernel, s_radius, pair_radius): every kernel, the orbit kernel
+    # included, scans s over the 1-ball here (split (1, 1), or (1, 2) for
+    # verify r=3), one translate per s != e
+    assert report["counters"]["kernel.displacement_translates"] == (
+        len(ball(surface, 1)) - 1 + 2 * 2 + 2 * (len(ball(product, 1)) - 1))
+    assert report["counters"]["actions.orbit_pairs"] > 0

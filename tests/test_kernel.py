@@ -20,7 +20,6 @@ from l1comb import (
     cnd_min_eigenvalue,
     combing_chain,
     displacement_decomposition,
-    displacement_excess,
     empirical_displacement_constant,
     feature_embed,
     free_reduce,
@@ -35,8 +34,8 @@ from l1comb.kernel import (
     DisplacementKernel,
     SlotEmbedding,
     centered_min_eigenvalue,
-    first_unrealized_pair,
     l1_distance_matrix,
+    served_rows,
 )
 
 EDGES = [(src, g) for src in ("", "a", "B", "ab", "ba") for g in "ab"]
@@ -144,6 +143,7 @@ class TestEngineProperties:
         b = ball(f2xf2, 2)
         action = TreeActionSpec(f2xf2, 2, images)
         kernel = orbit_kernel(action, b)
+        assert kernel.displacement_constant == 0.0
         phi = [action.apply(w) for w in b.elements]
         for i, x in enumerate(phi):
             row = kernel.row(i)
@@ -216,18 +216,19 @@ class TestFeatureEmbedding:
 
 class TestDisplacement:
     def test_tree_excess_vanishes(self, tree_kernel, f2_ball4):
+        # every s in the 2-ball, "a", "B", "ab" and "ba" among them
+        assert empirical_displacement_constant(tree_kernel, 2, 2) == 0.0
         for s in ("a", "B", "ab", "ba"):
-            assert displacement_excess(
-                tree_kernel, s, f2_ball4.indices_within(2)
-            ) == 0.0
+            rows = displacement_decomposition(tree_kernel, s, f2_ball4.indices_within(2))
+            assert rows and all(row.excess == 0 for row in rows)
 
     def test_tree_action_excess_vanishes(self, f2, f2_ball4):
-        from l1comb import orbit_kernel, parse_action
+        from l1comb import parse_action
 
         action = parse_action("target_rank: 2\na -> a\nb -> b\n", f2)
         kernel = orbit_kernel(action, f2_ball4)
-        for s in ("a", "ab"):
-            assert displacement_excess(kernel, s, f2_ball4.indices_within(2)) == 0.0
+        assert kernel.displacement_constant == 0.0  # measured over the (2, 2) split
+        assert empirical_displacement_constant(kernel, 2, 2) == 0.0
 
     def test_surface_pairwise_decomposition(self, surface_kernel, surface_ball4):
         # every pairwise excess is bounded by its exact two-triangle area sum
@@ -240,31 +241,32 @@ class TestDisplacement:
 
     def test_surface_excess_verified_against_decomposition(self, surface_kernel,
                                                            surface_ball4):
-        # raises DecompositionError internally if any pair violated the bound
-        value = displacement_excess(
+        rows = displacement_decomposition(
             surface_kernel, "ab", surface_ball4.indices_within(2)
         )
-        assert value >= 0.0
+        assert rows
+        for row in rows:
+            assert row.excess <= row.area_first + row.area_second
 
     def test_translate_out_of_ball_rejected(self, tree_kernel, f2_ball4):
         from l1comb import OutOfBallError
 
         with pytest.raises(OutOfBallError):
-            displacement_excess(tree_kernel, "abab", f2_ball4.indices_within(2))
+            displacement_decomposition(tree_kernel, "abab", f2_ball4.indices_within(2))
 
     def test_two_sided_constant_dominates_one_sided(self, surface_kernel,
                                                     surface_ball4):
         m = empirical_displacement_constant(surface_kernel, 2, 2)
         assert m == surface_kernel.displacement_constant
-        for i in surface_ball4.indices_within(2):
+        pairs = list(surface_ball4.indices_within(2))
+        base = surface_kernel.twice_block(pairs, pairs)
+        for i in pairs:
             s = surface_ball4.elements[i]
             if s == "":
                 continue
-            one_sided = displacement_excess(
-                surface_kernel, s, surface_ball4.indices_within(2),
-                verify_decomposition=False,
-            )
-            assert one_sided <= m + 1e-12
+            trans = surface_kernel.translate(s, pairs)
+            one_sided = (surface_kernel.twice_block(trans, trans) - base).max() / 2
+            assert one_sided <= m
 
 
 class TestCnd:
@@ -412,10 +414,11 @@ def test_slot_embedding_rows_match_the_matrix(tree_kernel, surface_kernel):
         matrix = l1_distance_matrix(k.embedding)
         for i in range(0, k.n, 37):
             assert np.array_equal(k.row(i), matrix[i])
-        assert first_unrealized_pair(k) is None
+        assert not any(dev.any() for _, _, dev in served_rows(k))
         serve_rows(k, {(5, 3): k.row(5)[3] + 1})
         try:
-            assert first_unrealized_pair(k) == (5, 3)
+            assert [(i, j) for i, _, dev in served_rows(k)
+                    for j in np.flatnonzero(dev).tolist()] == [(5, 3)]
         finally:
             del k.row
 
