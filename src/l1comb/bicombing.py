@@ -270,27 +270,17 @@ def empirical_area_constant(spec: BicombingSpec, radius: int | None = None,
     # order (sampled), so keeping the first maximizer is deterministic and,
     # for exhaustive scans, lexicographically least
     if exhaustive:
-        for i in range(n):
-            xi = elements[i]
-            for j in range(i, n):
-                xj = elements[j]
-                for k in range(i, n):
-                    val = area(spec, xi, xj, elements[k])
-                    scanned += 1
-                    if val > best:
-                        best = val
-                        witness = (i, j, k)
+        triples = ((i, j, k) for i in range(n) for j in range(i, n) for k in range(i, n))
     else:
         rng = random.Random(policy.seed)
-        for _ in range(policy.samples):
-            i = rng.randrange(n)
-            j = rng.randrange(n)
-            k = rng.randrange(n)
-            val = area(spec, elements[i], elements[j], elements[k])
-            scanned += 1
-            if val > best:
-                best = val
-                witness = (i, j, k)
+        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
+                   for _ in range(policy.samples))
+    for i, j, k in triples:
+        val = area(spec, elements[i], elements[j], elements[k])
+        scanned += 1
+        if val > best:
+            best = val
+            witness = (i, j, k)
     return AreaScanResult(
         value=best,
         witness=tuple(elements[t] for t in witness),

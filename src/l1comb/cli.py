@@ -262,6 +262,9 @@ def cmd_action(config: RunConfig) -> int:
     if config.action_path is None:
         print("action command needs --action FILE or --quasitree FILE", file=sys.stderr)
         return EXIT_INPUT
+    if config.radius < 1:
+        raise ValueError(f"action needs --radius >= 1, got {config.radius}: the "
+                         "radius-0 ball holds only the identity, so no orbit is scanned")
     action = parse_action(config.action_path.read_text(), config.presentation)
     b = ball(config.presentation, config.radius, cap=config.cap)
     kernel = orbit_kernel(action, b)
@@ -303,13 +306,14 @@ def _largest_radius_with(b, limit: int) -> int:
 def verify_suite(config: RunConfig) -> list[CheckResult]:
     """Invariant suite over one presentation/combing/radius: cocycle identity,
     norm formula, conditional negative definiteness, per-vector bound,
-    properness, plus the structural chain checks feeding them."""
+    properness, plus the structural chain checks feeding them.  Every
+    per-element check and every kernel-structure check shares one pass over
+    the ball, which reads each element's served row of 2K and builds its chain
+    q[e, s] once; each check keeps its first failing witness."""
     if config.radius < 2:
         raise ValueError(f"verify needs --radius >= 2, got {config.radius}: below 2 "
                          "the sampled checks would see only the identity")
-    pres = config.presentation
-    results: list[CheckResult] = []
-    b = ball(pres, config.radius, cap=config.cap)
+    b = ball(config.presentation, config.radius, cap=config.cap)
     sabotage = config.sabotage_diagonal
     if sabotage is not None and not 0 <= sabotage < len(b):
         raise ValueError(
@@ -332,124 +336,102 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
     inner = config.radius // 2
     n_inner = b.size_within(inner)
 
-    def check(name, passed, witness=""):
-        results.append(CheckResult(name, bool(passed), witness if not passed else ""))
+    # check name -> its first failing witness (None while it passes), in
+    # report order
+    witness: dict[str, str | None] = dict.fromkeys([
+        "ball_inverse_closure", "ball_adjacency_involutive", "boundary_identity",
+        "equivariance", *(["antisymmetry"] if spec.antisymmetrized else []),
+        "combing_lower_bound", "kernel_diagonal_zero", "kernel_symmetry",
+        "kernel_nonnegative", "kernel_cnd", "kernel_cross_validation",
+        "cocycle_identity", "norm_formula", "per_vector_bound", "properness_rows",
+    ])
 
-    # ball structure
-    bad = next((w for w in b.elements
-                if b.canonical_index(w[::-1].swapcase()) is None), None)
-    check("ball_inverse_closure", bad is None, f"inverse of {_word(bad or '')} missing")
-    bad = None
-    for i, nbrs in enumerate(b.adjacency):
-        for letter, j in nbrs.items():
-            if b.adjacency[j].get(letter.swapcase()) != i:
-                bad = f"edge {_word(b.elements[i])} -{letter}-> {_word(b.elements[j])}"
-                break
-        if bad:
-            break
-    check("ball_adjacency_involutive", bad is None, bad or "")
+    def fail(name, text):
+        if witness[name] is None:
+            witness[name] = text
 
-    # chain structure
-    bad = None
-    for i in range(1, len(b.elements)):
-        s = b.elements[i]
-        bd = boundary(combing_chain(spec, "", s), b)
-        if bd != {s: 1, "": -1}:
-            bad = f"boundary of q[e,{_word(s)}] is {bd}"
-            break
-    check("boundary_identity", bad is None, bad or "")
-
-    bad = None
-    for _ in range(50):
-        s = b.elements[rng.randrange(n_inner)]
-        z = b.elements[rng.randrange(n_inner)]
-        lhs = translate_chain(s, combing_chain(spec, "", z), b)
-        rhs = combing_chain(spec, s, b.name(s + z))
-        if lhs != rhs:
-            bad = f"translate mismatch for s={_word(s)} z={_word(z)}"
-            break
-    check("equivariance", bad is None, bad or "")
-
-    if spec.antisymmetrized:
-        bad = None
-        for _ in range(50):
-            x = b.elements[rng.randrange(n_inner)]
-            y = b.elements[rng.randrange(n_inner)]
-            if (combing_chain(spec, x, y) + combing_chain(spec, y, x)).coeffs:
-                bad = f"q[{_word(x)},{_word(y)}] + q[{_word(y)},{_word(x)}] != 0"
-                break
-        check("antisymmetry", bad is None, bad or "")
-
-    bad = None
-    for i in range(1, len(b.elements)):
-        s = b.elements[i]
-        if combing_chain(spec, "", s).l1_norm() < b.distances[i]:
-            bad = f"||q[e,{_word(s)}]||_1 < d for {_word(s)}"
-            break
-    check("combing_lower_bound", bad is None, bad or "")
-
-    # kernel structure, in one pass over the rows the kernel serves: only F is
-    # stored, and each row is evaluated, checked and dropped in turn
-    diagonal = np.empty(kernel.n, dtype=np.int64)
-    negative = None
-    # (i, j) -> served 2K(i, j) minus |F_i - F_j|^2, wherever they differ
+    # one pass over the ball: only F is stored, and element i's served row of
+    # 2K and its chain q[e, s] are built, checked and dropped in turn;
+    # deviation maps (i, j) to served 2K(i, j) minus |F_i - F_j|^2, wherever
+    # they differ
     deviation: dict[tuple[int, int], int] = {}
     for i, row, dev in served_rows(kernel):
-        diagonal[i] = row[i]
-        if negative is None and row.min() < 0:
-            negative = (i, int(np.flatnonzero(row < 0)[0]))
+        s = b.elements[i]
+        if b.canonical_index(s[::-1].swapcase()) is None:
+            fail("ball_inverse_closure", f"inverse of {_word(s)} missing")
+        for letter, j in b.adjacency[i].items():
+            if b.adjacency[j].get(letter.swapcase()) != i:
+                fail("ball_adjacency_involutive",
+                     f"edge {_word(s)} -{letter}-> {_word(b.elements[j])}")
+                break
+        if row[i]:
+            fail("kernel_diagonal_zero", f"K({i},{i}) != 0")
+        if row.min() < 0:
+            fail("kernel_nonnegative", f"K{(i, int(np.flatnonzero(row < 0)[0]))} < 0")
         for j in np.flatnonzero(dev).tolist():
             deviation[i, j] = int(dev[j])
-    d = next(iter(np.flatnonzero(diagonal).tolist()), None)
-    check("kernel_diagonal_zero", d is None, f"K({d},{d}) != 0")
+        if i == 0:
+            row_e = row  # 2K(e, .), kept for norm_formula
+            continue
+        chain = combing_chain(spec, "", s)
+        bd = boundary(chain, b)
+        if bd != {s: 1, "": -1}:
+            fail("boundary_identity", f"boundary of q[e,{_word(s)}] is {bd}")
+        norm = chain.l1_norm()
+        if norm < b.distances[i]:
+            fail("combing_lower_bound", f"||q[e,{_word(s)}]||_1 < d for {_word(s)}")
+        # ||b(s)||_1 = 2, so ||b(s)||_E = sqrt(K(s, e)) + 2 iff Q(b(s)) =
+        # (4K(s, e) - 2K(s, s) - 2K(e, e)) / 4 equals K(s, e) = ||q[e,s]||_1,
+        # here computed by chain arithmetic; K(s, e) is read from row e,
+        # symmetry being checked on its own
+        direct = Fraction(2 * int(row_e[i]) - int(row[i]) - int(row_e[0]), 4)
+        if direct != norm:
+            fail("norm_formula",
+                 f"Q(b({_word(s)})) = {direct} but ||q[e,{_word(s)}]||_1 = {norm}")
+
     # F's distances are symmetric, so a served pair is asymmetric exactly
     # where its two entries deviate from them by different amounts
     bad = min(((min(p), max(p)) for p, dev in deviation.items()
                if deviation.get(p[::-1], 0) != dev), default=None)
-    check("kernel_symmetry", bad is None, f"K{bad} != K{bad[::-1]}" if bad else "")
-    check("kernel_nonnegative", negative is None, f"K{negative} < 0")
-
+    if bad is not None:
+        fail("kernel_symmetry", f"K{bad} != K{bad[::-1]}")
     # exact: every served row equals its re-evaluation from the slot embedding
-    pair = next(iter(deviation), None)
-    check("kernel_cnd", pair is None, f"2K{pair} is not its slot-embedding distance")
+    if deviation:
+        fail("kernel_cnd", f"2K{next(iter(deviation))} is not its slot-embedding distance")
 
-    r_cv = _largest_radius_with(b, 200)
-    try:
-        disc = kernel_cross_validate(spec, radius=r_cv, kernel=kernel)
-        check("kernel_cross_validation", disc == 0, f"discrepancy {disc}")
-    except AssertionError as exc:
-        check("kernel_cross_validation", False, str(exc))
+    for _ in range(50):
+        s = b.elements[rng.randrange(n_inner)]
+        z = b.elements[rng.randrange(n_inner)]
+        lhs = translate_chain(s, combing_chain(spec, "", z), b)
+        if lhs != combing_chain(spec, s, b.name(s + z)):
+            fail("equivariance", f"translate mismatch for s={_word(s)} z={_word(z)}")
+            break
 
-    # cocycle and norms
-    bad = None
-    for i in range(n_inner):
-        for j in range(n_inner):
-            res = check_cocycle_identity(b.elements[i], b.elements[j], b)
-            if res != 0:
-                bad = f"residual {res} at ({_word(b.elements[i])}, {_word(b.elements[j])})"
+    if spec.antisymmetrized:
+        for _ in range(50):
+            x = b.elements[rng.randrange(n_inner)]
+            y = b.elements[rng.randrange(n_inner)]
+            if (combing_chain(spec, x, y) + combing_chain(spec, y, x)).coeffs:
+                fail("antisymmetry",
+                     f"q[{_word(x)},{_word(y)}] + q[{_word(y)},{_word(x)}] != 0")
                 break
-        if bad:
-            break
-    check("cocycle_identity", bad is None, bad or "")
 
-    # ||b(s)||_1 = 2, so ||b(s)||_E = sqrt(K(s, e)) + 2 iff Q(b(s)) equals
-    # K(s, e) = ||q[e,s]||_1, here computed by chain arithmetic.  Q(b(s)) =
-    # (4K(s, e) - 2K(s, s) - 2K(e, e)) / 4 reads column 0 as row(0), symmetry
-    # being checked above, and the diagonal from the pass above
-    bad = None
-    twice_to_e = kernel.row(0).tolist()
-    for i in range(1, len(b.elements)):
-        s = b.elements[i]
-        direct = Fraction(2 * twice_to_e[i] - int(diagonal[i]) - int(diagonal[0]), 4)
-        norm = combing_chain(spec, "", s).l1_norm()
-        if direct != norm:
-            bad = f"Q(b({_word(s)})) = {direct} but ||q[e,{_word(s)}]||_1 = {norm}"
-            break
-    check("norm_formula", bad is None, bad or "")
+    try:
+        disc = kernel_cross_validate(spec, radius=_largest_radius_with(b, 200),
+                                     kernel=kernel)
+        if disc != 0:
+            fail("kernel_cross_validation", f"discrepancy {disc}")
+    except AssertionError as exc:
+        fail("kernel_cross_validation", str(exc))
 
-    outer = config.radius - inner
-    n_outer = b.size_within(outer)
-    bad = None
+    words = b.elements[:n_inner]
+    bad = next(((res, x, y) for x in words for y in words
+                if (res := check_cocycle_identity(x, y, b)) != 0), None)
+    if bad is not None:
+        res, x, y = bad
+        fail("cocycle_identity", f"residual {res} at ({_word(x)}, {_word(y)})")
+
+    n_outer = b.size_within(config.radius - inner)
     for _ in range(100):
         s = b.elements[rng.randrange(n_inner)]
         support = rng.sample(range(n_outer), k=min(4, n_outer))
@@ -460,18 +442,16 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
             continue
         res = per_vector_bound_check(s, v, kernel)
         if not res.passed:
-            bad = (f"lhs {res.lhs} > rhs {res.rhs} for s={_word(s)} "
-                   f"supp={[_word(w) for w in v.support()]}")
+            fail("per_vector_bound", f"lhs {res.lhs} > rhs {res.rhs} for s={_word(s)} "
+                                     f"supp={[_word(w) for w in v.support()]}")
             break
-    check("per_vector_bound", bad is None, bad or "")
 
     try:
         properness_report(kernel)
-        check("properness_rows", True)
     except PropernessError as exc:
-        check("properness_rows", False, str(exc))
+        fail("properness_rows", str(exc))
 
-    return results
+    return [CheckResult(name, text is None, text or "") for name, text in witness.items()]
 
 
 def cmd_verify(config: RunConfig) -> int:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 from conftest import SWAP_RULES, serve_rows
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from l1comb import GroupPresentation, ball, cli
 from l1comb.cli import main
@@ -178,6 +179,24 @@ class TestVerify:
         assert code == 1
         assert "FAIL kernel_diagonal_zero" in captured
         assert "K(5,5)" in captured
+        body = _body(out / "verify.csv")
+        rows = body[body.index("check,status,witness") + 1:]
+        assert rows == [
+            "ball_inverse_closure,pass,",
+            "ball_adjacency_involutive,pass,",
+            "boundary_identity,pass,",
+            "equivariance,pass,",
+            "combing_lower_bound,pass,",
+            "kernel_diagonal_zero,FAIL,K(5,5) != 0",
+            "kernel_symmetry,pass,",
+            "kernel_nonnegative,pass,",
+            "kernel_cnd,FAIL,2K(5, 5) is not its slot-embedding distance",
+            "kernel_cross_validation,pass,",
+            "cocycle_identity,pass,",
+            "norm_formula,FAIL,Q(b(aa)) = 3/2 but ||q[e,aa]||_1 = 2",
+            "per_vector_bound,pass,",
+            "properness_rows,pass,",
+        ]
 
     def test_norm_formula_verdict_ignores_tol(self, f2_file, tmp_path, capsys):
         # --tol governs only the quasi-tree negative-type check: the sabotaged
@@ -219,6 +238,47 @@ class TestVerify:
         assert code == 1
         assert "FAIL kernel_cnd [2K(483, 484)" in out
         assert out.count("FAIL") == 1
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data(), st.integers(-6, 6).filter(bool))
+    def test_any_corrupted_pair_fails_exact_cnd(self, f2_file, tmp_path, capsys,
+                                                data, t):
+        # F2 at radius 3 has 53 elements
+        j = data.draw(st.integers(1, 52))
+        i = data.draw(st.integers(0, j - 1))
+        build = cli.kernel_from_bicombing
+
+        def corrupted(spec):
+            kernel = build(spec)
+            value = kernel.row(i)[j] + t
+            return serve_rows(kernel, {(i, j): value, (j, i): value})
+
+        capsys.readouterr()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "kernel_from_bicombing", corrupted)
+            code = main(["verify", "--presentation", str(f2_file), "--radius", "3",
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"FAIL kernel_cnd [2K({i}, {j})" in capsys.readouterr().out
+
+    def test_each_element_chain_is_built_once(self, surface, surface_file,
+                                              tmp_path, monkeypatch):
+        # one pass over the ball builds q[e, s] once per s != e; equivariance
+        # and antisymmetry add two chains per draw, over 50 draws each
+        calls = []
+        chain = cli.combing_chain
+
+        def counted(*args):
+            calls.append(args)
+            return chain(*args)
+
+        monkeypatch.setattr(cli, "combing_chain", counted)
+        assert main(["verify", "--presentation", str(surface_file), "--radius", "2",
+                     "--out", str(tmp_path / "out")]) == 0
+        n = len(ball(surface, 2))
+        assert n == 65
+        assert len(calls) <= (n - 1) + 200
 
     def test_norm_formula_compares_with_chain_arithmetic(self, f2_file, tmp_path,
                                                          capsys, monkeypatch):
@@ -359,6 +419,23 @@ class TestActionCommand:
                      "--out", str(tmp_path / "out")]) == 2
         assert "with itself" in capsys.readouterr().err
 
+    def test_radius_zero_is_input_error(self, tmp_path, capsys, monkeypatch):
+        # the radius-0 ball holds only the identity: no orbit to give a verdict
+        pres = tmp_path / "prod.txt"
+        pres.write_text(PRODUCT)
+        act = tmp_path / "proj.txt"
+        act.write_text(PROJECTION)
+        out = tmp_path / "out"
+
+        def no_ball(*args, **kwargs):
+            raise AssertionError("the ball was built")
+
+        monkeypatch.setattr(cli, "ball", no_ball)
+        assert main(["action", "--presentation", str(pres), "--action", str(act),
+                     "--radius", "0", "--out", str(out)]) == 2
+        assert "--radius" in capsys.readouterr().err
+        assert not (out / "action.csv").exists()
+
     def test_action_without_inputs_is_input_error(self, f2_file, tmp_path):
         assert main(["action", "--presentation", str(f2_file),
                      "--out", str(tmp_path / "out")]) == 2
@@ -368,7 +445,8 @@ class TestActionCommand:
 UNSTABLE_HEADER = ("# timestamp:", "# presentation:", "# seed:")
 
 # sha256 of each CSV body (header lines other than UNSTABLE_HEADER included),
-# recorded before the word-problem engine became one rewriter
+# recorded before the word-problem engine became one rewriter; verify.csv's
+# before verify's per-element checks became one pass over the ball
 GOLDEN_DIGESTS = {
     "ball.csv":
         "deaadf37cb7c1a12ed41926a96fcb3159990b62bf285160a85233f68840ecd69",
@@ -380,6 +458,8 @@ GOLDEN_DIGESTS = {
         "830edc1069058062fb57a49dad78cef7905ae00f7010d7274d49cf9f16ff78ac",
     "action.csv":
         "acddec993731ce7f7936f873173adc2052781afafbf956659d07aa8b984e090b",
+    "verify.csv":
+        "bd0f3f8b61859829d00561587516a4df0f729b9a51b0c49f3bc1097bd7829e00",
 }
 
 
@@ -401,6 +481,7 @@ def test_csv_bodies_match_golden_digests(surface_file, tmp_path):
         ["norms", "--presentation", str(surface_file), "--radius", "2"],
         ["action", "--presentation", str(prod), "--action", str(proj),
          "--radius", "3"],
+        ["verify", "--presentation", str(surface_file), "--radius", "2"],
     ]
     out = tmp_path / "out"
     for argv in runs:
