@@ -3,15 +3,18 @@
 A tree action is presented by a homomorphism from the source group to a free
 group acting on its own Cayley tree; the orbit of the basepoint e pulls the
 tree-geodesic combing back to a displacement kernel, whose measured constant
-is 0 (the action is isometric).  Quasi-tree geometry enters only through
-user-supplied kernels checked against the sandwich d - Delta <= K <= d and
-conditional negative definiteness.
+is 0 (the action is isometric).  Its cocycle rows come from
+:func:`l1comb.espace.properness_report`, with the l1 part 2 as their lower
+bound, and the growth verdict is decided exactly on the integers 2K(s, e).
+Quasi-tree geometry enters only through user-supplied kernels checked
+against the sandwich d - Delta <= K <= d and conditional negative
+definiteness.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ._numpy import np
 from .bicombing import BicombingSpec
@@ -22,7 +25,7 @@ from .groups import (
     invert,
 )
 from .kernel import DisplacementKernel, centered_min_eigenvalue, kernel_from_bicombing
-from .espace import NormReport, cocycle_norm_rows
+from .espace import NormReport, properness_report
 
 
 class ActionError(ValueError):
@@ -146,11 +149,11 @@ def _finite(text: str, name: str, line: str) -> float:
 
 
 def parse_quasitree_csv(text: str) -> QuasiTreeKernelInput:
-    """Parse the quasi-tree kernel format: a ``delta: value`` header line, the
-    column header ``x,y,d,K``, then one pair per row.  Every unordered pair of
-    the labels appearing must be present exactly once, and no row may pair a
-    label with itself; ``d``, ``K`` and ``delta`` must be finite numbers and
-    ``delta`` nonnegative."""
+    """Parse the quasi-tree kernel format: one ``delta: value`` header line,
+    the column header ``x,y,d,K``, then one pair per row, at least one.  Every
+    unordered pair of the labels appearing must be present exactly once, and
+    no row may pair a label with itself; ``d``, ``K`` and ``delta`` must be
+    finite numbers and ``delta`` nonnegative."""
     delta = None
     rows = []
     saw_header = False
@@ -159,6 +162,8 @@ def parse_quasitree_csv(text: str) -> QuasiTreeKernelInput:
         if not line:
             continue
         if line.startswith("delta:"):
+            if delta is not None:
+                raise ActionError("delta specified twice")
             delta = _finite(line.split(":", 1)[1].strip(), "delta", line)
             if delta < 0:
                 raise ActionError(f"delta must be nonnegative, got {delta}")
@@ -177,6 +182,8 @@ def parse_quasitree_csv(text: str) -> QuasiTreeKernelInput:
         raise ActionError("missing delta: header line")
     if not saw_header:
         raise ActionError("missing x,y,d,K column header")
+    if not rows:
+        raise ActionError("no pair rows: nothing to check")
     labels: list[str] = []
     for x, y, _, _ in rows:
         for lbl in (x, y):
@@ -242,7 +249,9 @@ def validate_quasitree_kernel(data: QuasiTreeKernelInput,
             if k < 0:
                 failures.append(f"negative kernel value on ({x!r}, {y!r})")
     min_eig = float("nan")
-    if n >= 2:
+    if n < 2:
+        failures.append(f"{n} label(s): the checks need at least two")
+    else:
         min_eig = centered_min_eigenvalue(mat)
         if min_eig < -tolerance:
             failures.append(
@@ -286,24 +295,22 @@ class GrowthReport:
     sphere_maxima: dict[int, float]
 
 
-def orbit_growth_report(kernel: DisplacementKernel, radius: int | None = None,
+def orbit_growth_report(kernel: DisplacementKernel,
                         element_filter=None) -> GrowthReport:
-    """Cocycle growth along orbits: rows ||b(s)||_E = sqrt(K(s, e)) + 2, and a
-    verdict.  The largest c > 0 with max_{|s|=n} ||b(s)||_E >= sqrt(c n) + 2
-    on every scanned sphere is fitted; a positive fit reads "unbounded on
-    scanned range", otherwise "bounded on scanned range".  The verdict only
-    ever speaks about the scanned range."""
-    report = cocycle_norm_rows(kernel, radius, element_filter)
-    # orbit rows carry only the l1 part 2 as their lower bound
-    report.rows = [replace(row, lower_bound=2.0) for row in report.rows]
+    """Cocycle growth along orbits: the rows of
+    :func:`l1comb.espace.properness_report`, ||b(s)||_E = sqrt(K(s, e)) + 2,
+    and a verdict.  It reads "unbounded on scanned range" when every scanned
+    sphere holds an s with 2K(s, e) > 0, otherwise "bounded on scanned range";
+    the verdict only ever speaks about the scanned range.  The fitted
+    constant is the largest c with max_{|s|=n} ||b(s)||_E >= sqrt(c n) + 2 on
+    every scanned sphere."""
+    report = properness_report(kernel, element_filter)
     maxima = report.sphere_maxima()
-    if not maxima:
-        return GrowthReport(report, "bounded on scanned range", 0.0, {})
-    fitted = min(
-        (m - 2.0) ** 2 / r for r, m in maxima.items() if r >= 1
-    ) if any(r >= 1 for r in maxima) else 0.0
-    verdict = "unbounded on scanned range" if fitted > 1e-12 else "bounded on scanned range"
+    # norm_f = sqrt(2K(s, e) / 2) is positive exactly when the integer 2K(s, e) is
+    growing = {row.distance for row in report.rows if row.norm_f > 0}
+    verdict = "unbounded" if maxima and growing == maxima.keys() else "bounded"
+    fitted = min(((m - 2.0) ** 2 / r for r, m in maxima.items()), default=0.0)
     return GrowthReport(
-        norm_report=report, verdict=verdict, fitted_constant=fitted,
-        sphere_maxima=maxima,
+        norm_report=report, verdict=f"{verdict} on scanned range",
+        fitted_constant=fitted, sphere_maxima=maxima,
     )

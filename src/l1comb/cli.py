@@ -80,6 +80,12 @@ KIND_BY_FLAG = {
     "shortlex-anti": "shortlex_antisymmetrized",
 }
 
+# the least --radius at which each command scans more than the identity
+# ('verify' samples from the ball of half the radius); 'action --quasitree'
+# builds no ball and needs only a radius >= 0
+MIN_RADIUS = {"ball": 0, "bicombing-stats": 1, "verify": 2, "opnorm": 1, "norms": 1,
+              "action": 1}
+
 
 @dataclass
 class RunConfig:
@@ -146,6 +152,16 @@ def _word(w: str) -> str:
     return w or "e"
 
 
+def _write_norm_rows(config: RunConfig, filename: str, report, extra: dict) -> Path:
+    """The cocycle norm rows of ``norms`` and ``action``, one CSV layout."""
+    return _write_csv(
+        config, filename, ["word", "d", "norm_f", "norm_l1", "norm_E", "lower_bound"],
+        [(_word(r.word), r.distance, r.norm_f, r.norm_l1, r.norm_e, r.lower_bound)
+         for r in report.rows],
+        extra,
+    )
+
+
 # -- commands -----------------------------------------------------------------
 
 
@@ -204,20 +220,13 @@ def cmd_norms(config: RunConfig) -> int:
     spec = make_bicombing(config.bicombing_kind, b)
     kernel = kernel_from_bicombing(spec)
     report = properness_report(kernel)
-    rows = [
-        (_word(r.word), r.distance, r.norm_f, r.norm_l1, r.norm_e, r.lower_bound)
-        for r in report.rows
-    ]
-    path = _write_csv(
-        config, "norms.csv",
-        ["word", "d", "norm_f", "norm_l1", "norm_E", "lower_bound"],
-        rows, extra={"displacement_constant": kernel.displacement_constant},
-    )
+    path = _write_norm_rows(config, "norms.csv", report,
+                            {"displacement_constant": kernel.displacement_constant})
     # one row at a time, so the whole file never exists as one string
     with (config.out_dir / "kernel.csv").open("w") as fh:
         for i in range(kernel.n):
             fh.write(kernel_dump(kernel, [i]))
-    print(f"{len(rows)} cocycle norm rows -> {path}")
+    print(f"{len(report.rows)} cocycle norm rows -> {path}")
     return EXIT_OK
 
 
@@ -262,25 +271,14 @@ def cmd_action(config: RunConfig) -> int:
     if config.action_path is None:
         print("action command needs --action FILE or --quasitree FILE", file=sys.stderr)
         return EXIT_INPUT
-    if config.radius < 1:
-        raise ValueError(f"action needs --radius >= 1, got {config.radius}: the "
-                         "radius-0 ball holds only the identity, so no orbit is scanned")
     action = parse_action(config.action_path.read_text(), config.presentation)
     b = ball(config.presentation, config.radius, cap=config.cap)
     kernel = orbit_kernel(action, b)
     growth = orbit_growth_report(kernel)
-    rows = [
-        (_word(r.word), r.distance, r.norm_f, r.norm_l1, r.norm_e, r.lower_bound)
-        for r in growth.norm_report.rows
-    ]
-    path = _write_csv(
-        config, "action.csv",
-        ["word", "d", "norm_f", "norm_l1", "norm_E", "lower_bound"],
-        rows,
-        extra={"target_rank": action.target_rank,
-               "verdict": growth.verdict,
-               "fitted_constant": growth.fitted_constant},
-    )
+    path = _write_norm_rows(config, "action.csv", growth.norm_report,
+                            {"target_rank": action.target_rank,
+                             "verdict": growth.verdict,
+                             "fitted_constant": growth.fitted_constant})
     print(f"verdict: {growth.verdict} (fitted c = {growth.fitted_constant}) -> {path}")
     return EXIT_OK
 
@@ -310,9 +308,6 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
     per-element check and every kernel-structure check shares one pass over
     the ball, which reads each element's served row of 2K and builds its chain
     q[e, s] once; each check keeps its first failing witness."""
-    if config.radius < 2:
-        raise ValueError(f"verify needs --radius >= 2, got {config.radius}: below 2 "
-                         "the sampled checks would see only the identity")
     b = ball(config.presentation, config.radius, cap=config.cap)
     sabotage = config.sabotage_diagonal
     if sabotage is not None and not 0 <= sabotage < len(b):
@@ -478,7 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "finitely presented groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("ball", "bicombing-stats", "verify", "opnorm", "norms", "action"):
+    for name in MIN_RADIUS:
         p = sub.add_parser(name)
         p.add_argument("--presentation", required=True, type=Path)
         p.add_argument("--radius", type=int, default=3)
@@ -520,8 +515,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     try:
         presentation = parse_presentation(text)
-        if args.radius < 0:
-            raise PresentationError("radius must be >= 0")
+        least = 0 if getattr(args, "quasitree", None) else MIN_RADIUS[args.command]
+        if args.radius < least:
+            # checked before any ball is built, so nothing is written
+            raise PresentationError(f"{args.command} needs --radius >= {least}, "
+                                    f"got {args.radius}")
         if args.cap < 1:
             # a ball always holds the identity, so no run could meet this cap
             raise PresentationError("cap must be >= 1")

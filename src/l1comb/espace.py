@@ -14,7 +14,9 @@ enter only through square roots and the operator-norm probe.  The left translati
 representation pi(s)v(x) = v(s^-1 x) preserves ||.||_1 exactly and moves
 ||.||_f by at most the displacement excess of K; the cocycle b(s) =
 delta_s - delta_e turns pi into an affine action whose growth is governed by
-K(s, e).
+K(s, e).  :func:`properness_report` is the one reader of these cocycle rows:
+one pass over row 0 of 2K gives every ||b(s)||_E = sqrt(K(s, e)) + 2 with
+its lower bound, decided in integers.
 """
 
 from __future__ import annotations
@@ -82,9 +84,15 @@ def cocycle(s: str) -> EVector:
 
 
 def rep_apply(s: str, v: EVector, ball: CayleyBall) -> EVector:
-    """pi(s) v: support shifted left by s.  Mean zero and the l1 norm are
-    preserved exactly; coefficients are untouched."""
-    return EVector._wrap({ball.mul(s, w): c for w, c in v.coeffs.items()})
+    """pi(s) v: support shifted left by s, the coefficients of support words
+    that name one element summed and zeros dropped.  Mean zero is preserved
+    exactly; the l1 norm is preserved when the support words name distinct
+    elements."""
+    out: dict[str, Rational] = {}
+    for w, c in v.coeffs.items():
+        key = ball.mul(s, w)
+        out[key] = out.get(key, 0) + c
+    return EVector._wrap({w: c for w, c in out.items() if c})
 
 
 def check_cocycle_identity(s: str, t: str, ball: CayleyBall):
@@ -97,26 +105,16 @@ def check_cocycle_identity(s: str, t: str, ball: CayleyBall):
 # -- norms ---------------------------------------------------------------------
 
 
-def _support_indices(v: EVector, kernel: DisplacementKernel) -> list[int]:
-    idx = []
-    for w in v.coeffs:
-        j = kernel.ball.canonical_index(w)
-        if j is None or j >= kernel.n:
-            raise SupportEscapeError(f"support element {w!r} is outside the kernel ball")
-        idx.append(j)
-    return idx
-
-
 def quadratic_form(v: EVector, kernel: DisplacementKernel) -> Fraction:
     """Q(v) = -1/2 sum v(x) v(y) K(x, y), exactly; nonnegative for CND
     kernels."""
     if not v.coeffs:
         return Fraction(0)
-    idx = _support_indices(v, kernel)
+    idx = [kernel.index_of(w, SupportEscapeError) for w in v.coeffs]
     c = list(v.coeffs.values())
     # Python ints from .tolist(), so products with int or Fraction
     # coefficients stay exact
-    rows = kernel.twice_block(idx, idx).tolist()
+    rows = kernel.twice_block(idx).tolist()
     total = sum(ci * sum(cj * t for cj, t in zip(c, row)) for ci, row in zip(c, rows))
     return Fraction(-total, 4)
 
@@ -156,9 +154,9 @@ def per_vector_bound_check(s: str, v: EVector, kernel: DisplacementKernel) -> Bo
     indices of the translates that give the excess."""
     if not v.coeffs:
         return BoundCheck(Fraction(0), Fraction(0), True, Fraction(0))
-    idx = _support_indices(v, kernel)
-    trans = kernel.translate(s, idx, SupportEscapeError)
-    diff2 = kernel.twice_block(trans, trans) - kernel.twice_block(idx, idx)
+    idx = [kernel.index_of(w, SupportEscapeError) for w in v.coeffs]
+    trans = [kernel.index_of(s + w, SupportEscapeError) for w in v.coeffs]
+    diff2 = kernel.twice_block(trans) - kernel.twice_block(idx)
     excess = Fraction(np.abs(diff2).max().item(), 2)
     lhs = quadratic_form(rep_apply(s, v, kernel.ball), kernel) - quadratic_form(v, kernel)
     l1 = v.l1_norm()
@@ -200,12 +198,11 @@ def op_norm_lower_bound(s: str, kernel: DisplacementKernel, radius: int,
     n = ball.size_within(radius)
     if n < 2:
         raise ValueError("need at least two elements to span mean-zero vectors")
-    base_idx = list(range(n))
-    trans_idx = kernel.translate(s, base_idx, SupportEscapeError)
+    trans_idx = [kernel.index_of(s + x, SupportEscapeError) for x in ball.elements[:n]]
     if s == "":
         return OpNormResult(value=1.0, iterations=0, restarts=0, seed=config.seed)
-    k_base = kernel.block(base_idx, base_idx)
-    k_trans = kernel.block(trans_idx, trans_idx)
+    k_base = kernel.twice_block(range(n)) / 2.0
+    k_trans = kernel.twice_block(trans_idx) / 2.0
 
     def ratio(vec: np.ndarray) -> float:
         l1 = float(np.abs(vec).sum())
@@ -279,47 +276,32 @@ class NormReport:
         return out
 
 
-def cocycle_norm_rows(kernel: DisplacementKernel, radius: int | None = None,
-                      element_filter=None) -> NormReport:
-    """Rows (s, d(e,s), ||b(s)||_f, ||b(s)||_1, ||b(s)||_E, sqrt(d) + 2) for
-    s != e in the radius ball, with ||b(s)||_f = sqrt(K(s, e)) read directly
-    from the kernel's column 0, as row(0)."""
-    if radius is None:
-        radius = kernel.radius
+def properness_report(kernel: DisplacementKernel, element_filter=None) -> NormReport:
+    """Rows (s, d(e,s), ||b(s)||_f, ||b(s)||_1, ||b(s)||_E, lower bound) for
+    the elements s != e of the kernel's ball that pass ``element_filter``, in
+    ball order, from one read of row 0 of 2K: ||b(s)||_1 = 2 and ||b(s)||_f =
+    sqrt(K(s, e)).  For combing kernels ||q[e,s]||_1 >= d(e,s), so the lower
+    bound is sqrt(d) + 2; kernels pulled back along a homomorphism carry only
+    the l1 part 2.  The bound holds exactly when 2K(s, e) >= 2d (or >= 0),
+    which is decided in integers; a failing element raises
+    :class:`PropernessError` naming it."""
     ball = kernel.ball
-    n = min(ball.size_within(radius), kernel.n)
-    twice_to_e = kernel.row(0).tolist()
+    combing = kernel.bicombing is not None
     report = NormReport()
-    for i in range(1, n):
+    for i, twice in enumerate(kernel.row(0).tolist()):
         word = ball.elements[i]
-        if element_filter is not None and not element_filter(word):
+        if i == 0 or (element_filter is not None and not element_filter(word)):
             continue
         d = ball.distances[i]
-        nf = math.sqrt(max(twice_to_e[i] / 2.0, 0.0))
-        report.rows.append(NormRow(
-            word=word, distance=d, norm_f=nf, norm_l1=2.0, norm_e=nf + 2.0,
-            lower_bound=math.sqrt(d) + 2.0,
-        ))
-    return report
-
-
-def properness_report(kernel: DisplacementKernel,
-                      radius: int | None = None) -> NormReport:
-    """Per-element rows of :func:`cocycle_norm_rows` with the properness
-    lower bound sqrt(d) + 2.  For combing kernels ||q[e,s]||_1 >= d(e,s), so
-    every row must satisfy ||b(s)||_E >= sqrt(d) + 2, that is
-    2K(s, e) >= 2 d(e, s), which is decided in integers; a failing element
-    raises :class:`PropernessError` naming it.  Tree-action kernels carry no
-    such bound and their rows are reported unchecked."""
-    report = cocycle_norm_rows(kernel, radius)
-    if kernel.bicombing is not None:
-        twice_to_e = kernel.row(0).tolist()
-        # the rows are the elements 1, 2, ... of the ball, in order
-        for i, row in enumerate(report.rows, start=1):
-            if twice_to_e[i] < 2 * row.distance:
-                raise PropernessError(
-                    f"||b({row.word})||_E = {row.norm_e} is below the lower "
-                    f"bound {row.lower_bound}: 2K(s, e) = {twice_to_e[i]} < "
-                    f"2 d(e, s) = {2 * row.distance}"
-                )
+        nf = math.sqrt(max(twice / 2.0, 0.0))
+        row = NormRow(word=word, distance=d, norm_f=nf, norm_l1=2.0, norm_e=nf + 2.0,
+                      lower_bound=math.sqrt(d) + 2.0 if combing else 2.0)
+        floor = 2 * d if combing else 0
+        if twice < floor:
+            raise PropernessError(
+                f"||b({word})||_E = {row.norm_e} is below the lower bound "
+                f"{row.lower_bound}: 2K(s, e) = {twice} < "
+                + (f"2 d(e, s) = {floor}" if combing else "0")
+            )
+        report.rows.append(row)
     return report

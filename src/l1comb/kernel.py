@@ -18,9 +18,12 @@ shares with each row, and no n x n matrix is ever stored.  Tree actions are
 the case of a tree-geodesic combing and phi a homomorphism to a free group.
 Since every row is a row of squared distances of integer vectors, 2K is of
 negative type, and every inequality read off it is decided exactly,
-conditional negative definiteness included (:func:`served_rows`); float
-blocks are derived on demand for eigenvalue diagnostics and the
-operator-norm probe, and :func:`kernel_dump` renders 2K a row at a time.
+conditional negative definiteness included (:func:`served_rows`).  A block
+of 2K is always a principal block 2K[I, I] read through the rows
+(:meth:`DisplacementKernel.twice_block`); the eigenvalue diagnostic and the
+operator-norm probe halve it into floats themselves, and :func:`kernel_dump`
+renders 2K a row at a time.  Words reach kernel indices through
+:meth:`DisplacementKernel.index_of` alone.
 
 numpy comes from :mod:`l1comb._numpy` and is imported when the first kernel
 is built, so ``import l1comb`` and the combing layer run without it.
@@ -75,18 +78,15 @@ class DisplacementKernel:
         """Row i of 2K, exact int64, evaluated from F."""
         return self.embedding.row(i)
 
-    def twice_block(self, rows, cols) -> np.ndarray:
-        """Exact int64 block 2K[rows, cols], reading each row once."""
-        rows = list(rows)
-        cols = np.asarray(list(cols), dtype=np.intp)
-        out = np.empty((len(rows), len(cols)), dtype=np.int64)
-        for k, i in enumerate(rows):
+    def twice_block(self, indices) -> np.ndarray:
+        """Exact int64 principal block 2K[I, I] over the index list I,
+        reading each row once."""
+        indices = list(indices)
+        cols = np.asarray(indices, dtype=np.intp)
+        out = np.empty((len(indices), len(indices)), dtype=np.int64)
+        for k, i in enumerate(indices):
             out[k] = self.row(i)[cols]
         return out
-
-    def block(self, rows, cols) -> np.ndarray:
-        """Float block K[rows, cols]."""
-        return self.twice_block(rows, cols) / 2.0
 
     @functools.cached_property
     def values(self) -> np.ndarray:
@@ -97,10 +97,12 @@ class DisplacementKernel:
         out.flags.writeable = False
         return out
 
-    def index_of(self, word: str) -> int:
+    def index_of(self, word: str, error: type = OutOfBallError) -> int:
+        """Kernel index of the element ``word`` names; raises ``error`` when
+        that element is outside the kernel's ball."""
         idx = self.ball.canonical_index(word)
         if idx is None or idx >= self.n:
-            raise OutOfBallError(f"{word!r} is outside the kernel's ball")
+            raise error(f"{word!r} is outside the kernel's ball")
         return idx
 
     def value(self, i: int, j: int) -> float:
@@ -108,20 +110,6 @@ class DisplacementKernel:
 
     def exact(self, i: int, j: int) -> Fraction:
         return Fraction(self.row(i)[j].item(), 2)
-
-    def translate(self, s: str, indices, error: type = OutOfBallError) -> list[int]:
-        """Kernel indices of s x for the elements x at ``indices``; raises
-        ``error`` when a translate leaves the kernel's ball."""
-        ball = self.ball
-        out = []
-        for i in indices:
-            j = ball.canonical_index(s + ball.elements[i])
-            if j is None or j >= self.n:
-                raise error(
-                    f"translate of {ball.elements[i]!r} by {s!r} left the kernel ball"
-                )
-            out.append(j)
-        return out
 
 
 @functools.cache
@@ -296,8 +284,8 @@ def displacement_decomposition(kernel: DisplacementKernel, s: str,
             "the two-triangle decomposition needs an antisymmetric combing"
         )
     indices = list(indices)
-    trans = kernel.translate(s, indices)
-    diff2 = (kernel.twice_block(trans, trans) - kernel.twice_block(indices, indices)).tolist()
+    trans = [kernel.index_of(s + kernel.ball.elements[i]) for i in indices]
+    diff2 = (kernel.twice_block(trans) - kernel.twice_block(indices)).tolist()
     rows = []
     for a, diff2_a in zip(indices, diff2):
         for bidx, d2 in zip(indices, diff2_a):
@@ -324,15 +312,13 @@ def empirical_displacement_constant(kernel: DisplacementKernel, s_radius: int,
         raise OutOfBallError(
             f"scan split ({s_radius}, {pair_radius}) exceeds the kernel radius"
         )
-    pair_indices = list(b.indices_within(pair_radius))
-    base = kernel.twice_block(pair_indices, pair_indices)
+    pairs = b.elements[:b.size_within(pair_radius)]
+    base = kernel.twice_block(range(len(pairs)))
     best2 = 0
-    for s_idx in b.indices_within(s_radius):
-        s = b.elements[s_idx]
-        if s == "":
-            continue
-        trans = kernel.translate(s, pair_indices)
-        best2 = max(best2, int(np.abs(kernel.twice_block(trans, trans) - base).max()))
+    # element 0 is the identity, whose translates are the pairs themselves
+    for s in b.elements[1:b.size_within(s_radius)]:
+        trans = [kernel.index_of(s + x) for x in pairs]
+        best2 = max(best2, int(np.abs(kernel.twice_block(trans) - base).max()))
     return float(best2) / 2.0
 
 
@@ -366,8 +352,7 @@ def cnd_min_eigenvalue(kernel: DisplacementKernel, indices=None) -> float:
     """Centered minimum eigenvalue of the kernel on the index set."""
     if indices is None:
         indices = range(kernel.n)
-    indices = list(indices)
-    return centered_min_eigenvalue(kernel.block(indices, indices))
+    return centered_min_eigenvalue(kernel.twice_block(indices) / 2.0)
 
 
 def served_rows(kernel: DisplacementKernel):

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import serve_rows
 
 from l1comb import (
     ActionError,
@@ -11,11 +12,13 @@ from l1comb import (
     empirical_displacement_constant,
     free_reduce,
     invert,
+    PropernessError,
     op_norm_lower_bound,
     orbit_growth_report,
     orbit_kernel,
     parse_action,
     parse_quasitree_csv,
+    properness_report,
     validate_quasitree_kernel,
 )
 from l1comb.espace import OpNormConfig
@@ -104,9 +107,8 @@ class TestOrbitKernel:
         assert empirical_displacement_constant(kernel, 2, 2) == 0.0
         pairs = list(f2_ball4.indices_within(2))
         for s in ("a", "bA"):
-            trans = kernel.translate(s, pairs)
-            assert np.array_equal(kernel.twice_block(trans, trans),
-                                  kernel.twice_block(pairs, pairs))
+            trans = [kernel.index_of(s + f2_ball4.elements[i]) for i in pairs]
+            assert np.array_equal(kernel.twice_block(trans), kernel.twice_block(pairs))
             assert op_norm_lower_bound(s, kernel, 2, config).value <= 1 + 1e-9
 
 
@@ -128,6 +130,13 @@ class TestQuasiTreeValidation:
         report = validate_quasitree_kernel(_tree_kernel_input(f2_ball4, 2))
         assert report.passed
         assert report.min_eigenvalue >= -1e-9
+
+    @pytest.mark.parametrize("labels", [(), ("e",)])
+    def test_fewer_than_two_labels_fail(self, labels):
+        # nothing to check is not a pass
+        report = validate_quasitree_kernel(QuasiTreeKernelInput(labels, {}, {}))
+        assert not report.passed
+        assert "at least two" in report.failures[0]
 
     def test_upper_bound_violation_names_pair(self, f2_ball4):
         data = _tree_kernel_input(f2_ball4, 2)
@@ -191,6 +200,16 @@ class TestQuasiTreeParsing:
         with pytest.raises(ActionError, match="missing kernel row"):
             parse_quasitree_csv("delta: 0\nx,y,d,K\ne,a,1,1\ne,b,1,1\n")
 
+    def test_no_pair_rows_rejected(self):
+        # used to exit 0 with min_eigenvalue: nan
+        with pytest.raises(ActionError, match="no pair rows"):
+            parse_quasitree_csv("delta: 0\nx,y,d,K\n")
+
+    def test_repeated_delta_rejected(self):
+        # the second line used to override the first silently
+        with pytest.raises(ActionError, match="delta specified twice"):
+            parse_quasitree_csv("delta: 0\nx,y,d,K\na,b,1,1\ndelta: 5\n")
+
     def test_missing_delta_rejected(self):
         with pytest.raises(ActionError, match="delta"):
             parse_quasitree_csv("x,y,d,K\ne,a,1,1\n")
@@ -246,6 +265,28 @@ class TestGrowthReport:
         growth = orbit_growth_report(kernel, element_filter=second_factor)
         assert growth.verdict == "bounded on scanned range"
         assert all(row.norm_e == 2.0 for row in growth.norm_report.rows)
+
+    def test_orbit_rows_carry_the_l1_bound(self, f2xf2, f2xf2_ball3):
+        # sqrt(d) + 2 is a combing bound: the projection kills the second factor
+        kernel = orbit_kernel(parse_action(PROJECTION_ACTION, f2xf2), f2xf2_ball3)
+        rows = properness_report(kernel).rows
+        assert len(rows) == kernel.n - 1
+        assert all(row.lower_bound == 2.0 and row.norm_e >= row.lower_bound
+                   for row in rows)
+        assert orbit_growth_report(kernel).norm_report.rows == rows
+
+    def test_negative_orbit_row_raises(self, f2, f2_ball4):
+        kernel = orbit_kernel(parse_action(IDENTITY_ACTION, f2), f2_ball4)
+        i = kernel.index_of("ab")
+        serve_rows(kernel, {(0, i): -2})
+        with pytest.raises(PropernessError, match="ab"):
+            orbit_growth_report(kernel)
+
+    def test_one_flat_sphere_makes_the_verdict_bounded(self, f2xf2, f2xf2_ball3):
+        kernel = orbit_kernel(parse_action(PROJECTION_ACTION, f2xf2), f2xf2_ball3)
+        growth = orbit_growth_report(kernel, element_filter=lambda w: w in ("a", "cc"))
+        assert sorted(growth.sphere_maxima) == [1, 2]
+        assert growth.verdict == "bounded on scanned range"
 
     def test_full_ball_is_unbounded_through_first_factor(self, f2xf2, f2xf2_ball3):
         action = parse_action(PROJECTION_ACTION, f2xf2)

@@ -370,6 +370,30 @@ class TestExitCodes:
         assert err.startswith("Traceback") and type(exc).__name__ in err
 
 
+    @pytest.mark.parametrize("command, radius", [
+        ("ball", -1), ("bicombing-stats", 0), ("norms", 0), ("opnorm", 0),
+        ("action", 0), ("verify", 1),
+    ])
+    def test_radius_below_command_minimum_is_input_error(self, tmp_path, capsys,
+                                                         monkeypatch, command, radius):
+        # below these radii a run would report an empty scan as a result
+        pres = tmp_path / "prod.txt"
+        pres.write_text(PRODUCT)
+        act = tmp_path / "proj.txt"
+        act.write_text(PROJECTION)
+
+        def no_ball(*args, **kwargs):
+            raise AssertionError("the ball was built")
+
+        monkeypatch.setattr(cli, "ball", no_ball)
+        out = tmp_path / "out"
+        argv = [command, "--presentation", str(pres), "--radius", str(radius),
+                "--out", str(out)]
+        assert main(argv + (["--action", str(act)] if command == "action" else [])) == 2
+        assert "--radius" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestActionCommand:
     def test_projection_action_verdict(self, tmp_path):
         pres = tmp_path / "prod.txt"
@@ -435,6 +459,12 @@ class TestActionCommand:
                      "--radius", "0", "--out", str(out)]) == 2
         assert "--radius" in capsys.readouterr().err
         assert not (out / "action.csv").exists()
+
+    def test_quasitree_needs_no_ball(self, f2_file, tmp_path):
+        path = tmp_path / "good.csv"
+        path.write_text("delta: 0\nx,y,d,K\ne,a,1,1\n")
+        assert main(["action", "--presentation", str(f2_file), "--quasitree", str(path),
+                     "--radius", "0", "--out", str(tmp_path / "out")]) == 0
 
     def test_action_without_inputs_is_input_error(self, f2_file, tmp_path):
         assert main(["action", "--presentation", str(f2_file),

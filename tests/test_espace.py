@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import serve_rows
+from hypothesis import given, settings, strategies as st
 
 from l1comb import (
     EVector,
@@ -106,6 +107,27 @@ class TestRepresentation:
                 v = _random_mean_zero(rng, words)
                 st = b.mul(s, t)
                 assert rep_apply(st, v, b) == rep_apply(s, rep_apply(t, v, b), b)
+
+    def test_words_naming_one_element_are_summed(self, surface_ball4):
+        # abAB = dcDC in the surface group: the two used to overwrite each
+        # other, leaving {"aabAB": -1}, whose sum is -1
+        v = EVector({"abAB": 1, "dcDC": -1})
+        assert rep_apply("a", v, surface_ball4) == EVector()
+        w = EVector({"abAB": 2, "dcDC": 1, "a": -3})
+        assert rep_apply("a", w, surface_ball4) == EVector({"aabAB": 3, "aa": -3})
+
+    @settings(max_examples=60, deadline=None)
+    @given(coeffs=st.dictionaries(st.text("aAbBcCdD", max_size=4),
+                                  st.integers(-3, 3), min_size=1, max_size=6),
+           s=st.sampled_from(["", "a", "Bc", "abAB"]))
+    def test_translate_keeps_mean_zero_for_any_words(self, surface_ball4, coeffs, s):
+        # words need not be reduced or canonical, so several may name one element
+        coeffs[next(iter(coeffs))] -= sum(coeffs.values())
+        v = EVector(coeffs)
+        image = rep_apply(s, v, surface_ball4)
+        assert sum(image.coeffs.values()) == 0
+        assert all(image.coeffs.values())
+        assert image.l1_norm() <= v.l1_norm()
 
     def test_l1_and_mean_zero_preserved(self, f2_ball4):
         rng = random.Random(44)
@@ -244,6 +266,21 @@ class TestProperness:
         assert len(report.rows) == surface_kernel.n - 1
         for row in report.rows:
             assert row.norm_e >= row.lower_bound - 1e-9
+
+    def test_reads_row_zero_once(self, surface_kernel):
+        reads = []
+        serve = surface_kernel.row
+
+        def counted(i):
+            reads.append(i)
+            return serve(i)
+
+        surface_kernel.row = counted
+        try:
+            properness_report(surface_kernel)
+        finally:
+            del surface_kernel.row
+        assert reads == [0]
 
     def test_sphere_minima_nondecreasing(self, tree_kernel):
         minima = properness_report(tree_kernel).sphere_minima()
