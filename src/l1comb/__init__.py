@@ -4,18 +4,13 @@ finitely presented groups, certified numerically at desk scale."""
 from .groups import (
     BallCapError,
     CayleyBall,
-    DistanceRangeError,
     GroupPresentation,
     OutOfBallError,
     PresentationError,
-    WordError,
     ball,
     free_reduce,
     invert,
-    multiply,
     parse_presentation,
-    reduce_word,
-    word_distance,
 )
 from .bicombing import (
     AreaScanResult,

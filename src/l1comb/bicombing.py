@@ -9,6 +9,11 @@ embedding (``kernel.feature_embed``) is an L1Vector over (edge, slot) pairs.
 Path combings take values in {-1, 0, 1} and antisymmetrized combings in
 half-integers.  Coefficients stay int/Fraction end to end so l1 norms and
 triangle areas are exact.
+
+Vertices are named by the combing's Cayley ball alone: a path follows the
+canonical geodesic :meth:`CayleyBall.geodesic` gives, and every vertex off
+the identity's paths gets its word from :meth:`CayleyBall.name`, so the
+chains q[x, y] = x . q[e, x^-1 y] cancel exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .groups import CayleyBall, GroupPresentation, OutOfBallError, invert
+from .groups import CayleyBall, GroupPresentation, invert
 
 Edge = tuple[str, str]  # (source vertex word, lowercase generator letter)
 
@@ -138,19 +143,6 @@ class BicombingSpec:
     def antisymmetrized(self) -> bool:
         return self.kind == "shortlex_antisymmetrized"
 
-    def canonical_of(self, word: str) -> str:
-        """Canonical geodesic word of the element represented by ``word``."""
-        pres = self.presentation
-        if pres.has_geodesic_normal_forms:
-            return pres.normal(word)
-        idx = self.ball.canonical_index(word)
-        if idx is None:
-            raise OutOfBallError(
-                f"{word!r} has no canonical form inside the radius-"
-                f"{self.ball.radius} ball"
-            )
-        return self.ball.elements[idx]
-
 
 def make_bicombing(kind: str, ball: CayleyBall) -> BicombingSpec:
     return BicombingSpec(kind, ball)
@@ -169,14 +161,13 @@ def _raw_accumulate(spec: BicombingSpec, x: str, y: str,
                     acc: dict[Edge, Rational], factor: Rational) -> None:
     """Add ``factor`` times the geodesic path chain from x to y into ``acc``."""
     ball = spec.ball
-    z = spec.canonical_of(invert(x) + y)
+    z = ball.geodesic(invert(x) + y)
+    # canonical geodesics are freely reduced and their prefixes canonical,
+    # so from e each prefix of z already names its vertex
     base = x == ""
     cur = x
     for ch in z:
-        if base:
-            nxt = cur[:-1] if (cur and cur[-1] == ch.swapcase()) else cur + ch
-        else:
-            nxt = ball.name(cur + ch)
+        nxt = cur + ch if base else ball.name(cur + ch)
         if ch.islower():
             edge = (cur, ch)
             coeff = factor

@@ -26,7 +26,6 @@ from .groups import (
     DEFAULT_BALL_CAP,
     GroupPresentation,
     PresentationError,
-    WordError,
     ball,
     parse_presentation,
 )
@@ -255,6 +254,10 @@ def cmd_opnorm(config: RunConfig) -> int:
 
 
 def cmd_action(config: RunConfig) -> int:
+    if (config.action_path is None) == (config.quasitree_path is None):
+        print("action command needs exactly one of --action FILE and --quasitree FILE",
+              file=sys.stderr)
+        return EXIT_INPUT
     if config.quasitree_path is not None:
         data = parse_quasitree_csv(config.quasitree_path.read_text())
         report = validate_quasitree_kernel(data, tolerance=config.tolerance)
@@ -268,9 +271,6 @@ def cmd_action(config: RunConfig) -> int:
         for failure in report.failures:
             print(f"  {failure}")
         return EXIT_OK if report.passed else EXIT_INVARIANT
-    if config.action_path is None:
-        print("action command needs --action FILE or --quasitree FILE", file=sys.stderr)
-        return EXIT_INPUT
     action = parse_action(config.action_path.read_text(), config.presentation)
     b = ball(config.presentation, config.radius, cap=config.cap)
     kernel = orbit_kernel(action, b)
@@ -412,10 +412,7 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
                 break
 
     try:
-        disc = kernel_cross_validate(spec, radius=_largest_radius_with(b, 200),
-                                     kernel=kernel)
-        if disc != 0:
-            fail("kernel_cross_validation", f"discrepancy {disc}")
+        kernel_cross_validate(spec, radius=_largest_radius_with(b, 200), kernel=kernel)
     except AssertionError as exc:
         fail("kernel_cross_validation", str(exc))
 
@@ -545,7 +542,7 @@ def main(argv: list[str] | None = None) -> int:
     except BallCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (PresentationError, WordError, ActionError, OSError, ValueError) as exc:
+    except (PresentationError, ActionError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (PropernessError, NonCndFormError) as exc:

@@ -90,14 +90,14 @@ def rep_apply(s: str, v: EVector, ball: CayleyBall) -> EVector:
     elements."""
     out: dict[str, Rational] = {}
     for w, c in v.coeffs.items():
-        key = ball.mul(s, w)
+        key = ball.name(s + w)
         out[key] = out.get(key, 0) + c
     return EVector._wrap({w: c for w, c in out.items() if c})
 
 
 def check_cocycle_identity(s: str, t: str, ball: CayleyBall):
     """Max coefficient residual of b(st) - pi(s) b(t) - b(s); exactly 0."""
-    st = ball.mul(s, t)
+    st = ball.name(s + t)
     residual = cocycle(st) - rep_apply(s, cocycle(t), ball) - cocycle(s)
     return residual.max_abs()
 

@@ -24,21 +24,22 @@ each step shortens the word and keeps its element, and by Greendlinger's lemma
 a freely reduced word with no table left side is trivial only when it is
 empty, so the triviality oracle is exact under any order.
 
-Normal forms are canonical within a run.  In ``free`` and ``rewriting`` modes
-the reduced word itself is canonical; in ``dehn`` mode a Dehn-reduced word is
-not canonical (distinct half-relator words can represent equal elements),
-so canonical shortlex-least geodesic words are assigned during Cayley-ball
-enumeration and element identity is decided by the Dehn-algorithm triviality
-oracle.
+The Cayley ball (:class:`CayleyBall`) is the one naming authority: a word
+becomes a named element, a canonical geodesic or a distance only through a
+ball.  In ``free`` and ``rewriting`` modes the reduced word itself is
+canonical; in ``dehn`` mode a Dehn-reduced word is not canonical (``dcDC``
+and ``abAB`` are one element), so canonical shortlex-least geodesic words are
+assigned during ball enumeration, and element identity is decided by the
+Dehn-algorithm triviality oracle (:meth:`GroupPresentation.is_identity`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
-GroupElement = str  # a normal-form word; "" is the identity
-IDENTITY: GroupElement = ""
+IDENTITY = ""  # the empty word names the identity
 
 DEFAULT_BALL_CAP = 200_000
 
@@ -49,20 +50,12 @@ class PresentationError(ValueError):
     """Invalid presentation text or unsatisfied mode requirements."""
 
 
-class WordError(ValueError):
-    """A word uses letters outside the presentation's alphabet."""
-
-
 class BallCapError(RuntimeError):
     """Ball enumeration exceeded the configured element cap."""
 
 
 class OutOfBallError(LookupError):
     """An element fell outside the precomputed ball."""
-
-
-class DistanceRangeError(LookupError):
-    """Requested distance exceeds the allowed search radius."""
 
 
 def invert(word: str) -> str:
@@ -251,6 +244,10 @@ class GroupPresentation:
                 if ch not in letters:
                     raise PresentationError(f"unknown letter {ch!r} in relator {rel!r}")
 
+        if self.rewriting_rules and self.reduction_mode != "rewriting":
+            raise PresentationError(
+                f"{self.reduction_mode} mode admits no rules (only rewriting mode reads them)"
+            )
         if self.reduction_mode == "free":
             if self.relators:
                 raise PresentationError("free mode admits no relators")
@@ -290,11 +287,6 @@ class GroupPresentation:
 
     # -- word utilities ----------------------------------------------------
 
-    def check_word(self, word: str) -> None:
-        for ch in word:
-            if ch not in self._rank:
-                raise WordError(f"unknown letter {ch!r} in word {word!r}")
-
     def exponent_vector(self, word: str) -> tuple[int, ...]:
         counts = [0] * len(self.generators)
         for ch in word:
@@ -316,24 +308,11 @@ class GroupPresentation:
     def is_identity(self, word: str) -> bool:
         return self.normal(word) == ""
 
-    def elements_equal(self, u: str, v: str) -> bool:
-        return self.is_identity(invert(u) + v)
-
     @property
     def has_geodesic_normal_forms(self) -> bool:
         # shortlex-decreasing confluent systems produce shortlex-least
         # representatives, which are geodesic; free reduction likewise
         return self.reduction_mode in ("free", "rewriting")
-
-
-def reduce_word(word: str, presentation: GroupPresentation) -> GroupElement:
-    """Canonical-in-mode reduction of an arbitrary word over the alphabet."""
-    presentation.check_word(word)
-    return presentation.normal(word)
-
-
-def multiply(x: GroupElement, y: GroupElement, presentation: GroupPresentation) -> GroupElement:
-    return reduce_word(x + y, presentation)
 
 
 # -- presentation files ----------------------------------------------------
@@ -396,17 +375,20 @@ class CayleyBall:
     """Ball of a Cayley graph, enumerated breadth-first.
 
     ``elements`` are canonical normal-form words sorted by (length,
-    generator-order lexicographic); element 0 is the identity.  ``adjacency``
-    maps each element index and alphabet letter to the index of the product
-    when it stays inside the ball.  The ball is the canonical-naming authority
-    for its presentation, and :meth:`_resolve` is its one element lookup:
-    :meth:`canonical_index` finds a word's element in the ball, and
-    :meth:`name` returns a run-stable word for any product, falling back to
-    an oracle-checked overflow registry outside the ball, so chain
-    arithmetic stays exact.  Where normal forms are canonical (free and
-    rewriting modes) the lookup is the normal form alone; in dehn mode the
-    triviality oracle scans the normal form's bucket (its exponent vector
-    when every relator has exponent sum zero, else one shared bucket).
+    generator-order lexicographic); element 0 is the identity, and
+    ``distances`` holds each element's word length.  ``adjacency`` maps each
+    element index and alphabet letter to the index of the product when it
+    stays inside the ball.  The ball is the one naming authority for its
+    presentation: a word becomes a named element, or a distance, only here,
+    and :meth:`_resolve` is its one element lookup.  :meth:`canonical_index`
+    finds a word's element in the ball, :meth:`geodesic` returns the
+    canonical geodesic word a combing follows, and :meth:`name` returns a
+    run-stable word for any product, falling back to an oracle-checked
+    overflow registry outside the ball, so chain arithmetic stays exact.
+    Where normal forms are canonical (free and rewriting modes) the lookup
+    is the normal form alone; in dehn mode the triviality oracle scans the
+    normal form's bucket (its exponent vector when every relator has
+    exponent sum zero, else one shared bucket).
     """
 
     def __init__(self, presentation: GroupPresentation, radius: int):
@@ -466,6 +448,18 @@ class CayleyBall:
         """Index of the element represented by ``word``, or None if outside."""
         return self.index.get(self._resolve(word))
 
+    def geodesic(self, word: str) -> str:
+        """Canonical geodesic word of the element ``word`` represents: a ball
+        element, or any normal form where normal forms are geodesic; raises
+        :class:`OutOfBallError` otherwise.  Like :meth:`canonical_index`, it
+        never reads or extends the overflow registry."""
+        w = self._resolve(word)
+        if w in self.index or self.presentation.has_geodesic_normal_forms:
+            return w
+        raise OutOfBallError(
+            f"{word!r} has no canonical form inside the radius-{self.radius} ball"
+        )
+
     def name(self, word: str) -> str:
         """Run-stable canonical name, valid beyond the ball via the registry."""
         out = self._name_cache.get(word)
@@ -473,16 +467,15 @@ class CayleyBall:
             out = self._name_cache[word] = self._resolve(word, self._registry)
         return out
 
-    def mul(self, x: str, y: str) -> str:
-        return self.name(x + y)
-
     # structure -------------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.elements)
 
-    @property
+    @functools.cached_property
     def sphere_offsets(self) -> list[int]:
+        """``sphere_offsets[r]``: the number of elements at distance < r, for
+        r = 0..radius + 1; computed once, after enumeration."""
         offsets = [0] * (self.radius + 2)
         for d in self.distances:
             offsets[d + 1] += 1
@@ -510,79 +503,42 @@ def ball(presentation: GroupPresentation, radius: int,
 
     Layers are exact word-metric spheres; canonical words are shortlex-least
     geodesics (in dehn mode they are assigned here via the triviality oracle).
-    Raises :class:`BallCapError` when the element count would exceed ``cap``.
+    One loop walks layers 0..radius and resolves each (element, letter) pair
+    whose edge is not yet recorded: the edge is then recorded both ways, a
+    product not yet in the ball becomes a new element below the radius, and
+    is dropped at the radius.  Raises :class:`BallCapError` when the element
+    count would exceed ``cap``.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    pres = presentation
-    b = CayleyBall(pres, radius)
-    alphabet = pres.alphabet
-
-    def record(i: int, letter: str, j: int) -> None:
-        b.adjacency[i][letter] = j
-        b.adjacency[j][letter.swapcase()] = i
-
+    b = CayleyBall(presentation, radius)
     layer = [0]
-    for n in range(radius):
+    for n in range(radius + 1):
         next_layer: list[int] = []
         for i in layer:
             w = b.elements[i]
-            for letter in alphabet:
-                if w and w[-1] == letter.swapcase():
-                    record(i, letter, b.index[w[:-1]])
+            adj = b.adjacency[i]
+            for letter in presentation.alphabet:
+                if letter in adj:
                     continue
-                cand = w + letter
-                nf = b._resolve(cand)
+                nf = b._resolve(w + letter)
                 j = b.index.get(nf)
                 if j is None:
+                    if n == radius:
+                        continue
                     # a candidate that reduces is a shorter element, which
                     # an earlier layer holds; missing it here is a bug
                     if len(nf) != n + 1:
                         raise AssertionError(
-                            f"normal form {nf!r} of {cand!r} skipped a BFS layer"
+                            f"normal form {nf!r} of {w + letter!r} skipped a BFS layer"
+                        )
+                    if len(b.elements) >= cap:
+                        raise BallCapError(
+                            f"ball exceeded the {cap}-element cap at radius {n + 1}"
                         )
                     j = b._add_element(nf, n + 1)
                     next_layer.append(j)
-                record(i, letter, j)
-                if len(b.elements) > cap:
-                    raise BallCapError(
-                        f"ball exceeded the {cap}-element cap at radius {n + 1}"
-                    )
+                adj[letter] = j
+                b.adjacency[j][letter.swapcase()] = i
         layer = next_layer
-    # outermost layer: record edges that stay inside the ball
-    for i in layer:
-        w = b.elements[i]
-        for letter in alphabet:
-            if letter in b.adjacency[i]:
-                continue
-            j = b.canonical_index(w + letter)
-            if j is not None:
-                record(i, letter, j)
     return b
-
-
-def word_distance(x: str, y: str, presentation: GroupPresentation, r_max: int,
-                  cayley_ball: CayleyBall | None = None) -> int:
-    """Word-metric distance d(x, y), exact up to ``r_max``.
-
-    Free and rewriting modes read the geodesic normal-form length; dehn mode
-    locates x^-1 y in a ball (built on demand when none is supplied).
-    """
-    presentation.check_word(x)
-    presentation.check_word(y)
-    z = invert(x) + y
-    if presentation.has_geodesic_normal_forms:
-        d = len(presentation.normal(z))
-        if d > r_max:
-            raise DistanceRangeError(f"d({x!r},{y!r}) = {d} exceeds r_max = {r_max}")
-        return d
-    b = cayley_ball
-    if b is None or b.radius < r_max:
-        b = ball(presentation, r_max)
-    idx = b.canonical_index(z)
-    if idx is None:
-        raise DistanceRangeError(f"d({x!r},{y!r}) exceeds r_max = {r_max}")
-    d = b.distances[idx]
-    if d > r_max:
-        raise DistanceRangeError(f"d({x!r},{y!r}) = {d} exceeds r_max = {r_max}")
-    return d

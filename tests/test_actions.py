@@ -66,7 +66,7 @@ class TestParseAction:
         for _ in range(40):
             s = words[rng.randrange(len(words))]
             t = words[rng.randrange(len(words))]
-            st = f2xf2_ball3.mul(s, t)
+            st = f2xf2_ball3.name(s + t)
             assert action.apply(st) == free_reduce(action.apply(s) + action.apply(t))
 
 

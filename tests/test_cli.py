@@ -11,6 +11,7 @@ from conftest import SWAP_RULES, serve_rows
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from l1comb import GroupPresentation, ball, cli
+from l1comb import kernel as kernel_module
 from l1comb.cli import main
 from l1comb.espace import NonCndFormError, PropernessError
 from l1comb.groups import OutOfBallError
@@ -308,6 +309,31 @@ class TestVerify:
         assert code == 1
         assert "FAIL kernel_symmetry [K(3, 7) != K(7, 3)]" in capsys.readouterr().out
 
+    def test_swapped_chains_fail_only_cross_validation(self, f2_file, tmp_path,
+                                                        capsys, monkeypatch):
+        # a kernel built from the chains of b and B swapped (ball indices 3
+        # and 4) is still a consistent slot embedding with the right norms,
+        # so only the comparison with chain arithmetic can see it
+        build = cli.kernel_from_bicombing
+        chain = kernel_module.combing_chain
+        swap = {"b": "B", "B": "b"}
+
+        def swapped(spec):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernel_module, "combing_chain",
+                           lambda spec, x, y: chain(spec, x, swap.get(y, y)))
+                return build(spec)
+
+        monkeypatch.setattr(cli, "kernel_from_bicombing", swapped)
+        code = main(["verify", "--presentation", str(f2_file), "--radius", "3",
+                     "--out", str(tmp_path / "out")])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.count("PASS") == 13
+        assert out.count("FAIL") == 1
+        assert ("FAIL kernel_cross_validation "
+                "[cross-validation discrepancy 2 is not 0]") in out
+
     @pytest.mark.parametrize("index", ["99999", "-1"])
     def test_sabotage_index_out_of_range_is_input_error(self, f2_file, tmp_path,
                                                         capsys, index):
@@ -469,6 +495,19 @@ class TestActionCommand:
     def test_action_without_inputs_is_input_error(self, f2_file, tmp_path):
         assert main(["action", "--presentation", str(f2_file),
                      "--out", str(tmp_path / "out")]) == 2
+
+    def test_action_with_quasitree_is_input_error(self, f2_file, tmp_path, capsys):
+        # next to --quasitree an --action file would go unread, valid or not
+        act = tmp_path / "bad.txt"
+        act.write_text("target_rank: 1\na -> a\nb -> zz\n")
+        path = tmp_path / "good.csv"
+        path.write_text("delta: 0\nx,y,d,K\ne,a,1,1\n")
+        out = tmp_path / "out"
+        assert main(["action", "--presentation", str(f2_file), "--action", str(act),
+                     "--quasitree", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--action" in err and "--quasitree" in err
+        assert not out.exists()
 
 
 # run-dependent header lines, left out of every body comparison

@@ -105,7 +105,7 @@ class TestRepresentation:
                 s = b.elements[rng.randrange(inner)]
                 t = b.elements[rng.randrange(inner)]
                 v = _random_mean_zero(rng, words)
-                st = b.mul(s, t)
+                st = b.name(s + t)
                 assert rep_apply(st, v, b) == rep_apply(s, rep_apply(t, v, b), b)
 
     def test_words_naming_one_element_are_summed(self, surface_ball4):

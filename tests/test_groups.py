@@ -6,16 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from l1comb import (
     BallCapError,
-    DistanceRangeError,
+    CayleyBall,
     GroupPresentation,
     PresentationError,
     ball,
+    cli,
     free_reduce,
     invert,
-    multiply,
     parse_presentation,
-    reduce_word,
-    word_distance,
 )
 
 F2_TEXT = """\
@@ -124,6 +122,24 @@ class TestParsing:
         assert pres.normal("ca") == "ac"
         assert pres.normal("acAC") == ""
 
+    @pytest.mark.parametrize("mode, gens, relators", [
+        ("free", "a b", "(none)"),
+        ("dehn", "a b c d", "abABcdCD"),
+    ], ids=["free", "dehn"])
+    def test_rules_outside_rewriting_rejected(self, tmp_path, capsys,
+                                              mode, gens, relators):
+        # only rewriting mode reads rules; elsewhere they are refused, not ignored
+        text = (f"generators: {gens}\nrelators: {relators}\nmode: {mode}\n"
+                "rules:\nab -> ba\n")
+        with pytest.raises(PresentationError, match=f"{mode} mode admits no rules"):
+            parse_presentation(text)
+        path = tmp_path / "pres.txt"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["ball", "--presentation", str(path), "--out", str(out)]) == 2
+        assert "admits no rules" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_section_rejected(self):
         with pytest.raises(PresentationError):
             parse_presentation("junk: a\nmode: free\n")
@@ -135,22 +151,23 @@ class TestParsing:
 
 class TestReduction:
     def test_free_cancellation(self, f2):
-        assert reduce_word("aA", f2) == ""
-        assert reduce_word("ab", f2) == "ab"
-        assert reduce_word("abBA", f2) == ""
+        assert f2.normal("aA") == ""
+        assert f2.normal("ab") == "ab"
+        assert f2.normal("abBA") == ""
 
     def test_dehn_kills_relator(self, surface):
-        assert reduce_word("abABcdCD", surface) == ""
+        assert surface.normal("abABcdCD") == ""
 
     def test_dehn_reduces_long_subword(self, surface):
         # a 5-letter relator prefix contracts to the 3-letter complement
         assert surface.normal("abABc") == "dcD"
 
-    def test_multiply(self, f2, surface):
-        assert multiply("a", "A", f2) == ""
-        assert multiply("ab", "Ba", f2) == "aa"
+    def test_multiply(self, f2_ball4, surface, surface_ball4):
+        # products are named by the ball: name(x + y)
+        assert f2_ball4.name("a" + "A") == ""
+        assert f2_ball4.name("ab" + "Ba") == "aa"
         for x in ("", "a", "abc", "dcD"):
-            assert multiply(x, "", surface) == surface.normal(x)
+            assert surface_ball4.name(x + "") == surface.normal(x)
 
     def test_invert(self):
         assert invert("ab") == "BA"
@@ -162,8 +179,8 @@ class TestReduction:
             assert invert(invert(w)) == w
 
     def test_equal_elements_identified_across_half_relator(self, surface):
-        assert surface.elements_equal("abAB", "dcDC")
-        assert not surface.elements_equal("abAB", "abab")
+        assert surface.is_identity(invert("abAB") + "dcDC")
+        assert not surface.is_identity(invert("abAB") + "abab")
 
 
 class TestBalls:
@@ -221,6 +238,24 @@ class TestBalls:
         # direct product of two rank-2 free groups: S(n) = sum s(i) s(n-i)
         assert f2xf2_ball3.sphere_sizes() == [1, 8, 40, 168]
 
+    def test_each_edge_is_resolved_once(self, f2xf2, monkeypatch):
+        # one loop over layers 0..radius never resolves a pair (element,
+        # letter) whose edge is already recorded: each edge inside the ball
+        # is resolved from one end, each pair leaving it once
+        resolved = []
+        resolve = CayleyBall._resolve
+
+        def counted(b, word, registry=None):
+            assert word[-1] not in b.adjacency[b.index[word[:-1]]]
+            resolved.append(word)
+            return resolve(b, word, registry)
+
+        monkeypatch.setattr(CayleyBall, "_resolve", counted)
+        b = ball(f2xf2, 4)
+        inside = sum(map(len, b.adjacency))
+        outside = len(b) * len(f2xf2.alphabet) - inside
+        assert len(resolved) == inside // 2 + outside == 5512
+
     def test_ball_cap_enforced(self, f2):
         with pytest.raises(BallCapError):
             ball(f2, 5, cap=100)
@@ -245,21 +280,26 @@ class TestBalls:
                 if not ok:
                     continue
                 checked += 1
-                assert b.canonical_index(reduce_word(w, b.presentation)) == idx
+                assert b.canonical_index(b.presentation.normal(w)) == idx
+
+
+def _distance(b, x, y):
+    """Word distance d(x, y) read off the ball; None beyond its radius."""
+    idx = b.canonical_index(invert(x) + y)
+    return None if idx is None else b.distances[idx]
 
 
 class TestWordDistance:
-    def test_free_distances(self, f2):
-        assert word_distance("", "abab", f2, 6) == 4
-        assert word_distance("a", "b", f2, 6) == 2
+    def test_free_distances(self, f2_ball4):
+        assert _distance(f2_ball4, "", "abab") == 4
+        assert _distance(f2_ball4, "a", "b") == 2
 
     def test_out_of_range(self, f2):
-        with pytest.raises(DistanceRangeError):
-            word_distance("", "abab", f2, 3)
+        assert _distance(ball(f2, 3), "", "abab") is None
 
-    def test_surface_relator_prefix_distance(self, surface, surface_ball4):
+    def test_surface_relator_prefix_distance(self, surface_ball4):
         # the relator has length 8, so its length-4 prefix admits no shortcut
-        assert word_distance("", "abAB", surface, 4, surface_ball4) == 4
+        assert _distance(surface_ball4, "", "abAB") == 4
 
     def test_triangle_inequality_free(self, f2):
         b = ball(f2, 3)
@@ -352,7 +392,7 @@ class TestLookupProperties:
             v = data.draw(padded_words(pres, LOOKUP_RADIUS))
         i, j = b.canonical_index(u), b.canonical_index(v)
         assert i is not None and j is not None
-        assert pres.elements_equal(u, v) == (i == j)
+        assert pres.is_identity(invert(u) + v) == (i == j)
 
     @settings(max_examples=10, deadline=None)
     @given(st.sampled_from(PRESENTATIONS), st.integers(0, LOOKUP_RADIUS - 1))
