@@ -14,7 +14,7 @@ definiteness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ._numpy import np
 from .bicombing import BicombingSpec
@@ -32,17 +32,16 @@ class ActionError(ValueError):
     """Invalid action description (not a homomorphism, bad letters...)."""
 
 
-@dataclass(frozen=True)
 class TreeActionSpec:
     """Homomorphism to a free group, acting on that group's Cayley tree with
     basepoint e.  Validated so that every source relator maps to a word that
     freely reduces to the identity."""
 
-    presentation: GroupPresentation
-    target_rank: int
-    images: dict[str, str] = field(hash=False)
-
-    def __post_init__(self):
+    def __init__(self, presentation: GroupPresentation, target_rank: int,
+                 images: dict[str, str]):
+        self.presentation = presentation
+        self.target_rank = target_rank
+        self.images = images
         if self.target_rank < 1:
             raise ActionError("target rank must be >= 1")
         target_letters = set(_target_alphabet(self.target_rank))
@@ -129,14 +128,13 @@ def orbit_kernel(action: TreeActionSpec, ball: CayleyBall) -> DisplacementKernel
 # -- quasi-tree kernel inputs ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuasiTreeKernelInput:
+class QuasiTreeKernelInput(NamedTuple):
     """Pairwise kernel data on labeled elements with a declared displacement
     constant, to be checked against d - delta <= K <= d."""
 
     labels: tuple[str, ...]
-    distances: dict[tuple[str, str], float] = field(hash=False)
-    kernel_values: dict[tuple[str, str], float] = field(hash=False)
+    distances: dict[tuple[str, str], float]
+    kernel_values: dict[tuple[str, str], float]
     delta: float = 0.0
 
 
@@ -184,11 +182,8 @@ def parse_quasitree_csv(text: str) -> QuasiTreeKernelInput:
         raise ActionError("missing x,y,d,K column header")
     if not rows:
         raise ActionError("no pair rows: nothing to check")
-    labels: list[str] = []
-    for x, y, _, _ in rows:
-        for lbl in (x, y):
-            if lbl not in labels:
-                labels.append(lbl)
+    # labels in order of first appearance
+    labels = tuple(dict.fromkeys(lbl for x, y, _, _ in rows for lbl in (x, y)))
     distances: dict[tuple[str, str], float] = {}
     kernel_values: dict[tuple[str, str], float] = {}
     for x, y, d, k in rows:
@@ -203,13 +198,12 @@ def parse_quasitree_csv(text: str) -> QuasiTreeKernelInput:
             if key not in kernel_values:
                 raise ActionError(f"missing kernel row for pair ({x!r}, {y!r})")
     return QuasiTreeKernelInput(
-        labels=tuple(labels), distances=distances, kernel_values=kernel_values,
+        labels=labels, distances=distances, kernel_values=kernel_values,
         delta=delta,
     )
 
 
-@dataclass
-class QuasiTreeReport:
+class QuasiTreeReport(NamedTuple):
     passed: bool
     failures: list[str]
     min_eigenvalue: float
@@ -287,8 +281,7 @@ def validate_quasitree_kernel(data: QuasiTreeKernelInput,
 # -- orbit growth -----------------------------------------------------------------
 
 
-@dataclass
-class GrowthReport:
+class GrowthReport(NamedTuple):
     norm_report: NormReport
     verdict: str
     fitted_constant: float

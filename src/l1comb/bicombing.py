@@ -19,9 +19,9 @@ chains q[x, y] = x . q[e, x^-1 y] cancel exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+from typing import NamedTuple
 
 from .groups import CayleyBall, GroupPresentation, invert
 
@@ -115,7 +115,6 @@ def chain_dump(chain: Chain1) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
 class BicombingSpec:
     """A pluggable combing bound to a presentation and a working ball.
 
@@ -125,10 +124,9 @@ class BicombingSpec:
     ``shortlex_antisymmetrized`` averages q[x,y] against -q[y,x].
     """
 
-    kind: str
-    ball: CayleyBall
-
-    def __post_init__(self):
+    def __init__(self, kind: str, ball: CayleyBall):
+        self.kind = kind
+        self.ball = ball
         if self.kind not in KINDS:
             raise ValueError(f"unknown bicombing kind {self.kind!r}")
         mode = self.presentation.reduction_mode
@@ -220,8 +218,7 @@ def area(spec: BicombingSpec, x: str, y: str, z: str) -> Rational:
     return sum(abs(c) for c in acc.values())
 
 
-@dataclass(frozen=True)
-class TriplePolicy:
+class TriplePolicy(NamedTuple):
     """Triple-scan policy: exhaustive below ``exhaustive_limit`` triples
     (ordered triples modulo cyclic rotation, degenerates included), seeded
     uniform sampling above."""
@@ -231,8 +228,7 @@ class TriplePolicy:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class AreaScanResult:
+class AreaScanResult(NamedTuple):
     value: Rational
     witness: tuple[str, str, str]
     triples_scanned: int
@@ -280,8 +276,7 @@ def empirical_area_constant(spec: BicombingSpec, radius: int | None = None,
     )
 
 
-@dataclass(frozen=True)
-class QuasiGeodesicConstants:
+class QuasiGeodesicConstants(NamedTuple):
     lambda_emp: Fraction
     c_emp: Fraction
     pairs_scanned: int

@@ -15,10 +15,10 @@ import argparse
 import math
 import random
 import sys
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
+import time
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from ._numpy import np
 from .groups import (
@@ -86,8 +86,7 @@ MIN_RADIUS = {"ball": 0, "bicombing-stats": 1, "verify": 2, "opnorm": 1, "norms"
               "action": 1}
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     presentation_path: Path
     radius: int
@@ -99,7 +98,7 @@ class RunConfig:
     action_path: Path | None = None
     quasitree_path: Path | None = None
     sabotage_diagonal: int | None = None
-    presentation: GroupPresentation = field(default=None, repr=False)
+    presentation: GroupPresentation | None = None
 
 
 def _resolve_kind(flag: str, presentation: GroupPresentation) -> str:
@@ -140,7 +139,7 @@ def _write_csv(config: RunConfig, filename: str, columns: list[str],
     with path.open("w") as fh:
         for key, value in header.items():
             fh.write(f"# {key}: {value}\n")
-        fh.write(f"# timestamp: {datetime.now(timezone.utc).isoformat()}\n")
+        fh.write(f"# timestamp: {time.strftime('%Y-%m-%dT%H:%M:%S+00:00', time.gmtime())}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -286,8 +285,7 @@ def cmd_action(config: RunConfig) -> int:
 # -- the verify suite -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     witness: str = ""

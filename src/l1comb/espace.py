@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
+from typing import NamedTuple
 
 from ._numpy import np
 from .bicombing import L1Vector
@@ -136,8 +136,7 @@ def norm_e(v: EVector, kernel: DisplacementKernel) -> float:
 # -- the per-vector inequality ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     lhs: Fraction
     rhs: Fraction
     passed: bool
@@ -174,15 +173,13 @@ def uniform_bound(displacement_constant: float) -> float:
 # -- operator norm probing -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OpNormConfig:
+class OpNormConfig(NamedTuple):
     restarts: int = 32
     iterations: int = 500
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class OpNormResult:
+class OpNormResult(NamedTuple):
     value: float
     iterations: int
     restarts: int
@@ -245,8 +242,7 @@ class PropernessError(AssertionError):
     """A cocycle norm row fell below its properness lower bound."""
 
 
-@dataclass(frozen=True)
-class NormRow:
+class NormRow(NamedTuple):
     word: str
     distance: int
     norm_f: float
@@ -255,9 +251,8 @@ class NormRow:
     lower_bound: float
 
 
-@dataclass
-class NormReport:
-    rows: list[NormRow] = field(default_factory=list)
+class NormReport(NamedTuple):
+    rows: list[NormRow]
 
     def sphere_minima(self) -> dict[int, float]:
         out: dict[int, float] = {}
@@ -287,7 +282,7 @@ def properness_report(kernel: DisplacementKernel, element_filter=None) -> NormRe
     :class:`PropernessError` naming it."""
     ball = kernel.ball
     combing = kernel.bicombing is not None
-    report = NormReport()
+    report = NormReport([])
     for i, twice in enumerate(kernel.row(0).tolist()):
         word = ball.elements[i]
         if i == 0 or (element_filter is not None and not element_filter(word)):

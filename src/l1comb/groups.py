@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 
 IDENTITY = ""  # the empty word names the identity
 
@@ -205,22 +204,16 @@ def _check_local_confluence(rules: tuple[tuple[str, str], ...], nf) -> None:
                 )
 
 
-@dataclass(frozen=True)
 class GroupPresentation:
     """A validated presentation with mode-specific reduction machinery."""
 
-    generators: tuple[str, ...]
-    relators: tuple[str, ...] = ()
-    reduction_mode: str = "free"
-    rewriting_rules: tuple[tuple[str, str], ...] = ()
-
-    alphabet: str = field(init=False, repr=False, compare=False, default="")
-    _rank: dict = field(init=False, repr=False, compare=False, default=None)
-    _table: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _lens: tuple = field(init=False, repr=False, compare=False, default=())
-    _abelian_zero: bool = field(init=False, repr=False, compare=False, default=False)
-
-    def __post_init__(self):
+    def __init__(self, generators: tuple[str, ...], relators: tuple[str, ...] = (),
+                 reduction_mode: str = "free",
+                 rewriting_rules: tuple[tuple[str, str], ...] = ()):
+        self.generators = generators
+        self.relators = relators
+        self.reduction_mode = reduction_mode
+        self.rewriting_rules = rewriting_rules
         gens = self.generators
         if not gens:
             raise PresentationError("at least one generator is required")
@@ -233,8 +226,8 @@ class GroupPresentation:
             dup = next(g for g in gens if gens.count(g) > 1)
             raise PresentationError(f"duplicate generator {dup!r}")
         alphabet = "".join(g + g.upper() for g in gens)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "_rank", {ch: i for i, ch in enumerate(alphabet)})
+        self.alphabet = alphabet
+        self._rank = {ch: i for i, ch in enumerate(alphabet)}
 
         if self.reduction_mode not in MODES:
             raise PresentationError(f"unknown mode {self.reduction_mode!r}")
@@ -251,9 +244,10 @@ class GroupPresentation:
         if self.reduction_mode == "free":
             if self.relators:
                 raise PresentationError("free mode admits no relators")
+            self._table = {}
         elif self.reduction_mode == "dehn":
             _check_small_cancellation(self.relators)
-            object.__setattr__(self, "_table", _build_dehn_table(self.relators))
+            self._table = _build_dehn_table(self.relators)
         else:
             for lhs, rhs in self.rewriting_rules:
                 for ch in lhs + rhs:
@@ -268,10 +262,8 @@ class GroupPresentation:
             cancel = [(p, "") for g in gens for p in (g + g.upper(), g.upper() + g)]
             rules = tuple(dict.fromkeys([*self.rewriting_rules, *cancel]))
             _check_rule_orientation(rules, self._rank)
-            object.__setattr__(self, "_table", dict(rules))
-        object.__setattr__(
-            self, "_lens", tuple(sorted({len(k) for k in self._table}, reverse=True))
-        )
+            self._table = dict(rules)
+        self._lens = tuple(sorted({len(k) for k in self._table}, reverse=True))
         if self.reduction_mode == "rewriting":
             _check_local_confluence(rules, self.normal)
         for rel in self.relators:
@@ -280,9 +272,8 @@ class GroupPresentation:
                     f"relator {rel!r} does not rewrite to the identity"
                 )
 
-        object.__setattr__(
-            self, "_abelian_zero",
-            all(all(v == 0 for v in self.exponent_vector(r)) for r in self.relators),
+        self._abelian_zero = all(
+            all(v == 0 for v in self.exponent_vector(r)) for r in self.relators
         )
 
     # -- word utilities ----------------------------------------------------

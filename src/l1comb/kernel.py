@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+from typing import NamedTuple
 
 from ._numpy import np
 from .bicombing import BicombingSpec, Chain1, Edge, L1Vector, area, combing_chain
@@ -46,7 +46,6 @@ class NonIntegralChainError(ValueError):
     """The slot embedding is defined on integer chains only."""
 
 
-@dataclass
 class DisplacementKernel:
     """Symmetric kernel over (a radius prefix of) a Cayley ball, stored as the
     slot embedding F of its doubled chains alone.
@@ -60,11 +59,14 @@ class DisplacementKernel:
     bound for the scan split of the build.
     """
 
-    ball: CayleyBall
-    embedding: SlotEmbedding
-    displacement_constant: float
-    radius: int
-    bicombing: BicombingSpec | None = None
+    def __init__(self, ball: CayleyBall, embedding: SlotEmbedding,
+                 displacement_constant: float, radius: int,
+                 bicombing: BicombingSpec | None = None):
+        self.ball = ball
+        self.embedding = embedding
+        self.displacement_constant = displacement_constant
+        self.radius = radius
+        self.bicombing = bicombing
 
     # no matrix is stored; the benchmark tracer (perfbench/tracer.py) reads
     # this name until its kernel.matrix_bytes upkeep (ROADMAP direction 7)
@@ -253,8 +255,7 @@ def kernel_from_bicombing(spec: BicombingSpec, radius: int | None = None,
 # -- displacement ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecompositionRow:
+class DecompositionRow(NamedTuple):
     x: str
     y: str
     excess: Fraction

@@ -196,6 +196,11 @@ class TestQuasiTreeParsing:
         assert data.labels == ("e", "a", "b")
         assert data.kernel_values[("a", "e")] == 0.75
 
+    def test_labels_keep_first_appearance_order(self):
+        # neither sorted nor column order: y of one row precedes x of a later one
+        text = "delta: 0\nx,y,d,K\nb,e,1,1\nc,e,2,2\nb,a,2,2\nc,a,1,1\nb,c,1,1\na,e,1,1\n"
+        assert parse_quasitree_csv(text).labels == ("b", "e", "c", "a")
+
     def test_missing_pair_rejected(self):
         with pytest.raises(ActionError, match="missing kernel row"):
             parse_quasitree_csv("delta: 0\nx,y,d,K\ne,a,1,1\ne,b,1,1\n")

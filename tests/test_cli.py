@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -152,6 +153,13 @@ class TestNormsAndOpnorm:
         # header paths differ; compare everything from the column header on
         assert first[first.index("word,d,norm_f,norm_l1,norm_E,lower_bound"):] == \
             second[second.index("word,d,norm_f,norm_l1,norm_E,lower_bound"):]
+        # the one line left out above is still an ISO-8601 UTC instant
+        for out in (out1, out2):
+            stamps = [line for line in (out / "norms.csv").read_text().splitlines()
+                      if line.startswith("# timestamp: ")]
+            assert len(stamps) == 1
+            assert re.fullmatch(r"# timestamp: \d{4}-\d\d-\d\dT\d\d:\d\d:\d\d"
+                                r"(\.\d+)?(\+00:00|Z)", stamps[0]), stamps[0]
 
 
 class TestVerify:

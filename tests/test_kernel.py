@@ -432,6 +432,8 @@ def test_slot_embedding_rows_match_the_matrix(tree_kernel, surface_kernel):
 
 F2_ACTION = ["action", "--presentation", "prod.txt", "--action", "proj.txt",
              "--radius", "2"]
+SURFACE_COMBING = [["ball", "--presentation", "surface.txt", "--radius", "1"],
+                   ["bicombing-stats", "--presentation", "surface.txt", "--radius", "1"]]
 
 
 @pytest.mark.parametrize("commands, unloaded", [
@@ -440,9 +442,12 @@ F2_ACTION = ["action", "--presentation", "prod.txt", "--action", "proj.txt",
                  "scipy", id="kernel-engine-without-scipy"),
     # numpy's __init__ loads numpy.linalg, so numpy itself never ran: the
     # combing layer is integer and rational arithmetic only
-    pytest.param([["ball", "--presentation", "surface.txt", "--radius", "1"],
-                  ["bicombing-stats", "--presentation", "surface.txt", "--radius", "1"]],
-                 "numpy.linalg", id="combing-layer-without-numpy"),
+    pytest.param(SURFACE_COMBING, "numpy.linalg", id="combing-layer-without-numpy"),
+    # the start-up budget: records are NamedTuples and plain classes, and the
+    # report header's timestamp comes from time.gmtime
+    pytest.param(SURFACE_COMBING, "dataclasses", id="startup-without-dataclasses"),
+    pytest.param(SURFACE_COMBING, "inspect", id="startup-without-inspect"),
+    pytest.param(SURFACE_COMBING, "datetime", id="startup-without-datetime"),
     pytest.param([F2_ACTION, ["opnorm", "--presentation", "prod.txt", "--radius", "2"]],
                  "numpy.random", id="opnorm-probe-without-numpy-random"),
 ])
