@@ -4,7 +4,7 @@ Walks through the free group, the genus-2 surface group (small cancellation,
 Dehn's algorithm), and a direct product of free groups (confluent rewriting),
 showing how normal forms, ball enumeration, and word distances behave in each.
 The ball is the one naming authority: products are named by ``ball.name``,
-and distances are read off ``ball.distances``.
+and canonical words are geodesics, so a distance is a canonical word's length.
 """
 
 from l1comb import GroupPresentation, ball, invert
@@ -15,7 +15,7 @@ print("reduce aAbB       ->", repr(f2.normal("aAbB")))
 b = ball(f2, 5)
 print("multiply ab * Ba  ->", repr(b.name("ab" + "Ba")))
 print("sphere sizes      ->", b.sphere_sizes(), "(4 * 3^(n-1) per sphere)")
-print("d(e, abab)        ->", b.distances[b.canonical_index("abab")])
+print("d(e, abab)        ->", len(b.geodesic("abab")))
 
 print()
 print("=== genus-2 surface group, relator abABcdCD, Dehn's algorithm ===")
@@ -30,7 +30,7 @@ bs = ball(surface, 4)
 print("sphere sizes      ->", bs.sphere_sizes(), "(eight pairs merge at radius 4)")
 print("canonical of dcDC ->", repr(bs.name("dcDC")))
 idx = bs.canonical_index("dcDC")
-print("d(e, dcDC)        ->", bs.distances[idx], "(index", idx, "in the ball)")
+print("d(e, dcDC)        ->", len(bs.elements[idx]), "(index", idx, "in the ball)")
 
 print()
 print("=== product of two free groups, shortlex rewriting system ===")

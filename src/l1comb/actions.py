@@ -208,32 +208,23 @@ class QuasiTreeReport(NamedTuple):
     failures: list[str]
     min_eigenvalue: float
     delta: float
-    displacement_checked: bool
 
 
 def validate_quasitree_kernel(data: QuasiTreeKernelInput,
-                              translations: list[dict[str, str]] | None = None,
                               tolerance: float = 1e-9) -> QuasiTreeReport:
     """Check the sandwich d - delta <= K <= d on every pair and conditional
-    negative definiteness (centered minimum eigenvalue >= -tolerance).  When
-    translation tables are supplied, also check the derived displacement bound
-    K(sx, sy) <= K(x, y) + delta on pairs whose images are listed; otherwise
-    the declared delta is recorded as-is."""
+    negative definiteness (centered minimum eigenvalue >= -tolerance).  The
+    declared delta is recorded as-is."""
     failures: list[str] = []
     labels = data.labels
-    pos = {lbl: i for i, lbl in enumerate(labels)}
     n = len(labels)
     mat = np.zeros((n, n))
-
-    def pair(x: str, y: str) -> tuple[str, str]:
-        return (x, y) if x <= y else (y, x)
-
     for i, x in enumerate(labels):
-        for y in labels[i + 1:]:
-            key = pair(x, y)
+        for j, y in enumerate(labels[i + 1:], start=i + 1):
+            key = (x, y) if x <= y else (y, x)
             k = data.kernel_values[key]
             d = data.distances[key]
-            mat[pos[x], pos[y]] = mat[pos[y], pos[x]] = k
+            mat[i, j] = mat[j, i] = k
             if k > d + 1e-12:
                 failures.append(f"upper bound violated on ({x!r}, {y!r}): K={k} > d={d}")
             if k < d - data.delta - 1e-12:
@@ -251,30 +242,11 @@ def validate_quasitree_kernel(data: QuasiTreeKernelInput,
             failures.append(
                 f"conditional negative definiteness fails: centered min eigenvalue {min_eig}"
             )
-    displacement_checked = False
-    if translations:
-        displacement_checked = True
-        for table in translations:
-            for i, x in enumerate(labels):
-                for y in labels[i + 1:]:
-                    sx, sy = table.get(x), table.get(y)
-                    if sx is None or sy is None or sx == sy:
-                        continue
-                    if sx not in pos or sy not in pos:
-                        continue
-                    lhs = data.kernel_values[pair(sx, sy)]
-                    rhs = data.kernel_values[pair(x, y)] + data.delta
-                    if lhs > rhs + 1e-12:
-                        failures.append(
-                            f"displacement bound violated: K({sx!r},{sy!r}) = {lhs} > "
-                            f"K({x!r},{y!r}) + delta = {rhs}"
-                        )
     return QuasiTreeReport(
         passed=not failures,
         failures=failures,
         min_eigenvalue=min_eig,
         delta=data.delta,
-        displacement_checked=displacement_checked,
     )
 
 

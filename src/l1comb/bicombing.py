@@ -296,7 +296,7 @@ def quasi_geodesic_constants(spec: BicombingSpec,
     pairs = []
     for idx in range(1, n):
         z = ball.elements[idx]
-        d = ball.distances[idx]
+        d = len(z)
         length = combing_chain(spec, "", z).l1_norm()
         if length < d:
             raise AssertionError(

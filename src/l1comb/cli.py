@@ -79,13 +79,6 @@ KIND_BY_FLAG = {
     "shortlex-anti": "shortlex_antisymmetrized",
 }
 
-# the least --radius at which each command scans more than the identity
-# ('verify' samples from the ball of half the radius); 'action --quasitree'
-# builds no ball and needs only a radius >= 0
-MIN_RADIUS = {"ball": 0, "bicombing-stats": 1, "verify": 2, "opnorm": 1, "norms": 1,
-              "action": 1}
-
-
 class RunConfig(NamedTuple):
     command: str
     presentation_path: Path
@@ -110,11 +103,14 @@ def _resolve_kind(flag: str, presentation: GroupPresentation) -> str:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
+    """One CSV field, quoted RFC 4180 style when it holds a comma, a quote or
+    a line break (a failing witness may)."""
     if isinstance(value, float):
         return repr(float(value))  # normalizes numpy scalars
-    return str(value)
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _write_csv(config: RunConfig, filename: str, columns: list[str],
@@ -371,7 +367,7 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
         if bd != {s: 1, "": -1}:
             fail("boundary_identity", f"boundary of q[e,{_word(s)}] is {bd}")
         norm = chain.l1_norm()
-        if norm < b.distances[i]:
+        if norm < len(s):
             fail("combing_lower_bound", f"||q[e,{_word(s)}]||_1 < d for {_word(s)}")
         # ||b(s)||_1 = 2, so ||b(s)||_E = sqrt(K(s, e)) + 2 iff Q(b(s)) =
         # (4K(s, e) - 2K(s, s) - 2K(e, e)) / 4 equals K(s, e) = ||q[e,s]||_1,
@@ -468,7 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "finitely presented groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in MIN_RADIUS:
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--presentation", required=True, type=Path)
         p.add_argument("--radius", type=int, default=3)
@@ -491,13 +487,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "ball": cmd_ball,
-    "bicombing-stats": cmd_bicombing_stats,
-    "verify": cmd_verify,
-    "opnorm": cmd_opnorm,
-    "norms": cmd_norms,
-    "action": cmd_action,
+# command name -> (handler, the least --radius at which it scans more than
+# the identity: 'verify' samples from the ball of half the radius); 'action
+# --quasitree' builds no ball and needs only a radius >= 0
+COMMANDS = {
+    "ball": (cmd_ball, 0),
+    "bicombing-stats": (cmd_bicombing_stats, 1),
+    "verify": (cmd_verify, 2),
+    "opnorm": (cmd_opnorm, 1),
+    "norms": (cmd_norms, 1),
+    "action": (cmd_action, 1),
 }
 
 
@@ -510,7 +509,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     try:
         presentation = parse_presentation(text)
-        least = 0 if getattr(args, "quasitree", None) else MIN_RADIUS[args.command]
+        handler, least = COMMANDS[args.command]
+        least = 0 if getattr(args, "quasitree", None) else least
         if args.radius < least:
             # checked before any ball is built, so nothing is written
             raise PresentationError(f"{args.command} needs --radius >= {least}, "
@@ -536,7 +536,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         if config.bicombing_kind == "tree_geodesic" and presentation.reduction_mode != "free":
             raise PresentationError("tree bicombing requires a free presentation")
-        return _HANDLERS[args.command](config)
+        return handler(config)
     except BallCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

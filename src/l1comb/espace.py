@@ -254,21 +254,18 @@ class NormRow(NamedTuple):
 class NormReport(NamedTuple):
     rows: list[NormRow]
 
-    def sphere_minima(self) -> dict[int, float]:
+    def _per_sphere(self, pick) -> dict[int, float]:
         out: dict[int, float] = {}
         for row in self.rows:
             cur = out.get(row.distance)
-            if cur is None or row.norm_e < cur:
-                out[row.distance] = row.norm_e
+            out[row.distance] = row.norm_e if cur is None else pick(cur, row.norm_e)
         return out
 
+    def sphere_minima(self) -> dict[int, float]:
+        return self._per_sphere(min)
+
     def sphere_maxima(self) -> dict[int, float]:
-        out: dict[int, float] = {}
-        for row in self.rows:
-            cur = out.get(row.distance)
-            if cur is None or row.norm_e > cur:
-                out[row.distance] = row.norm_e
-        return out
+        return self._per_sphere(max)
 
 
 def properness_report(kernel: DisplacementKernel, element_filter=None) -> NormReport:
@@ -287,7 +284,7 @@ def properness_report(kernel: DisplacementKernel, element_filter=None) -> NormRe
         word = ball.elements[i]
         if i == 0 or (element_filter is not None and not element_filter(word)):
             continue
-        d = ball.distances[i]
+        d = len(word)
         nf = math.sqrt(max(twice / 2.0, 0.0))
         row = NormRow(word=word, distance=d, norm_f=nf, norm_l1=2.0, norm_e=nf + 2.0,
                       lower_bound=math.sqrt(d) + 2.0 if combing else 2.0)

@@ -366,10 +366,11 @@ class CayleyBall:
     """Ball of a Cayley graph, enumerated breadth-first.
 
     ``elements`` are canonical normal-form words sorted by (length,
-    generator-order lexicographic); element 0 is the identity, and
-    ``distances`` holds each element's word length.  ``adjacency`` maps each
-    element index and alphabet letter to the index of the product when it
-    stays inside the ball.  The ball is the one naming authority for its
+    generator-order lexicographic); element 0 is the identity.  Canonical
+    words are geodesic, so an element's distance from e is its word length,
+    ``len(elements[i])``, and is stored nowhere else.  ``adjacency`` maps
+    each element index and alphabet letter to the index of the product when
+    it stays inside the ball.  The ball is the one naming authority for its
     presentation: a word becomes a named element, or a distance, only here,
     and :meth:`_resolve` is its one element lookup.  :meth:`canonical_index`
     finds a word's element in the ball, :meth:`geodesic` returns the
@@ -387,7 +388,6 @@ class CayleyBall:
         self.radius = radius
         self.elements: list[str] = [IDENTITY]
         self.index: dict[str, int] = {IDENTITY: 0}
-        self.distances: list[int] = [0]
         self.adjacency: list[dict[str, int]] = [{}]
         # oracle-scan candidates by bucket key: ball elements, and the
         # out-of-ball names handed out by name(); kept apart so that in-ball
@@ -403,11 +403,10 @@ class CayleyBall:
             return self.presentation.exponent_vector(word)
         return ()
 
-    def _add_element(self, word: str, dist: int) -> int:
+    def _add_element(self, word: str) -> int:
         idx = len(self.elements)
         self.elements.append(word)
         self.index[word] = idx
-        self.distances.append(dist)
         self.adjacency.append({})
         if not self.presentation.has_geodesic_normal_forms:
             self._buckets.setdefault(self._bucket_key(word), []).append(word)
@@ -468,8 +467,8 @@ class CayleyBall:
         """``sphere_offsets[r]``: the number of elements at distance < r, for
         r = 0..radius + 1; computed once, after enumeration."""
         offsets = [0] * (self.radius + 2)
-        for d in self.distances:
-            offsets[d + 1] += 1
+        for w in self.elements:
+            offsets[len(w) + 1] += 1
         for r in range(1, self.radius + 2):
             offsets[r] += offsets[r - 1]
         return offsets
@@ -482,7 +481,7 @@ class CayleyBall:
         """Number of elements at distance <= r (a prefix of ``elements``)."""
         if r >= self.radius:
             return len(self.elements)
-        return self.sphere_offsets[r + 1]
+        return self.sphere_offsets[max(r + 1, 0)]  # no element lies below 0
 
     def indices_within(self, r: int) -> range:
         return range(self.size_within(r))
@@ -527,7 +526,7 @@ def ball(presentation: GroupPresentation, radius: int,
                         raise BallCapError(
                             f"ball exceeded the {cap}-element cap at radius {n + 1}"
                         )
-                    j = b._add_element(nf, n + 1)
+                    j = b._add_element(nf)
                     next_layer.append(j)
                 adj[letter] = j
                 b.adjacency[j][letter.swapcase()] = i

@@ -92,10 +92,14 @@ class DisplacementKernel:
 
     @functools.cached_property
     def values(self) -> np.ndarray:
-        """Read-only float K as one n x n array, materialized from F on the
-        first read and kept.  No command reads it; tests and the benchmark
-        tracer do."""
-        out = l1_distance_matrix(self.embedding) / 2.0
+        """Read-only float K as one n x n array, materialized on the first
+        read and kept: each exact row of 2K is written into it straight from
+        F, then the whole is halved in place, so no second n x n array ever
+        exists.  No command reads it; tests and the benchmark tracer do."""
+        out = np.empty((self.n, self.n))
+        for i in range(self.n):
+            out[i] = self.embedding.row(i)
+        out /= 2.0
         out.flags.writeable = False
         return out
 
@@ -204,18 +208,6 @@ class SlotEmbedding:
         out += self.norms
         out += self.norms[i]
         return out
-
-
-def l1_distance_matrix(chains: Iterable[Chain1] | SlotEmbedding) -> np.ndarray:
-    """Exact ||u - w||_1 over integer chains (or their embedding F), filled a row
-    at a time into the narrowest signed int dtype holding the bound 4 max |F_i|^2."""
-    F = chains if isinstance(chains, SlotEmbedding) else SlotEmbedding(chains)
-    bound = 4 * int(F.norms.max(initial=0))
-    out = np.empty((len(F.norms),) * 2, dtype=next(
-        t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= bound))
-    for i in range(len(out)):
-        out[i] = F.row(i)
-    return out
 
 
 def kernel_from_bicombing(spec: BicombingSpec, radius: int | None = None,

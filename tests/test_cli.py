@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -196,16 +197,17 @@ class TestVerify:
             "boundary_identity,pass,",
             "equivariance,pass,",
             "combing_lower_bound,pass,",
-            "kernel_diagonal_zero,FAIL,K(5,5) != 0",
+            'kernel_diagonal_zero,FAIL,"K(5,5) != 0"',
             "kernel_symmetry,pass,",
             "kernel_nonnegative,pass,",
-            "kernel_cnd,FAIL,2K(5, 5) is not its slot-embedding distance",
+            'kernel_cnd,FAIL,"2K(5, 5) is not its slot-embedding distance"',
             "kernel_cross_validation,pass,",
             "cocycle_identity,pass,",
-            "norm_formula,FAIL,Q(b(aa)) = 3/2 but ||q[e,aa]||_1 = 2",
+            'norm_formula,FAIL,"Q(b(aa)) = 3/2 but ||q[e,aa]||_1 = 2"',
             "per_vector_bound,pass,",
             "properness_rows,pass,",
         ]
+        assert all(len(row) == 3 for row in csv.reader(rows))
 
     def test_norm_formula_verdict_ignores_tol(self, f2_file, tmp_path, capsys):
         # --tol governs only the quasi-tree negative-type check: the sabotaged
@@ -376,7 +378,7 @@ class TestExitCodes:
         def handler(config):
             raise exc
 
-        monkeypatch.setitem(cli._HANDLERS, "ball", handler)
+        monkeypatch.setitem(cli.COMMANDS, "ball", (handler, 0))
         return main(["ball", "--presentation", str(f2_file),
                      "--out", str(tmp_path / "out")])
 
@@ -450,6 +452,11 @@ class TestActionCommand:
                      "--quasitree", str(good), "--out", str(out)]) == 0
         assert main(["action", "--presentation", str(f2_file),
                      "--quasitree", str(bad), "--out", str(out)]) == 1
+        # the witness names the pair ('e', 'a') and stays one quoted field
+        body = _body(out / "quasitree.csv")
+        rows = list(csv.reader(body[body.index("check,status,witness"):]))
+        assert all(len(row) == 3 for row in rows)
+        assert rows[1][2] == "upper bound violated on ('e', 'a'): K=1.5 > d=1.0"
 
     def test_tol_governs_quasitree_cnd(self, f2_file, tmp_path):
         # K = d: the sandwich holds, and the centered min eigenvalue is -1.7e-4

@@ -209,7 +209,19 @@ class TestBalls:
         b = surface_ball4
         assert b.elements[0] == ""
         assert all(len(w) <= b.radius for w in b.elements)
-        assert all(len(w) == d for w, d in zip(b.elements, b.distances))
+
+    def test_word_length_is_the_graph_metric(self, f2_ball4, surface_ball4,
+                                             f2xf2_ball3):
+        # a length function is the graph distance from e exactly when it is 0
+        # at e, moves by at most 1 along each edge, and drops by 1 along some
+        # edge at every other element
+        for b in (f2_ball4, surface_ball4, f2xf2_ball3):
+            lengths = [len(w) for w in b.elements]
+            assert lengths[0] == 0
+            for i, nbrs in enumerate(b.adjacency):
+                steps = [lengths[j] - lengths[i] for j in nbrs.values()]
+                assert all(abs(d) <= 1 for d in steps)
+                assert i == 0 or -1 in steps
 
     def test_inverse_closure(self, f2_ball4, surface_ball4):
         for b in (f2_ball4, surface_ball4):
@@ -228,7 +240,7 @@ class TestBalls:
         assert i is not None
         assert b.canonical_index("dcDC") == i
         assert b.elements[i] == "abAB"
-        assert b.distances[i] == 4
+        assert len(b.elements[i]) == 4
 
     def test_surface_sphere_sizes(self, surface_ball4):
         # free-like through radius 3; eight half-relator pairs merge at 4
@@ -255,6 +267,11 @@ class TestBalls:
         inside = sum(map(len, b.adjacency))
         outside = len(b) * len(f2xf2.alphabet) - inside
         assert len(resolved) == inside // 2 + outside == 5512
+
+    def test_size_within_a_negative_radius_is_empty(self, f2):
+        b = ball(f2, 3)
+        assert [b.size_within(r) for r in range(-3, 5)] == [0, 0, 0, 1, 5, 17, 53, 53]
+        assert not b.indices_within(-2)
 
     def test_ball_cap_enforced(self, f2):
         with pytest.raises(BallCapError):
@@ -286,7 +303,7 @@ class TestBalls:
 def _distance(b, x, y):
     """Word distance d(x, y) read off the ball; None beyond its radius."""
     idx = b.canonical_index(invert(x) + y)
-    return None if idx is None else b.distances[idx]
+    return None if idx is None else len(b.elements[idx])
 
 
 class TestWordDistance:
@@ -318,9 +335,9 @@ class TestWordDistance:
         d = np.zeros((n, n), dtype=int)
         for i in range(n):
             for j in range(n):
-                d[i, j] = b.distances[
+                d[i, j] = len(b.elements[
                     b.canonical_index(invert(b.elements[idx[i]]) + b.elements[idx[j]])
-                ]
+                ])
         for k in range(n):
             assert np.all(d <= d[:, [k]] + d[[k], :])
 

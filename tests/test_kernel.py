@@ -34,7 +34,6 @@ from l1comb.kernel import (
     DisplacementKernel,
     SlotEmbedding,
     centered_min_eigenvalue,
-    l1_distance_matrix,
     served_rows,
 )
 
@@ -43,26 +42,19 @@ integer_chains = st.dictionaries(
     st.sampled_from(EDGES), st.integers(-6, 6), max_size=6
 ).map(Chain1)
 f2_words = st.text(alphabet="aAbB", max_size=3).map(free_reduce)
-# enough edges for one chain of 8,192+ slots, the first that needs int32
+# enough edges for one chain of 8,400 slots
 WIDE_EDGES = [("a" * k, g) for k in range(120) for g in "ab"]
 wide_chains = st.dictionaries(
     st.sampled_from(WIDE_EDGES), st.integers(-40, 40), max_size=12
 ).map(Chain1)
 
 
-def narrowest_signed(bound: int) -> np.dtype:
-    # -bound - 1 makes min_scalar_type pick a signed type that also holds bound
-    return np.min_scalar_type(-bound - 1)
-
-
 def assert_engine_matches_chains(chains):
-    matrix = l1_distance_matrix(chains)
-    # |J(u)|^2 = ||u||_1, and every entry is at most 4 max_i |J(u_i)|^2
-    assert matrix.dtype.kind == "i"
-    assert matrix.dtype == narrowest_signed(4 * max(int(u.l1_norm()) for u in chains))
+    F = SlotEmbedding(chains)
     for i, u in enumerate(chains):
-        for j, w in enumerate(chains):
-            assert matrix[i, j] == (u - w).l1_norm()
+        row = F.row(i)
+        assert row.dtype == np.int64
+        assert row.tolist() == [(u - w).l1_norm() for w in chains]
 
 
 @st.composite
@@ -107,13 +99,13 @@ class TestKernelFromBicombing:
 
     def test_exact_dtype(self, tree_kernel, tree_spec, surface_kernel, surface_anti):
         for k, spec in ((tree_kernel, tree_spec), (surface_kernel, surface_anti)):
-            matrix = l1_distance_matrix(k.embedding)
-            assert matrix.dtype.kind == "i"
-            # the engine embeds the doubled chains 2 q[e, x]
-            nnz = max(int(combing_chain(spec, "", x).scale(2).l1_norm())
-                      for x in spec.ball.elements[:k.n])
-            assert matrix.dtype == narrowest_signed(4 * nnz)
-            assert not k.values.flags.writeable
+            # the engine embeds the doubled chains 2 q[e, x]: |F_i|^2 is
+            # their l1 norm, and rows of 2K are exact int64
+            assert k.embedding.norms.tolist() == [
+                combing_chain(spec, "", x).scale(2).l1_norm()
+                for x in spec.ball.elements[:k.n]]
+            assert all(k.row(i).dtype == np.int64 for i in range(0, k.n, 37))
+            assert k.values.dtype == np.float64 and not k.values.flags.writeable
 
     def test_principal_block_reads_the_served_rows(self, tree_spec):
         kernel = kernel_from_bicombing(tree_spec, radius=2)
@@ -126,9 +118,8 @@ class TestKernelFromBicombing:
     def test_radius_zero_kernel_is_signed_and_exact(self, f2, surface, kind):
         pres = f2 if kind == "tree_geodesic" else surface
         k = kernel_from_bicombing(make_bicombing(kind, ball(pres, 0)))
-        # the bound is 0, where min_scalar_type would give uint8
-        assert k.n == 1 and l1_distance_matrix(k.embedding).dtype == np.int8
-        assert k.exact(0, 0) == 0
+        assert k.n == 1 and k.row(0).dtype == np.int64
+        assert k.values.tolist() == [[0.0]] and k.exact(0, 0) == 0
 
 
 class TestEngineProperties:
@@ -139,8 +130,8 @@ class TestEngineProperties:
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(wide_chains, min_size=1, max_size=4))
-    @example([Chain1({WIDE_EDGES[0]: 40}), Chain1({WIDE_EDGES[1]: -40})])  # int16
-    @example([Chain1(dict.fromkeys(WIDE_EDGES[:210], 40)), Chain1({})])  # int32
+    @example([Chain1({WIDE_EDGES[0]: 40}), Chain1({WIDE_EDGES[1]: -40})])
+    @example([Chain1(dict.fromkeys(WIDE_EDGES[:210], 40)), Chain1({})])
     def test_wide_coefficients_stay_exact(self, chains):
         assert_engine_matches_chains(chains)
 
@@ -401,26 +392,23 @@ class TestCrossValidation:
 
 
 def test_engine_peak_memory_stays_near_its_output(f2):
-    # the engine fills its output one row at a time: no strip, product or
-    # n x n temporary may exist beside it
-    b = ball(f2, 6)
-    spec = make_bicombing("tree_geodesic", b)
-    chains = [combing_chain(spec, "", x).scale(2) for x in b.elements]
+    # values is filled from F one row at a time and halved in place: no
+    # strip, product or second n x n array may exist beside it
+    kernel = kernel_from_bicombing(make_bicombing("tree_geodesic", ball(f2, 6)))
     tracemalloc.start()
     try:
-        matrix = l1_distance_matrix(chains)
+        values = kernel.values
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(chains) == 1457
-    assert peak <= 2.5 * matrix.nbytes, peak / matrix.nbytes
+    assert kernel.n == 1457
+    assert peak <= 1.05 * values.nbytes, peak / values.nbytes
 
 
 def test_slot_embedding_rows_match_the_matrix(tree_kernel, surface_kernel):
     for k in (tree_kernel, surface_kernel):
-        matrix = l1_distance_matrix(k.embedding)
         for i in range(0, k.n, 37):
-            assert np.array_equal(k.row(i), matrix[i])
+            assert np.array_equal(k.row(i), 2 * k.values[i])
         assert not any(dev.any() for _, _, dev in served_rows(k))
         serve_rows(k, {(5, 3): k.row(5)[3] + 1})
         try:
