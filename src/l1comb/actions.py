@@ -117,8 +117,8 @@ def orbit_kernel(action: TreeActionSpec, ball: CayleyBall) -> DisplacementKernel
     """K(s, t) = tree distance between the images of s and t: the reduced word
     length of phi(s)^-1 phi(t), the tree-geodesic chains q[e, phi(s)] of the
     target free group pulled back along phi.  The displacement constant is
-    measured over the kernel's scan split; the action is isometric, so it
-    reads 0."""
+    measured over the kernel's scan split when first read; the action is
+    isometric, so it reads 0."""
     letters = _target_alphabet(action.target_rank)[::2]
     # geodesics from e in a free group need no ball lookups: radius 0 suffices
     tree = BicombingSpec("tree_geodesic", CayleyBall(GroupPresentation(tuple(letters)), 0))

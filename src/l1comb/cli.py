@@ -228,13 +228,11 @@ def cmd_opnorm(config: RunConfig) -> int:
     b = ball(config.presentation, config.radius, cap=config.cap)
     spec = make_bicombing(config.bicombing_kind, b)
     kernel = kernel_from_bicombing(spec)
-    s_radius = config.radius // 2
-    v_radius = config.radius - s_radius
+    s_radius, v_radius = kernel.scan_split
     upper = uniform_bound(kernel.displacement_constant)
     opt = OpNormConfig(seed=config.seed)
     rows = []
-    for i in b.indices_within(s_radius):
-        s = b.elements[i]
+    for s in b.elements[:b.size_within(s_radius)]:
         res = op_norm_lower_bound(s, kernel, v_radius, opt)
         rows.append((_word(s), res.value, upper, res.iterations, res.seed))
     path = _write_csv(
@@ -287,14 +285,6 @@ class CheckResult(NamedTuple):
     witness: str = ""
 
 
-def _largest_radius_with(b, limit: int) -> int:
-    r = 0
-    for cand in range(b.radius + 1):
-        if b.size_within(cand) <= limit:
-            r = cand
-    return r
-
-
 def verify_suite(config: RunConfig) -> list[CheckResult]:
     """Invariant suite over one presentation/combing/radius: cocycle identity,
     norm formula, conditional negative definiteness, per-vector bound,
@@ -322,8 +312,7 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
 
         kernel.row = sabotaged
     rng = random.Random(config.seed)
-    inner = config.radius // 2
-    n_inner = b.size_within(inner)
+    n_inner, n_outer = map(b.size_within, kernel.scan_split)
 
     # check name -> its first failing witness (None while it passes), in
     # report order
@@ -406,7 +395,7 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
                 break
 
     try:
-        kernel_cross_validate(spec, radius=_largest_radius_with(b, 200), kernel=kernel)
+        kernel_cross_validate(spec, radius=kernel.scan_split[1], kernel=kernel)
     except AssertionError as exc:
         fail("kernel_cross_validation", str(exc))
 
@@ -417,7 +406,6 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
         res, x, y = bad
         fail("cocycle_identity", f"residual {res} at ({_word(x)}, {_word(y)})")
 
-    n_outer = b.size_within(config.radius - inner)
     for _ in range(100):
         s = b.elements[rng.randrange(n_inner)]
         support = rng.sample(range(n_outer), k=min(4, n_outer))

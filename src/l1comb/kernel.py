@@ -23,7 +23,8 @@ of 2K is always a principal block 2K[I, I] read through the rows
 (:meth:`DisplacementKernel.twice_block`); the eigenvalue diagnostic and the
 operator-norm probe halve it into floats themselves, and :func:`kernel_dump`
 renders 2K a row at a time.  Words reach kernel indices through
-:meth:`DisplacementKernel.index_of` alone.
+:meth:`DisplacementKernel.index_of` alone.  The displacement constant M is
+measured over the kernel's scan split the first time a caller reads it.
 
 numpy comes from :mod:`l1comb._numpy` and is imported when the first kernel
 is built, so ``import l1comb`` and the combing layer run without it.
@@ -55,16 +56,14 @@ class DisplacementKernel:
     ``bicombing`` is the combing a kernel was built from, and None for
     kernels pulled back along a homomorphism (tree actions); the combing
     bounds (properness, two-triangle decomposition) apply only when it is
-    set.  ``displacement_constant`` is the two-sided empirical displacement
-    bound for the scan split of the build.
+    set.  Everything else is derived: ``scan_split`` splits the radius, and
+    ``displacement_constant`` is measured over that split on first read.
     """
 
-    def __init__(self, ball: CayleyBall, embedding: SlotEmbedding,
-                 displacement_constant: float, radius: int,
+    def __init__(self, ball: CayleyBall, embedding: SlotEmbedding, radius: int,
                  bicombing: BicombingSpec | None = None):
         self.ball = ball
         self.embedding = embedding
-        self.displacement_constant = displacement_constant
         self.radius = radius
         self.bicombing = bicombing
 
@@ -75,6 +74,17 @@ class DisplacementKernel:
     @property
     def n(self) -> int:
         return len(self.embedding.norms)
+
+    @property
+    def scan_split(self) -> tuple[int, int]:
+        """(s radius, pair radius): every translate sx stays in the kernel."""
+        return self.radius // 2, self.radius - self.radius // 2
+
+    @functools.cached_property
+    def displacement_constant(self) -> float:
+        """The two-sided empirical displacement bound over the scan split,
+        measured from the rows the kernel serves at the first read and kept."""
+        return empirical_displacement_constant(self, *self.scan_split)
 
     def row(self, i: int) -> np.ndarray:
         """Row i of 2K, exact int64, evaluated from F."""
@@ -210,38 +220,33 @@ class SlotEmbedding:
         return out
 
 
-def kernel_from_bicombing(spec: BicombingSpec, radius: int | None = None,
-                          scan_split: tuple[int, int] | None = None, *,
+def kernel_from_bicombing(spec: BicombingSpec, radius: int | None = None, *,
                           ball: CayleyBall | None = None,
                           phi: Callable[[str], str] | None = None) -> DisplacementKernel:
     """Kernel K(x, y) = ||q[e,phi(x)] - q[e,phi(y)]||_1 over the prefix of the
     given radius of ``ball``, exact through the doubled chains.  By default
     phi is the identity and ``ball`` the combing's own ball; otherwise phi
     maps words of ``ball`` to words of the combing's group, and the kernel
-    records no combing.  The displacement constant is measured: the
-    two-sided empirical excess max |K(sx,sy) - K(x,y)| over the scan split
-    (s up to the first radius, pairs up to the second)."""
+    records no combing.  Only F is built here; the displacement constant is
+    measured when it is first read."""
     b = spec.ball if ball is None else ball
     if radius is None:
         radius = b.radius
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     if radius > b.radius:
         raise OutOfBallError(
             f"kernel radius {radius} exceeds the ball radius {b.radius}"
         )
     words = b.elements[:b.size_within(radius)]
-    kernel = DisplacementKernel(
+    return DisplacementKernel(
         ball=b,
         embedding=SlotEmbedding(
             combing_chain(spec, "", w).scale(2)
             for w in (words if phi is None else map(phi, words))),
-        displacement_constant=0.0,
         radius=radius,
         bicombing=spec if phi is None else None,
     )
-    if scan_split is None:
-        scan_split = (radius // 2, radius - radius // 2)
-    kernel.displacement_constant = empirical_displacement_constant(kernel, *scan_split)
-    return kernel
 
 
 # -- displacement ------------------------------------------------------------

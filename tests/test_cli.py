@@ -163,6 +163,28 @@ class TestNormsAndOpnorm:
                                 r"(\.\d+)?(\+00:00|Z)", stamps[0]), stamps[0]
 
 
+@pytest.mark.parametrize("command, scans",
+                         [("verify", 0), ("action", 0), ("norms", 1), ("opnorm", 1)])
+def test_only_commands_reporting_m_measure_it(tmp_path, monkeypatch, command, scans):
+    # M is measured when first read, and only norms and opnorm report it
+    pres = tmp_path / "prod.txt"
+    pres.write_text(PRODUCT)
+    act = tmp_path / "proj.txt"
+    act.write_text(PROJECTION)
+    extra = ["--action", str(act)] if command == "action" else []
+    calls = []
+    measure = kernel_module.empirical_displacement_constant
+
+    def counted(*args):
+        calls.append(args[1:])
+        return measure(*args)
+
+    monkeypatch.setattr(kernel_module, "empirical_displacement_constant", counted)
+    assert main([command, "--presentation", str(pres), "--radius", "2", *extra,
+                 "--out", str(tmp_path / "out")]) == 0
+    assert calls == [(1, 1)] * scans
+
+
 class TestVerify:
     def test_free_group_passes(self, f2_file, tmp_path):
         assert main(["verify", "--presentation", str(f2_file), "--radius", "4",
@@ -233,8 +255,9 @@ class TestVerify:
 
     def test_corrupted_far_pair_fails_exact_cnd(self, f2_file, tmp_path,
                                                  capsys, monkeypatch):
-        # 2K(484, 483) lies outside the cross-validation's 200 elements, and
-        # verify's verdicts ignore --tol
+        # 2K(484, 483) lies outside the cross-validation's pair ball (the 53
+        # elements of radius 3 in the scan split (2, 3)), and verify's
+        # verdicts ignore --tol
         build = cli.kernel_from_bicombing
 
         def corrupted(spec):
@@ -343,6 +366,21 @@ class TestVerify:
         assert out.count("FAIL") == 1
         assert ("FAIL kernel_cross_validation "
                 "[cross-validation discrepancy 2 is not 0]") in out
+
+    @pytest.mark.parametrize("radius, pair_radius", [(3, 2), (4, 2), (5, 3)])
+    def test_cross_validation_covers_the_scan_split_pair_ball(
+            self, f2_file, tmp_path, monkeypatch, radius, pair_radius):
+        seen = []
+        cross_validate = cli.kernel_cross_validate
+
+        def recorded(spec, radius=None, kernel=None):
+            seen.append((radius, kernel.scan_split[1]))
+            return cross_validate(spec, radius=radius, kernel=kernel)
+
+        monkeypatch.setattr(cli, "kernel_cross_validate", recorded)
+        assert main(["verify", "--presentation", str(f2_file), "--radius", str(radius),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert seen == [(pair_radius, pair_radius)]
 
     @pytest.mark.parametrize("index", ["99999", "-1"])
     def test_sabotage_index_out_of_range_is_input_error(self, f2_file, tmp_path,
@@ -659,9 +697,8 @@ def test_benchmark_tracer_counts_the_streamed_kernel_csv(surface_file, f2_file,
         len(ball(surface, 2)) + 2 * 3**3 - 1 + len(ball(product, 2)))
     assert report["counters"]["kernel.dump_bytes"] == (out / "kernel.csv").stat().st_size
     # the tracer patches kernel.empirical_displacement_constant and unpacks its
-    # (kernel, s_radius, pair_radius): every kernel, the orbit kernel
-    # included, scans s over the 1-ball here (split (1, 1), or (1, 2) for
-    # verify r=3), one translate per s != e
+    # (kernel, s_radius, pair_radius): only norms and opnorm read M, each
+    # scanning s over the 1-ball of the split (1, 1), one translate per s != e
     assert report["counters"]["kernel.displacement_translates"] == (
-        len(ball(surface, 1)) - 1 + 2 * 2 + 2 * (len(ball(product, 1)) - 1))
+        (len(ball(surface, 1)) - 1) + (len(ball(product, 1)) - 1))
     assert report["counters"]["actions.orbit_pairs"] > 0

@@ -14,6 +14,7 @@ from l1comb import (
     SupportEscapeError,
     check_cocycle_identity,
     cocycle,
+    empirical_displacement_constant,
     kernel_from_bicombing,
     make_bicombing,
     norm_e,
@@ -173,7 +174,7 @@ class TestNorms:
         values = np.array([[0, 9, 1], [9, 0, 1], [1, 1, 0]], dtype=np.int8)
         bad = serve_rows(
             DisplacementKernel(ball=f2_ball4, embedding=SlotEmbedding([Chain1()] * 3),
-                               displacement_constant=0.0, radius=1),
+                               radius=1),
             {(i, j): 2 * int(t) for (i, j), t in np.ndenumerate(values)})
         v = EVector({"": 1, "a": 1, "A": -2})
         with pytest.raises(NonCndFormError):
@@ -235,8 +236,9 @@ class TestOpNorm:
 
         b = ball(surface, 3)
         spec = make_bicombing("shortlex_antisymmetrized", b)
-        kernel = kernel_from_bicombing(spec, scan_split=(2, 1))
-        upper = uniform_bound(kernel.displacement_constant)
+        kernel = kernel_from_bicombing(spec)
+        # s from the 2-ball, vectors from the 1-ball: M over that split
+        upper = uniform_bound(empirical_displacement_constant(kernel, 2, 1))
         config = OpNormConfig(restarts=6, iterations=150, seed=5)
         for i in b.indices_within(2):
             s = b.elements[i]

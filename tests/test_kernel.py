@@ -97,6 +97,37 @@ class TestKernelFromBicombing:
     def test_tree_displacement_constant_zero(self, tree_kernel):
         assert tree_kernel.displacement_constant == 0.0
 
+    def test_negative_radius_rejected(self, f2):
+        spec = make_bicombing("tree_geodesic", ball(f2, 3))
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            kernel_from_bicombing(spec, radius=-2)
+
+    def test_displacement_constant_measured_once_on_first_read(self, tree_spec,
+                                                               monkeypatch):
+        import l1comb.kernel as kernel_module
+
+        calls = []
+        measure = kernel_module.empirical_displacement_constant
+
+        def counted(*args):
+            calls.append(args[1:])
+            return measure(*args)
+
+        monkeypatch.setattr(kernel_module, "empirical_displacement_constant", counted)
+        kernel = kernel_from_bicombing(tree_spec, radius=3)
+        assert calls == [] and kernel.scan_split == (1, 2)
+        assert kernel.displacement_constant == kernel.displacement_constant == 0.0
+        assert calls == [(1, 2)]
+
+    def test_displacement_constant_reads_the_served_rows(self, tree_spec):
+        # split (1, 1): no translate block of s != e holds both a and b, so
+        # raising 2K(a, b) by 6 raises the two-sided excess to 6 / 2
+        kernel = kernel_from_bicombing(tree_spec, radius=2)
+        i, j = kernel.index_of("a"), kernel.index_of("b")
+        t = kernel.row(i)[j] + 6
+        serve_rows(kernel, {(i, j): t, (j, i): t})
+        assert kernel.displacement_constant == 3.0
+
     def test_exact_dtype(self, tree_kernel, tree_spec, surface_kernel, surface_anti):
         for k, spec in ((tree_kernel, tree_spec), (surface_kernel, surface_anti)):
             # the engine embeds the doubled chains 2 q[e, x]: |F_i|^2 is
@@ -271,8 +302,7 @@ class TestCnd:
     def test_zero_kernel(self, f2_ball4):
         n = f2_ball4.size_within(1)
         kernel = DisplacementKernel(
-            ball=f2_ball4, embedding=SlotEmbedding([Chain1()] * n),
-            displacement_constant=0.0, radius=1,
+            ball=f2_ball4, embedding=SlotEmbedding([Chain1()] * n), radius=1,
         )
         assert cnd_min_eigenvalue(kernel) == 0.0
 
@@ -360,7 +390,7 @@ class TestKernelDump:
         # 2K(0, 1) = ||0 - 1 edge||_1 = 1
         kernel = DisplacementKernel(
             ball=f2_ball4, embedding=SlotEmbedding([Chain1(), Chain1({("", "a"): 1})]),
-            displacement_constant=0.0, radius=0,
+            radius=0,
         )
         assert "0,1,1/2" in kernel_dump(kernel).splitlines()
 
