@@ -18,7 +18,6 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
 
 from ._numpy import np
 from .groups import (
@@ -79,21 +78,6 @@ KIND_BY_FLAG = {
     "shortlex-anti": "shortlex_antisymmetrized",
 }
 
-class RunConfig(NamedTuple):
-    command: str
-    presentation_path: Path
-    radius: int
-    bicombing_kind: str
-    seed: int
-    tolerance: float
-    out_dir: Path
-    cap: int
-    action_path: Path | None = None
-    quasitree_path: Path | None = None
-    sabotage_diagonal: int | None = None
-    presentation: GroupPresentation | None = None
-
-
 def _resolve_kind(flag: str, presentation: GroupPresentation) -> str:
     if flag != "auto":
         return KIND_BY_FLAG[flag]
@@ -113,7 +97,7 @@ def _fmt(value) -> str:
     return text
 
 
-def _write_csv(config: RunConfig, filename: str, columns: list[str],
+def _write_csv(config: argparse.Namespace, filename: str, columns: list[str],
                rows, extra: dict | None = None) -> Path:
     config.out_dir.mkdir(parents=True, exist_ok=True)
     path = config.out_dir / filename
@@ -146,7 +130,7 @@ def _word(w: str) -> str:
     return w or "e"
 
 
-def _write_norm_rows(config: RunConfig, filename: str, report, extra: dict) -> Path:
+def _write_norm_rows(config: argparse.Namespace, filename: str, report, extra: dict) -> Path:
     """The cocycle norm rows of ``norms`` and ``action``, one CSV layout."""
     return _write_csv(
         config, filename, ["word", "d", "norm_f", "norm_l1", "norm_E", "lower_bound"],
@@ -159,7 +143,7 @@ def _write_norm_rows(config: RunConfig, filename: str, report, extra: dict) -> P
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_ball(config: RunConfig) -> int:
+def cmd_ball(config: argparse.Namespace) -> int:
     b = ball(config.presentation, config.radius, cap=config.cap)
     sizes = b.sphere_sizes()
     path = _write_csv(config, "ball.csv", ["sphere", "count"],
@@ -169,7 +153,7 @@ def cmd_ball(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _stats_for_kind(spec, config: RunConfig):
+def _stats_for_kind(spec, config: argparse.Namespace):
     policy = TriplePolicy(seed=config.seed)
     scan = empirical_area_constant(spec, radius=config.radius, policy=policy)
     qg = quasi_geodesic_constants(spec, radius=config.radius)
@@ -184,7 +168,7 @@ def _stats_for_kind(spec, config: RunConfig):
     )
 
 
-def cmd_bicombing_stats(config: RunConfig) -> int:
+def cmd_bicombing_stats(config: argparse.Namespace) -> int:
     pres = config.presentation
     # triple scans form q[x, y] for x, y in the scan ball, so the working ball
     # must reach the pairwise products
@@ -209,7 +193,7 @@ def cmd_bicombing_stats(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_norms(config: RunConfig) -> int:
+def cmd_norms(config: argparse.Namespace) -> int:
     b = ball(config.presentation, config.radius, cap=config.cap)
     spec = make_bicombing(config.bicombing_kind, b)
     kernel = kernel_from_bicombing(spec)
@@ -224,7 +208,7 @@ def cmd_norms(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_opnorm(config: RunConfig) -> int:
+def cmd_opnorm(config: argparse.Namespace) -> int:
     b = ball(config.presentation, config.radius, cap=config.cap)
     spec = make_bicombing(config.bicombing_kind, b)
     kernel = kernel_from_bicombing(spec)
@@ -246,7 +230,7 @@ def cmd_opnorm(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_action(config: RunConfig) -> int:
+def cmd_action(config: argparse.Namespace) -> int:
     if (config.action_path is None) == (config.quasitree_path is None):
         print("action command needs exactly one of --action FILE and --quasitree FILE",
               file=sys.stderr)
@@ -279,19 +263,14 @@ def cmd_action(config: RunConfig) -> int:
 # -- the verify suite -----------------------------------------------------------
 
 
-class CheckResult(NamedTuple):
-    name: str
-    passed: bool
-    witness: str = ""
-
-
-def verify_suite(config: RunConfig) -> list[CheckResult]:
+def verify_suite(config: argparse.Namespace) -> dict[str, str | None]:
     """Invariant suite over one presentation/combing/radius: cocycle identity,
     norm formula, conditional negative definiteness, per-vector bound,
     properness, plus the structural chain checks feeding them.  Every
     per-element check and every kernel-structure check shares one pass over
     the ball, which reads each element's served row of 2K and builds its chain
-    q[e, s] once; each check keeps its first failing witness."""
+    q[e, s] once.  Returns the witness table: check name -> its first failing
+    witness, or None if it passed, in report order."""
     b = ball(config.presentation, config.radius, cap=config.cap)
     sabotage = config.sabotage_diagonal
     if sabotage is not None and not 0 <= sabotage < len(b):
@@ -314,8 +293,6 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
     rng = random.Random(config.seed)
     n_inner, n_outer = map(b.size_within, kernel.scan_split)
 
-    # check name -> its first failing witness (None while it passes), in
-    # report order
     witness: dict[str, str | None] = dict.fromkeys([
         "ball_inverse_closure", "ball_adjacency_involutive", "boundary_identity",
         "equivariance", *(["antisymmetry"] if spec.antisymmetrized else []),
@@ -425,21 +402,18 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
     except PropernessError as exc:
         fail("properness_rows", str(exc))
 
-    return [CheckResult(name, text is None, text or "") for name, text in witness.items()]
+    return witness
 
 
-def cmd_verify(config: RunConfig) -> int:
-    results = verify_suite(config)
-    rows = [(r.name, "pass" if r.passed else "FAIL", r.witness) for r in results]
+def cmd_verify(config: argparse.Namespace) -> int:
+    witness = verify_suite(config)
+    rows = [(name, "pass" if text is None else "FAIL", text or "")
+            for name, text in witness.items()]
     path = _write_csv(config, "verify.csv", ["check", "status", "witness"], rows)
-    failures = [r for r in results if not r.passed]
-    for r in results:
-        line = f"{'PASS' if r.passed else 'FAIL'} {r.name}"
-        if not r.passed:
-            line += f" [{r.witness}]"
-        print(line)
+    for name, text in witness.items():
+        print(f"PASS {name}" if text is None else f"FAIL {name} [{text}]")
     print(f"-> {path}")
-    return EXIT_INVARIANT if failures else EXIT_OK
+    return EXIT_OK if all(text is None for text in witness.values()) else EXIT_INVARIANT
 
 
 # -- entry point -----------------------------------------------------------------
@@ -453,23 +427,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
+        # the parsed namespace is the run config: dests are the attribute
+        # names the handlers read, metavars keep the help text
         p = sub.add_parser(name)
-        p.add_argument("--presentation", required=True, type=Path)
+        p.set_defaults(action_path=None, quasitree_path=None, sabotage_diagonal=None)
+        p.add_argument("--presentation", dest="presentation_path",
+                       metavar="PRESENTATION", required=True, type=Path)
         p.add_argument("--radius", type=int, default=3)
-        p.add_argument("--bicombing", choices=["auto", *KIND_BY_FLAG], default="auto")
+        p.add_argument("--bicombing", dest="bicombing_kind",
+                       choices=["auto", *KIND_BY_FLAG], default="auto")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", type=Path, default=Path("reports"))
+        p.add_argument("--out", dest="out_dir", metavar="OUT", type=Path,
+                       default=Path("reports"))
         p.add_argument("--cap", type=int, default=DEFAULT_BALL_CAP)
-        p.add_argument("--tol", type=float, default=1e-9,
+        p.add_argument("--tol", dest="tolerance", metavar="TOL", type=float, default=1e-9,
                        help="tolerance of the quasi-tree negative-type check "
                             "in 'action --quasitree' (centered min eigenvalue "
                             ">= -TOL); a finite number >= 0; every other "
                             "verdict is exact")
         if name == "action":
-            p.add_argument("--action", type=Path, default=None)
-            p.add_argument("--quasitree", type=Path, default=None)
+            p.add_argument("--action", dest="action_path", metavar="ACTION", type=Path)
+            p.add_argument("--quasitree", dest="quasitree_path", metavar="QUASITREE",
+                           type=Path)
         if name == "verify":
-            p.add_argument("--sabotage-diagonal", type=int, default=None,
+            p.add_argument("--sabotage-diagonal", type=int,
                            help="verifier self-test: corrupt one kernel "
                                 "diagonal entry and expect exit 1")
     return parser
@@ -489,39 +470,28 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    config = _build_parser().parse_args(argv)
     try:
-        text = args.presentation.read_text()
+        text = config.presentation_path.read_text()
     except OSError as exc:
         print(f"cannot read presentation: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
         presentation = parse_presentation(text)
-        handler, least = COMMANDS[args.command]
-        least = 0 if getattr(args, "quasitree", None) else least
-        if args.radius < least:
+        handler, least = COMMANDS[config.command]
+        least = 0 if config.quasitree_path else least
+        if config.radius < least:
             # checked before any ball is built, so nothing is written
-            raise PresentationError(f"{args.command} needs --radius >= {least}, "
-                                    f"got {args.radius}")
-        if args.cap < 1:
+            raise PresentationError(f"{config.command} needs --radius >= {least}, "
+                                    f"got {config.radius}")
+        if config.cap < 1:
             # a ball always holds the identity, so no run could meet this cap
             raise PresentationError("cap must be >= 1")
-        if not 0 <= args.tol < math.inf:  # also rejects nan
-            raise PresentationError(f"--tol must be a finite number >= 0, got {args.tol}")
-        config = RunConfig(
-            command=args.command,
-            presentation_path=args.presentation,
-            radius=args.radius,
-            bicombing_kind=_resolve_kind(args.bicombing, presentation),
-            seed=args.seed,
-            tolerance=args.tol,
-            out_dir=args.out,
-            cap=args.cap,
-            action_path=getattr(args, "action", None),
-            quasitree_path=getattr(args, "quasitree", None),
-            sabotage_diagonal=getattr(args, "sabotage_diagonal", None),
-            presentation=presentation,
-        )
+        if not 0 <= config.tolerance < math.inf:  # also rejects nan
+            raise PresentationError(
+                f"--tol must be a finite number >= 0, got {config.tolerance}")
+        config.presentation = presentation
+        config.bicombing_kind = _resolve_kind(config.bicombing_kind, presentation)
         if config.bicombing_kind == "tree_geodesic" and presentation.reduction_mode != "free":
             raise PresentationError("tree bicombing requires a free presentation")
         return handler(config)

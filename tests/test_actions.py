@@ -69,6 +69,22 @@ class TestParseAction:
             st = f2xf2_ball3.name(s + t)
             assert action.apply(st) == free_reduce(action.apply(s) + action.apply(t))
 
+    @pytest.mark.parametrize("text, match", [
+        ("target_rank: 0\na -> e\nb -> e\n", "target rank must be >= 1"),
+        ("target_rank: 2\na -> a\nb -> b\nc -> a\n", "unknown generator 'c'"),
+        ("target_rank: 26\na -> a\nb -> b\n", "26 exceeds the supported alphabet"),
+        ("target_rank: 2\ntarget_rank: 2\na -> a\nb -> b\n",
+         "target_rank specified twice"),
+        ("target_rank: two\na -> a\nb -> b\n", "bad target_rank line"),
+        ("target_rank: 2\na a\nb -> b\n", "'a a' lacks '->'"),
+        ("target_rank: 2\na -> a\na -> b\nb -> b\n", "image of 'a' specified twice"),
+        ("a -> a\nb -> b\n", "missing target_rank"),
+    ], ids=["rank-zero", "unknown-generator", "rank-26", "rank-twice", "rank-not-int",
+            "line-without-arrow", "image-twice", "no-rank"])
+    def test_input_error_is_named(self, f2, text, match):
+        with pytest.raises(ActionError, match=match):
+            parse_action(text, f2)
+
 
 class TestOrbitKernel:
     def test_identity_action_reproduces_tree_kernel(self, f2, f2_ball4, tree_kernel):
@@ -239,6 +255,14 @@ class TestQuasiTreeParsing:
         # such a row used to be read and then ignored
         with pytest.raises(ActionError, match="with itself"):
             parse_quasitree_csv(f"delta: 0\nx,y,d,K\na,b,1,1\n{row}\n")
+
+    @pytest.mark.parametrize("text, match", [
+        ("delta: 0\nx,y,d,K\ne,a,1\n", "bad kernel row 'e,a,1'"),
+        ("delta: 0\ne,a,1,1\n", "missing x,y,d,K column header"),
+    ], ids=["short-row", "no-column-header"])
+    def test_input_error_is_named(self, text, match):
+        with pytest.raises(ActionError, match=match):
+            parse_quasitree_csv(text)
 
 
 class TestGrowthReport:

@@ -6,13 +6,14 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from conftest import SWAP_RULES, serve_rows
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from l1comb import GroupPresentation, ball, cli
+from l1comb import BoundCheck, Chain1, GroupPresentation, ball, cli
 from l1comb import kernel as kernel_module
 from l1comb.cli import main
 from l1comb.espace import NonCndFormError, PropernessError
@@ -118,6 +119,36 @@ class TestBicombingStats:
         assert Fraction(anti[1]) <= Fraction(raw[1])
 
 
+@pytest.mark.parametrize("flag, text, kind", [
+    ("tree", F2, "tree_geodesic"),
+    ("shortlex", F2, "shortlex"),
+    ("shortlex-anti", F2, "shortlex_antisymmetrized"),
+    ("auto", F2, "tree_geodesic"),
+    ("auto", SURFACE, "shortlex_antisymmetrized"),
+], ids=["tree", "shortlex", "shortlex-anti", "auto-free", "auto-surface"])
+def test_bicombing_flag_names_the_kind(tmp_path, flag, text, kind):
+    pres = tmp_path / "pres.txt"
+    pres.write_text(text)
+    out = tmp_path / "out"
+    assert main(["bicombing-stats", "--presentation", str(pres), "--radius", "1",
+                 "--bicombing", flag, "--out", str(out)]) == 0
+    assert f"# bicombing: {kind}" in _body(out / "bicombing.csv")
+
+
+@pytest.mark.parametrize("command", ["ball", "verify"])
+def test_tree_bicombing_needs_a_free_presentation(surface_file, tmp_path, capsys,
+                                                   monkeypatch, command):
+    def no_ball(*args, **kwargs):
+        raise AssertionError("the ball was built")
+
+    monkeypatch.setattr(cli, "ball", no_ball)
+    out = tmp_path / "out"
+    assert main([command, "--presentation", str(surface_file), "--radius", "2",
+                 "--bicombing", "tree", "--out", str(out)]) == 2
+    assert "free presentation" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestNormsAndOpnorm:
     def test_norms_rows_follow_tree_formula(self, f2_file, tmp_path):
         import math
@@ -199,6 +230,19 @@ class TestVerify:
         path.write_text(PRODUCT)
         assert main(["verify", "--presentation", str(path), "--radius", "2",
                      "--out", str(tmp_path / "out")]) == 0
+
+    def test_one_bucket_dehn_passes(self, tmp_path):
+        # aabbccdd has a nonzero exponent sum, so every dehn lookup scans
+        # one shared bucket; at r >= 4 that scan gets slow (quadratic)
+        path = tmp_path / "one_bucket.txt"
+        path.write_text("generators: a b c d\nrelators: aabbccdd\nmode: dehn\n")
+        out = tmp_path / "out"
+        assert main(["verify", "--presentation", str(path), "--radius", "2",
+                     "--out", str(out)]) == 0
+        body = _body(out / "verify.csv")
+        rows = list(csv.reader(body[body.index("check,status,witness") + 1:]))
+        assert len(rows) == 15
+        assert all(status == "pass" for _, status, _ in rows)
 
     def test_sabotage_flips_exit_code_with_witness(self, f2_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -411,6 +455,104 @@ class TestVerify:
         assert not (out / "verify.csv").exists()
 
 
+# one injected fault per verify check that no test above fails; each
+# patches cli so that the named check sees a failing witness
+
+
+def _drop_inverse_of_BBB(mp):
+    build = cli.ball
+
+    def dropped(*args, **kwargs):
+        b = build(*args, **kwargs)
+        del b.index["bbb"]
+        return b
+
+    mp.setattr(cli, "ball", dropped)
+    # the only other reader of the index
+    mp.setattr(cli, "per_vector_bound_check",
+               lambda *args: BoundCheck(Fraction(0), Fraction(0), True, Fraction(0)))
+
+
+def _misroute_edge_a_b(mp):
+    build = cli.ball
+
+    def misrouted(*args, **kwargs):
+        b = build(*args, **kwargs)
+        b.adjacency[1]["b"] = b.adjacency[1]["B"]
+        return b
+
+    mp.setattr(cli, "ball", misrouted)
+
+
+def _empty_boundary_of_ab(mp):
+    boundary = cli.boundary
+
+    def emptied(chain, b):
+        out = boundary(chain, b)
+        return {} if out == {"ab": 1, "": -1} else out
+
+    mp.setattr(cli, "boundary", emptied)
+
+
+def _empty_chain_of_ab(mp):
+    chain = cli.combing_chain
+    mp.setattr(cli, "combing_chain", lambda spec, x, y:
+               Chain1() if (x, y) == ("", "ab") else chain(spec, x, y))
+
+
+def _doubled_translates(mp):
+    translate = cli.translate_chain
+    mp.setattr(cli, "translate_chain", lambda *args: translate(*args).scale(2))
+
+
+def _doubled_forward_chains(mp):
+    chain = cli.combing_chain
+    mp.setattr(cli, "combing_chain", lambda spec, x, y:
+               chain(spec, x, y).scale(2) if x and x < y else chain(spec, x, y))
+
+
+def _residual_at_a_b(mp):
+    check = cli.check_cocycle_identity
+    mp.setattr(cli, "check_cocycle_identity", lambda s, t, b:
+               1 if (s, t) == ("a", "b") else check(s, t, b))
+
+
+def _every_vector_over_bound(mp):
+    mp.setattr(cli, "per_vector_bound_check",
+               lambda *args: BoundCheck(Fraction(1), Fraction(0), False, Fraction(0)))
+
+
+FAULTS = [
+    (_drop_inverse_of_BBB, F2, "ball_inverse_closure", "inverse of BBB missing"),
+    (_misroute_edge_a_b, F2, "ball_adjacency_involutive", "edge a -b-> aB"),
+    (_empty_boundary_of_ab, F2, "boundary_identity", "boundary of q[e,ab] is {}"),
+    (_empty_chain_of_ab, F2, "combing_lower_bound", "||q[e,ab]||_1 < d for ab"),
+    (_doubled_translates, F2, "equivariance", "translate mismatch for s=b z=b"),
+    (_doubled_forward_chains, SURFACE, "antisymmetry", "q[D,d] + q[d,D] != 0"),
+    (_residual_at_a_b, F2, "cocycle_identity", "residual 1 at (a, b)"),
+    (_every_vector_over_bound, F2, "per_vector_bound",
+     "lhs 1 > rhs 0 for s=A supp=['BB', 'aB', 'b', 'bb']"),
+]
+
+
+@pytest.mark.parametrize("fault, text, check, witness", FAULTS,
+                         ids=[check for _, _, check, _ in FAULTS])
+def test_each_check_fails_with_its_witness(tmp_path, capsys, monkeypatch,
+                                           fault, text, check, witness):
+    pres = tmp_path / "pres.txt"
+    pres.write_text(text)
+    fault(monkeypatch)
+    out = tmp_path / "out"
+    radius = "3" if text == F2 else "2"
+    assert main(["verify", "--presentation", str(pres), "--radius", radius,
+                 "--out", str(out)]) == 1
+    assert f"FAIL {check} [{witness}]" in capsys.readouterr().out
+    body = _body(out / "verify.csv")
+    rows = list(csv.reader(body[body.index("check,status,witness") + 1:]))
+    assert all(len(row) == 3 for row in rows)
+    assert [check, "FAIL", witness] in rows
+
+
 class TestExitCodes:
     def _run_raising(self, exc, f2_file, tmp_path, monkeypatch):
         def handler(config):
@@ -466,6 +608,25 @@ class TestExitCodes:
         assert main(argv + (["--action", str(act)] if command == "action" else [])) == 2
         assert "--radius" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["ball", "--radius", "1"], 0),
+    (["verify", "--radius", "1"], 2),
+    (["verify", "--radius", "2", "--sabotage-diagonal", "0"], 1),
+])
+def test_module_entry_point_exits_with_main_code(f2_file, tmp_path, argv, code):
+    # python -m l1comb.cli runs console_main, which hands main's code to sys.exit
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "l1comb.cli", *argv, "--presentation", str(f2_file),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == code, result.stderr
 
 
 class TestActionCommand:

@@ -148,6 +148,24 @@ class TestParsing:
         with pytest.raises(PresentationError, match="mode"):
             parse_presentation("generators: a b\nrelators: (none)\n")
 
+    @pytest.mark.parametrize("text, match", [
+        ("generators:\nmode: free\n", "at least one generator"),
+        ("generators: ab\nmode: free\n", "'ab' must be a single lowercase letter"),
+        ("generators: a b\nmode: magic\n", "unknown mode 'magic'"),
+        ("generators: a b\nmode: rewriting\nrules:\nax -> a\n",
+         "unknown letter 'x' in rule"),
+        ("generators: a b\nmode: rewriting\nrules:\n-> a\n", "empty left side"),
+        ("generators: a b\nmode: free\nmode: free\n", "mode specified twice"),
+        ("generators: a b\nmode: rewriting\nrules:\nab ba\n", "'ab ba' lacks '->'"),
+        # a -> (empty) rewrites inside aa, so aa -> b meets aa -> (empty)
+        ("generators: a b\nmode: rewriting\nrules:\naa -> b\na ->\n",
+         "containment critical pair of 'aa'->'b' and 'a'->''"),
+    ], ids=["no-generators", "long-generator", "unknown-mode", "unknown-rule-letter",
+            "empty-rule-side", "mode-twice", "rule-without-arrow", "containment-pair"])
+    def test_input_error_is_named(self, text, match):
+        with pytest.raises(PresentationError, match=match):
+            parse_presentation(text)
+
 
 class TestReduction:
     def test_free_cancellation(self, f2):
@@ -298,6 +316,37 @@ class TestBalls:
                     continue
                 checked += 1
                 assert b.canonical_index(b.presentation.normal(w)) == idx
+
+
+ONE_BUCKET_TEXT = """\
+generators: a b c d
+relators: aabbccdd
+mode: dehn
+"""
+
+
+class TestOneBucketDehn:
+    # aabbccdd is C'(1/6) with exponent sum 2 in each letter, so the
+    # triviality oracle scans one shared bucket, not exponent-vector buckets
+    @pytest.fixture(scope="class")
+    def one_bucket(self):
+        return parse_presentation(ONE_BUCKET_TEXT)
+
+    def test_exponent_buckets_are_off(self, one_bucket):
+        assert not one_bucket._abelian_zero
+
+    def test_radius_two_ball_is_the_free_ball(self, one_bucket):
+        # the relator has length 8, so no relation of length <= 6 holds, and
+        # every loop through the radius-2 ball is shorter than that
+        b = ball(one_bucket, 2)
+        free = ball(GroupPresentation(("a", "b", "c", "d")), 2)
+        assert b.elements == free.elements
+        assert b.adjacency == free.adjacency
+
+    def test_registry_scan_names_equal_words_alike(self, one_bucket):
+        # aabb = (ccdd)^-1 = DDCC, both outside the ball
+        b = ball(one_bucket, 2)
+        assert b.name("aabb") == b.name("DDCC")
 
 
 def _distance(b, x, y):

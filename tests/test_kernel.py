@@ -15,6 +15,7 @@ from l1comb import (
     Chain1,
     EVector,
     NonIntegralChainError,
+    OutOfBallError,
     TreeActionSpec,
     ball,
     cnd_min_eigenvalue,
@@ -419,6 +420,28 @@ class TestCrossValidation:
         assert kernel_cross_validate(
             surface_anti, radius=2, kernel=surface_kernel
         ) == 0
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda spec: kernel_from_bicombing(spec, radius=5),
+     OutOfBallError, "kernel radius 5 exceeds the ball radius 4"),
+    (lambda spec: displacement_decomposition(
+        kernel_from_bicombing(spec, radius=1, ball=spec.ball, phi=str), "a", [0]),
+     ValueError, "requires a combing-backed kernel"),
+    (lambda spec: displacement_decomposition(
+        kernel_from_bicombing(make_bicombing("shortlex", spec.ball), radius=1), "a", [0]),
+     ValueError, "needs an antisymmetric combing"),
+    (lambda spec: empirical_displacement_constant(
+        kernel_from_bicombing(spec, radius=2), 1, 2),
+     OutOfBallError, r"scan split \(1, 2\) exceeds the kernel radius"),
+    (lambda spec: kernel_cross_validate(
+        spec, radius=3, kernel=kernel_from_bicombing(spec, radius=2)),
+     OutOfBallError, "cross-validation radius exceeds the kernel radius"),
+], ids=["kernel-radius", "no-combing", "not-antisymmetric", "scan-split",
+        "cross-validation-radius"])
+def test_guard_rejects_its_input(tree_spec, call, error, match):
+    with pytest.raises(error, match=match):
+        call(tree_spec)
 
 
 def test_engine_peak_memory_stays_near_its_output(f2):
