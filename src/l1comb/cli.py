@@ -51,6 +51,7 @@ from .espace import (
     OpNormConfig,
     PropernessError,
     check_cocycle_identity,
+    cocycle_norm_rows,
     norm_e,  # not called here; perfbench/tracer.py wraps cli.norm_e
     op_norm_lower_bound,
     per_vector_bound_check,
@@ -310,12 +311,14 @@ def verify_suite(config: argparse.Namespace) -> dict[str, str | None]:
     # deviation maps (i, j) to served 2K(i, j) minus |F_i - F_j|^2, wherever
     # they differ
     deviation: dict[tuple[int, int], int] = {}
+    degree = len(b.presentation.alphabet)
     for i, row, dev in served_rows(kernel):
         s = b.elements[i]
         if b.canonical_index(s[::-1].swapcase()) is None:
             fail("ball_inverse_closure", f"inverse of {_word(s)} missing")
-        for letter, j in b.adjacency[i].items():
-            if b.adjacency[j].get(letter.swapcase()) != i:
+        for r, letter in enumerate(b.presentation.alphabet):
+            j = b.adjacency[i * degree + r]
+            if j >= 0 and b.adjacency[j * degree + (r ^ 1)] != i:
                 fail("ball_adjacency_involutive",
                      f"edge {_word(s)} -{letter}-> {_word(b.elements[j])}")
                 break
@@ -398,7 +401,8 @@ def verify_suite(config: argparse.Namespace) -> dict[str, str | None]:
             break
 
     try:
-        properness_report(kernel)
+        for _ in cocycle_norm_rows(kernel):  # checked and dropped in turn
+            pass
     except PropernessError as exc:
         fail("properness_rows", str(exc))
 

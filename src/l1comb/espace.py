@@ -14,8 +14,8 @@ enter only through square roots and the operator-norm probe.  The left translati
 representation pi(s)v(x) = v(s^-1 x) preserves ||.||_1 exactly and moves
 ||.||_f by at most the displacement excess of K; the cocycle b(s) =
 delta_s - delta_e turns pi into an affine action whose growth is governed by
-K(s, e).  :func:`properness_report` is the one reader of these cocycle rows:
-one pass over row 0 of 2K gives every ||b(s)||_E = sqrt(K(s, e)) + 2 with
+K(s, e).  :func:`cocycle_norm_rows` is the one reader of these cocycle rows:
+one pass over row 0 of 2K yields every ||b(s)||_E = sqrt(K(s, e)) + 2 with
 its lower bound, decided in integers.
 """
 
@@ -268,10 +268,10 @@ class NormReport(NamedTuple):
         return self._per_sphere(max)
 
 
-def properness_report(kernel: DisplacementKernel, element_filter=None) -> NormReport:
-    """Rows (s, d(e,s), ||b(s)||_f, ||b(s)||_1, ||b(s)||_E, lower bound) for
-    the elements s != e of the kernel's ball that pass ``element_filter``, in
-    ball order, from one read of row 0 of 2K: ||b(s)||_1 = 2 and ||b(s)||_f =
+def cocycle_norm_rows(kernel: DisplacementKernel, element_filter=None):
+    """Yield rows (s, d(e,s), ||b(s)||_f, ||b(s)||_1, ||b(s)||_E, lower bound)
+    for the elements s != e of the kernel's ball that pass ``element_filter``,
+    in ball order, from one read of row 0 of 2K: ||b(s)||_1 = 2 and ||b(s)||_f =
     sqrt(K(s, e)).  For combing kernels ||q[e,s]||_1 >= d(e,s), so the lower
     bound is sqrt(d) + 2; kernels pulled back along a homomorphism carry only
     the l1 part 2.  The bound holds exactly when 2K(s, e) >= 2d (or >= 0),
@@ -279,7 +279,6 @@ def properness_report(kernel: DisplacementKernel, element_filter=None) -> NormRe
     :class:`PropernessError` naming it."""
     ball = kernel.ball
     combing = kernel.bicombing is not None
-    report = NormReport([])
     for i, twice in enumerate(kernel.row(0).tolist()):
         word = ball.elements[i]
         if i == 0 or (element_filter is not None and not element_filter(word)):
@@ -295,5 +294,9 @@ def properness_report(kernel: DisplacementKernel, element_filter=None) -> NormRe
                 f"{row.lower_bound}: 2K(s, e) = {twice} < "
                 + (f"2 d(e, s) = {floor}" if combing else "0")
             )
-        report.rows.append(row)
-    return report
+        yield row
+
+
+def properness_report(kernel: DisplacementKernel, element_filter=None) -> NormReport:
+    """The rows of :func:`cocycle_norm_rows`, kept as one report."""
+    return NormReport(list(cocycle_norm_rows(kernel, element_filter)))

@@ -26,10 +26,11 @@ empty, so the triviality oracle is exact under any order.
 
 The Cayley ball (:class:`CayleyBall`) is the one naming authority: a word
 becomes a named element, a canonical geodesic or a distance only through a
-ball.  In ``free`` and ``rewriting`` modes the reduced word itself is
-canonical; in ``dehn`` mode a Dehn-reduced word is not canonical (``dcDC``
-and ``abAB`` are one element), so canonical shortlex-least geodesic words are
-assigned during ball enumeration, and element identity is decided by the
+ball, whose edges are one multiplication table of element indices.  In
+``free`` and ``rewriting`` modes the reduced word itself is canonical; in
+``dehn`` mode a Dehn-reduced word is not canonical (``dcDC`` and ``abAB``
+are one element), so canonical shortlex-least geodesic words are assigned
+during ball enumeration, and element identity is decided by the
 Dehn-algorithm triviality oracle (:meth:`GroupPresentation.is_identity`).
 """
 
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from array import array
 
 IDENTITY = ""  # the empty word names the identity
 
@@ -368,9 +370,11 @@ class CayleyBall:
     ``elements`` are canonical normal-form words sorted by (length,
     generator-order lexicographic); element 0 is the identity.  Canonical
     words are geodesic, so an element's distance from e is its word length,
-    ``len(elements[i])``, and is stored nowhere else.  ``adjacency`` maps
-    each element index and alphabet letter to the index of the product when
-    it stays inside the ball.  The ball is the one naming authority for its
+    ``len(elements[i])``, and is stored nowhere else.  ``adjacency`` is the
+    multiplication table, one int32 array of n x 2k entries:
+    ``adjacency[i * 2k + r]`` is the index of ``elements[i]`` times alphabet
+    letter r (``r ^ 1`` is its inverse), or -1 when the product leaves the
+    ball.  The ball is the one naming authority for its
     presentation: a word becomes a named element, or a distance, only here,
     and :meth:`_resolve` is its one element lookup.  :meth:`canonical_index`
     finds a word's element in the ball, :meth:`geodesic` returns the
@@ -388,7 +392,7 @@ class CayleyBall:
         self.radius = radius
         self.elements: list[str] = [IDENTITY]
         self.index: dict[str, int] = {IDENTITY: 0}
-        self.adjacency: list[dict[str, int]] = [{}]
+        self.adjacency = array("i", [-1] * len(presentation.alphabet))
         # oracle-scan candidates by bucket key: ball elements, and the
         # out-of-ball names handed out by name(); kept apart so that in-ball
         # lookups never scan overflow words
@@ -407,7 +411,7 @@ class CayleyBall:
         idx = len(self.elements)
         self.elements.append(word)
         self.index[word] = idx
-        self.adjacency.append({})
+        self.adjacency.extend([-1] * len(self.presentation.alphabet))
         if not self.presentation.has_geodesic_normal_forms:
             self._buckets.setdefault(self._bucket_key(word), []).append(word)
         return idx
@@ -502,14 +506,15 @@ def ball(presentation: GroupPresentation, radius: int,
     if radius < 0:
         raise ValueError("radius must be >= 0")
     b = CayleyBall(presentation, radius)
+    adj = b.adjacency  # grows in place as elements are added
+    degree = len(presentation.alphabet)
     layer = [0]
     for n in range(radius + 1):
         next_layer: list[int] = []
         for i in layer:
             w = b.elements[i]
-            adj = b.adjacency[i]
-            for letter in presentation.alphabet:
-                if letter in adj:
+            for r, letter in enumerate(presentation.alphabet):
+                if adj[i * degree + r] >= 0:
                     continue
                 nf = b._resolve(w + letter)
                 j = b.index.get(nf)
@@ -528,7 +533,7 @@ def ball(presentation: GroupPresentation, radius: int,
                         )
                     j = b._add_element(nf)
                     next_layer.append(j)
-                adj[letter] = j
-                b.adjacency[j][letter.swapcase()] = i
+                adj[i * degree + r] = j
+                adj[j * degree + (r ^ 1)] = i
         layer = next_layer
     return b

@@ -8,7 +8,9 @@ integer chain becomes a +-1 ``L1Vector`` with one coordinate per (edge,
 slot), and squared distances of embedded chains are l1 distances of the
 chains.  Combing values are half-integers, so the one kernel builder,
 :func:`kernel_from_bicombing`, embeds the doubled chains 2 q[e,phi(x)] as the
-rows of one integer matrix F, kept in numpy arrays with a column-major copy.
+rows of one integer matrix F, kept in numpy arrays with a column-major copy;
+for phi the identity the rows are walked on the ball's multiplication table
+(:func:`walked_slots`), and :func:`feature_embed` is the reference embedding.
 F is a kernel's only stored state: every doubled entry,
 
     2 K(x_i, x_j) = |F_i|^2 + |F_j|^2 - 2 <F_i, F_j>,
@@ -33,14 +35,14 @@ is built, so ``import l1comb`` and the combing layer run without it.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Collection, Hashable, Iterable
 from fractions import Fraction
 from numbers import Rational
 from typing import NamedTuple
 
 from ._numpy import np
 from .bicombing import BicombingSpec, Chain1, Edge, L1Vector, area, combing_chain
-from .groups import CayleyBall, OutOfBallError
+from .groups import CayleyBall, OutOfBallError, invert
 
 
 class NonIntegralChainError(ValueError):
@@ -128,10 +130,9 @@ class DisplacementKernel:
         return Fraction(self.row(i)[j].item(), 2)
 
 
-@functools.cache
-def _fraction_label(twice: int) -> str:
-    # exact kernels take few distinct values, so each is rendered once
-    return str(Fraction(twice, 2))
+# kernel_dump's ",{K}\n" by 2K: exact kernels take few distinct values, so
+# each is rendered once
+_LABELS: dict[int, str] = {}
 
 
 def kernel_dump(kernel: DisplacementKernel, rows=None) -> str:
@@ -145,10 +146,14 @@ def kernel_dump(kernel: DisplacementKernel, rows=None) -> str:
     for i in rows:
         if i == 0:
             chunks.append("i,j,K\n")
-        chunks.append("".join(
-            f"{i},{j},{_fraction_label(t)}\n"
-            for j, t in enumerate(kernel.row(i)[i:].tolist(), start=i)
-        ))
+        twice = kernel.row(i)[i:].tolist()
+        for t in set(twice).difference(_LABELS):
+            _LABELS[t] = f",{Fraction(t, 2)}\n"
+        # one format call renders the row's lines "{i},{j},{K}\n", no str per j
+        fields = [None] * (2 * len(twice))
+        fields[::2] = range(i, kernel.n)
+        fields[1::2] = map(_LABELS.__getitem__, twice)
+        chunks.append((f"{i},%d%s" * len(twice)) % tuple(fields))
     return "".join(chunks)
 
 
@@ -180,20 +185,52 @@ def feature_embed(chain: Chain1) -> L1Vector:
 # -- the kernel engine -------------------------------------------------------
 
 
+def walked_slots(ball: CayleyBall, i: int, antisymmetrized: bool) -> list[int]:
+    """Slot keys of the doubled chain 2 q[e, x] of element i, walked on the
+    ball's multiplication table from e along x's canonical word and, when
+    antisymmetrized, back from x along x^-1's: edge t = source index * 2k +
+    rank of its lowercase letter, slot k of edge t has key 4t + k + 1.  Both
+    walks are geodesics in the ball, so an edge carries +-1 or +-2, and the
+    keys come in the order :func:`feature_embed` gives the word chain's."""
+    adj, rank, word = ball.adjacency, ball.presentation._rank, ball.elements[i]
+    degree = len(rank)
+    doubled: dict[int, int] = {}  # edge id -> coefficient, in path order
+
+    def walk(cur: int, letters: str, step: int) -> None:
+        for r in map(rank.__getitem__, letters):
+            nxt = adj[cur * degree + r]
+            # an inverse letter crosses the edge nxt -> cur backwards
+            edge, sign = (nxt * degree + r - 1, -step) if r & 1 else (cur * degree + r, step)
+            doubled[edge] = doubled.get(edge, 0) + sign
+            cur = nxt
+
+    if antisymmetrized:
+        inverse = 0  # walk x's inverted letters from e to x^-1
+        for ch in invert(word):
+            inverse = adj[inverse * degree + rank[ch]]
+        walk(0, word, 1)
+        walk(i, ball.elements[inverse], -1)
+    else:
+        walk(0, word, 2)
+    return [key for edge, c in doubled.items()
+            for key in range(4 * edge + 2 + min(c, 0), 4 * edge + 2 + max(c, 0))]
+
+
 class SlotEmbedding:
     """Slot embeddings of integer chains as the rows of F: row i has columns
     ``cols[ptr[i]:ptr[i+1]]``, column c rows ``col_rows[col_ptr[c]:col_ptr[c+1]]``.
-    A column's slot fixes the sign of all its entries, so <F_i, F_j> counts
-    the columns rows i and j share."""
+    Rows come as slot keys (:func:`walked_slots`, or ``feature_embed(chain)
+    .coeffs``), numbered as columns in order of first appearance.  A column's
+    slot fixes the sign of all its entries, so <F_i, F_j> counts the columns
+    rows i and j share."""
 
-    def __init__(self, chains: Iterable[Chain1]):
-        # chains may be a generator: each is embedded and dropped in turn
-        columns: dict[tuple[Edge, int], int] = {}
+    def __init__(self, rows: Iterable[Collection[Hashable]]):
+        # rows may be a generator: each is numbered and dropped in turn
+        columns: dict[Hashable, int] = {}
         norms: list[int] = []
 
         def column_ids():
-            for chain in chains:
-                keys = feature_embed(chain).coeffs
+            for keys in rows:
                 norms.append(len(keys))
                 for key in keys:
                     yield columns.setdefault(key, len(columns))
@@ -225,10 +262,11 @@ def kernel_from_bicombing(spec: BicombingSpec, radius: int | None = None, *,
                           phi: Callable[[str], str] | None = None) -> DisplacementKernel:
     """Kernel K(x, y) = ||q[e,phi(x)] - q[e,phi(y)]||_1 over the prefix of the
     given radius of ``ball``, exact through the doubled chains.  By default
-    phi is the identity and ``ball`` the combing's own ball; otherwise phi
-    maps words of ``ball`` to words of the combing's group, and the kernel
-    records no combing.  Only F is built here; the displacement constant is
-    measured when it is first read."""
+    phi is the identity, ``ball`` the combing's own ball and the rows walked
+    on its table, with no word-problem call; otherwise phi maps words of
+    ``ball`` to words of the combing's group, whose word chains are embedded,
+    and the kernel records no combing.  Only F is built here; the
+    displacement constant is measured when it is first read."""
     b = spec.ball if ball is None else ball
     if radius is None:
         radius = b.radius
@@ -238,15 +276,14 @@ def kernel_from_bicombing(spec: BicombingSpec, radius: int | None = None, *,
         raise OutOfBallError(
             f"kernel radius {radius} exceeds the ball radius {b.radius}"
         )
-    words = b.elements[:b.size_within(radius)]
-    return DisplacementKernel(
-        ball=b,
-        embedding=SlotEmbedding(
-            combing_chain(spec, "", w).scale(2)
-            for w in (words if phi is None else map(phi, words))),
-        radius=radius,
-        bicombing=spec if phi is None else None,
-    )
+    n = b.size_within(radius)
+    if phi is None:
+        rows = (walked_slots(b, i, spec.antisymmetrized) for i in range(n))
+    else:
+        rows = (feature_embed(combing_chain(spec, "", phi(w)).scale(2)).coeffs
+                for w in b.elements[:n])
+    return DisplacementKernel(ball=b, embedding=SlotEmbedding(rows), radius=radius,
+                              bicombing=spec if phi is None else None)
 
 
 # -- displacement ------------------------------------------------------------

@@ -388,17 +388,18 @@ class TestVerify:
 
     def test_swapped_chains_fail_only_cross_validation(self, f2_file, tmp_path,
                                                         capsys, monkeypatch):
-        # a kernel built from the chains of b and B swapped (ball indices 3
-        # and 4) is still a consistent slot embedding with the right norms,
-        # so only the comparison with chain arithmetic can see it
+        # a kernel built from the walked rows of b and B swapped (ball
+        # indices 3 and 4) is still a consistent slot embedding with the
+        # right norms, so only the comparison with chain arithmetic can see it
         build = cli.kernel_from_bicombing
-        chain = kernel_module.combing_chain
-        swap = {"b": "B", "B": "b"}
+        walk = kernel_module.walked_slots
+        swap = {3: 4, 4: 3}
 
         def swapped(spec):
+            assert spec.ball.elements[3:5] == ["b", "B"]
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(kernel_module, "combing_chain",
-                           lambda spec, x, y: chain(spec, x, swap.get(y, y)))
+                mp.setattr(kernel_module, "walked_slots",
+                           lambda b, i, anti: walk(b, swap.get(i, i), anti))
                 return build(spec)
 
         monkeypatch.setattr(cli, "kernel_from_bicombing", swapped)
@@ -410,6 +411,30 @@ class TestVerify:
         assert out.count("FAIL") == 1
         assert ("FAIL kernel_cross_validation "
                 "[cross-validation discrepancy 2 is not 0]") in out
+
+    def test_properness_check_holds_no_list_of_rows(self, f2_file, tmp_path,
+                                                    monkeypatch):
+        # every cocycle norm row is checked and dropped before the next one
+        # is made, so at most one is alive at a time
+        from l1comb import espace
+
+        made, live, peak = [0], [0], [0]
+
+        class CountedRow(espace.NormRow):
+            def __new__(cls, *args, **kwargs):
+                made[0] += 1
+                live[0] += 1
+                peak[0] = max(peak[0], live[0])
+                return super().__new__(cls, *args, **kwargs)
+
+            def __del__(self):
+                live[0] -= 1
+
+        monkeypatch.setattr(espace, "NormRow", CountedRow)
+        assert main(["verify", "--presentation", str(f2_file), "--radius", "4",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert made[0] == 160  # every s != e of the radius-4 ball
+        assert peak[0] <= 2, peak[0]
 
     @pytest.mark.parametrize("radius, pair_radius", [(3, 2), (4, 2), (5, 3)])
     def test_cross_validation_covers_the_scan_split_pair_ball(
@@ -478,7 +503,8 @@ def _misroute_edge_a_b(mp):
 
     def misrouted(*args, **kwargs):
         b = build(*args, **kwargs)
-        b.adjacency[1]["b"] = b.adjacency[1]["B"]
+        # row 1 is the element a; letters 2 and 3 of "aAbB" are b and B
+        b.adjacency[1 * 4 + 2] = b.adjacency[1 * 4 + 3]
         return b
 
     mp.setattr(cli, "ball", misrouted)

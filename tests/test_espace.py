@@ -168,12 +168,12 @@ class TestNorms:
             norm_f(v, tree_kernel)
 
     def test_non_cnd_kernel_detected_under_the_root(self, f2_ball4):
-        from l1comb import Chain1, NonCndFormError
+        from l1comb import NonCndFormError
         from l1comb.kernel import DisplacementKernel, SlotEmbedding
 
         values = np.array([[0, 9, 1], [9, 0, 1], [1, 1, 0]], dtype=np.int8)
         bad = serve_rows(
-            DisplacementKernel(ball=f2_ball4, embedding=SlotEmbedding([Chain1()] * 3),
+            DisplacementKernel(ball=f2_ball4, embedding=SlotEmbedding([()] * 3),
                                radius=1),
             {(i, j): 2 * int(t) for (i, j), t in np.ndenumerate(values)})
         v = EVector({"": 1, "a": 1, "A": -2})

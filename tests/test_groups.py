@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -28,6 +29,13 @@ generators: a b c d
 relators: abABcdCD
 mode: dehn
 """
+
+
+def _neighbours(b, i):
+    """Indices of the products elements[i] * letter inside the ball, one per
+    alphabet letter that stays there, read off the flat multiplication table."""
+    degree = len(b.presentation.alphabet)
+    return [j for j in b.adjacency[i * degree:(i + 1) * degree] if j >= 0]
 
 
 def _symmetrized(relator):
@@ -236,8 +244,8 @@ class TestBalls:
         for b in (f2_ball4, surface_ball4, f2xf2_ball3):
             lengths = [len(w) for w in b.elements]
             assert lengths[0] == 0
-            for i, nbrs in enumerate(b.adjacency):
-                steps = [lengths[j] - lengths[i] for j in nbrs.values()]
+            for i in range(len(b)):
+                steps = [lengths[j] - lengths[i] for j in _neighbours(b, i)]
                 assert all(abs(d) <= 1 for d in steps)
                 assert i == 0 or -1 in steps
 
@@ -246,11 +254,31 @@ class TestBalls:
             for w in b.elements:
                 assert b.canonical_index(invert(w)) is not None
 
+    def test_adjacency_is_one_flat_int32_table(self, f2_ball4, surface_ball4,
+                                               f2xf2_ball3):
+        for b in (f2_ball4, surface_ball4, f2xf2_ball3):
+            degree = len(b.presentation.alphabet)
+            assert isinstance(b.adjacency, array)
+            assert b.adjacency.typecode == "i" and b.adjacency.itemsize == 4
+            assert len(b.adjacency) == len(b) * degree
+            assert min(b.adjacency) == -1  # some product leaves the ball
+            # a product that stays inside is the element its word names
+            for i in (0, len(b) // 2, len(b) - 1):
+                for r, letter in enumerate(b.presentation.alphabet):
+                    j = b.adjacency[i * degree + r]
+                    assert j == (b.canonical_index(b.elements[i] + letter) if j >= 0
+                                 else -1)
+
     def test_adjacency_involutive(self, f2_ball4, surface_ball4, f2xf2_ball3):
         for b in (f2_ball4, surface_ball4, f2xf2_ball3):
-            for i, nbrs in enumerate(b.adjacency):
-                for letter, j in nbrs.items():
-                    assert b.adjacency[j][letter.swapcase()] == i
+            alphabet = b.presentation.alphabet
+            degree = len(alphabet)
+            for r in range(degree):  # letter r ^ 1 undoes letter r
+                assert alphabet[r ^ 1] == alphabet[r].swapcase()
+            for t, j in enumerate(b.adjacency):
+                if j >= 0:
+                    i, r = divmod(t, degree)
+                    assert b.adjacency[j * degree + (r ^ 1)] == i
 
     def test_surface_ball_identifies_half_relator_words(self, surface_ball4):
         b = surface_ball4
@@ -274,15 +302,17 @@ class TestBalls:
         # is resolved from one end, each pair leaving it once
         resolved = []
         resolve = CayleyBall._resolve
+        alphabet = f2xf2.alphabet
 
         def counted(b, word, registry=None):
-            assert word[-1] not in b.adjacency[b.index[word[:-1]]]
+            edge = b.index[word[:-1]] * len(alphabet) + alphabet.index(word[-1])
+            assert b.adjacency[edge] == -1
             resolved.append(word)
             return resolve(b, word, registry)
 
         monkeypatch.setattr(CayleyBall, "_resolve", counted)
         b = ball(f2xf2, 4)
-        inside = sum(map(len, b.adjacency))
+        inside = sum(j >= 0 for j in b.adjacency)
         outside = len(b) * len(f2xf2.alphabet) - inside
         assert len(resolved) == inside // 2 + outside == 5512
 
@@ -307,8 +337,8 @@ class TestBalls:
                 idx = 0
                 ok = True
                 for ch in w:
-                    nxt = b.adjacency[idx].get(ch)
-                    if nxt is None:
+                    nxt = b.adjacency[idx * len(letters) + letters.index(ch)]
+                    if nxt < 0:
                         ok = False
                         break
                     idx = nxt
@@ -341,7 +371,8 @@ class TestOneBucketDehn:
         b = ball(one_bucket, 2)
         free = ball(GroupPresentation(("a", "b", "c", "d")), 2)
         assert b.elements == free.elements
-        assert b.adjacency == free.adjacency
+        # the two flat tables agree entry by entry, products leaving included
+        assert b.adjacency.tolist() == free.adjacency.tolist()
 
     def test_registry_scan_names_equal_words_alike(self, one_bucket):
         # aabb = (ccdd)^-1 = DDCC, both outside the ball

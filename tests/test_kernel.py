@@ -51,7 +51,7 @@ wide_chains = st.dictionaries(
 
 
 def assert_engine_matches_chains(chains):
-    F = SlotEmbedding(chains)
+    F = SlotEmbedding(feature_embed(u).coeffs for u in chains)
     for i, u in enumerate(chains):
         row = F.row(i)
         assert row.dtype == np.int64
@@ -303,7 +303,7 @@ class TestCnd:
     def test_zero_kernel(self, f2_ball4):
         n = f2_ball4.size_within(1)
         kernel = DisplacementKernel(
-            ball=f2_ball4, embedding=SlotEmbedding([Chain1()] * n), radius=1,
+            ball=f2_ball4, embedding=SlotEmbedding([()] * n), radius=1,
         )
         assert cnd_min_eigenvalue(kernel) == 0.0
 
@@ -389,8 +389,9 @@ class TestKernelDump:
         from l1comb import kernel_dump
 
         # 2K(0, 1) = ||0 - 1 edge||_1 = 1
+        chains = [Chain1(), Chain1({("", "a"): 1})]
         kernel = DisplacementKernel(
-            ball=f2_ball4, embedding=SlotEmbedding([Chain1(), Chain1({("", "a"): 1})]),
+            ball=f2_ball4, embedding=SlotEmbedding(feature_embed(c).coeffs for c in chains),
             radius=0,
         )
         assert "0,1,1/2" in kernel_dump(kernel).splitlines()
@@ -456,6 +457,68 @@ def test_engine_peak_memory_stays_near_its_output(f2):
         tracemalloc.stop()
     assert kernel.n == 1457
     assert peak <= 1.05 * values.nbytes, peak / values.nbytes
+
+
+@pytest.mark.parametrize("pres, radius, kind", [
+    ("f2", 4, "tree_geodesic"),
+    ("surface", 3, "shortlex"),
+    ("surface", 3, "shortlex_antisymmetrized"),
+    ("f2xf2", 3, "shortlex_antisymmetrized"),
+])
+def test_walked_rows_equal_the_word_chain_embedding(request, pres, radius, kind):
+    # the rows walked on the multiplication table number F's columns as the
+    # slot embedding of the word chains 2 q[e, x] does, on every element
+    b = ball(request.getfixturevalue(pres), radius)
+    spec = make_bicombing(kind, b)
+    walked = kernel_from_bicombing(spec).embedding
+    words = SlotEmbedding(feature_embed(combing_chain(spec, "", x).scale(2)).coeffs
+                          for x in b.elements)
+    assert walked.norms.size == len(b)
+    for name in ("cols", "norms", "col_ptr"):
+        assert np.array_equal(getattr(walked, name), getattr(words, name)), name
+
+
+def test_walked_kernel_build_makes_no_oracle_call(surface, monkeypatch):
+    from l1comb import CayleyBall, GroupPresentation
+
+    b = ball(surface, 3)
+    calls = []
+
+    def counting(owner, name):
+        method = getattr(owner, name)
+
+        def counted(*args):
+            calls.append(name)
+            return method(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(GroupPresentation, "normal")
+    counting(CayleyBall, "name")
+    kernel = kernel_from_bicombing(make_bicombing("shortlex_antisymmetrized", b))
+    assert kernel.n == len(b) == 457
+    assert calls == []
+    b.name("abAB")  # the counters do see a call
+    assert calls[0] == "name" and "normal" in calls
+
+
+def test_kernel_build_retains_only_f(surface):
+    # the walked build leaves nothing behind but F: no name-cache entries, no
+    # chains, no column-key table
+    b = ball(surface, 4)
+    spec = make_bicombing("shortlex_antisymmetrized", b)
+    kernel_from_bicombing(spec, radius=1)  # numpy and the lazy imports load here
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kernel = kernel_from_bicombing(spec)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    F = kernel.embedding
+    f_bytes = sum(a.nbytes for a in (F.cols, F.norms, F.ptr, F.col_rows, F.col_ptr))
+    assert kernel.n == 3193
+    assert retained <= f_bytes + 16_384, (retained, f_bytes)
 
 
 def test_slot_embedding_rows_match_the_matrix(tree_kernel, surface_kernel):
