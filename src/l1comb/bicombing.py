@@ -12,8 +12,9 @@ triangle areas are exact.
 
 Vertices are named by the combing's Cayley ball alone: a path follows the
 canonical geodesic :meth:`CayleyBall.geodesic` gives, and every vertex off
-the identity's paths gets its word from :meth:`CayleyBall.name`, so the
-chains q[x, y] = x . q[e, x^-1 y] cancel exactly.
+the identity's paths gets its word from :meth:`CayleyBall.name_step`, which
+reads it off the ball's multiplication table while the path stays in the
+ball, so the chains q[x, y] = x . q[e, x^-1 y] cancel exactly.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def boundary(chain: Chain1, ball: CayleyBall) -> dict[str, Rational]:
     source.  Vertex names come from the ball's canonical naming."""
     acc: dict[str, Rational] = {}
     for (src, g), c in chain.coeffs.items():
-        _add_coeff(acc, ball.name(src + g), c)
+        _add_coeff(acc, ball.name_step(src, g), c)
         _add_coeff(acc, src, -c)
     return acc
 
@@ -165,7 +166,7 @@ def _raw_accumulate(spec: BicombingSpec, x: str, y: str,
     base = x == ""
     cur = x
     for ch in z:
-        nxt = cur + ch if base else ball.name(cur + ch)
+        nxt = cur + ch if base else ball.name_step(cur, ch)
         if ch.islower():
             edge = (cur, ch)
             coeff = factor

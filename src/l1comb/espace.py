@@ -154,7 +154,7 @@ def per_vector_bound_check(s: str, v: EVector, kernel: DisplacementKernel) -> Bo
     if not v.coeffs:
         return BoundCheck(Fraction(0), Fraction(0), True, Fraction(0))
     idx = [kernel.index_of(w, SupportEscapeError) for w in v.coeffs]
-    trans = [kernel.index_of(s + w, SupportEscapeError) for w in v.coeffs]
+    trans = [kernel.translate_index(s, w, SupportEscapeError) for w in v.coeffs]
     diff2 = kernel.twice_block(trans) - kernel.twice_block(idx)
     excess = Fraction(np.abs(diff2).max().item(), 2)
     lhs = quadratic_form(rep_apply(s, v, kernel.ball), kernel) - quadratic_form(v, kernel)
@@ -195,7 +195,8 @@ def op_norm_lower_bound(s: str, kernel: DisplacementKernel, radius: int,
     n = ball.size_within(radius)
     if n < 2:
         raise ValueError("need at least two elements to span mean-zero vectors")
-    trans_idx = [kernel.index_of(s + x, SupportEscapeError) for x in ball.elements[:n]]
+    trans_idx = [kernel.translate_index(s, x, SupportEscapeError)
+                 for x in ball.elements[:n]]
     if s == "":
         return OpNormResult(value=1.0, iterations=0, restarts=0, seed=config.seed)
     k_base = kernel.twice_block(range(n)) / 2.0

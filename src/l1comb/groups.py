@@ -380,7 +380,9 @@ class CayleyBall:
     finds a word's element in the ball, :meth:`geodesic` returns the
     canonical geodesic word a combing follows, and :meth:`name` returns a
     run-stable word for any product, falling back to an oracle-checked
-    overflow registry outside the ball, so chain arithmetic stays exact.
+    overflow registry outside the ball, so chain arithmetic stays exact;
+    :meth:`name_step` names a product with one letter, reading it off the
+    table while it stays in the ball.
     Where normal forms are canonical (free and rewriting modes) the lookup
     is the normal form alone; in dehn mode the triviality oracle scans the
     normal form's bucket (its exponent vector when every relator has
@@ -455,11 +457,28 @@ class CayleyBall:
         )
 
     def name(self, word: str) -> str:
-        """Run-stable canonical name, valid beyond the ball via the registry."""
+        """Run-stable canonical name, valid beyond the ball via the registry.
+        Where normal forms are canonical the normal form is the name, so only
+        dehn mode's oracle-scanned names are memoized."""
+        pres = self.presentation
+        if pres.has_geodesic_normal_forms:
+            return pres.normal(word)
         out = self._name_cache.get(word)
         if out is None:
             out = self._name_cache[word] = self._resolve(word, self._registry)
         return out
+
+    def name_step(self, word: str, letter: str) -> str:
+        """``name(word + letter)``, read off the multiplication table when
+        ``word`` is a ball element and the product stays in the ball, so a
+        chain's steps inside the ball make no word-problem call."""
+        i = self.index.get(word)
+        if i is not None:
+            rank = self.presentation._rank
+            j = self.adjacency[i * len(rank) + rank[letter]]
+            if j >= 0:
+                return self.elements[j]
+        return self.name(word + letter)
 
     # structure -------------------------------------------------------------
 

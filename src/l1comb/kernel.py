@@ -11,7 +11,9 @@ chains.  Combing values are half-integers, so the one kernel builder,
 rows of one integer matrix F, kept in numpy arrays with a column-major copy;
 for phi the identity the rows are walked on the ball's multiplication table
 (:func:`walked_slots`), and :func:`feature_embed` is the reference embedding.
-F is a kernel's only stored state: every doubled entry,
+:class:`SlotEmbedding` builds F in one pass over integer slot keys, so a
+build peaks below twice the bytes of F.  F is a kernel's only stored state:
+every doubled entry,
 
     2 K(x_i, x_j) = |F_i|^2 + |F_j|^2 - 2 <F_i, F_j>,
 
@@ -25,8 +27,11 @@ of 2K is always a principal block 2K[I, I] read through the rows
 (:meth:`DisplacementKernel.twice_block`); the eigenvalue diagnostic and the
 operator-norm probe halve it into floats themselves, and :func:`kernel_dump`
 renders 2K a row at a time.  Words reach kernel indices through
-:meth:`DisplacementKernel.index_of` alone.  The displacement constant M is
-measured over the kernel's scan split the first time a caller reads it.
+:meth:`DisplacementKernel.index_of`, and a translate s x through
+:meth:`DisplacementKernel.translate_index`, which walks x's letters from s on
+the multiplication table and asks ``index_of`` only when the walk leaves the
+ball.  The displacement constant M is measured over the kernel's scan split
+the first time a caller reads it.
 
 numpy comes from :mod:`l1comb._numpy` and is imported when the first kernel
 is built, so ``import l1comb`` and the combing layer run without it.
@@ -35,7 +40,9 @@ is built, so ``import l1comb`` and the combing layer run without it.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Collection, Hashable, Iterable
+import itertools
+from array import array
+from collections.abc import Callable, Collection, Iterable
 from fractions import Fraction
 from numbers import Rational
 from typing import NamedTuple
@@ -123,6 +130,25 @@ class DisplacementKernel:
             raise error(f"{word!r} is outside the kernel's ball")
         return idx
 
+    def translate_index(self, s: str, x: str, error: type = OutOfBallError) -> int:
+        """Kernel index of the translate s x: x's letters walked from s's
+        index on the ball's multiplication table, and :meth:`index_of` of
+        ``s + x`` only when s is no ball element or the walk leaves the
+        ball or the kernel."""
+        b = self.ball
+        cur = b.index.get(s)
+        if cur is not None:
+            adj, rank = b.adjacency, b.presentation._rank
+            degree = len(rank)
+            for ch in x:
+                cur = adj[cur * degree + rank[ch]]
+                if cur < 0:
+                    break
+            else:
+                if cur < self.n:
+                    return cur
+        return self.index_of(s + x, error)
+
     def value(self, i: int, j: int) -> float:
         return float(self.row(i)[j]) / 2.0
 
@@ -188,19 +214,22 @@ def feature_embed(chain: Chain1) -> L1Vector:
 def walked_slots(ball: CayleyBall, i: int, antisymmetrized: bool) -> list[int]:
     """Slot keys of the doubled chain 2 q[e, x] of element i, walked on the
     ball's multiplication table from e along x's canonical word and, when
-    antisymmetrized, back from x along x^-1's: edge t = source index * 2k +
-    rank of its lowercase letter, slot k of edge t has key 4t + k + 1.  Both
-    walks are geodesics in the ball, so an edge carries +-1 or +-2, and the
-    keys come in the order :func:`feature_embed` gives the word chain's."""
+    antisymmetrized, back from x along x^-1's: edge t = source index * k +
+    generator (k generators), slot k of edge t has key 4t + k + 1.  Both
+    walks are geodesics in the ball, so an edge carries +-1 or +-2, every key
+    is below 4nk for the n elements within x's length, and the keys come in
+    the order :func:`feature_embed` gives the word chain's."""
     adj, rank, word = ball.adjacency, ball.presentation._rank, ball.elements[i]
     degree = len(rank)
+    gens = degree // 2
     doubled: dict[int, int] = {}  # edge id -> coefficient, in path order
 
     def walk(cur: int, letters: str, step: int) -> None:
         for r in map(rank.__getitem__, letters):
             nxt = adj[cur * degree + r]
-            # an inverse letter crosses the edge nxt -> cur backwards
-            edge, sign = (nxt * degree + r - 1, -step) if r & 1 else (cur * degree + r, step)
+            # an inverse letter (odd rank) crosses the edge nxt -> cur backwards
+            source, sign = (nxt, -step) if r & 1 else (cur, step)
+            edge = source * gens + (r >> 1)
             doubled[edge] = doubled.get(edge, 0) + sign
             cur = nxt
 
@@ -219,29 +248,45 @@ def walked_slots(ball: CayleyBall, i: int, antisymmetrized: bool) -> list[int]:
 class SlotEmbedding:
     """Slot embeddings of integer chains as the rows of F: row i has columns
     ``cols[ptr[i]:ptr[i+1]]``, column c rows ``col_rows[col_ptr[c]:col_ptr[c+1]]``.
-    Rows come as slot keys (:func:`walked_slots`, or ``feature_embed(chain)
-    .coeffs``), numbered as columns in order of first appearance.  A column's
-    slot fixes the sign of all its entries, so <F_i, F_j> counts the columns
-    rows i and j share."""
+    Rows come as non-negative integer slot keys (:func:`walked_slots`) and
+    are read once: one flat key table numbers the keys as columns in order of
+    first appearance, and a counting pass from ``col_ptr`` then fills
+    ``col_rows``, so the build holds F, the key table and one column cursor
+    and nothing per key.  A column's slot fixes the sign of all its entries,
+    so <F_i, F_j> counts the columns rows i and j share."""
 
-    def __init__(self, rows: Iterable[Collection[Hashable]]):
+    def __init__(self, rows: Iterable[Collection[int]]):
         # rows may be a generator: each is numbered and dropped in turn
-        columns: dict[Hashable, int] = {}
-        norms: list[int] = []
-
-        def column_ids():
-            for keys in rows:
-                norms.append(len(keys))
-                for key in keys:
-                    yield columns.setdefault(key, len(columns))
-
-        self.cols = np.fromiter(column_ids(), np.int32)
-        self.norms = np.array(norms, dtype=np.int64)  # |F_i|^2
-        self.ptr = np.concatenate(([0], np.cumsum(self.norms)))
-        self.col_rows = np.repeat(np.arange(len(norms), dtype=np.int32), self.norms)[
-            np.argsort(self.cols, kind="stable")]
-        self.col_ptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(self.cols, minlength=len(columns)))))
+        table = array("i")  # slot key -> column, -1 until the key appears
+        cols, norms = array("i"), array("q")
+        width = 0  # columns numbered so far
+        for keys in rows:
+            norms.append(len(keys))
+            for key in keys:
+                try:
+                    c = table[key]
+                except IndexError:
+                    table.extend(array("i", [-1]) * (key + 1 - len(table)))
+                    c = -1
+                if c < 0:
+                    c = table[key] = width
+                    width += 1
+                cols.append(c)
+        del table
+        self.cols = np.frombuffer(cols, np.int32)
+        self.norms = np.frombuffer(norms, np.int64)  # |F_i|^2
+        self.ptr = np.zeros(len(norms) + 1, np.int64)
+        np.cumsum(self.norms, out=self.ptr[1:])
+        self.col_ptr = np.zeros(width + 1, np.int64)
+        np.cumsum(np.bincount(self.cols, minlength=width), out=self.col_ptr[1:])
+        # counting pass: rows are read in order, so each column lists its
+        # rows in increasing order, as a stable sort by column would
+        self.col_rows = np.empty(len(cols), np.int32)
+        fill, cursor = memoryview(self.col_rows), memoryview(self.col_ptr[:-1].copy())
+        row_of = itertools.chain.from_iterable(map(itertools.repeat, range(len(norms)), norms))
+        for c, i in zip(cols, row_of):
+            fill[cursor[c]] = i
+            cursor[c] += 1
 
     def row(self, i: int) -> np.ndarray:
         """Exact int64 |F_i - F_j|^2 = |F_i|^2 + |F_j|^2 - 2 <F_i, F_j>, all j."""
@@ -280,7 +325,10 @@ def kernel_from_bicombing(spec: BicombingSpec, radius: int | None = None, *,
     if phi is None:
         rows = (walked_slots(b, i, spec.antisymmetrized) for i in range(n))
     else:
-        rows = (feature_embed(combing_chain(spec, "", phi(w)).scale(2)).coeffs
+        # word chains' (edge, slot) keys, numbered as they are read
+        keys: dict[tuple[Edge, int], int] = {}
+        rows = ([keys.setdefault(key, len(keys)) for key in
+                 feature_embed(combing_chain(spec, "", phi(w)).scale(2)).coeffs]
                 for w in b.elements[:n])
     return DisplacementKernel(ball=b, embedding=SlotEmbedding(rows), radius=radius,
                               bicombing=spec if phi is None else None)
@@ -319,7 +367,7 @@ def displacement_decomposition(kernel: DisplacementKernel, s: str,
             "the two-triangle decomposition needs an antisymmetric combing"
         )
     indices = list(indices)
-    trans = [kernel.index_of(s + kernel.ball.elements[i]) for i in indices]
+    trans = [kernel.translate_index(s, kernel.ball.elements[i]) for i in indices]
     diff2 = (kernel.twice_block(trans) - kernel.twice_block(indices)).tolist()
     rows = []
     for a, diff2_a in zip(indices, diff2):
@@ -352,7 +400,7 @@ def empirical_displacement_constant(kernel: DisplacementKernel, s_radius: int,
     best2 = 0
     # element 0 is the identity, whose translates are the pairs themselves
     for s in b.elements[1:b.size_within(s_radius)]:
-        trans = [kernel.index_of(s + x) for x in pairs]
+        trans = [kernel.translate_index(s, x) for x in pairs]
         best2 = max(best2, int(np.abs(kernel.twice_block(trans) - base).max()))
     return float(best2) / 2.0
 

@@ -221,6 +221,22 @@ class TestVerify:
         assert main(["verify", "--presentation", str(f2_file), "--radius", "4",
                      "--out", str(tmp_path / "out")]) == 0
 
+    def test_free_verify_memoizes_no_name(self, f2_file, tmp_path, monkeypatch):
+        # free normal forms are the names, and chain steps inside the ball
+        # are read off the table, so the pass keeps no name cache
+        balls = []
+        build = cli.ball
+
+        def kept(*args, **kwargs):
+            balls.append(build(*args, **kwargs))
+            return balls[-1]
+
+        monkeypatch.setattr(cli, "ball", kept)
+        assert main(["verify", "--presentation", str(f2_file), "--radius", "4",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert len(balls) == 1 and len(balls[0]) == 161
+        assert balls[0]._name_cache == {}
+
     def test_surface_passes(self, surface_file, tmp_path):
         assert main(["verify", "--presentation", str(surface_file), "--radius", "2",
                      "--out", str(tmp_path / "out")]) == 0

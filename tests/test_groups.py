@@ -195,6 +195,28 @@ class TestReduction:
         for x in ("", "a", "abc", "dcD"):
             assert surface_ball4.name(x + "") == surface.normal(x)
 
+    @pytest.mark.parametrize("which", ["surface", "f2xf2"])
+    def test_name_step_is_the_name_of_the_product(self, request, which):
+        # two equal balls, one stepped on its table and one named through
+        # the oracle in the same order, so that out-of-ball products enter
+        # both dehn registries alike; the last step starts at a registry word
+        pres = request.getfixturevalue(which)
+        stepped, named = ball(pres, 3), ball(pres, 3)
+        degree = len(pres.alphabet)
+        left = 0
+        for i, w in enumerate(stepped.elements):
+            for r, letter in enumerate(pres.alphabet):
+                left += stepped.adjacency[i * degree + r] < 0
+                assert stepped.name_step(w, letter) == named.name(w + letter), (w, letter)
+        assert left > 0
+        outside = stepped.name("ababab")
+        assert outside == named.name("ababab")
+        assert outside not in stepped.index
+        if pres.reduction_mode == "dehn":
+            assert outside in stepped._registry[stepped._bucket_key(outside)]
+        for letter in pres.alphabet:
+            assert stepped.name_step(outside, letter) == named.name(outside + letter)
+
     def test_invert(self):
         assert invert("ab") == "BA"
         assert invert("") == ""

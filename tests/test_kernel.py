@@ -50,8 +50,15 @@ wide_chains = st.dictionaries(
 ).map(Chain1)
 
 
+def numbered(key_rows):
+    """Slot-key rows with every key replaced by its number in order of first
+    appearance, as the pull-back kernel numbers its word chains' keys."""
+    ids = {}
+    return [[ids.setdefault(key, len(ids)) for key in keys] for keys in key_rows]
+
+
 def assert_engine_matches_chains(chains):
-    F = SlotEmbedding(feature_embed(u).coeffs for u in chains)
+    F = SlotEmbedding(numbered(feature_embed(u).coeffs for u in chains))
     for i, u in enumerate(chains):
         row = F.row(i)
         assert row.dtype == np.int64
@@ -391,7 +398,8 @@ class TestKernelDump:
         # 2K(0, 1) = ||0 - 1 edge||_1 = 1
         chains = [Chain1(), Chain1({("", "a"): 1})]
         kernel = DisplacementKernel(
-            ball=f2_ball4, embedding=SlotEmbedding(feature_embed(c).coeffs for c in chains),
+            ball=f2_ball4,
+            embedding=SlotEmbedding(numbered(feature_embed(c).coeffs for c in chains)),
             radius=0,
         )
         assert "0,1,1/2" in kernel_dump(kernel).splitlines()
@@ -471,8 +479,8 @@ def test_walked_rows_equal_the_word_chain_embedding(request, pres, radius, kind)
     b = ball(request.getfixturevalue(pres), radius)
     spec = make_bicombing(kind, b)
     walked = kernel_from_bicombing(spec).embedding
-    words = SlotEmbedding(feature_embed(combing_chain(spec, "", x).scale(2)).coeffs
-                          for x in b.elements)
+    words = SlotEmbedding(numbered(feature_embed(combing_chain(spec, "", x).scale(2)).coeffs
+                                   for x in b.elements))
     assert walked.norms.size == len(b)
     for name in ("cols", "norms", "col_ptr"):
         assert np.array_equal(getattr(walked, name), getattr(words, name)), name
@@ -519,6 +527,47 @@ def test_kernel_build_retains_only_f(surface):
     f_bytes = sum(a.nbytes for a in (F.cols, F.norms, F.ptr, F.col_rows, F.col_ptr))
     assert kernel.n == 3193
     assert retained <= f_bytes + 16_384, (retained, f_bytes)
+
+
+@pytest.mark.parametrize("pres, radius, kind", [
+    ("surface", 4, "shortlex_antisymmetrized"),
+    ("f2", 7, "tree_geodesic"),
+])
+def test_kernel_build_peak_stays_within_twice_f(request, pres, radius, kind):
+    # the one-pass build holds F, the flat key table and one column cursor:
+    # no key dict, no growing buffer, no int64 sort order, no repeated rows
+    spec = make_bicombing(kind, ball(request.getfixturevalue(pres), radius))
+    kernel_from_bicombing(spec, radius=1)  # numpy and the lazy imports load here
+    tracemalloc.start()
+    try:
+        kernel = kernel_from_bicombing(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    F = kernel.embedding
+    f_bytes = sum(a.nbytes for a in (F.cols, F.norms, F.ptr, F.col_rows, F.col_ptr))
+    assert kernel.n == {4: 3193, 7: 4373}[radius]
+    assert peak <= 2 * f_bytes, peak / f_bytes
+
+
+@pytest.mark.parametrize("pres", ["f2", "surface", "f2xf2"])
+def test_walked_translates_equal_the_oracle_lookup(request, pres):
+    # on every kernel radius 2..4 and every split of it into an s radius and
+    # a pair radius, s x walked on the table is the element index_of finds
+    presentation = request.getfixturevalue(pres)
+    for radius in (2, 3, 4):
+        b = ball(presentation, radius)
+        kernel = kernel_from_bicombing(make_bicombing("shortlex", b))
+        for s_radius in range(radius + 1):
+            pairs = b.elements[:b.size_within(radius - s_radius)]
+            for s in b.elements[:b.size_within(s_radius)]:
+                assert [kernel.translate_index(s, x) for x in pairs] == \
+                    [kernel.index_of(s + x) for x in pairs], (radius, s)
+    # a walk that leaves the ball or the kernel falls back to the same error
+    small = kernel_from_bicombing(make_bicombing("shortlex", b), radius=2)
+    for s, x in (("ab", "ab"), ("aaaa", "a")):
+        with pytest.raises(OutOfBallError, match=f"{s + x!r} is outside"):
+            small.translate_index(s, x)
 
 
 def test_slot_embedding_rows_match_the_matrix(tree_kernel, surface_kernel):
