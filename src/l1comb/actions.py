@@ -1,9 +1,9 @@
 """Isometric actions on trees and validated quasi-tree kernel inputs.
 
 A tree action is presented by a homomorphism from the source group to a free
-group acting on its own Cayley tree; the orbit of the basepoint e pulls the
-tree-geodesic combing back to a displacement kernel, whose measured constant
-is 0 (the action is isometric).  Its cocycle rows come from
+group acting on its own Cayley tree; the doubled tree paths from e to the
+orbit of e are the rows of a displacement kernel, whose measured constant is
+0 (the action is isometric).  Its cocycle rows come from
 :func:`l1comb.espace.properness_report`, with the l1 part 2 as their lower
 bound, and the growth verdict is decided exactly on the integers 2K(s, e).
 Quasi-tree geometry enters only through user-supplied kernels checked
@@ -17,14 +17,13 @@ import math
 from typing import NamedTuple
 
 from ._numpy import np
-from .bicombing import BicombingSpec
 from .groups import (
     CayleyBall,
     GroupPresentation,
     free_reduce,
     invert,
 )
-from .kernel import DisplacementKernel, centered_min_eigenvalue, kernel_from_bicombing
+from .kernel import DisplacementKernel, SlotEmbedding, centered_min_eigenvalue
 from .espace import NormReport, properness_report
 
 
@@ -115,14 +114,24 @@ def parse_action(text: str, presentation: GroupPresentation) -> TreeActionSpec:
 
 def orbit_kernel(action: TreeActionSpec, ball: CayleyBall) -> DisplacementKernel:
     """K(s, t) = tree distance between the images of s and t: the reduced word
-    length of phi(s)^-1 phi(t), the tree-geodesic chains q[e, phi(s)] of the
-    target free group pulled back along phi.  The displacement constant is
+    length of phi(s)^-1 phi(t).  Row s of F is the doubled tree geodesic
+    2 q[e, phi(s)]: two slots for each vertex v != e on phi(s)'s reduced
+    path, those of the edge into v, which every path through v crosses away
+    from e, so each column has one sign.  The displacement constant is
     measured over the kernel's scan split when first read; the action is
     isometric, so it reads 0."""
-    letters = _target_alphabet(action.target_rank)[::2]
-    # geodesics from e in a free group need no ball lookups: radius 0 suffices
-    tree = BicombingSpec("tree_geodesic", CayleyBall(GroupPresentation(tuple(letters)), 0))
-    return kernel_from_bicombing(tree, ball=ball, phi=action.apply)
+    first_slot: dict[str, int] = {}  # tree vertex != e -> its edge's first key
+
+    def doubled_path(word: str) -> list[int]:
+        image = action.apply(word)
+        keys = []
+        for k in range(1, len(image) + 1):
+            key = first_slot.setdefault(image[:k], 2 * len(first_slot))
+            keys += (key, key + 1)
+        return keys
+
+    return DisplacementKernel(ball, SlotEmbedding(map(doubled_path, ball.elements)),
+                              ball.radius)
 
 
 # -- quasi-tree kernel inputs ---------------------------------------------------

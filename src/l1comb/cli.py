@@ -26,6 +26,7 @@ from .groups import (
     GroupPresentation,
     PresentationError,
     ball,
+    invert,
     parse_presentation,
 )
 from .bicombing import (
@@ -314,7 +315,8 @@ def verify_suite(config: argparse.Namespace) -> dict[str, str | None]:
     degree = len(b.presentation.alphabet)
     for i, row, dev in served_rows(kernel):
         s = b.elements[i]
-        if b.canonical_index(s[::-1].swapcase()) is None:
+        j = b.walk(0, invert(s))  # no oracle call: the table, then the index
+        if j < 0 or b.index.get(b.elements[j]) != j:
             fail("ball_inverse_closure", f"inverse of {_word(s)} missing")
         for r, letter in enumerate(b.presentation.alphabet):
             j = b.adjacency[i * degree + r]

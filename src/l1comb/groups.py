@@ -380,9 +380,9 @@ class CayleyBall:
     finds a word's element in the ball, :meth:`geodesic` returns the
     canonical geodesic word a combing follows, and :meth:`name` returns a
     run-stable word for any product, falling back to an oracle-checked
-    overflow registry outside the ball, so chain arithmetic stays exact;
-    :meth:`name_step` names a product with one letter, reading it off the
-    table while it stays in the ball.
+    overflow registry outside the ball, so chain arithmetic stays exact.
+    :meth:`walk` reads products off the table, and :meth:`name_step` names
+    a product with one letter through it while it stays in the ball.
     Where normal forms are canonical (free and rewriting modes) the lookup
     is the normal form alone; in dehn mode the triviality oracle scans the
     normal form's bucket (its exponent vector when every relator has
@@ -449,6 +449,8 @@ class CayleyBall:
         element, or any normal form where normal forms are geodesic; raises
         :class:`OutOfBallError` otherwise.  Like :meth:`canonical_index`, it
         never reads or extends the overflow registry."""
+        if word in self.index:
+            return word
         w = self._resolve(word)
         if w in self.index or self.presentation.has_geodesic_normal_forms:
             return w
@@ -468,16 +470,25 @@ class CayleyBall:
             out = self._name_cache[word] = self._resolve(word, self._registry)
         return out
 
+    def walk(self, i: int, letters: str) -> int:
+        """Index of ``elements[i]`` times ``letters``, walked letter by letter
+        on the multiplication table with no word-problem call; -1 once a
+        product leaves the ball."""
+        adj, rank = self.adjacency, self.presentation._rank
+        degree = len(rank)
+        for ch in letters:
+            i = adj[i * degree + rank[ch]]
+            if i < 0:
+                break
+        return i
+
     def name_step(self, word: str, letter: str) -> str:
         """``name(word + letter)``, read off the multiplication table when
         ``word`` is a ball element and the product stays in the ball, so a
         chain's steps inside the ball make no word-problem call."""
         i = self.index.get(word)
-        if i is not None:
-            rank = self.presentation._rank
-            j = self.adjacency[i * len(rank) + rank[letter]]
-            if j >= 0:
-                return self.elements[j]
+        if i is not None and (j := self.walk(i, letter)) >= 0:
+            return self.elements[j]
         return self.name(word + letter)
 
     # structure -------------------------------------------------------------

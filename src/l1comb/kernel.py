@@ -1,37 +1,35 @@
 """Squared-Hilbert-distance kernels pulled back from combings.
 
 The central object is a symmetric kernel K(x, y) = ||f(x) - f(y)||^2 indexed
-by a Cayley ball.  For a combing q and a map phi from the ball to the
-combing's group (a homomorphism, or the identity), K(x, y) = ||q[e,phi(x)] -
-q[e,phi(y)]||_1, and the slot embedding f = J realizes it explicitly: an
-integer chain becomes a +-1 ``L1Vector`` with one coordinate per (edge,
-slot), and squared distances of embedded chains are l1 distances of the
-chains.  Combing values are half-integers, so the one kernel builder,
-:func:`kernel_from_bicombing`, embeds the doubled chains 2 q[e,phi(x)] as the
-rows of one integer matrix F, kept in numpy arrays with a column-major copy;
-for phi the identity the rows are walked on the ball's multiplication table
-(:func:`walked_slots`), and :func:`feature_embed` is the reference embedding.
-:class:`SlotEmbedding` builds F in one pass over integer slot keys, so a
-build peaks below twice the bytes of F.  F is a kernel's only stored state:
-every doubled entry,
+by a Cayley ball.  For a combing q, K(x, y) = ||q[e,x] - q[e,y]||_1, and the
+slot embedding f = J realizes it explicitly: an integer chain becomes a +-1
+``L1Vector`` with one coordinate per (edge, slot), and squared distances of
+embedded chains are l1 distances of the chains.  Combing values are
+half-integers, so :func:`kernel_from_bicombing` embeds the doubled chains
+2 q[e,x], walked on the ball's multiplication table (:func:`walked_slots`),
+as the rows of one integer matrix F, kept in numpy arrays with a
+column-major copy; :func:`feature_embed` is the reference embedding.  A tree
+action's kernel (:func:`l1comb.actions.orbit_kernel`) feeds the same engine
+the doubled tree paths of its orbit.  :class:`SlotEmbedding` builds F in one
+pass over integer slot keys, so a build peaks below twice the bytes of F.  F
+is a kernel's only stored state: every doubled entry,
 
     2 K(x_i, x_j) = |F_i|^2 + |F_j|^2 - 2 <F_i, F_j>,
 
 is evaluated exactly, one int64 row at a time, by counting the columns row i
-shares with each row, and no n x n matrix is ever stored.  Tree actions are
-the case of a tree-geodesic combing and phi a homomorphism to a free group.
-Since every row is a row of squared distances of integer vectors, 2K is of
-negative type, and every inequality read off it is decided exactly,
-conditional negative definiteness included (:func:`served_rows`).  A block
-of 2K is always a principal block 2K[I, I] read through the rows
+shares with each row, and no n x n matrix is ever stored.  Since every row
+is a row of squared distances of integer vectors, 2K is of negative type,
+and every inequality read off it is decided exactly, conditional negative
+definiteness included (:func:`served_rows`).  A block of 2K is always a
+principal block 2K[I, I] read through the rows
 (:meth:`DisplacementKernel.twice_block`); the eigenvalue diagnostic and the
 operator-norm probe halve it into floats themselves, and :func:`kernel_dump`
 renders 2K a row at a time.  Words reach kernel indices through
 :meth:`DisplacementKernel.index_of`, and a translate s x through
-:meth:`DisplacementKernel.translate_index`, which walks x's letters from s on
-the multiplication table and asks ``index_of`` only when the walk leaves the
-ball.  The displacement constant M is measured over the kernel's scan split
-the first time a caller reads it.
+:meth:`DisplacementKernel.translate_index`, which walks x's letters from s
+(:meth:`CayleyBall.walk`) and asks ``index_of`` only when the walk leaves
+the ball.  The displacement constant M is measured over the kernel's scan
+split the first time a caller reads it.
 
 numpy comes from :mod:`l1comb._numpy` and is imported when the first kernel
 is built, so ``import l1comb`` and the combing layer run without it.
@@ -42,7 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 from array import array
-from collections.abc import Callable, Collection, Iterable
+from collections.abc import Collection, Iterable
 from fractions import Fraction
 from numbers import Rational
 from typing import NamedTuple
@@ -62,10 +60,9 @@ class DisplacementKernel:
 
     :meth:`row` evaluates one exact int64 row of 2K from ``embedding``, and
     every read of the kernel's entries and blocks goes through it.
-    ``bicombing`` is the combing a kernel was built from, and None for
-    kernels pulled back along a homomorphism (tree actions); the combing
-    bounds (properness, two-triangle decomposition) apply only when it is
-    set.  Everything else is derived: ``scan_split`` splits the radius, and
+    ``bicombing`` is the combing a kernel was built from, and None for a
+    tree action's orbit kernel; the combing bounds (properness, two-triangle
+    decomposition) apply only when it is set.  Everything else is derived: ``scan_split`` splits the radius, and
     ``displacement_constant`` is measured over that split on first read.
     """
 
@@ -135,18 +132,9 @@ class DisplacementKernel:
         index on the ball's multiplication table, and :meth:`index_of` of
         ``s + x`` only when s is no ball element or the walk leaves the
         ball or the kernel."""
-        b = self.ball
-        cur = b.index.get(s)
-        if cur is not None:
-            adj, rank = b.adjacency, b.presentation._rank
-            degree = len(rank)
-            for ch in x:
-                cur = adj[cur * degree + rank[ch]]
-                if cur < 0:
-                    break
-            else:
-                if cur < self.n:
-                    return cur
+        cur = self.ball.index.get(s)
+        if cur is not None and 0 <= (cur := self.ball.walk(cur, x)) < self.n:
+            return cur
         return self.index_of(s + x, error)
 
     def value(self, i: int, j: int) -> float:
@@ -234,11 +222,8 @@ def walked_slots(ball: CayleyBall, i: int, antisymmetrized: bool) -> list[int]:
             cur = nxt
 
     if antisymmetrized:
-        inverse = 0  # walk x's inverted letters from e to x^-1
-        for ch in invert(word):
-            inverse = adj[inverse * degree + rank[ch]]
         walk(0, word, 1)
-        walk(i, ball.elements[inverse], -1)
+        walk(i, ball.elements[ball.walk(0, invert(word))], -1)
     else:
         walk(0, word, 2)
     return [key for edge, c in doubled.items()
@@ -302,17 +287,14 @@ class SlotEmbedding:
         return out
 
 
-def kernel_from_bicombing(spec: BicombingSpec, radius: int | None = None, *,
-                          ball: CayleyBall | None = None,
-                          phi: Callable[[str], str] | None = None) -> DisplacementKernel:
-    """Kernel K(x, y) = ||q[e,phi(x)] - q[e,phi(y)]||_1 over the prefix of the
-    given radius of ``ball``, exact through the doubled chains.  By default
-    phi is the identity, ``ball`` the combing's own ball and the rows walked
-    on its table, with no word-problem call; otherwise phi maps words of
-    ``ball`` to words of the combing's group, whose word chains are embedded,
-    and the kernel records no combing.  Only F is built here; the
-    displacement constant is measured when it is first read."""
-    b = spec.ball if ball is None else ball
+def kernel_from_bicombing(spec: BicombingSpec,
+                          radius: int | None = None) -> DisplacementKernel:
+    """Kernel K(x, y) = ||q[e,x] - q[e,y]||_1 over the prefix of the given
+    radius of the combing's ball, exact through the doubled chains, whose
+    rows are walked on the ball's table with no word-problem call.  Only F is
+    built here; the displacement constant is measured when it is first
+    read."""
+    b = spec.ball
     if radius is None:
         radius = b.radius
     if radius < 0:
@@ -321,17 +303,9 @@ def kernel_from_bicombing(spec: BicombingSpec, radius: int | None = None, *,
         raise OutOfBallError(
             f"kernel radius {radius} exceeds the ball radius {b.radius}"
         )
-    n = b.size_within(radius)
-    if phi is None:
-        rows = (walked_slots(b, i, spec.antisymmetrized) for i in range(n))
-    else:
-        # word chains' (edge, slot) keys, numbered as they are read
-        keys: dict[tuple[Edge, int], int] = {}
-        rows = ([keys.setdefault(key, len(keys)) for key in
-                 feature_embed(combing_chain(spec, "", phi(w)).scale(2)).coeffs]
-                for w in b.elements[:n])
+    rows = (walked_slots(b, i, spec.antisymmetrized) for i in range(b.size_within(radius)))
     return DisplacementKernel(ball=b, embedding=SlotEmbedding(rows), radius=radius,
-                              bicombing=spec if phi is None else None)
+                              bicombing=spec)
 
 
 # -- displacement ------------------------------------------------------------

@@ -94,6 +94,25 @@ class TestOrbitKernel:
         assert kernel.displacement_constant == 0.0
         assert kernel.bicombing is None
 
+    def test_rows_are_tree_paths_not_combing_chains(self, f2xf2, f2xf2_ball3,
+                                                    monkeypatch):
+        import l1comb.bicombing as bicombing_module
+        import l1comb.kernel as kernel_module
+
+        def unused(*args):
+            raise AssertionError("an orbit kernel builds no combing chain")
+
+        for module, name in ((kernel_module, "combing_chain"),
+                             (bicombing_module, "combing_chain"),
+                             (kernel_module, "feature_embed")):
+            monkeypatch.setattr(module, name, unused)
+        action = parse_action(PROJECTION_ACTION, f2xf2)
+        kernel = orbit_kernel(action, f2xf2_ball3)
+        assert kernel.n == len(f2xf2_ball3) and kernel.bicombing is None
+        # |F_s|^2 = 2 d_T(e, phi(s)): two slots per edge of phi(s)'s path
+        assert kernel.embedding.norms.tolist() == [
+            2 * len(action.apply(w)) for w in f2xf2_ball3.elements]
+
     def test_projection_kernel_values(self, f2xf2, f2xf2_ball3):
         action = parse_action(PROJECTION_ACTION, f2xf2)
         kernel = orbit_kernel(action, f2xf2_ball3)

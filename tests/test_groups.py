@@ -217,6 +217,21 @@ class TestReduction:
         for letter in pres.alphabet:
             assert stepped.name_step(outside, letter) == named.name(outside + letter)
 
+    @pytest.mark.parametrize("which", ["surface", "f2xf2"])
+    def test_geodesic_of_a_ball_element_asks_no_oracle(self, request, which,
+                                                         monkeypatch):
+        b = ball(request.getfixturevalue(which), 3)
+        calls = []
+        normal = GroupPresentation.normal
+
+        def counted(self, word):
+            calls.append(word)
+            return normal(self, word)
+
+        monkeypatch.setattr(GroupPresentation, "normal", counted)
+        assert [b.geodesic(w) for w in b.elements] == b.elements
+        assert calls == []
+
     def test_invert(self):
         assert invert("ab") == "BA"
         assert invert("") == ""
@@ -512,6 +527,21 @@ class TestLookupProperties:
         i, j = b.canonical_index(u), b.canonical_index(v)
         assert i is not None and j is not None
         assert pres.is_identity(invert(u) + v) == (i == j)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(PRESENTATIONS), st.data())
+    def test_walk_is_the_product_while_it_stays_in_the_ball(self, lookup_balls,
+                                                            which, data):
+        b = lookup_balls[which]
+        i = data.draw(st.integers(0, len(b) - 1))
+        letters = data.draw(st.text(alphabet=b.presentation.alphabet, max_size=6))
+        w = b.elements[i]
+        prefixes = [b.canonical_index(w + letters[:k]) for k in range(1, len(letters) + 1)]
+        j = b.walk(i, letters)
+        if j >= 0:
+            assert j == b.canonical_index(w + letters) and None not in prefixes
+        else:
+            assert j == -1 and None in prefixes
 
     @settings(max_examples=10, deadline=None)
     @given(st.sampled_from(PRESENTATIONS), st.integers(0, LOOKUP_RADIUS - 1))

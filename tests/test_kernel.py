@@ -52,7 +52,7 @@ wide_chains = st.dictionaries(
 
 def numbered(key_rows):
     """Slot-key rows with every key replaced by its number in order of first
-    appearance, as the pull-back kernel numbers its word chains' keys."""
+    appearance, as :class:`SlotEmbedding` takes them."""
     ids = {}
     return [[ids.setdefault(key, len(ids)) for key in keys] for keys in key_rows]
 
@@ -434,8 +434,9 @@ class TestCrossValidation:
 @pytest.mark.parametrize("call, error, match", [
     (lambda spec: kernel_from_bicombing(spec, radius=5),
      OutOfBallError, "kernel radius 5 exceeds the ball radius 4"),
-    (lambda spec: displacement_decomposition(
-        kernel_from_bicombing(spec, radius=1, ball=spec.ball, phi=str), "a", [0]),
+    (lambda spec: displacement_decomposition(orbit_kernel(
+        TreeActionSpec(spec.ball.presentation, 2, {"a": "a", "b": "b"}), spec.ball),
+        "a", [0]),
      ValueError, "requires a combing-backed kernel"),
     (lambda spec: displacement_decomposition(
         kernel_from_bicombing(make_bicombing("shortlex", spec.ball), radius=1), "a", [0]),
