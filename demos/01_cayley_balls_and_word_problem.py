@@ -15,7 +15,7 @@ print("reduce aAbB       ->", repr(f2.normal("aAbB")))
 b = ball(f2, 5)
 print("multiply ab * Ba  ->", repr(b.name("ab" + "Ba")))
 print("sphere sizes      ->", b.sphere_sizes(), "(4 * 3^(n-1) per sphere)")
-print("d(e, abab)        ->", len(b.geodesic("abab")))
+print("d(e, abab)        ->", len(b.name("abab")))
 
 print()
 print("=== genus-2 surface group, relator abABcdCD, Dehn's algorithm ===")

@@ -11,8 +11,8 @@ half-integers.  Coefficients stay int/Fraction end to end so l1 norms and
 triangle areas are exact.
 
 Vertices are named by the combing's Cayley ball alone: a path follows the
-canonical geodesic :meth:`CayleyBall.geodesic` gives, and every vertex off
-the identity's paths gets its word from :meth:`CayleyBall.name_step`, which
+canonical geodesic :meth:`CayleyBall.name` gives, and every vertex off the
+identity's paths gets its word from :meth:`CayleyBall.name_step`, which
 reads it off the ball's multiplication table while the path stays in the
 ball, so the chains q[x, y] = x . q[e, x^-1 y] cancel exactly.
 """
@@ -160,10 +160,14 @@ def _raw_accumulate(spec: BicombingSpec, x: str, y: str,
                     acc: dict[Edge, Rational], factor: Rational) -> None:
     """Add ``factor`` times the geodesic path chain from x to y into ``acc``."""
     ball = spec.ball
-    z = ball.geodesic(invert(x) + y)
+    base = x == ""
+    # from e the path follows y's own word, which keeps cross-validation's
+    # chains independent of the table; otherwise x^-1 y is walked on the
+    # table, as naming the concatenation would run the word problem
+    j = -1 if base else ball.walk(0, invert(x) + y)
+    z = ball.elements[j] if j >= 0 else ball.name(invert(x) + y)
     # canonical geodesics are freely reduced and their prefixes canonical,
     # so from e each prefix of z already names its vertex
-    base = x == ""
     cur = x
     for ch in z:
         nxt = cur + ch if base else ball.name_step(cur, ch)

@@ -136,8 +136,8 @@ def _write_norm_rows(config: argparse.Namespace, filename: str, report, extra: d
     """The cocycle norm rows of ``norms`` and ``action``, one CSV layout."""
     return _write_csv(
         config, filename, ["word", "d", "norm_f", "norm_l1", "norm_E", "lower_bound"],
-        [(_word(r.word), r.distance, r.norm_f, r.norm_l1, r.norm_e, r.lower_bound)
-         for r in report.rows],
+        ((_word(r.word), r.distance, r.norm_f, r.norm_l1, r.norm_e, r.lower_bound)
+         for r in report.rows),
         extra,
     )
 

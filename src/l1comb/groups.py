@@ -30,8 +30,9 @@ ball, whose edges are one multiplication table of element indices.  In
 ``free`` and ``rewriting`` modes the reduced word itself is canonical; in
 ``dehn`` mode a Dehn-reduced word is not canonical (``dcDC`` and ``abAB``
 are one element), so canonical shortlex-least geodesic words are assigned
-during ball enumeration, and element identity is decided by the
-Dehn-algorithm triviality oracle (:meth:`GroupPresentation.is_identity`).
+during ball enumeration, element identity is decided by the Dehn-algorithm
+triviality oracle (:meth:`GroupPresentation.is_identity`), and an element
+outside the ball has no name.
 """
 
 from __future__ import annotations
@@ -377,10 +378,8 @@ class CayleyBall:
     ball.  The ball is the one naming authority for its
     presentation: a word becomes a named element, or a distance, only here,
     and :meth:`_resolve` is its one element lookup.  :meth:`canonical_index`
-    finds a word's element in the ball, :meth:`geodesic` returns the
-    canonical geodesic word a combing follows, and :meth:`name` returns a
-    run-stable word for any product, falling back to an oracle-checked
-    overflow registry outside the ball, so chain arithmetic stays exact.
+    finds a word's element in the ball, and :meth:`name` its canonical
+    geodesic word, which in dehn mode exists only inside the ball.
     :meth:`walk` reads products off the table, and :meth:`name_step` names
     a product with one letter through it while it stays in the ball.
     Where normal forms are canonical (free and rewriting modes) the lookup
@@ -395,11 +394,8 @@ class CayleyBall:
         self.elements: list[str] = [IDENTITY]
         self.index: dict[str, int] = {IDENTITY: 0}
         self.adjacency = array("i", [-1] * len(presentation.alphabet))
-        # oracle-scan candidates by bucket key: ball elements, and the
-        # out-of-ball names handed out by name(); kept apart so that in-ball
-        # lookups never scan overflow words
+        # oracle-scan candidates (dehn mode): ball elements by bucket key
         self._buckets: dict[tuple, list[str]] = {}
-        self._registry: dict[tuple, list[str]] = {}
         self._name_cache: dict[str, str] = {}
 
     # construction helpers -------------------------------------------------
@@ -420,54 +416,43 @@ class CayleyBall:
 
     # lookups ---------------------------------------------------------------
 
-    def _resolve(self, word: str,
-                 registry: dict[tuple, list[str]] | None = None) -> str:
+    def _resolve(self, word: str) -> str:
         """Known word for the element ``word`` represents: its normal form
         when that is a ball element or normal forms are canonical, else the
-        ball element, then the ``registry`` word, that the triviality oracle
-        equates with it.  An unmatched normal form is returned, and added to
-        ``registry`` when one is given; it is never a key of ``index``."""
+        ball element that the triviality oracle equates with it.  An
+        unmatched normal form is returned; it is never a key of ``index``."""
         pres = self.presentation
         w = pres.normal(word)
         if pres.has_geodesic_normal_forms or w in self.index:
             return w
-        key = self._bucket_key(w)
-        for table in (self._buckets, registry or {}):
-            for known in table.get(key, ()):
-                if pres.is_identity(invert(known) + w):
-                    return known
-        if registry is not None:
-            registry.setdefault(key, []).append(w)
+        for known in self._buckets.get(self._bucket_key(w), ()):
+            if pres.is_identity(invert(known) + w):
+                return known
         return w
 
     def canonical_index(self, word: str) -> int | None:
         """Index of the element represented by ``word``, or None if outside."""
         return self.index.get(self._resolve(word))
 
-    def geodesic(self, word: str) -> str:
-        """Canonical geodesic word of the element ``word`` represents: a ball
-        element, or any normal form where normal forms are geodesic; raises
-        :class:`OutOfBallError` otherwise.  Like :meth:`canonical_index`, it
-        never reads or extends the overflow registry."""
+    def name(self, word: str) -> str:
+        """Canonical word of the element ``word`` represents: a ball
+        element's word as it is, else the normal form where normal forms are
+        canonical, else (dehn mode) the ball element the triviality oracle
+        matches, memoized; raises :class:`OutOfBallError` for a dehn-mode
+        element outside the ball."""
         if word in self.index:
             return word
-        w = self._resolve(word)
-        if w in self.index or self.presentation.has_geodesic_normal_forms:
-            return w
-        raise OutOfBallError(
-            f"{word!r} has no canonical form inside the radius-{self.radius} ball"
-        )
-
-    def name(self, word: str) -> str:
-        """Run-stable canonical name, valid beyond the ball via the registry.
-        Where normal forms are canonical the normal form is the name, so only
-        dehn mode's oracle-scanned names are memoized."""
         pres = self.presentation
         if pres.has_geodesic_normal_forms:
             return pres.normal(word)
         out = self._name_cache.get(word)
         if out is None:
-            out = self._name_cache[word] = self._resolve(word, self._registry)
+            out = self._resolve(word)
+            if out not in self.index:
+                raise OutOfBallError(
+                    f"{word!r} has no canonical form inside the radius-{self.radius} ball"
+                )
+            self._name_cache[word] = out
         return out
 
     def walk(self, i: int, letters: str) -> int:

@@ -74,7 +74,7 @@ class DisplacementKernel:
         self.bicombing = bicombing
 
     # no matrix is stored; the benchmark tracer (perfbench/tracer.py) reads
-    # this name until its kernel.matrix_bytes upkeep (ROADMAP direction 7)
+    # this name until its kernel.matrix_bytes upkeep (ROADMAP direction 1)
     twice = None
 
     @property
@@ -322,11 +322,10 @@ class DecompositionRow(NamedTuple):
 def two_triangle_bound(spec: BicombingSpec, s: str, x: str, y: str) -> tuple:
     """The two exact triangle areas whose sum bounds K(sx,sy) - K(x,y) for an
     antisymmetric combing: ||q[e,sx] + q[sx,sy] + q[sy,e]||_1 and
-    ||q[sy,sx] + q[sx,s] + q[s,sy]||_1."""
-    b = spec.ball
-    sx = b.name(s + x)
-    sy = b.name(s + y)
-    return area(spec, "", sx, sy), area(spec, sy, sx, s)
+    ||q[sy,sx] + q[sx,s] + q[s,sy]||_1.  Both triangles are read translated
+    by s^-1: the combing is equivariant, so the areas are the same, and the
+    vertices s^-1, x, y and e stay in the ball that holds s, x and y."""
+    return area(spec, spec.ball.name(invert(s)), x, y), area(spec, y, x, "")
 
 
 def displacement_decomposition(kernel: DisplacementKernel, s: str,

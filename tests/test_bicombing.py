@@ -5,6 +5,7 @@ import pytest
 
 from l1comb import (
     Chain1,
+    GroupPresentation,
     TriplePolicy,
     antisymmetrize,
     area,
@@ -21,9 +22,11 @@ from l1comb import (
 from l1comb.groups import OutOfBallError
 
 
-def _random_chain(rng, cayley_ball, size=5, span=3):
+def _random_chain(rng, cayley_ball, size=5, span=3, radius=None):
+    """Random integer chain on edges whose sources lie within ``radius``
+    (default: the whole ball)."""
     coeffs = {}
-    n = len(cayley_ball.elements)
+    n = cayley_ball.size_within(cayley_ball.radius if radius is None else radius)
     gens = cayley_ball.presentation.generators
     for _ in range(size):
         src = cayley_ball.elements[rng.randrange(n)]
@@ -148,11 +151,13 @@ class TestTranslate:
         assert translate_chain("", c, f2_ball4) == c
 
     def test_l1_invariance(self, f2_ball4, surface_ball4):
+        # surface sources stay within radius 2, so that s . src, with s
+        # within radius 2 too, has a name in the radius-4 ball
         rng = random.Random(10)
-        for b in (f2_ball4, surface_ball4):
+        for b, radius in ((f2_ball4, 4), (surface_ball4, 2)):
             inner = b.size_within(2)
             for _ in range(15):
-                c = _random_chain(rng, b)
+                c = _random_chain(rng, b, radius=radius)
                 s = b.elements[rng.randrange(inner)]
                 assert translate_chain(s, c, b).l1_norm() == c.l1_norm()
 
@@ -209,6 +214,22 @@ class TestAreaScan:
         m_raw = empirical_area_constant(raw, radius=2, policy=policy).value
         m_anti = empirical_area_constant(anti, radius=2, policy=policy).value
         assert m_anti <= m_raw
+
+    def test_sampled_surface_scan_reduces_no_word(self, surface_anti, monkeypatch):
+        # a path x -> y follows y's own word from e and otherwise x^-1 y
+        # walked on the multiplication table, so no lookup runs the oracle
+        calls = []
+        normal = GroupPresentation.normal
+
+        def counted(self, word):
+            calls.append(word)
+            return normal(self, word)
+
+        monkeypatch.setattr(GroupPresentation, "normal", counted)
+        policy = TriplePolicy(exhaustive_limit=0, samples=2000, seed=3)
+        res = empirical_area_constant(surface_anti, radius=2, policy=policy)
+        assert res.triples_scanned == 2000 and res.value > 0
+        assert calls == []
 
     def test_surface_scan_finds_positive_constant(self, surface_anti):
         policy = TriplePolicy(exhaustive_limit=0, samples=500, seed=14)

@@ -11,10 +11,12 @@ from l1comb import (
     EVector,
     MeanZeroError,
     OpNormConfig,
+    OutOfBallError,
     SupportEscapeError,
     check_cocycle_identity,
     cocycle,
     empirical_displacement_constant,
+    invert,
     kernel_from_bicombing,
     make_bicombing,
     norm_e,
@@ -33,6 +35,14 @@ def _random_mean_zero(rng, words, size=4, span=3):
     coeffs = [rng.randint(-span, span) for _ in support]
     coeffs[-1] -= sum(coeffs)
     return EVector({words[i]: c for i, c in zip(support, coeffs)})
+
+
+# a word of at most 2 letters with a cancelling pair t t^-1 spliced in
+_short_unreduced_words = st.builds(
+    lambda u, t, cut: u[:cut] + t + invert(t) + u[cut:],
+    st.text("aAbBcCdD", max_size=2), st.text("aAbBcCdD", max_size=1),
+    st.integers(0, 2),
+)
 
 
 class TestEVector:
@@ -113,16 +123,21 @@ class TestRepresentation:
         # abAB = dcDC in the surface group: the two used to overwrite each
         # other, leaving {"aabAB": -1}, whose sum is -1
         v = EVector({"abAB": 1, "dcDC": -1})
-        assert rep_apply("a", v, surface_ball4) == EVector()
+        assert rep_apply("A", v, surface_ball4) == EVector()
         w = EVector({"abAB": 2, "dcDC": 1, "a": -3})
-        assert rep_apply("a", w, surface_ball4) == EVector({"aabAB": 3, "aa": -3})
+        assert rep_apply("A", w, surface_ball4) == EVector({"bAB": 3, "": -3})
+        # aabAB lies outside the radius-4 ball, where dehn mode names nothing
+        with pytest.raises(OutOfBallError):
+            rep_apply("a", w, surface_ball4)
 
     @settings(max_examples=60, deadline=None)
-    @given(coeffs=st.dictionaries(st.text("aAbBcCdD", max_size=4),
-                                  st.integers(-3, 3), min_size=1, max_size=6),
-           s=st.sampled_from(["", "a", "Bc", "abAB"]))
+    @given(coeffs=st.dictionaries(_short_unreduced_words, st.integers(-3, 3),
+                                  min_size=1, max_size=6),
+           s=st.sampled_from(["", "a", "Bc", "aA"]))
     def test_translate_keeps_mean_zero_for_any_words(self, surface_ball4, coeffs, s):
-        # words need not be reduced or canonical, so several may name one element
+        # words need not be reduced or canonical, so several may name one
+        # element; words and s name elements within radius 2, so every
+        # translate has a name in the radius-4 ball
         coeffs[next(iter(coeffs))] -= sum(coeffs.values())
         v = EVector(coeffs)
         image = rep_apply(s, v, surface_ball4)

@@ -9,6 +9,7 @@ from l1comb import (
     BallCapError,
     CayleyBall,
     GroupPresentation,
+    OutOfBallError,
     PresentationError,
     ball,
     cli,
@@ -29,6 +30,14 @@ generators: a b c d
 relators: abABcdCD
 mode: dehn
 """
+
+
+def _named(lookup, *args):
+    """``lookup(*args)``, or OutOfBallError where the element has no name."""
+    try:
+        return lookup(*args)
+    except OutOfBallError:
+        return OutOfBallError
 
 
 def _neighbours(b, i):
@@ -198,28 +207,32 @@ class TestReduction:
     @pytest.mark.parametrize("which", ["surface", "f2xf2"])
     def test_name_step_is_the_name_of_the_product(self, request, which):
         # two equal balls, one stepped on its table and one named through
-        # the oracle in the same order, so that out-of-ball products enter
-        # both dehn registries alike; the last step starts at a registry word
+        # the oracle; a product that leaves the ball has no name in dehn
+        # mode, and in rewriting mode the last step starts outside the ball
         pres = request.getfixturevalue(which)
+        dehn = pres.reduction_mode == "dehn"
         stepped, named = ball(pres, 3), ball(pres, 3)
         degree = len(pres.alphabet)
         left = 0
         for i, w in enumerate(stepped.elements):
             for r, letter in enumerate(pres.alphabet):
-                left += stepped.adjacency[i * degree + r] < 0
-                assert stepped.name_step(w, letter) == named.name(w + letter), (w, letter)
+                out = stepped.adjacency[i * degree + r] < 0
+                left += out
+                got = _named(stepped.name_step, w, letter)
+                assert got == _named(named.name, w + letter), (w, letter)
+                assert (got is OutOfBallError) == (out and dehn), (w, letter)
         assert left > 0
-        outside = stepped.name("ababab")
-        assert outside == named.name("ababab")
-        assert outside not in stepped.index
-        if pres.reduction_mode == "dehn":
-            assert outside in stepped._registry[stepped._bucket_key(outside)]
-        for letter in pres.alphabet:
-            assert stepped.name_step(outside, letter) == named.name(outside + letter)
+        outside = _named(stepped.name, "ababab")
+        assert outside == _named(named.name, "ababab")
+        assert (outside is OutOfBallError) == dehn
+        if not dehn:
+            assert outside not in stepped.index
+            for letter in pres.alphabet:
+                assert stepped.name_step(outside, letter) == named.name(outside + letter)
 
     @pytest.mark.parametrize("which", ["surface", "f2xf2"])
-    def test_geodesic_of_a_ball_element_asks_no_oracle(self, request, which,
-                                                         monkeypatch):
+    def test_name_of_a_ball_element_asks_no_oracle(self, request, which,
+                                                   monkeypatch):
         b = ball(request.getfixturevalue(which), 3)
         calls = []
         normal = GroupPresentation.normal
@@ -229,7 +242,7 @@ class TestReduction:
             return normal(self, word)
 
         monkeypatch.setattr(GroupPresentation, "normal", counted)
-        assert [b.geodesic(w) for w in b.elements] == b.elements
+        assert [b.name(w) for w in b.elements] == b.elements
         assert calls == []
 
     def test_invert(self):
@@ -341,11 +354,11 @@ class TestBalls:
         resolve = CayleyBall._resolve
         alphabet = f2xf2.alphabet
 
-        def counted(b, word, registry=None):
+        def counted(b, word):
             edge = b.index[word[:-1]] * len(alphabet) + alphabet.index(word[-1])
             assert b.adjacency[edge] == -1
             resolved.append(word)
-            return resolve(b, word, registry)
+            return resolve(b, word)
 
         monkeypatch.setattr(CayleyBall, "_resolve", counted)
         b = ball(f2xf2, 4)
@@ -411,10 +424,14 @@ class TestOneBucketDehn:
         # the two flat tables agree entry by entry, products leaving included
         assert b.adjacency.tolist() == free.adjacency.tolist()
 
-    def test_registry_scan_names_equal_words_alike(self, one_bucket):
-        # aabb = (ccdd)^-1 = DDCC, both outside the ball
+    def test_equal_words_outside_the_ball_have_no_name(self, one_bucket):
+        # aabb = (ccdd)^-1 = DDCC, both outside the ball: the one-bucket
+        # oracle scan matches neither to a ball element
         b = ball(one_bucket, 2)
-        assert b.name("aabb") == b.name("DDCC")
+        assert one_bucket.is_identity(invert("aabb") + "DDCC")
+        for word in ("aabb", "DDCC"):
+            with pytest.raises(OutOfBallError, match="radius-2 ball"):
+                b.name(word)
 
 
 def _distance(b, x, y):
@@ -470,8 +487,8 @@ def presentations(f2, surface, f2xf2):
 
 @pytest.fixture(scope="module")
 def lookup_balls(presentations):
-    # fresh balls: name() registers overflow words, which must not leak into
-    # the session-wide fixtures
+    # fresh balls: name() memoizes dehn-mode lookups, which must not leak
+    # into the session-wide fixtures
     return {name: ball(pres, LOOKUP_RADIUS) for name, pres in presentations.items()}
 
 
@@ -512,7 +529,14 @@ class TestLookupProperties:
     def test_name_resolves_to_the_same_index(self, lookup_balls, which, data):
         b = lookup_balls[which]
         w = data.draw(padded_words(b.presentation, LOOKUP_RADIUS + 3))
-        assert b.canonical_index(w) == b.canonical_index(b.name(w))
+        i = b.canonical_index(w)
+        if i is not None:
+            assert b.name(w) == b.elements[i]
+        elif b.presentation.reduction_mode == "dehn":
+            with pytest.raises(OutOfBallError):
+                b.name(w)
+        else:
+            assert b.canonical_index(b.name(w)) is None
 
     @settings(max_examples=120, deadline=None)
     @given(st.sampled_from(PRESENTATIONS), st.booleans(), st.data())

@@ -17,6 +17,7 @@ from l1comb import (
     NonIntegralChainError,
     OutOfBallError,
     TreeActionSpec,
+    area,
     ball,
     cnd_min_eigenvalue,
     combing_chain,
@@ -30,6 +31,7 @@ from l1comb import (
     make_bicombing,
     orbit_kernel,
     quadratic_form,
+    two_triangle_bound,
 )
 from l1comb.kernel import (
     DisplacementKernel,
@@ -285,6 +287,22 @@ class TestDisplacement:
         for row in rows:
             assert row.excess <= row.area_first + row.area_second
 
+    @pytest.mark.parametrize("kind", ["shortlex", "shortlex_antisymmetrized"])
+    def test_two_triangle_bound_is_the_untranslated_pair(self, surface_ball4, kind):
+        # with s, x and y within radius 1 the untranslated triangles
+        # (e, sx, sy) and (sy, sx, s) stay in the radius-4 ball, and the
+        # bound read translated by s^-1 gives their areas exactly
+        b = surface_ball4
+        spec = make_bicombing(kind, b)
+        words = b.elements[: b.size_within(1)]
+        for s in words:
+            for x in words:
+                for y in words:
+                    sx, sy = b.name(s + x), b.name(s + y)
+                    assert two_triangle_bound(spec, s, x, y) == (
+                        area(spec, "", sx, sy), area(spec, sy, sx, s)
+                    ), (s, x, y)
+
     def test_translate_out_of_ball_rejected(self, tree_kernel, f2_ball4):
         from l1comb import OutOfBallError
 
@@ -507,7 +525,7 @@ def test_walked_kernel_build_makes_no_oracle_call(surface, monkeypatch):
     kernel = kernel_from_bicombing(make_bicombing("shortlex_antisymmetrized", b))
     assert kernel.n == len(b) == 457
     assert calls == []
-    b.name("abAB")  # the counters do see a call
+    b.name("aA")  # the counters do see a call
     assert calls[0] == "name" and "normal" in calls
 
 
