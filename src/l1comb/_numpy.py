@@ -1,8 +1,8 @@
 """numpy, imported when a routine first reads one of its attributes.
 
-groups and bicombing never use numpy, so ``import l1comb``, ``ball`` and
-``bicombing-stats`` run without it; kernel, espace, actions and cli take
-``np`` from here.  If numpy is already loaded, ``np`` is that module.
+Only dense full rows of 2K and eigenvalues use it (``verify``, ``norms``,
+``action --quasitree``); ``ball``, ``bicombing-stats``, ``action`` and
+``opnorm`` run without it.  If numpy is already loaded, ``np`` is that module.
 """
 
 import importlib.util

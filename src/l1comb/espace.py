@@ -9,13 +9,13 @@ A displacement kernel K induces the seminorm
     ||v||_f = Q(v)^(1/2),   Q(v) = -1/2 sum_{x,y} v(x) v(y) K(x, y),
 
 and the working norm is ||v||_E = ||v||_f + ||v||_1.  Q is exact, read off the
-integer rows of 2K, so the inequalities below are decided in rationals; floats
+integer blocks of 2K, so the inequalities below are decided in rationals; floats
 enter only through square roots and the operator-norm probe.  The left translation
 representation pi(s)v(x) = v(s^-1 x) preserves ||.||_1 exactly and moves
 ||.||_f by at most the displacement excess of K; the cocycle b(s) =
 delta_s - delta_e turns pi into an affine action whose growth is governed by
 K(s, e).  :func:`cocycle_norm_rows` is the one reader of these cocycle rows:
-one pass over row 0 of 2K yields every ||b(s)||_E = sqrt(K(s, e)) + 2 with
+one read of row 0 of 2K yields every ||b(s)||_E = sqrt(K(s, e)) + 2 with
 its lower bound, decided in integers.
 """
 
@@ -27,7 +27,6 @@ from fractions import Fraction
 from numbers import Rational
 from typing import NamedTuple
 
-from ._numpy import np
 from .bicombing import L1Vector
 from .groups import CayleyBall
 from .kernel import DisplacementKernel
@@ -112,9 +111,8 @@ def quadratic_form(v: EVector, kernel: DisplacementKernel) -> Fraction:
         return Fraction(0)
     idx = [kernel.index_of(w, SupportEscapeError) for w in v.coeffs]
     c = list(v.coeffs.values())
-    # Python ints from .tolist(), so products with int or Fraction
-    # coefficients stay exact
-    rows = kernel.twice_block(idx).tolist()
+    # Python ints, so products with int or Fraction coefficients stay exact
+    rows = kernel.entries(idx, idx)
     total = sum(ci * sum(cj * t for cj, t in zip(c, row)) for ci, row in zip(c, rows))
     return Fraction(-total, 4)
 
@@ -154,9 +152,8 @@ def per_vector_bound_check(s: str, v: EVector, kernel: DisplacementKernel) -> Bo
     if not v.coeffs:
         return BoundCheck(Fraction(0), Fraction(0), True, Fraction(0))
     idx = [kernel.index_of(w, SupportEscapeError) for w in v.coeffs]
-    trans = [kernel.translate_index(s, w, SupportEscapeError) for w in v.coeffs]
-    diff2 = kernel.twice_block(trans) - kernel.twice_block(idx)
-    excess = Fraction(np.abs(diff2).max().item(), 2)
+    excess = Fraction(max(abs(d) for row in kernel.translate_excess(
+        s, idx, SupportEscapeError) for d in row), 2)
     lhs = quadratic_form(rep_apply(s, v, kernel.ball), kernel) - quadratic_form(v, kernel)
     l1 = v.l1_norm()
     rhs = excess * l1 * l1 / 2
@@ -190,7 +187,12 @@ def op_norm_lower_bound(s: str, kernel: DisplacementKernel, radius: int,
                         config: OpNormConfig = OpNormConfig()) -> OpNormResult:
     """Best found ||pi(s)v||_E / ||v||_E over mean-zero v supported in the
     radius ball: seeded multi-start coordinate-perturbation ascent.  This is a
-    lower bound on the restricted operator norm, never the norm itself."""
+    lower bound on the restricted operator norm, never the norm itself.
+
+    Q(v) = -1/4 v^T B v is kept on the integer blocks B = 2K[S, S] and
+    2K[sS, sS] with g = Bv: a trial v + d(e_j - 1/n) adds -(d/2)(g_j -
+    mean(g)) - (d^2/4)(B_jj - 2 r_j/n + t/n^2) to Q, r = B1 and t = sum(r),
+    and an accepted one adds d(B_j - r/n) to g."""
     ball = kernel.ball
     n = ball.size_within(radius)
     if n < 2:
@@ -199,38 +201,44 @@ def op_norm_lower_bound(s: str, kernel: DisplacementKernel, radius: int,
                  for x in ball.elements[:n]]
     if s == "":
         return OpNormResult(value=1.0, iterations=0, restarts=0, seed=config.seed)
-    k_base = kernel.twice_block(range(n)) / 2.0
-    k_trans = kernel.twice_block(trans_idx) / 2.0
+    blocks = [kernel.entries(idx, idx) for idx in (range(n), trans_idx)]
+    drift = [[sum(row) / n for row in block] for block in blocks]  # r / n
+    curv = [[block[j][j] - 2 * r[j] + sum(r) / n for j in range(n)]
+            for block, r in zip(blocks, drift)]
 
-    def ratio(vec: np.ndarray) -> float:
-        l1 = float(np.abs(vec).sum())
-        if l1 <= 0.0:
-            return 0.0
-        qb = float(-0.5 * vec @ k_base @ vec)
-        qt = float(-0.5 * vec @ k_trans @ vec)
-        den = math.sqrt(max(qb, 0.0)) + l1
-        num = math.sqrt(max(qt, 0.0)) + l1
-        return num / den
+    def ratio(q: list[float], l1: float) -> float:  # ||pi(s)v||_E / ||v||_E
+        return ((math.sqrt(max(q[1], 0.0)) + l1) / (math.sqrt(max(q[0], 0.0)) + l1)
+                if l1 > 0.0 else 0.0)
 
     best = 0.0
     total_iters = 0
     for restart in range(config.restarts):
         rng = random.Random(config.seed * 100_003 + restart)
-        vec = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
-        vec -= vec.mean()
-        current = ratio(vec)
+        vec = [rng.gauss(0.0, 1.0) for _ in range(n)]
+        mean = sum(vec) / n
+        vec = [x - mean for x in vec]
+        g = [[sum(b * x for b, x in zip(row, vec)) for row in block] for block in blocks]
+        g_mean = [sum(gk) / n for gk in g]
+        q = [-sum(y * x for y, x in zip(gk, vec)) / 4 for gk in g]
+        current = ratio(q, sum(map(abs, vec)))
         step = INITIAL_STEP
         for it in range(config.iterations):
             total_iters += 1
             if it and it % DECAY_EVERY == 0:
                 step *= STEP_DECAY
             j = rng.randrange(n)
-            trial = vec.copy()
-            trial[j] += step if rng.getrandbits(1) else -step
-            trial -= trial.mean()
-            val = ratio(trial)
+            d = step if rng.getrandbits(1) else -step
+            shift = d / n
+            trial = [x - shift for x in vec]
+            trial[j] += d
+            trial_q = [qk - d / 2 * (gk[j] - mk) - d * d / 4 * ck[j]
+                       for qk, gk, mk, ck in zip(q, g, g_mean, curv)]
+            val = ratio(trial_q, sum(map(abs, trial)))
             if val > current:
-                vec, current = trial, val
+                vec, current, q = trial, val, trial_q
+                g = [[y + d * (b - r) for y, b, r in zip(gk, block[j], rk)]
+                     for gk, block, rk in zip(g, blocks, drift)]
+                g_mean = [sum(gk) / n for gk in g]
         best = max(best, current)
     return OpNormResult(value=best, iterations=total_iters,
                         restarts=config.restarts, seed=config.seed)
@@ -280,7 +288,7 @@ def cocycle_norm_rows(kernel: DisplacementKernel, element_filter=None):
     :class:`PropernessError` naming it."""
     ball = kernel.ball
     combing = kernel.bicombing is not None
-    for i, twice in enumerate(kernel.row(0).tolist()):
+    for i, twice in enumerate(kernel.entries([0], range(kernel.n))[0]):
         word = ball.elements[i]
         if i == 0 or (element_filter is not None and not element_filter(word)):
             continue

@@ -6,34 +6,27 @@ slot embedding f = J realizes it explicitly: an integer chain becomes a +-1
 ``L1Vector`` with one coordinate per (edge, slot), and squared distances of
 embedded chains are l1 distances of the chains.  Combing values are
 half-integers, so :func:`kernel_from_bicombing` embeds the doubled chains
-2 q[e,x], walked on the ball's multiplication table (:func:`walked_slots`),
-as the rows of one integer matrix F, kept in numpy arrays with a
-column-major copy; :func:`feature_embed` is the reference embedding.  A tree
-action's kernel (:func:`l1comb.actions.orbit_kernel`) feeds the same engine
-the doubled tree paths of its orbit.  :class:`SlotEmbedding` builds F in one
+2 q[e, x], walked on the ball's multiplication table (:func:`walked_slots`),
+as the rows of one integer matrix F, kept in ``array``s with a column-major
+copy; :func:`feature_embed` is the reference embedding.  A tree action's
+kernel (:func:`l1comb.actions.orbit_kernel`) feeds the same engine the
+doubled tree paths of its orbit.  :class:`SlotEmbedding` builds F in one
 pass over integer slot keys, so a build peaks below twice the bytes of F.  F
 is a kernel's only stored state: every doubled entry,
 
     2 K(x_i, x_j) = |F_i|^2 + |F_j|^2 - 2 <F_i, F_j>,
 
-is evaluated exactly, one int64 row at a time, by counting the columns row i
-shares with each row, and no n x n matrix is ever stored.  Since every row
-is a row of squared distances of integer vectors, 2K is of negative type,
-and every inequality read off it is decided exactly, conditional negative
-definiteness included (:func:`served_rows`).  A block of 2K is always a
-principal block 2K[I, I] read through the rows
-(:meth:`DisplacementKernel.twice_block`); the eigenvalue diagnostic and the
-operator-norm probe halve it into floats themselves, and :func:`kernel_dump`
-renders 2K a row at a time.  Words reach kernel indices through
-:meth:`DisplacementKernel.index_of`, and a translate s x through
-:meth:`DisplacementKernel.translate_index`, which walks x's letters from s
-(:meth:`CayleyBall.walk`) and asks ``index_of`` only when the walk leaves
-the ball.  The displacement constant M is measured over the kernel's scan
-split the first time a caller reads it.
-
-numpy comes from :mod:`l1comb._numpy` and is imported when the first kernel
-is built, so ``import l1comb`` and the combing layer run without it.
-"""
+is evaluated exactly by counting the columns rows i and j share, and no
+n x n matrix is ever stored.  Since every entry is a squared distance of
+integer vectors, 2K is of negative type, and every inequality read off it is
+decided exactly, conditional negative definiteness included
+(:func:`served_rows`).  2K is read as blocks of Python ints
+(:meth:`DisplacementKernel.entries`: the displacement scan, the E-space
+norms, the cocycle rows) or as dense int64 rows (:meth:`~DisplacementKernel.row`:
+the CND certificate, :func:`kernel_dump`); numpy, from :mod:`l1comb._numpy`,
+is imported at the first dense row.  A translate s x is walked on the ball's
+table from s (:meth:`DisplacementKernel.translate_index`), and the
+displacement constant M is measured over the scan split on first read."""
 
 from __future__ import annotations
 
@@ -58,13 +51,12 @@ class DisplacementKernel:
     """Symmetric kernel over (a radius prefix of) a Cayley ball, stored as the
     slot embedding F of its doubled chains alone.
 
-    :meth:`row` evaluates one exact int64 row of 2K from ``embedding``, and
-    every read of the kernel's entries and blocks goes through it.
-    ``bicombing`` is the combing a kernel was built from, and None for a
-    tree action's orbit kernel; the combing bounds (properness, two-triangle
-    decomposition) apply only when it is set.  Everything else is derived: ``scan_split`` splits the radius, and
-    ``displacement_constant`` is measured over that split on first read.
-    """
+    Every read of 2K goes through :meth:`entries` (a block) or :meth:`row`
+    (a dense row), and both serve ``overrides[i, j]`` in place of entry
+    (i, j), as ``verify --sabotage-diagonal`` does.  ``bicombing`` is the
+    combing a kernel was built from, and None for a tree action's orbit
+    kernel; the combing bounds (properness, two-triangle decomposition) apply
+    only when it is set."""
 
     def __init__(self, ball: CayleyBall, embedding: SlotEmbedding, radius: int,
                  bicombing: BicombingSpec | None = None):
@@ -76,6 +68,8 @@ class DisplacementKernel:
     # no matrix is stored; the benchmark tracer (perfbench/tracer.py) reads
     # this name until its kernel.matrix_bytes upkeep (ROADMAP direction 1)
     twice = None
+    # replaced, never mutated: the class's empty dict is shared
+    overrides: dict[tuple[int, int], int] = {}
 
     @property
     def n(self) -> int:
@@ -94,24 +88,22 @@ class DisplacementKernel:
 
     def row(self, i: int) -> np.ndarray:
         """Row i of 2K, exact int64, evaluated from F."""
-        return self.embedding.row(i)
-
-    def twice_block(self, indices) -> np.ndarray:
-        """Exact int64 principal block 2K[I, I] over the index list I,
-        reading each row once."""
-        indices = list(indices)
-        cols = np.asarray(indices, dtype=np.intp)
-        out = np.empty((len(indices), len(indices)), dtype=np.int64)
-        for k, i in enumerate(indices):
-            out[k] = self.row(i)[cols]
+        out = self.embedding.row(i)
+        for (r, j), t in self.overrides.items():
+            if r == i:
+                out[j] = t
         return out
+
+    def entries(self, rows, cols) -> list[list[int]]:
+        """The exact block 2K[rows, cols] of two index sequences, as int lists."""
+        out = self.embedding.entries(rows, cols)
+        return [[self.overrides.get((i, j), t) for j, t in zip(cols, row)]
+                for i, row in zip(rows, out)] if self.overrides else out
 
     @functools.cached_property
     def values(self) -> np.ndarray:
-        """Read-only float K as one n x n array, materialized on the first
-        read and kept: each exact row of 2K is written into it straight from
-        F, then the whole is halved in place, so no second n x n array ever
-        exists.  No command reads it; tests and the benchmark tracer do."""
+        """Read-only float K as one n x n array, filled a row at a time from F
+        and halved in place on the first read; tests and the tracer read it."""
         out = np.empty((self.n, self.n))
         for i in range(self.n):
             out[i] = self.embedding.row(i)
@@ -137,11 +129,20 @@ class DisplacementKernel:
             return cur
         return self.index_of(s + x, error)
 
+    def translate_excess(self, s: str, indices, error: type = OutOfBallError,
+                         base=None) -> list[list[int]]:
+        """Exact 2K(sx, sy) - 2K(x, y) over x, y in the index sequence;
+        ``base`` is the block 2K[I, I] when the caller has read it already."""
+        trans = [self.translate_index(s, self.ball.elements[i], error) for i in indices]
+        base = self.entries(indices, indices) if base is None else base
+        return [[t - u for t, u in zip(*rows)]
+                for rows in zip(self.entries(trans, trans), base)]
+
     def value(self, i: int, j: int) -> float:
-        return float(self.row(i)[j]) / 2.0
+        return self.entries([i], [j])[0][0] / 2.0
 
     def exact(self, i: int, j: int) -> Fraction:
-        return Fraction(self.row(i)[j].item(), 2)
+        return Fraction(self.entries([i], [j])[0][0], 2)
 
 
 # kernel_dump's ",{K}\n" by 2K: exact kernels take few distinct values, so
@@ -258,32 +259,48 @@ class SlotEmbedding:
                     width += 1
                 cols.append(c)
         del table
-        self.cols = np.frombuffer(cols, np.int32)
-        self.norms = np.frombuffer(norms, np.int64)  # |F_i|^2
-        self.ptr = np.zeros(len(norms) + 1, np.int64)
-        np.cumsum(self.norms, out=self.ptr[1:])
-        self.col_ptr = np.zeros(width + 1, np.int64)
-        np.cumsum(np.bincount(self.cols, minlength=width), out=self.col_ptr[1:])
-        # counting pass: rows are read in order, so each column lists its
-        # rows in increasing order, as a stable sort by column would
-        self.col_rows = np.empty(len(cols), np.int32)
-        fill, cursor = memoryview(self.col_rows), memoryview(self.col_ptr[:-1].copy())
+        self.cols, self.norms = cols, norms  # norms[i] = |F_i|^2
+        self.ptr = array("q", itertools.accumulate(norms, initial=0))
+        counts = array("q", [0]) * width  # rows per column
+        for c in cols:
+            counts[c] += 1
+        self.col_ptr = array("q", itertools.accumulate(counts, initial=0))
+        # counting pass, counts now each column's fill cursor: rows are read in
+        # order, so each column lists its rows in increasing order
+        self.col_rows, counts = array("i", [0]) * len(cols), self.col_ptr[:-1]
         row_of = itertools.chain.from_iterable(map(itertools.repeat, range(len(norms)), norms))
         for c, i in zip(cols, row_of):
-            fill[cursor[c]] = i
-            cursor[c] += 1
+            self.col_rows[counts[c]] = i
+            counts[c] += 1
+
+    def entries(self, rows, cols) -> list[list[int]]:
+        """Exact |F_i|^2 + |F_j|^2 - 2 <F_i, F_j> over i in the sequence rows, j
+        in cols, as lists of ints: each F_j is walked against an index of the
+        rows' columns, so the work grows with the block, not the ball."""
+        ptr, cols_of, norms = self.ptr, self.cols, self.norms
+        holders: dict[int, list[int]] = {}
+        for a, i in enumerate(rows):
+            for c in cols_of[ptr[i]:ptr[i + 1]]:
+                holders.setdefault(c, []).append(a)
+        out = [[norms[i] + norms[j] for j in cols] for i in rows]
+        for b, j in enumerate(cols):
+            for c in cols_of[ptr[j]:ptr[j + 1]]:
+                for a in holders.get(c, ()):
+                    out[a][b] -= 2
+        return out
 
     def row(self, i: int) -> np.ndarray:
-        """Exact int64 |F_i - F_j|^2 = |F_i|^2 + |F_j|^2 - 2 <F_i, F_j>, all j."""
-        col_ptr, col_rows = self.col_ptr, self.col_rows
+        """Row i of :meth:`entries` over every j, as one int64 array."""
+        col_ptr, col_rows = self.col_ptr, np.frombuffer(self.col_rows, np.int32)
+        norms = np.frombuffer(self.norms, np.int64)
         # a row has few columns (|F_i|^2 of them), so slicing each is cheap
         sharing = [col_rows[col_ptr[c]:col_ptr[c + 1]]
-                   for c in self.cols[self.ptr[i]:self.ptr[i + 1]].tolist()]
+                   for c in self.cols[self.ptr[i]:self.ptr[i + 1]]]
         out = np.bincount(np.concatenate(sharing) if sharing else col_rows[:0],
-                          minlength=len(self.norms))
+                          minlength=len(norms))
         out *= -2
-        out += self.norms
-        out += self.norms[i]
+        out += norms
+        out += norms[i]
         return out
 
 
@@ -339,23 +356,11 @@ def displacement_decomposition(kernel: DisplacementKernel, s: str,
         raise ValueError(
             "the two-triangle decomposition needs an antisymmetric combing"
         )
-    indices = list(indices)
-    trans = [kernel.translate_index(s, kernel.ball.elements[i]) for i in indices]
-    diff2 = (kernel.twice_block(trans) - kernel.twice_block(indices)).tolist()
-    rows = []
-    for a, diff2_a in zip(indices, diff2):
-        for bidx, d2 in zip(indices, diff2_a):
-            if bidx <= a:
-                continue
-            excess = Fraction(d2, 2)
-            t1, t2 = two_triangle_bound(
-                spec, s, kernel.ball.elements[a], kernel.ball.elements[bidx]
-            )
-            rows.append(DecompositionRow(
-                x=kernel.ball.elements[a], y=kernel.ball.elements[bidx],
-                excess=excess, area_first=t1, area_second=t2,
-            ))
-    return rows
+    indices, words = list(indices), kernel.ball.elements
+    return [DecompositionRow(words[a], words[b], Fraction(d2, 2),
+                             *two_triangle_bound(spec, s, words[a], words[b]))
+            for a, diff2 in zip(indices, kernel.translate_excess(s, indices))
+            for b, d2 in zip(indices, diff2) if b > a]
 
 
 def empirical_displacement_constant(kernel: DisplacementKernel, s_radius: int,
@@ -368,14 +373,12 @@ def empirical_displacement_constant(kernel: DisplacementKernel, s_radius: int,
         raise OutOfBallError(
             f"scan split ({s_radius}, {pair_radius}) exceeds the kernel radius"
         )
-    pairs = b.elements[:b.size_within(pair_radius)]
-    base = kernel.twice_block(range(len(pairs)))
-    best2 = 0
+    pairs = range(b.size_within(pair_radius))
+    base = kernel.entries(pairs, pairs)
     # element 0 is the identity, whose translates are the pairs themselves
-    for s in b.elements[1:b.size_within(s_radius)]:
-        trans = [kernel.translate_index(s, x) for x in pairs]
-        best2 = max(best2, int(np.abs(kernel.twice_block(trans) - base).max()))
-    return float(best2) / 2.0
+    return max((abs(d) for s in b.elements[1:b.size_within(s_radius)]
+                for row in kernel.translate_excess(s, pairs, base=base) for d in row),
+               default=0) / 2.0
 
 
 # -- conditional negative definiteness ----------------------------------------
@@ -408,7 +411,7 @@ def cnd_min_eigenvalue(kernel: DisplacementKernel, indices=None) -> float:
     """Centered minimum eigenvalue of the kernel on the index set."""
     if indices is None:
         indices = range(kernel.n)
-    return centered_min_eigenvalue(kernel.twice_block(indices) / 2.0)
+    return centered_min_eigenvalue(np.array(kernel.entries(indices, indices)) / 2.0)
 
 
 def served_rows(kernel: DisplacementKernel):
@@ -440,14 +443,9 @@ def kernel_cross_validate(spec: BicombingSpec, radius: int | None = None,
     if n > kernel.n:
         raise OutOfBallError("cross-validation radius exceeds the kernel radius")
     chains = [combing_chain(spec, "", b.elements[i]) for i in range(n)]
-    worst = Fraction(0)
-    for i in range(n):
-        row = kernel.row(i)[:n].tolist()
-        for j in range(i + 1, n):
-            direct = (chains[i] - chains[j]).l1_norm()
-            disc = abs(Fraction(row[j], 2) - direct)
-            if disc > worst:
-                worst = disc
+    worst = max((abs(Fraction(t, 2) - (chains[i] - chains[j]).l1_norm()) for i in range(n)
+                 for j, t in enumerate(kernel.entries([i], range(i + 1, n))[0], i + 1)),
+                default=Fraction(0))
     if worst:
         raise AssertionError(f"cross-validation discrepancy {worst} is not 0")
     return worst

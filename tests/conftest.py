@@ -11,19 +11,11 @@ SWAP_RULES = tuple((x + y, y + x) for x in "cCdD" for y in "aAbB")
 
 
 def serve_rows(kernel, entries):
-    """Make ``kernel`` serve rows of 2K with ``entries[i, j]`` in place of its
-    own values at (i, j); every read of 2K goes through ``kernel.row``, and
-    ``del kernel.row`` restores the rows the kernel evaluates from F."""
-    row = kernel.row
-
-    def served(i):
-        out = row(i)
-        for (r, j), value in entries.items():
-            if r == i:
-                out[j] = value
-        return out
-
-    kernel.row = served
+    """Make ``kernel`` serve 2K with ``entries[i, j]`` in place of its own
+    values at (i, j), through both reads, ``kernel.row`` and
+    ``kernel.entries``; ``del kernel.overrides`` restores the values the
+    kernel evaluates from F."""
+    kernel.overrides = {**kernel.overrides, **entries}
     return kernel
 
 

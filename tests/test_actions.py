@@ -143,7 +143,7 @@ class TestOrbitKernel:
         pairs = list(f2_ball4.indices_within(2))
         for s in ("a", "bA"):
             trans = [kernel.index_of(s + f2_ball4.elements[i]) for i in pairs]
-            assert np.array_equal(kernel.twice_block(trans), kernel.twice_block(pairs))
+            assert kernel.entries(trans, trans) == kernel.entries(pairs, pairs)
             assert op_norm_lower_bound(s, kernel, 2, config).value <= 1 + 1e-9
 
 

@@ -234,6 +234,51 @@ class TestUniformBound:
             uniform_bound(-1)
 
 
+def _dense_probe(s, kernel, radius, config):
+    """The operator-norm probe on dense float blocks of K, with one mat-vec
+    pair per trial: the reference for the incremental probe."""
+    from l1comb.espace import DECAY_EVERY, INITIAL_STEP, STEP_DECAY, OpNormResult
+
+    ball = kernel.ball
+    n = ball.size_within(radius)
+    trans_idx = [kernel.translate_index(s, x) for x in ball.elements[:n]]
+    if s == "":
+        return OpNormResult(value=1.0, iterations=0, restarts=0, seed=config.seed)
+    k_base = np.array(kernel.entries(range(n), range(n))) / 2.0
+    k_trans = np.array(kernel.entries(trans_idx, trans_idx)) / 2.0
+
+    def ratio(vec):
+        l1 = float(np.abs(vec).sum())
+        if l1 <= 0.0:
+            return 0.0
+        qb = float(-0.5 * vec @ k_base @ vec)
+        qt = float(-0.5 * vec @ k_trans @ vec)
+        return (math.sqrt(max(qt, 0.0)) + l1) / (math.sqrt(max(qb, 0.0)) + l1)
+
+    best = 0.0
+    total_iters = 0
+    for restart in range(config.restarts):
+        rng = random.Random(config.seed * 100_003 + restart)
+        vec = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
+        vec -= vec.mean()
+        current = ratio(vec)
+        step = INITIAL_STEP
+        for it in range(config.iterations):
+            total_iters += 1
+            if it and it % DECAY_EVERY == 0:
+                step *= STEP_DECAY
+            j = rng.randrange(n)
+            trial = vec.copy()
+            trial[j] += step if rng.getrandbits(1) else -step
+            trial -= trial.mean()
+            val = ratio(trial)
+            if val > current:
+                vec, current = trial, val
+        best = max(best, current)
+    return OpNormResult(value=best, iterations=total_iters,
+                        restarts=config.restarts, seed=config.seed)
+
+
 class TestOpNorm:
     def test_identity_is_exactly_one(self, tree_kernel):
         res = op_norm_lower_bound("", tree_kernel, 2)
@@ -259,6 +304,24 @@ class TestOpNorm:
             s = b.elements[i]
             res = op_norm_lower_bound(s, kernel, 1, config)
             assert res.value <= upper + 1e-6
+
+    # on surface r=2 M is 0 and both probes read exactly 1.0 for every s;
+    # surface r=3 (split (1, 2)) has s that move ||.||_f
+    @pytest.mark.parametrize("pres, radius", [("f2xf2", 3), ("surface", 2), ("surface", 3)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_incremental_probe_equals_the_dense_probe(self, request, pres, radius,
+                                                       seed):
+        from l1comb import ball
+
+        b = ball(request.getfixturevalue(pres), radius)
+        kernel = kernel_from_bicombing(make_bicombing("shortlex_antisymmetrized", b))
+        s_radius, v_radius = kernel.scan_split
+        config = OpNormConfig(seed=seed)
+        for s in b.elements[:b.size_within(s_radius)]:
+            found = op_norm_lower_bound(s, kernel, v_radius, config)
+            reference = _dense_probe(s, kernel, v_radius, config)
+            assert abs(found.value - reference.value) <= 1e-12, s
+            assert found[1:] == reference[1:]
 
     def test_deterministic_under_seed(self, tree_kernel):
         config = OpNormConfig(restarts=4, iterations=100, seed=9)
@@ -286,18 +349,18 @@ class TestProperness:
 
     def test_reads_row_zero_once(self, surface_kernel):
         reads = []
-        serve = surface_kernel.row
+        serve = surface_kernel.entries
 
-        def counted(i):
-            reads.append(i)
-            return serve(i)
+        def counted(rows, cols):
+            reads.append(list(rows))
+            return serve(rows, cols)
 
-        surface_kernel.row = counted
+        surface_kernel.entries = counted
         try:
             properness_report(surface_kernel)
         finally:
-            del surface_kernel.row
-        assert reads == [0]
+            del surface_kernel.entries
+        assert reads == [[0]]
 
     def test_sphere_minima_nondecreasing(self, tree_kernel):
         minima = properness_report(tree_kernel).sphere_minima()

@@ -84,6 +84,35 @@ def f2xf2_to_f2(draw):
     return dict(zip("abcd", images))
 
 
+@pytest.fixture(scope="module")
+def block_kernels(tree_kernel, surface, f2xf2, f2xf2_ball3):
+    from l1comb import parse_action
+
+    projection = parse_action("target_rank: 2\na -> a\nb -> b\nc -> e\nd -> e\n", f2xf2)
+    return {
+        "f2-tree-r4": tree_kernel,
+        "surface-anti-r3": kernel_from_bicombing(
+            make_bicombing("shortlex_antisymmetrized", ball(surface, 3))),
+        "f2xf2-anti-r3": kernel_from_bicombing(
+            make_bicombing("shortlex_antisymmetrized", f2xf2_ball3)),
+        "f2xf2-orbit-r3": orbit_kernel(projection, f2xf2_ball3),
+    }
+
+
+@pytest.mark.parametrize("name", ["f2-tree-r4", "surface-anti-r3", "f2xf2-anti-r3",
+                                  "f2xf2-orbit-r3"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_block_entries_equal_the_dense_rows(block_kernels, name, data):
+    # index lists with duplicates, empty lists, and one row against every column
+    kernel = block_kernels[name]
+    indices = st.lists(st.integers(0, kernel.n - 1), max_size=12)
+    rows = data.draw(indices, "rows")
+    cols = list(range(kernel.n)) if data.draw(st.booleans(), "all cols") else \
+        data.draw(indices, "cols")
+    assert kernel.entries(rows, cols) == [[kernel.row(i)[j] for j in cols] for i in rows]
+
+
 class TestKernelFromBicombing:
     def test_tree_kernel_equals_word_metric(self, tree_kernel, f2_ball4):
         n = tree_kernel.n
@@ -152,8 +181,8 @@ class TestKernelFromBicombing:
         kernel = kernel_from_bicombing(tree_spec, radius=2)
         i, j = kernel.index_of("ab"), kernel.index_of("b")
         serve_rows(kernel, {(i, j): 99})
-        block = kernel.twice_block([i, j])
-        assert block.tolist() == [[0, 99], [kernel.embedding.row(j)[i], 0]]
+        block = kernel.entries([i, j], [i, j])
+        assert block == [[0, 99], [kernel.embedding.row(j)[i], 0]]
 
     @pytest.mark.parametrize("kind", ["tree_geodesic", "shortlex_antisymmetrized"])
     def test_radius_zero_kernel_is_signed_and_exact(self, f2, surface, kind):
@@ -314,13 +343,14 @@ class TestDisplacement:
         m = empirical_displacement_constant(surface_kernel, 2, 2)
         assert m == surface_kernel.displacement_constant
         pairs = list(surface_ball4.indices_within(2))
-        base = surface_kernel.twice_block(pairs)
+        base = surface_kernel.entries(pairs, pairs)
         for i in pairs:
             s = surface_ball4.elements[i]
             if s == "":
                 continue
             trans = [surface_kernel.index_of(s + surface_ball4.elements[j]) for j in pairs]
-            one_sided = (surface_kernel.twice_block(trans) - base).max() / 2
+            one_sided = max(t - u for rows in zip(surface_kernel.entries(trans, trans), base)
+                            for t, u in zip(*rows)) / 2
             assert one_sided <= m
 
 
@@ -500,7 +530,7 @@ def test_walked_rows_equal_the_word_chain_embedding(request, pres, radius, kind)
     walked = kernel_from_bicombing(spec).embedding
     words = SlotEmbedding(numbered(feature_embed(combing_chain(spec, "", x).scale(2)).coeffs
                                    for x in b.elements))
-    assert walked.norms.size == len(b)
+    assert len(walked.norms) == len(b)
     for name in ("cols", "norms", "col_ptr"):
         assert np.array_equal(getattr(walked, name), getattr(words, name)), name
 
@@ -543,7 +573,7 @@ def test_kernel_build_retains_only_f(surface):
     finally:
         tracemalloc.stop()
     F = kernel.embedding
-    f_bytes = sum(a.nbytes for a in (F.cols, F.norms, F.ptr, F.col_rows, F.col_ptr))
+    f_bytes = sum(memoryview(a).nbytes for a in (F.cols, F.norms, F.ptr, F.col_rows, F.col_ptr))
     assert kernel.n == 3193
     assert retained <= f_bytes + 16_384, (retained, f_bytes)
 
@@ -564,7 +594,7 @@ def test_kernel_build_peak_stays_within_twice_f(request, pres, radius, kind):
     finally:
         tracemalloc.stop()
     F = kernel.embedding
-    f_bytes = sum(a.nbytes for a in (F.cols, F.norms, F.ptr, F.col_rows, F.col_ptr))
+    f_bytes = sum(memoryview(a).nbytes for a in (F.cols, F.norms, F.ptr, F.col_rows, F.col_ptr))
     assert kernel.n == {4: 3193, 7: 4373}[radius]
     assert peak <= 2 * f_bytes, peak / f_bytes
 
@@ -599,7 +629,7 @@ def test_slot_embedding_rows_match_the_matrix(tree_kernel, surface_kernel):
             assert [(i, j) for i, _, dev in served_rows(k)
                     for j in np.flatnonzero(dev).tolist()] == [(5, 3)]
         finally:
-            del k.row
+            del k.overrides
 
 
 F2_ACTION = ["action", "--presentation", "prod.txt", "--action", "proj.txt",
@@ -622,6 +652,10 @@ SURFACE_COMBING = [["ball", "--presentation", "surface.txt", "--radius", "1"],
     pytest.param(SURFACE_COMBING, "datetime", id="startup-without-datetime"),
     pytest.param([F2_ACTION, ["opnorm", "--presentation", "prod.txt", "--radius", "2"]],
                  "numpy.random", id="opnorm-probe-without-numpy-random"),
+    # blocks of 2K are Python ints and the probe is pure Python: only dense
+    # rows (verify, norms, --quasitree) load numpy
+    pytest.param([F2_ACTION, ["opnorm", "--presentation", "prod.txt", "--radius", "3"]],
+                 "numpy.linalg", id="action-and-opnorm-without-numpy"),
 ])
 def test_commands_leave_module_unloaded(tmp_path, commands, unloaded):
     (tmp_path / "f2.txt").write_text("generators: a b\nrelators: (none)\nmode: free\n")
