@@ -51,7 +51,6 @@ from .espace import (
     OpNormConfig,
     OpNormResult,
     PropernessError,
-    SupportEscapeError,
     check_cocycle_identity,
     cocycle,
     cocycle_norm_rows,

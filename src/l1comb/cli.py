@@ -428,24 +428,25 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         # the parsed namespace is the run config: dests are the attribute
-        # names the handlers read, metavars keep the help text
+        # names the handlers read, metavars keep the help text; every report
+        # header records a combing kind and a tolerance, flag or no flag
         p = sub.add_parser(name)
-        p.set_defaults(action_path=None, quasitree_path=None, sabotage_diagonal=None)
+        p.set_defaults(action_path=None, quasitree_path=None, sabotage_diagonal=None,
+                       bicombing_kind="auto", tolerance=1e-9)
         p.add_argument("--presentation", dest="presentation_path",
                        metavar="PRESENTATION", required=True, type=Path)
         p.add_argument("--radius", type=int, default=3)
-        p.add_argument("--bicombing", dest="bicombing_kind",
-                       choices=["auto", *KIND_BY_FLAG], default="auto")
+        if name in ("bicombing-stats", "verify", "opnorm", "norms"):  # build a combing
+            p.add_argument("--bicombing", dest="bicombing_kind",
+                           choices=["auto", *KIND_BY_FLAG])
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", dest="out_dir", metavar="OUT", type=Path,
                        default=Path("reports"))
         p.add_argument("--cap", type=int, default=DEFAULT_BALL_CAP)
-        p.add_argument("--tol", dest="tolerance", metavar="TOL", type=float, default=1e-9,
-                       help="tolerance of the quasi-tree negative-type check "
-                            "in 'action --quasitree' (centered min eigenvalue "
-                            ">= -TOL); a finite number >= 0; every other "
-                            "verdict is exact")
         if name == "action":
+            p.add_argument("--tol", dest="tolerance", metavar="TOL", type=float,
+                           help="tolerance of the --quasitree negative-type check (centered "
+                                "min eigenvalue >= -TOL), a finite number >= 0")
             p.add_argument("--action", dest="action_path", metavar="ACTION", type=Path)
             p.add_argument("--quasitree", dest="quasitree_path", metavar="QUASITREE",
                            type=Path)

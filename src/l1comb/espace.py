@@ -28,17 +28,13 @@ from numbers import Rational
 from typing import NamedTuple
 
 from .bicombing import L1Vector
-from .groups import CayleyBall
+from .groups import CayleyBall, OutOfBallError
 from .kernel import DisplacementKernel
 
 # op-norm probe step schedule
 INITIAL_STEP = 1.0
 STEP_DECAY = 0.5
 DECAY_EVERY = 50
-
-
-class SupportEscapeError(LookupError):
-    """A vector's support (or its translate) left the kernel's ball."""
 
 
 class NonCndFormError(ArithmeticError):
@@ -95,10 +91,15 @@ def rep_apply(s: str, v: EVector, ball: CayleyBall) -> EVector:
 
 
 def check_cocycle_identity(s: str, t: str, ball: CayleyBall):
-    """Max coefficient residual of b(st) - pi(s) b(t) - b(s); exactly 0."""
-    st = ball.name(s + t)
-    residual = cocycle(st) - rep_apply(s, cocycle(t), ball) - cocycle(s)
-    return residual.max_abs()
+    """Max coefficient residual of b(st) - pi(s) b(t) - b(s), exactly 0: b(st)
+    names st by the word problem, pi(s) b(t) = delta_st - delta_s walks t from
+    s on the multiplication table, so the residual compares the two."""
+    i = ball.canonical_index(s)
+    j = -1 if i is None else ball.walk(i, t)
+    if j < 0:
+        raise OutOfBallError(f"{s + t!r} is not walked inside the ball")
+    moved = cocycle(ball.elements[j]) - cocycle(ball.elements[i])  # pi(s) b(t)
+    return (cocycle(ball.name(s + t)) - moved - cocycle(s)).max_abs()
 
 
 # -- norms ---------------------------------------------------------------------
@@ -109,7 +110,7 @@ def quadratic_form(v: EVector, kernel: DisplacementKernel) -> Fraction:
     kernels."""
     if not v.coeffs:
         return Fraction(0)
-    idx = [kernel.index_of(w, SupportEscapeError) for w in v.coeffs]
+    idx = [kernel.index_of(w) for w in v.coeffs]
     c = list(v.coeffs.values())
     # Python ints, so products with int or Fraction coefficients stay exact
     rows = kernel.entries(idx, idx)
@@ -151,9 +152,8 @@ def per_vector_bound_check(s: str, v: EVector, kernel: DisplacementKernel) -> Bo
     indices of the translates that give the excess."""
     if not v.coeffs:
         return BoundCheck(Fraction(0), Fraction(0), True, Fraction(0))
-    idx = [kernel.index_of(w, SupportEscapeError) for w in v.coeffs]
-    excess = Fraction(max(abs(d) for row in kernel.translate_excess(
-        s, idx, SupportEscapeError) for d in row), 2)
+    idx = [kernel.index_of(w) for w in v.coeffs]
+    excess = Fraction(max(abs(d) for row in kernel.translate_excess(s, idx) for d in row), 2)
     lhs = quadratic_form(rep_apply(s, v, kernel.ball), kernel) - quadratic_form(v, kernel)
     l1 = v.l1_norm()
     rhs = excess * l1 * l1 / 2
@@ -197,10 +197,9 @@ def op_norm_lower_bound(s: str, kernel: DisplacementKernel, radius: int,
     n = ball.size_within(radius)
     if n < 2:
         raise ValueError("need at least two elements to span mean-zero vectors")
-    trans_idx = [kernel.translate_index(s, x, SupportEscapeError)
-                 for x in ball.elements[:n]]
     if s == "":
         return OpNormResult(value=1.0, iterations=0, restarts=0, seed=config.seed)
+    trans_idx = [kernel.translate_index(s, x) for x in ball.elements[:n]]
     blocks = [kernel.entries(idx, idx) for idx in (range(n), trans_idx)]
     drift = [[sum(row) / n for row in block] for block in blocks]  # r / n
     curv = [[block[j][j] - 2 * r[j] + sum(r) / n for j in range(n)]

@@ -431,8 +431,9 @@ class CayleyBall:
         return w
 
     def canonical_index(self, word: str) -> int | None:
-        """Index of the element represented by ``word``, or None if outside."""
-        return self.index.get(self._resolve(word))
+        """Index of the element represented by ``word``, or None if outside;
+        a ball element's word is read off ``index`` with no word problem."""
+        return self.index[word] if word in self.index else self.index.get(self._resolve(word))
 
     def name(self, word: str) -> str:
         """Canonical word of the element ``word`` represents: a ball

@@ -111,15 +111,15 @@ class DisplacementKernel:
         out.flags.writeable = False
         return out
 
-    def index_of(self, word: str, error: type = OutOfBallError) -> int:
-        """Kernel index of the element ``word`` names; raises ``error`` when
-        that element is outside the kernel's ball."""
+    def index_of(self, word: str) -> int:
+        """Kernel index of the element ``word`` names; raises
+        :class:`OutOfBallError` when it is outside the kernel's ball."""
         idx = self.ball.canonical_index(word)
         if idx is None or idx >= self.n:
-            raise error(f"{word!r} is outside the kernel's ball")
+            raise OutOfBallError(f"{word!r} is outside the kernel's ball")
         return idx
 
-    def translate_index(self, s: str, x: str, error: type = OutOfBallError) -> int:
+    def translate_index(self, s: str, x: str) -> int:
         """Kernel index of the translate s x: x's letters walked from s's
         index on the ball's multiplication table, and :meth:`index_of` of
         ``s + x`` only when s is no ball element or the walk leaves the
@@ -127,13 +127,12 @@ class DisplacementKernel:
         cur = self.ball.index.get(s)
         if cur is not None and 0 <= (cur := self.ball.walk(cur, x)) < self.n:
             return cur
-        return self.index_of(s + x, error)
+        return self.index_of(s + x)
 
-    def translate_excess(self, s: str, indices, error: type = OutOfBallError,
-                         base=None) -> list[list[int]]:
+    def translate_excess(self, s: str, indices, base=None) -> list[list[int]]:
         """Exact 2K(sx, sy) - 2K(x, y) over x, y in the index sequence;
         ``base`` is the block 2K[I, I] when the caller has read it already."""
-        trans = [self.translate_index(s, self.ball.elements[i], error) for i in indices]
+        trans = [self.translate_index(s, self.ball.elements[i]) for i in indices]
         base = self.entries(indices, indices) if base is None else base
         return [[t - u for t, u in zip(*rows)]
                 for rows in zip(self.entries(trans, trans), base)]

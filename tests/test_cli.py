@@ -135,7 +135,42 @@ def test_bicombing_flag_names_the_kind(tmp_path, flag, text, kind):
     assert f"# bicombing: {kind}" in _body(out / "bicombing.csv")
 
 
-@pytest.mark.parametrize("command", ["ball", "verify"])
+# each command's options: every one acts on that command's run or its report
+COMMON_OPTIONS = {"--presentation", "--radius", "--seed", "--out", "--cap"}
+OPTIONS = {
+    "ball": COMMON_OPTIONS,
+    "bicombing-stats": COMMON_OPTIONS | {"--bicombing"},
+    "norms": COMMON_OPTIONS | {"--bicombing"},
+    "opnorm": COMMON_OPTIONS | {"--bicombing"},
+    "verify": COMMON_OPTIONS | {"--bicombing", "--sabotage-diagonal"},
+    "action": COMMON_OPTIONS | {"--tol", "--action", "--quasitree"},
+}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    (commands,) = cli._build_parser()._subparsers._group_actions
+    assert {name: {opt for action in p._actions for opt in action.option_strings}
+            - {"-h", "--help"} for name, p in commands.choices.items()} == OPTIONS
+
+
+@pytest.mark.parametrize("command, flag", [
+    *((command, ["--tol", "1"])
+      for command in ("verify", "norms", "opnorm", "ball", "bicombing-stats")),
+    ("ball", ["--bicombing", "tree"]),
+    ("action", ["--bicombing", "tree"]),
+], ids=lambda v: v if isinstance(v, str) else v[0][2:])
+def test_a_flag_the_command_never_reads_is_rejected(f2_file, tmp_path, capsys,
+                                                    command, flag):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--presentation", str(f2_file), "--radius", "2",
+              "--out", str(out), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify"])
 def test_tree_bicombing_needs_a_free_presentation(surface_file, tmp_path, capsys,
                                                    monkeypatch, command):
     def no_ball(*args, **kwargs):
@@ -292,11 +327,10 @@ class TestVerify:
         assert all(len(row) == 3 for row in csv.reader(rows))
 
     def test_norm_formula_verdict_ignores_tol(self, f2_file, tmp_path, capsys):
-        # --tol governs only the quasi-tree negative-type check: the sabotaged
-        # diagonal puts Q(b(s)) 1/2 below K(s, e), whatever the tolerance
+        # verify takes no --tol, its verdicts being exact: the sabotaged
+        # diagonal puts Q(b(s)) 1/2 below K(s, e)
         code = main(["verify", "--presentation", str(f2_file), "--radius", "3",
-                     "--out", str(tmp_path / "out"), "--tol", "1e9",
-                     "--sabotage-diagonal", "4"])
+                     "--out", str(tmp_path / "out"), "--sabotage-diagonal", "4"])
         assert code == 1
         assert "FAIL norm_formula" in capsys.readouterr().out
 
@@ -316,8 +350,7 @@ class TestVerify:
     def test_corrupted_far_pair_fails_exact_cnd(self, f2_file, tmp_path,
                                                  capsys, monkeypatch):
         # 2K(484, 483) lies outside the cross-validation's pair ball (the 53
-        # elements of radius 3 in the scan split (2, 3)), and verify's
-        # verdicts ignore --tol
+        # elements of radius 3 in the scan split (2, 3))
         build = cli.kernel_from_bicombing
 
         def corrupted(spec):
@@ -327,7 +360,7 @@ class TestVerify:
 
         monkeypatch.setattr(cli, "kernel_from_bicombing", corrupted)
         code = main(["verify", "--presentation", str(f2_file), "--radius", "5",
-                     "--tol", "1e9", "--out", str(tmp_path / "out")])
+                     "--out", str(tmp_path / "out")])
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL kernel_cnd [2K(483, 484)" in out
@@ -385,7 +418,7 @@ class TestVerify:
 
         monkeypatch.setattr(cli, "kernel_from_bicombing", raised)
         code = main(["verify", "--presentation", str(f2_file), "--radius", "6",
-                     "--tol", "1e9", "--out", str(tmp_path / "out")])
+                     "--out", str(tmp_path / "out")])
         assert code == 1
         assert "FAIL norm_formula" in capsys.readouterr().out
 
@@ -474,16 +507,6 @@ class TestVerify:
                      "--out", str(tmp_path / "out"), "--sabotage-diagonal", index])
         assert code == 2
         assert "sabotage-diagonal" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
-    def test_tol_not_finite_nonnegative_is_input_error(self, f2_file, tmp_path,
-                                                       capsys, tol):
-        # on a correct kernel, not a FAIL kernel_cnd with exit 1
-        out = tmp_path / "out"
-        assert main(["verify", "--presentation", str(f2_file), "--radius", "3",
-                     "--out", str(out), f"--tol={tol}"]) == 2
-        assert "--tol" in capsys.readouterr().err
-        assert not (out / "verify.csv").exists()
 
     @pytest.mark.parametrize("radius", [0, 1])
     def test_radius_below_two_is_input_error(self, surface_file, tmp_path,
@@ -717,6 +740,18 @@ class TestActionCommand:
         assert main(["action", "--presentation", str(f2_file), "--quasitree", str(path),
                      "--out", str(tmp_path / "out"), "--tol", "1"]) == 1
         assert "upper bound violated" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+    def test_tol_not_finite_nonnegative_is_input_error(self, f2_file, tmp_path,
+                                                       capsys, tol):
+        # on a kernel that passes, not a quasi-tree fail with exit 1
+        path = tmp_path / "good.csv"
+        path.write_text("delta: 0\nx,y,d,K\ne,a,1,1\n")
+        out = tmp_path / "out"
+        assert main(["action", "--presentation", str(f2_file), "--quasitree", str(path),
+                     "--out", str(out), f"--tol={tol}"]) == 2
+        assert "--tol" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_quasitree_self_pair_is_input_error(self, f2_file, tmp_path, capsys):
         path = tmp_path / "self.csv"

@@ -12,7 +12,7 @@ from l1comb import (
     MeanZeroError,
     OpNormConfig,
     OutOfBallError,
-    SupportEscapeError,
+    ball,
     check_cocycle_identity,
     cocycle,
     empirical_displacement_constant,
@@ -86,6 +86,17 @@ class TestCocycle:
     def test_cocycle_identity_with_inverse(self, f2_ball4):
         for s in ("a", "ab", "bA"):
             assert check_cocycle_identity(s, s[::-1].swapcase(), f2_ball4) == 0
+
+    def test_cocycle_identity_sees_a_wrong_product(self, f2):
+        # one product inside the inner ball corrupted on the table, a b read
+        # as bb: pi(a) b(b) walks the table, b(ab) names ab by the word
+        # problem, so the residual is delta_ab - delta_bb there and 0 elsewhere
+        b = ball(f2, 2)
+        b.adjacency[b.index["a"] * len(f2.alphabet) + f2.alphabet.index("b")] = b.index["bb"]
+        inner = b.elements[:b.size_within(1)]
+        assert {(s, t) for s in inner for t in inner
+                if check_cocycle_identity(s, t, b)} == {("a", "b")}
+        assert check_cocycle_identity("a", "b", b) == 1
 
     def test_cocycle_identity_surface(self, surface_ball4):
         rng = random.Random(41)
@@ -179,7 +190,7 @@ class TestNorms:
 
     def test_support_escape(self, tree_kernel):
         v = EVector({"ababa": 1, "": -1})  # length 5 > kernel radius 4
-        with pytest.raises(SupportEscapeError):
+        with pytest.raises(OutOfBallError, match="'ababa' is outside the kernel's ball"):
             norm_f(v, tree_kernel)
 
     def test_non_cnd_kernel_detected_under_the_root(self, f2_ball4):
@@ -292,8 +303,6 @@ class TestOpNorm:
             assert abs(res.value - 1.0) <= 1e-9
 
     def test_surface_below_theoretical_bound(self, surface):
-        from l1comb import ball
-
         b = ball(surface, 3)
         spec = make_bicombing("shortlex_antisymmetrized", b)
         kernel = kernel_from_bicombing(spec)
@@ -311,8 +320,6 @@ class TestOpNorm:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_incremental_probe_equals_the_dense_probe(self, request, pres, radius,
                                                        seed):
-        from l1comb import ball
-
         b = ball(request.getfixturevalue(pres), radius)
         kernel = kernel_from_bicombing(make_bicombing("shortlex_antisymmetrized", b))
         s_radius, v_radius = kernel.scan_split

@@ -559,6 +559,25 @@ def test_walked_kernel_build_makes_no_oracle_call(surface, monkeypatch):
     assert calls[0] == "name" and "normal" in calls
 
 
+def test_index_of_a_ball_element_solves_no_word_problem(surface, monkeypatch):
+    from l1comb import GroupPresentation
+
+    b = ball(surface, 3)
+    kernel = kernel_from_bicombing(make_bicombing("shortlex_antisymmetrized", b))
+    calls = []
+    normal = GroupPresentation.normal
+
+    def counted(self, word):
+        calls.append(word)
+        return normal(self, word)
+
+    monkeypatch.setattr(GroupPresentation, "normal", counted)
+    assert [kernel.index_of(w) for w in b.elements] == list(range(len(b)))
+    assert calls == []
+    assert kernel.index_of("aAb") == b.index["b"]  # the counter does see a call
+    assert calls
+
+
 def test_kernel_build_retains_only_f(surface):
     # the walked build leaves nothing behind but F: no name-cache entries, no
     # chains, no column-key table
