@@ -56,7 +56,7 @@ from .espace import (
     norm_e,  # not called here; perfbench/tracer.py wraps cli.norm_e
     op_norm_lower_bound,
     per_vector_bound_check,
-    properness_report,
+    properness_report,  # not called here; perfbench/tracer.py wraps cli.properness_report
     uniform_bound,
 )
 from .actions import (
@@ -132,12 +132,13 @@ def _word(w: str) -> str:
     return w or "e"
 
 
-def _write_norm_rows(config: argparse.Namespace, filename: str, report, extra: dict) -> Path:
-    """The cocycle norm rows of ``norms`` and ``action``, one CSV layout."""
+def _write_norm_rows(config: argparse.Namespace, filename: str, rows, extra: dict) -> Path:
+    """The cocycle norm rows of ``norms`` and ``action``, one CSV layout;
+    ``rows`` may be a generator, each row written as it is made."""
     return _write_csv(
         config, filename, ["word", "d", "norm_f", "norm_l1", "norm_E", "lower_bound"],
         ((_word(r.word), r.distance, r.norm_f, r.norm_l1, r.norm_e, r.lower_bound)
-         for r in report.rows),
+         for r in rows),
         extra,
     )
 
@@ -196,18 +197,29 @@ def cmd_bicombing_stats(config: argparse.Namespace) -> int:
 
 
 def cmd_norms(config: argparse.Namespace) -> int:
+    dump_radius = config.radius if config.kernel_radius is None else config.kernel_radius
+    if not 0 <= dump_radius <= config.radius:
+        # checked before any ball is built, so nothing is written
+        raise PresentationError(f"--kernel-radius must lie in 0..{config.radius} "
+                                f"(the --radius), got {dump_radius}")
     b = ball(config.presentation, config.radius, cap=config.cap)
     spec = make_bicombing(config.bicombing_kind, b)
     np.ndarray  # the dump reads dense rows: load numpy before F (see verify_suite)
     kernel = kernel_from_bicombing(spec)
-    report = properness_report(kernel)
-    path = _write_norm_rows(config, "norms.csv", report,
-                            {"displacement_constant": kernel.displacement_constant})
+    path = config.out_dir / "norms.csv"
+    try:
+        # each row is checked, written and dropped in turn
+        _write_norm_rows(config, "norms.csv", cocycle_norm_rows(kernel),
+                         {"displacement_constant": kernel.displacement_constant})
+    except PropernessError:
+        path.unlink(missing_ok=True)  # a failing run leaves no report
+        raise
     # one row at a time, so the whole file never exists as one string
+    size = b.size_within(dump_radius)
     with (config.out_dir / "kernel.csv").open("w") as fh:
-        for i in range(kernel.n):
-            fh.write(kernel_dump(kernel, [i]))
-    print(f"{len(report.rows)} cocycle norm rows -> {path}")
+        for i in range(size):
+            fh.write(kernel_dump(kernel, [i], size))
+    print(f"{kernel.n - 1} cocycle norm rows -> {path}")
     return EXIT_OK
 
 
@@ -255,7 +267,7 @@ def cmd_action(config: argparse.Namespace) -> int:
     b = ball(config.presentation, config.radius, cap=config.cap)
     kernel = orbit_kernel(action, b)
     growth = orbit_growth_report(kernel)
-    path = _write_norm_rows(config, "action.csv", growth.norm_report,
+    path = _write_norm_rows(config, "action.csv", growth.norm_report.rows,
                             {"target_rank": action.target_rank,
                              "verdict": growth.verdict,
                              "fitted_constant": growth.fitted_constant})
@@ -450,6 +462,10 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--action", dest="action_path", metavar="ACTION", type=Path)
             p.add_argument("--quasitree", dest="quasitree_path", metavar="QUASITREE",
                            type=Path)
+        if name == "norms":
+            p.add_argument("--kernel-radius", type=int, metavar="K",
+                           help="dump the kernel of the radius-K ball to kernel.csv, "
+                                "0 <= K <= --radius (default --radius)")
         if name == "verify":
             p.add_argument("--sabotage-diagonal", type=int,
                            help="verifier self-test: corrupt one kernel "
@@ -471,7 +487,10 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    config = _build_parser().parse_args(argv)
+    try:
+        config = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error (2) or --help (0)
+        return exc.code
     try:
         text = config.presentation_path.read_text()
     except OSError as exc:

@@ -149,23 +149,29 @@ class DisplacementKernel:
 _LABELS: dict[int, str] = {}
 
 
-def kernel_dump(kernel: DisplacementKernel, rows=None) -> str:
-    """Kernel CSV lines of the given rows (all by default): one line per pair
-    i <= j, indices in ball ordering, values as exact fractions; the header
-    ``i,j,K`` comes with row 0.  Concatenating the dumps of rows 0..n-1 gives
-    the whole file, so it can be written a row at a time."""
+def kernel_dump(kernel: DisplacementKernel, rows=None, size=None) -> str:
+    """Kernel CSV lines of the given rows (all by default) of the principal
+    block over the first ``size`` elements (all by default): one line per
+    pair i <= j, indices in ball ordering, values as exact fractions; the
+    header ``i,j,K`` comes with row 0.  Concatenating the dumps of rows
+    0..size-1 gives the whole file, so it can be written a row at a time.
+    Ball elements come in order of length and a walked row does not depend
+    on the ball around it, so the block over the ball of a smaller radius is
+    that radius's kernel."""
+    if size is None:
+        size = kernel.n
     if rows is None:
-        rows = range(kernel.n)
+        rows = range(size)
     chunks = []
     for i in rows:
         if i == 0:
             chunks.append("i,j,K\n")
-        twice = kernel.row(i)[i:].tolist()
+        twice = kernel.row(i)[i:size].tolist()
         for t in set(twice).difference(_LABELS):
             _LABELS[t] = f",{Fraction(t, 2)}\n"
         # one format call renders the row's lines "{i},{j},{K}\n", no str per j
         fields = [None] * (2 * len(twice))
-        fields[::2] = range(i, kernel.n)
+        fields[::2] = range(i, size)
         fields[1::2] = map(_LABELS.__getitem__, twice)
         chunks.append((f"{i},%d%s" * len(twice)) % tuple(fields))
     return "".join(chunks)

@@ -140,7 +140,7 @@ COMMON_OPTIONS = {"--presentation", "--radius", "--seed", "--out", "--cap"}
 OPTIONS = {
     "ball": COMMON_OPTIONS,
     "bicombing-stats": COMMON_OPTIONS | {"--bicombing"},
-    "norms": COMMON_OPTIONS | {"--bicombing"},
+    "norms": COMMON_OPTIONS | {"--bicombing", "--kernel-radius"},
     "opnorm": COMMON_OPTIONS | {"--bicombing"},
     "verify": COMMON_OPTIONS | {"--bicombing", "--sabotage-diagonal"},
     "action": COMMON_OPTIONS | {"--tol", "--action", "--quasitree"},
@@ -158,14 +158,15 @@ def test_each_command_takes_only_the_options_it_reads():
       for command in ("verify", "norms", "opnorm", "ball", "bicombing-stats")),
     ("ball", ["--bicombing", "tree"]),
     ("action", ["--bicombing", "tree"]),
+    *((command, ["--kernel-radius", "1"])
+      for command in ("verify", "opnorm", "ball", "bicombing-stats", "action")),
 ], ids=lambda v: v if isinstance(v, str) else v[0][2:])
 def test_a_flag_the_command_never_reads_is_rejected(f2_file, tmp_path, capsys,
                                                     command, flag):
+    # main returns argparse's usage-error code, so in-process callers get 2
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--presentation", str(f2_file), "--radius", "2",
-              "--out", str(out), *flag])
-    assert exc.value.code == 2
+    assert main([command, "--presentation", str(f2_file), "--radius", "2",
+                 "--out", str(out), *flag]) == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not out.exists()
 
@@ -182,6 +183,27 @@ def test_tree_bicombing_needs_a_free_presentation(surface_file, tmp_path, capsys
                  "--bicombing", "tree", "--out", str(out)]) == 2
     assert "free presentation" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _count_norm_rows(monkeypatch):
+    """Count the cocycle norm rows made ([made]) and the most alive at once
+    ([peak]) from here to the end of the test."""
+    from l1comb import espace
+
+    made, live, peak = [0], [0], [0]
+
+    class CountedRow(espace.NormRow):
+        def __new__(cls, *args, **kwargs):
+            made[0] += 1
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+            return super().__new__(cls, *args, **kwargs)
+
+        def __del__(self):
+            live[0] -= 1
+
+    monkeypatch.setattr(espace, "NormRow", CountedRow)
+    return made, peak
 
 
 class TestNormsAndOpnorm:
@@ -208,6 +230,66 @@ class TestNormsAndOpnorm:
             word, found, upper, iters, seed = line.split(",")
             assert float(found) <= 1 + 1e-9
             assert float(upper) == 1.0
+
+    def test_properness_failure_midstream_leaves_no_report(self, f2_file, tmp_path,
+                                                            capsys, monkeypatch):
+        # rows are written as they are made, so the failing last row comes
+        # after the header and 159 written rows; the run still leaves no report
+        build = cli.kernel_from_bicombing
+
+        def collapsed(spec):
+            kernel = build(spec)
+            assert spec.ball.elements[160] == "BBBB"
+            return serve_rows(kernel, {(0, 160): 0})  # 2K(e, BBBB) = 0 < 2d
+
+        monkeypatch.setattr(cli, "kernel_from_bicombing", collapsed)
+        out = tmp_path / "out"
+        assert main(["norms", "--presentation", str(f2_file), "--radius", "4",
+                     "--out", str(out)]) == 1
+        assert "||b(BBBB)||_E" in capsys.readouterr().err
+        assert not (out / "norms.csv").exists()
+        assert not (out / "kernel.csv").exists()
+
+    def test_norms_holds_no_list_of_rows(self, f2_file, tmp_path, monkeypatch):
+        # each cocycle norm row is written and dropped before the next one is
+        # made, as in verify's properness pass
+        made, peak = _count_norm_rows(monkeypatch)
+        assert main(["norms", "--presentation", str(f2_file), "--radius", "4",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert made[0] == 160  # every s != e of the radius-4 ball
+        assert peak[0] <= 2, peak[0]
+
+    @pytest.mark.parametrize("text, radius, kernel_radius", [(F2, 6, 4), (SURFACE, 4, 3)],
+                             ids=["f2", "surface"])
+    def test_kernel_radius_dumps_the_smaller_kernel(self, tmp_path, text, radius,
+                                                    kernel_radius):
+        pres = tmp_path / "pres.txt"
+        pres.write_text(text)
+        small, large = tmp_path / "small", tmp_path / "large"
+        assert main(["norms", "--presentation", str(pres), "--radius", str(kernel_radius),
+                     "--out", str(small)]) == 0
+        assert main(["norms", "--presentation", str(pres), "--radius", str(radius),
+                     "--kernel-radius", str(kernel_radius), "--out", str(large)]) == 0
+        assert (large / "kernel.csv").read_bytes() == (small / "kernel.csv").read_bytes()
+        # M and the norm rows still cover the full radius
+        presentation = cli.parse_presentation(text)
+        body = _body(large / "norms.csv")
+        start = body.index("word,d,norm_f,norm_l1,norm_E,lower_bound")
+        assert len(body) - start - 1 == len(ball(presentation, radius)) - 1
+        assert f"# radius: {radius}" in body
+
+    @pytest.mark.parametrize("kernel_radius", ["4", "-1"])
+    def test_kernel_radius_outside_the_radius_is_input_error(
+            self, f2_file, tmp_path, capsys, monkeypatch, kernel_radius):
+        def no_ball(*args, **kwargs):
+            raise AssertionError("the ball was built")
+
+        monkeypatch.setattr(cli, "ball", no_ball)
+        out = tmp_path / "out"
+        assert main(["norms", "--presentation", str(f2_file), "--radius", "3",
+                     "--kernel-radius", kernel_radius, "--out", str(out)]) == 2
+        assert "--kernel-radius" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_determinism_modulo_timestamp(self, f2_file, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -465,21 +547,7 @@ class TestVerify:
                                                     monkeypatch):
         # every cocycle norm row is checked and dropped before the next one
         # is made, so at most one is alive at a time
-        from l1comb import espace
-
-        made, live, peak = [0], [0], [0]
-
-        class CountedRow(espace.NormRow):
-            def __new__(cls, *args, **kwargs):
-                made[0] += 1
-                live[0] += 1
-                peak[0] = max(peak[0], live[0])
-                return super().__new__(cls, *args, **kwargs)
-
-            def __del__(self):
-                live[0] -= 1
-
-        monkeypatch.setattr(espace, "NormRow", CountedRow)
+        made, peak = _count_norm_rows(monkeypatch)
         assert main(["verify", "--presentation", str(f2_file), "--radius", "4",
                      "--out", str(tmp_path / "out")]) == 0
         assert made[0] == 160  # every s != e of the radius-4 ball

@@ -463,6 +463,13 @@ class TestKernelDump:
             assert "".join(kernel_dump(k, [i]) for i in range(k.n)) == whole
             assert whole.startswith("i,j,K\n0,0,0")
 
+    def test_leading_block_dumps_the_smaller_radius_kernel(self, tree_spec, tree_kernel):
+        from l1comb import kernel_dump
+
+        size = tree_kernel.ball.size_within(2)
+        assert kernel_dump(tree_kernel, size=size) == \
+            kernel_dump(kernel_from_bicombing(tree_spec, radius=2))
+
 
 class TestCrossValidation:
     def test_tree_ball3_exact(self, tree_spec, tree_kernel):
