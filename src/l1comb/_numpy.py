@@ -1,8 +1,8 @@
 """numpy, imported when a routine first reads one of its attributes.
 
-Only dense full rows of 2K and eigenvalues use it (``verify``, ``norms``,
-``action --quasitree``); ``ball``, ``bicombing-stats``, ``action`` and
-``opnorm`` run without it.  If numpy is already loaded, ``np`` is that module.
+Only ``DisplacementKernel.values`` and eigenvalues (``cnd_min_eigenvalue``,
+``action --quasitree``) use it; every other command, ``verify`` and ``norms``
+included, runs without it.  If numpy is already loaded, ``np`` is that module.
 """
 
 import importlib.util

@@ -19,7 +19,6 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from ._numpy import np
 from .groups import (
     BallCapError,
     DEFAULT_BALL_CAP,
@@ -44,7 +43,6 @@ from .kernel import (
     kernel_cross_validate,
     kernel_dump,
     kernel_from_bicombing,
-    served_rows,
 )
 from .espace import (
     EVector,
@@ -204,7 +202,6 @@ def cmd_norms(config: argparse.Namespace) -> int:
                                 f"(the --radius), got {dump_radius}")
     b = ball(config.presentation, config.radius, cap=config.cap)
     spec = make_bicombing(config.bicombing_kind, b)
-    np.ndarray  # the dump reads dense rows: load numpy before F (see verify_suite)
     kernel = kernel_from_bicombing(spec)
     path = config.out_dir / "norms.csv"
     try:
@@ -281,11 +278,11 @@ def cmd_action(config: argparse.Namespace) -> int:
 def verify_suite(config: argparse.Namespace) -> dict[str, str | None]:
     """Invariant suite over one presentation/combing/radius: cocycle identity,
     norm formula, conditional negative definiteness, per-vector bound,
-    properness, plus the structural chain checks feeding them.  Every
-    per-element check and every kernel-structure check shares one pass over
-    the ball, which reads each element's served row of 2K and builds its chain
-    q[e, s] once.  Returns the witness table: check name -> its first failing
-    witness, or None if it passed, in report order."""
+    properness, plus the structural chain checks feeding them.  The exact
+    kernel checks read F's structure and each override, in O(nnz + |overrides|);
+    the per-element checks share one pass over the ball that reads no row of 2K
+    and builds each chain q[e, s] once.  Returns the witness table: check name
+    -> its first failing witness, or None if it passed, in report order."""
     b = ball(config.presentation, config.radius, cap=config.cap)
     sabotage = config.sabotage_diagonal
     if sabotage is not None and not 0 <= sabotage < len(b):
@@ -294,7 +291,6 @@ def verify_suite(config: argparse.Namespace) -> dict[str, str | None]:
             f"0..{len(b) - 1}"
         )
     spec = make_bicombing(config.bicombing_kind, b)
-    np.ndarray  # dense rows follow: load numpy before F, so F's arrays sit above its import
     kernel = kernel_from_bicombing(spec)
     if sabotage is not None:
         kernel.overrides = {(sabotage, sabotage): 2}
@@ -313,14 +309,27 @@ def verify_suite(config: argparse.Namespace) -> dict[str, str | None]:
         if witness[name] is None:
             witness[name] = text
 
-    # one pass over the ball: only F is stored, and element i's served row of
-    # 2K and its chain q[e, s] are built, checked and dropped in turn;
-    # deviation maps (i, j) to served 2K(i, j) minus |F_i - F_j|^2, wherever
-    # they differ
-    deviation: dict[tuple[int, int], int] = {}
+    # F is a 0/1 matrix with its exact column index, so every entry it serves
+    # is a squared distance |F_i - F_j|^2: symmetric, zero on the diagonal,
+    # non-negative and CND (Schoenberg); only the overrides are left to read
+    if (defect := kernel.embedding.defect()) is not None:
+        fail("kernel_cnd", defect)
+    for (i, j), t in sorted(kernel.overrides.items()):
+        if i == j and t:
+            fail("kernel_diagonal_zero", f"K({i},{i}) != 0")
+        if t < 0:
+            fail("kernel_nonnegative", f"K{(i, j)} < 0")
+        if kernel.entries([j], [i])[0][0] != t:
+            pair = min(i, j), max(i, j)
+            fail("kernel_symmetry", f"K{pair} != K{pair[::-1]}")
+        if kernel.embedding.entries([i], [j])[0][0] != t:
+            fail("kernel_cnd", f"2K{(i, j)} is not its slot-embedding distance")
+
+    # one pass over the ball, which reads no row of 2K: element s's chain
+    # q[e, s] is built, checked and dropped in turn
+    row_e = kernel.entries([0], range(kernel.n))[0]  # 2K(e, .)
     degree = len(b.presentation.alphabet)
-    for i, row, dev in served_rows(kernel):
-        s = b.elements[i]
+    for i, s in enumerate(b.elements):
         j = b.walk(0, invert(s))  # no oracle call: the table, then the index
         if j < 0 or b.index.get(b.elements[j]) != j:
             fail("ball_inverse_closure", f"inverse of {_word(s)} missing")
@@ -330,14 +339,7 @@ def verify_suite(config: argparse.Namespace) -> dict[str, str | None]:
                 fail("ball_adjacency_involutive",
                      f"edge {_word(s)} -{letter}-> {_word(b.elements[j])}")
                 break
-        if row[i]:
-            fail("kernel_diagonal_zero", f"K({i},{i}) != 0")
-        if row.min() < 0:
-            fail("kernel_nonnegative", f"K{(i, int(np.flatnonzero(row < 0)[0]))} < 0")
-        for j in np.flatnonzero(dev).tolist():
-            deviation[i, j] = int(dev[j])
         if i == 0:
-            row_e = row  # 2K(e, .), kept for norm_formula
             continue
         chain = combing_chain(spec, "", s)
         bd = boundary(chain, b)
@@ -348,22 +350,12 @@ def verify_suite(config: argparse.Namespace) -> dict[str, str | None]:
             fail("combing_lower_bound", f"||q[e,{_word(s)}]||_1 < d for {_word(s)}")
         # ||b(s)||_1 = 2, so ||b(s)||_E = sqrt(K(s, e)) + 2 iff Q(b(s)) =
         # (4K(s, e) - 2K(s, s) - 2K(e, e)) / 4 equals K(s, e) = ||q[e,s]||_1,
-        # here computed by chain arithmetic; K(s, e) is read from row e,
-        # symmetry being checked on its own
-        direct = Fraction(2 * int(row_e[i]) - int(row[i]) - int(row_e[0]), 4)
+        # here computed by chain arithmetic; K(s, e) is read from row e and
+        # 2K(s, s), F's zero, from the overrides, symmetry checked on its own
+        direct = Fraction(2 * row_e[i] - kernel.overrides.get((i, i), 0) - row_e[0], 4)
         if direct != norm:
             fail("norm_formula",
                  f"Q(b({_word(s)})) = {direct} but ||q[e,{_word(s)}]||_1 = {norm}")
-
-    # F's distances are symmetric, so a served pair is asymmetric exactly
-    # where its two entries deviate from them by different amounts
-    bad = min(((min(p), max(p)) for p, dev in deviation.items()
-               if deviation.get(p[::-1], 0) != dev), default=None)
-    if bad is not None:
-        fail("kernel_symmetry", f"K{bad} != K{bad[::-1]}")
-    # exact: every served row equals its re-evaluation from the slot embedding
-    if deviation:
-        fail("kernel_cnd", f"2K{next(iter(deviation))} is not its slot-embedding distance")
 
     for _ in range(50):
         s = b.elements[rng.randrange(n_inner)]

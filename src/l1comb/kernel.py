@@ -19,13 +19,13 @@ is a kernel's only stored state: every doubled entry,
 is evaluated exactly by counting the columns rows i and j share, and no
 n x n matrix is ever stored.  Since every entry is a squared distance of
 integer vectors, 2K is of negative type, and every inequality read off it is
-decided exactly, conditional negative definiteness included
-(:func:`served_rows`).  2K is read as blocks of Python ints
+decided exactly, conditional negative definiteness from F's structure alone
+(:meth:`SlotEmbedding.defect`).  2K is read as blocks of Python ints
 (:meth:`DisplacementKernel.entries`: the displacement scan, the E-space
-norms, the cocycle rows) or as dense int64 rows (:meth:`~DisplacementKernel.row`:
-the CND certificate, :func:`kernel_dump`); numpy, from :mod:`l1comb._numpy`,
-is imported at the first dense row.  A translate s x is walked on the ball's
-table from s (:meth:`DisplacementKernel.translate_index`), and the
+norms, the cocycle rows) or as dense rows of them (:meth:`~DisplacementKernel.row`:
+:func:`kernel_dump`); numpy, from :mod:`l1comb._numpy`, is imported only for
+the float matrix ``values`` and eigenvalues.  A translate s x is walked on the
+ball's table from s (:meth:`DisplacementKernel.translate_index`), and the
 displacement constant M is measured over the scan split on first read."""
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ class DisplacementKernel:
         measured from the rows the kernel serves at the first read and kept."""
         return empirical_displacement_constant(self, *self.scan_split)
 
-    def row(self, i: int) -> np.ndarray:
-        """Row i of 2K, exact int64, evaluated from F."""
+    def row(self, i: int) -> list[int]:
+        """Row i of 2K, exact ints, evaluated from F."""
         out = self.embedding.row(i)
         for (r, j), t in self.overrides.items():
             if r == i:
@@ -166,7 +166,7 @@ def kernel_dump(kernel: DisplacementKernel, rows=None, size=None) -> str:
     for i in rows:
         if i == 0:
             chunks.append("i,j,K\n")
-        twice = kernel.row(i)[i:size].tolist()
+        twice = kernel.row(i)[i:size]
         for t in set(twice).difference(_LABELS):
             _LABELS[t] = f",{Fraction(t, 2)}\n"
         # one format call renders the row's lines "{i},{j},{K}\n", no str per j
@@ -294,19 +294,38 @@ class SlotEmbedding:
                     out[a][b] -= 2
         return out
 
-    def row(self, i: int) -> np.ndarray:
-        """Row i of :meth:`entries` over every j, as one int64 array."""
-        col_ptr, col_rows = self.col_ptr, np.frombuffer(self.col_rows, np.int32)
-        norms = np.frombuffer(self.norms, np.int64)
-        # a row has few columns (|F_i|^2 of them), so slicing each is cheap
-        sharing = [col_rows[col_ptr[c]:col_ptr[c + 1]]
-                   for c in self.cols[self.ptr[i]:self.ptr[i + 1]]]
-        out = np.bincount(np.concatenate(sharing) if sharing else col_rows[:0],
-                          minlength=len(norms))
-        out *= -2
-        out += norms
-        out += norms[i]
+    def row(self, i: int) -> list[int]:
+        """Row i of :meth:`entries` over every j, as one list of ints: a row
+        is decremented once per column it shares with F_i (few columns)."""
+        col_ptr, col_rows, norm = self.col_ptr, self.col_rows, self.norms[i]
+        out = [norm + t for t in self.norms]
+        for c in self.cols[self.ptr[i]:self.ptr[i + 1]]:
+            for j in col_rows[col_ptr[c]:col_ptr[c + 1]]:
+                out[j] -= 2
         return out
+
+    def defect(self) -> str | None:
+        """Why F's arrays are no 0/1 matrix with its exact column index, or None,
+        in O(nnz): row columns distinct and in range, ``norms[i]`` row i's length,
+        ``col_rows`` exactly the (i, c) of ``cols`` in row order.  Then every read
+        is |F_i - F_j|^2, so 2K is of negative type (Schoenberg)."""
+        cols, ptr, col_ptr, col_rows = self.cols, self.ptr, self.col_ptr, self.col_rows
+        width, cursor = len(col_ptr) - 1, col_ptr[:-1]  # each column's next row
+        for i, length in enumerate(self.norms):
+            row = cols[ptr[i]:ptr[i + 1]]
+            if len(row) != length:
+                return f"F row {i} has {len(row)} columns, not |F_{i}|^2 = {length}"
+            if len(set(row)) != length:
+                return f"F row {i} repeats a column"
+            for c in row:
+                if not 0 <= c < width:
+                    return f"F row {i} has column {c}, outside 0..{width - 1}"
+                k = cursor[c]
+                if k >= col_ptr[c + 1] or col_rows[k] != i:
+                    return f"F column {c} does not list row {i} in row order"
+                cursor[c] = k + 1
+        c = next((c for c in range(width) if cursor[c] != col_ptr[c + 1]), None)
+        return None if c is None else f"F column {c} lists rows outside F's rows"
 
 
 def kernel_from_bicombing(spec: BicombingSpec,
@@ -417,18 +436,6 @@ def cnd_min_eigenvalue(kernel: DisplacementKernel, indices=None) -> float:
     if indices is None:
         indices = range(kernel.n)
     return centered_min_eigenvalue(np.array(kernel.entries(indices, indices)) / 2.0)
-
-
-def served_rows(kernel: DisplacementKernel):
-    """Yield (i, row i of 2K as the kernel serves it, that row minus
-    |F_i - F_j|^2 as the kernel's slot embedding F re-evaluates it) for every
-    i, in one pass that holds one row at a time.  A deviation that is zero
-    everywhere is an exact certificate of negative type: 2K is then a matrix
-    of squared distances between integer vectors, which is CND by
-    Schoenberg's theorem."""
-    for i in range(kernel.n):
-        row = kernel.row(i)
-        yield i, row, row - kernel.embedding.row(i)
 
 
 # -- cross validation ---------------------------------------------------------

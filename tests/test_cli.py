@@ -1,3 +1,4 @@
+import copy
 import csv
 import hashlib
 import json
@@ -470,6 +471,78 @@ class TestVerify:
                          "--out", str(tmp_path / "out")])
         assert code == 1
         assert f"FAIL kernel_cnd [2K({i}, {j})" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, radius, n", [(F2, 3, 53), (SURFACE, 2, 65)],
+                             ids=["f2-r3", "surface-r2"])
+    @settings(max_examples=12, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data(), st.integers(-6, 6).filter(bool), st.booleans(), st.booleans())
+    def test_any_served_mutation_fails_the_certificate(self, tmp_path, capsys, text, radius,
+                                                       n, data, delta, flip, one_sided):
+        # the certificate reads F and each served entry, so an entry changed
+        # anywhere, on one side or on both, is not its slot-embedding distance
+        j = data.draw(st.integers(1, n - 1))
+        i = data.draw(st.integers(0, j - 1))
+        pair = (j, i) if flip else (i, j)
+        build = cli.kernel_from_bicombing
+
+        def mutated(spec):
+            kernel = build(spec)
+            t = kernel.embedding.entries([i], [j])[0][0] + delta
+            return serve_rows(kernel, {pair: t} if one_sided else {(i, j): t, (j, i): t})
+
+        path = tmp_path / "pres.txt"
+        path.write_text(text)
+        capsys.readouterr()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "kernel_from_bicombing", mutated)
+            code = main(["verify", "--presentation", str(path), "--radius", str(radius),
+                         "--out", str(tmp_path / "out")])
+        out = capsys.readouterr().out
+        assert code == 1
+        first = pair if one_sided else (i, j)
+        assert f"FAIL kernel_cnd [2K{first} is not its slot-embedding distance]" in out
+        assert (f"FAIL kernel_symmetry [K{(i, j)} != K{(j, i)}]" in out) == one_sided
+
+    @pytest.mark.parametrize("corruption", ["swap-col-rows", "repeat-column", "bump-norm"])
+    def test_malformed_f_fails_exact_cnd(self, f2_file, tmp_path, capsys, monkeypatch,
+                                         corruption):
+        # a copy of the built F, corrupted in its last row (radius 3, outside
+        # the scan balls) or in the first column holding two rows, must fail
+        # the structure certificate with a witness naming the row or column
+        build = cli.kernel_from_bicombing
+        expected = []
+
+        def corrupted(spec):
+            kernel = build(spec)
+            F = copy.copy(kernel.embedding)
+            i = len(F.norms) - 1
+            if corruption == "swap-col-rows":
+                F.col_rows = F.col_rows[:]
+                c = next(c for c in range(len(F.col_ptr) - 1)
+                         if F.col_ptr[c + 1] - F.col_ptr[c] >= 2)
+                k = F.col_ptr[c]
+                F.col_rows[k], F.col_rows[k + 1] = F.col_rows[k + 1], F.col_rows[k]
+                expected.append(f"F column {c} does not list row {F.col_rows[k + 1]} "
+                                "in row order")
+            elif corruption == "repeat-column":
+                F.cols = F.cols[:]
+                F.cols[F.ptr[i] + 1] = F.cols[F.ptr[i]]
+                expected.append(f"F row {i} repeats a column")
+            else:
+                F.norms = F.norms[:]
+                F.norms[i] += 1
+                expected.append(f"F row {i} has {F.norms[i] - 1} columns, "
+                                f"not |F_{i}|^2 = {F.norms[i]}")
+            assert kernel.embedding.defect() is None and F.defect() == expected[0]
+            kernel.embedding = F
+            return kernel
+
+        monkeypatch.setattr(cli, "kernel_from_bicombing", corrupted)
+        code = main(["verify", "--presentation", str(f2_file), "--radius", "3",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"FAIL kernel_cnd [{expected[0]}]" in capsys.readouterr().out
 
     def test_each_element_chain_is_built_once(self, surface, surface_file,
                                               tmp_path, monkeypatch):

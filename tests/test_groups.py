@@ -339,8 +339,16 @@ class TestBalls:
         assert len(b.elements[i]) == 4
 
     def test_surface_sphere_sizes(self, surface_ball4):
+        # the genus-2 growth series (1 + 2x + 2x^2 + 2x^3 + x^4) /
+        # (1 - 6x - 6x^2 - 6x^3 + x^4) (Cannon; Floyd-Plotnick 1987), expanded
+        # in integers: a_k = p_k + 6 a_{k-1} + 6 a_{k-2} + 6 a_{k-3} - a_{k-4}
+        num, den = [1, 2, 2, 2, 1, 0, 0], [1, -6, -6, -6, 1]
+        series = []
+        for k in range(7):  # den * series = num, one coefficient at a time
+            series.append(num[k] - sum(den[m] * series[k - m] for m in range(1, min(k, 4) + 1)))
+        assert series == [1, 8, 56, 392, 2736, 19096, 133288]
         # free-like through radius 3; eight half-relator pairs merge at 4
-        assert surface_ball4.sphere_sizes() == [1, 8, 56, 392, 2736]
+        assert surface_ball4.sphere_sizes() == series[:5]
 
     def test_product_ball_sizes(self, f2xf2_ball3):
         # direct product of two rank-2 free groups: S(n) = sum s(i) s(n-i)
