@@ -7,16 +7,15 @@ orbit of e are the rows of a displacement kernel, whose measured constant is
 :func:`l1comb.espace.properness_report`, with the l1 part 2 as their lower
 bound, and the growth verdict is decided exactly on the integers 2K(s, e).
 Quasi-tree geometry enters only through user-supplied kernels checked
-against the sandwich d - Delta <= K <= d and conditional negative
-definiteness.
+against the sandwich d - Delta <= K <= d, decided in rationals, and
+conditional negative definiteness, up to a tolerance derived from K.
 """
 
 from __future__ import annotations
 
-import math
+from fractions import Fraction
 from typing import NamedTuple
 
-from ._numpy import np
 from .groups import (
     CayleyBall,
     GroupPresentation,
@@ -142,16 +141,19 @@ class QuasiTreeKernelInput(NamedTuple):
     constant, to be checked against d - delta <= K <= d."""
 
     labels: tuple[str, ...]
-    distances: dict[tuple[str, str], float]
-    kernel_values: dict[tuple[str, str], float]
-    delta: float = 0.0
+    distances: dict[tuple[str, str], Fraction]
+    kernel_values: dict[tuple[str, str], Fraction]
+    delta: Fraction = Fraction(0)
 
 
-def _finite(text: str, name: str, line: str) -> float:
-    # comparisons with nan are all false, so a nan would pass every check
-    value = float(text)
-    if not math.isfinite(value):
-        raise ActionError(f"{name} {text!r} in {line!r} is not finite")
+def _finite(text: str, name: str, line: str) -> Fraction:
+    # exact, so the sandwich needs no slack; nan, inf, garbage, 1/0 and a
+    # value beyond the float range (the eigenvalue check reads floats) fail
+    try:
+        value = Fraction(text)
+        float(value)
+    except (ValueError, ArithmeticError):
+        raise ActionError(f"{name} {text!r} in {line!r} is not finite") from None
     return value
 
 
@@ -159,8 +161,8 @@ def parse_quasitree_csv(text: str) -> QuasiTreeKernelInput:
     """Parse the quasi-tree kernel format: one ``delta: value`` header line,
     the column header ``x,y,d,K``, then one pair per row, at least one.  Every
     unordered pair of the labels appearing must be present exactly once, and
-    no row may pair a label with itself; ``d``, ``K`` and ``delta`` must be
-    finite numbers and ``delta`` nonnegative."""
+    no row may pair a label with itself; ``d``, ``K`` and ``delta`` are read
+    as exact ``Fraction``s, must be finite and ``delta`` nonnegative."""
     delta = None
     rows = []
     saw_header = False
@@ -173,7 +175,7 @@ def parse_quasitree_csv(text: str) -> QuasiTreeKernelInput:
                 raise ActionError("delta specified twice")
             delta = _finite(line.split(":", 1)[1].strip(), "delta", line)
             if delta < 0:
-                raise ActionError(f"delta must be nonnegative, got {delta}")
+                raise ActionError(f"delta must be nonnegative, got {float(delta)}")
             continue
         if line.replace(" ", "") == "x,y,d,K":
             saw_header = True
@@ -193,8 +195,8 @@ def parse_quasitree_csv(text: str) -> QuasiTreeKernelInput:
         raise ActionError("no pair rows: nothing to check")
     # labels in order of first appearance
     labels = tuple(dict.fromkeys(lbl for x, y, _, _ in rows for lbl in (x, y)))
-    distances: dict[tuple[str, str], float] = {}
-    kernel_values: dict[tuple[str, str], float] = {}
+    distances: dict[tuple[str, str], Fraction] = {}
+    kernel_values: dict[tuple[str, str], Fraction] = {}
     for x, y, d, k in rows:
         key = (x, y) if x <= y else (y, x)
         if key in kernel_values:
@@ -216,32 +218,36 @@ class QuasiTreeReport(NamedTuple):
     passed: bool
     failures: list[str]
     min_eigenvalue: float
-    delta: float
+    delta: Fraction
+    tolerance: float
 
 
-def validate_quasitree_kernel(data: QuasiTreeKernelInput,
-                              tolerance: float = 1e-9) -> QuasiTreeReport:
-    """Check the sandwich d - delta <= K <= d on every pair and conditional
-    negative definiteness (centered minimum eigenvalue >= -tolerance).  The
-    declared delta is recorded as-is."""
+def validate_quasitree_kernel(data: QuasiTreeKernelInput) -> QuasiTreeReport:
+    """Check the sandwich d - delta <= K <= d on every pair in rationals, and
+    negative type: a centered minimum eigenvalue >= -n eps ||K/2||_F, the rule
+    of ``numpy.linalg.matrix_rank`` on a bound of the centered form's spectral
+    norm, computed from the float K.  The declared delta is recorded as-is."""
+    import numpy as np  # only the negative-type check needs it
+
     failures: list[str] = []
     labels = data.labels
     n = len(labels)
+    delta = Fraction(data.delta)
     mat = np.zeros((n, n))
     for i, x in enumerate(labels):
         for j, y in enumerate(labels[i + 1:], start=i + 1):
             key = (x, y) if x <= y else (y, x)
-            k = data.kernel_values[key]
-            d = data.distances[key]
-            mat[i, j] = mat[j, i] = k
-            if k > d + 1e-12:
-                failures.append(f"upper bound violated on ({x!r}, {y!r}): K={k} > d={d}")
-            if k < d - data.delta - 1e-12:
-                failures.append(
-                    f"lower bound violated on ({x!r}, {y!r}): K={k} < d - delta = {d - data.delta}"
-                )
+            k, d = data.kernel_values[key], Fraction(data.distances[key])
+            mat[i, j] = mat[j, i] = float(k)
+            if k > d:
+                failures.append(f"upper bound violated on ({x!r}, {y!r}): "
+                                f"K={float(k)} > d={float(d)}")
+            if k < d - delta:
+                failures.append(f"lower bound violated on ({x!r}, {y!r}): "
+                                f"K={float(k)} < d - delta = {float(d - delta)}")
             if k < 0:
                 failures.append(f"negative kernel value on ({x!r}, {y!r})")
+    tolerance = n * float(np.finfo(float).eps * np.linalg.norm(mat)) / 2
     min_eig = float("nan")
     if n < 2:
         failures.append(f"{n} label(s): the checks need at least two")
@@ -256,6 +262,7 @@ def validate_quasitree_kernel(data: QuasiTreeKernelInput,
         failures=failures,
         min_eigenvalue=min_eig,
         delta=data.delta,
+        tolerance=tolerance,
     )
 
 

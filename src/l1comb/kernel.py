@@ -23,8 +23,8 @@ decided exactly, conditional negative definiteness from F's structure alone
 (:meth:`SlotEmbedding.defect`).  2K is read as blocks of Python ints
 (:meth:`DisplacementKernel.entries`: the displacement scan, the E-space
 norms, the cocycle rows) or as dense rows of them (:meth:`~DisplacementKernel.row`:
-:func:`kernel_dump`); numpy, from :mod:`l1comb._numpy`, is imported only for
-the float matrix ``values`` and eigenvalues.  A translate s x is walked on the
+:func:`kernel_dump`); numpy is imported, in their bodies, only by the float
+matrix ``values`` and the eigenvalue routines.  A translate s x is walked on the
 ball's table from s (:meth:`DisplacementKernel.translate_index`), and the
 displacement constant M is measured over the scan split on first read."""
 
@@ -33,12 +33,12 @@ from __future__ import annotations
 import functools
 import itertools
 from array import array
+from bisect import bisect_left
 from collections.abc import Collection, Iterable
 from fractions import Fraction
 from numbers import Rational
 from typing import NamedTuple
 
-from ._numpy import np
 from .bicombing import BicombingSpec, Chain1, Edge, L1Vector, area, combing_chain
 from .groups import CayleyBall, OutOfBallError, invert
 
@@ -86,12 +86,13 @@ class DisplacementKernel:
         measured from the rows the kernel serves at the first read and kept."""
         return empirical_displacement_constant(self, *self.scan_split)
 
-    def row(self, i: int) -> list[int]:
-        """Row i of 2K, exact ints, evaluated from F."""
-        out = self.embedding.row(i)
+    def row(self, i: int, lo: int = 0, hi: int | None = None) -> list[int]:
+        """Entries lo..hi-1 (all by default) of row i of 2K, exact ints,
+        evaluated from F."""
+        out = self.embedding.row(i, lo, hi)
         for (r, j), t in self.overrides.items():
-            if r == i:
-                out[j] = t
+            if r == i and lo <= j < lo + len(out):
+                out[j - lo] = t
         return out
 
     def entries(self, rows, cols) -> list[list[int]]:
@@ -104,6 +105,8 @@ class DisplacementKernel:
     def values(self) -> np.ndarray:
         """Read-only float K as one n x n array, filled a row at a time from F
         and halved in place on the first read; tests and the tracer read it."""
+        import numpy as np
+
         out = np.empty((self.n, self.n))
         for i in range(self.n):
             out[i] = self.embedding.row(i)
@@ -166,7 +169,7 @@ def kernel_dump(kernel: DisplacementKernel, rows=None, size=None) -> str:
     for i in rows:
         if i == 0:
             chunks.append("i,j,K\n")
-        twice = kernel.row(i)[i:size]
+        twice = kernel.row(i, i, size)
         for t in set(twice).difference(_LABELS):
             _LABELS[t] = f",{Fraction(t, 2)}\n"
         # one format call renders the row's lines "{i},{j},{K}\n", no str per j
@@ -294,14 +297,17 @@ class SlotEmbedding:
                     out[a][b] -= 2
         return out
 
-    def row(self, i: int) -> list[int]:
-        """Row i of :meth:`entries` over every j, as one list of ints: a row
-        is decremented once per column it shares with F_i (few columns)."""
+    def row(self, i: int, lo: int = 0, hi: int | None = None) -> list[int]:
+        """Row i of :meth:`entries` over j in lo..hi-1 (every j by default), as
+        one list of ints: entry j is decremented once per column it shares with
+        F_i (few columns), whose increasing rows are bisected to the range."""
         col_ptr, col_rows, norm = self.col_ptr, self.col_rows, self.norms[i]
-        out = [norm + t for t in self.norms]
+        out = [norm + t for t in self.norms[lo:hi]]
+        hi = lo + len(out)
         for c in self.cols[self.ptr[i]:self.ptr[i + 1]]:
-            for j in col_rows[col_ptr[c]:col_ptr[c + 1]]:
-                out[j] -= 2
+            start = bisect_left(col_rows, lo, col_ptr[c], col_ptr[c + 1])
+            for j in col_rows[start:bisect_left(col_rows, hi, start, col_ptr[c + 1])]:
+                out[j - lo] -= 2
         return out
 
     def defect(self) -> str | None:
@@ -416,6 +422,8 @@ def centered_min_eigenvalue(matrix: np.ndarray) -> float:
     e_0 with the unit all-ones vector, so that rows and columns 1.. of H A H
     hold A on the mean-zero vectors (the orthonormal basis He_1, ...,
     He_{n-1})."""
+    import numpy as np
+
     n = matrix.shape[0]
     if n < 2:
         raise ValueError("need at least two elements for a centered eigenvalue")
@@ -433,6 +441,8 @@ def centered_min_eigenvalue(matrix: np.ndarray) -> float:
 
 def cnd_min_eigenvalue(kernel: DisplacementKernel, indices=None) -> float:
     """Centered minimum eigenvalue of the kernel on the index set."""
+    import numpy as np
+
     if indices is None:
         indices = range(kernel.n)
     return centered_min_eigenvalue(np.array(kernel.entries(indices, indices)) / 2.0)

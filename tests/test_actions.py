@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -206,6 +207,19 @@ class TestQuasiTreeValidation:
         expected_pass = eigs.min() >= -1e-9
         assert report.passed == expected_pass
 
+    @pytest.mark.parametrize("radius", [1, 2, 3, 4])
+    def test_lowered_edge_fails_negative_type(self, f2_ball4, radius):
+        # the tree metric passes under the tolerance derived from its size; with
+        # K(e, a) lowered to 0 the sandwich holds at delta = 1, but not CND
+        data = _tree_kernel_input(f2_ball4, radius)
+        report = validate_quasitree_kernel(data)
+        assert report.passed and 0 < report.tolerance < 1e-10
+        data.kernel_values[("", "a")] -= 1
+        report = validate_quasitree_kernel(data._replace(delta=1))
+        assert [f.split(":")[0] for f in report.failures] == [
+            "conditional negative definiteness fails"]
+        assert report.min_eigenvalue < -0.1
+
     def test_declared_delta_recorded_without_translates(self, f2_ball4):
         report = validate_quasitree_kernel(_tree_kernel_input(f2_ball4, 2, delta=0.25))
         assert report.passed and report.delta == 0.25
@@ -216,6 +230,9 @@ class TestQuasiTreeParsing:
         text = "delta: 0.5\nx,y,d,K\ne,a,1,0.75\ne,b,1,1\na,b,2,1.5\n"
         data = parse_quasitree_csv(text)
         assert data.delta == 0.5
+        # read exactly: 0.1 is one tenth, not the float nearest it
+        assert {type(data.delta), *map(type, data.kernel_values.values()),
+                *map(type, data.distances.values())} == {Fraction}
         assert data.labels == ("e", "a", "b")
         assert data.kernel_values[("a", "e")] == 0.75
 
@@ -246,7 +263,9 @@ class TestQuasiTreeParsing:
         "delta: 0\nx,y,d,K\ne,a,1,nan\n",
         "delta: 0\nx,y,d,K\ne,a,inf,1\n",
         "delta: 0\nx,y,d,K\ne,a,1,-inf\n",
-    ], ids=["K-nan", "d-inf", "K-minus-inf"])
+        "delta: 0\nx,y,d,K\ne,a,1,x\n",
+        "delta: 0\nx,y,d,K\ne,a,1e400,1\n",
+    ], ids=["K-nan", "d-inf", "K-minus-inf", "K-garbage", "d-beyond-float"])
     def test_non_finite_row_rejected(self, text):
         # every comparison with nan is false, so such a row used to pass
         with pytest.raises(ActionError, match="not finite"):

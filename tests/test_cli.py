@@ -144,7 +144,7 @@ OPTIONS = {
     "norms": COMMON_OPTIONS | {"--bicombing", "--kernel-radius"},
     "opnorm": COMMON_OPTIONS | {"--bicombing"},
     "verify": COMMON_OPTIONS | {"--bicombing", "--sabotage-diagonal"},
-    "action": COMMON_OPTIONS | {"--tol", "--action", "--quasitree"},
+    "action": COMMON_OPTIONS | {"--action", "--quasitree"},
 }
 
 
@@ -156,7 +156,7 @@ def test_each_command_takes_only_the_options_it_reads():
 
 @pytest.mark.parametrize("command, flag", [
     *((command, ["--tol", "1"])
-      for command in ("verify", "norms", "opnorm", "ball", "bicombing-stats")),
+      for command in ("verify", "norms", "opnorm", "ball", "bicombing-stats", "action")),
     ("ball", ["--bicombing", "tree"]),
     ("action", ["--bicombing", "tree"]),
     *((command, ["--kernel-radius", "1"])
@@ -542,7 +542,11 @@ class TestVerify:
         code = main(["verify", "--presentation", str(f2_file), "--radius", "3",
                      "--out", str(tmp_path / "out")])
         assert code == 1
-        assert f"FAIL kernel_cnd [{expected[0]}]" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        # all four kernel checks rest on F being well formed
+        for check in ("kernel_diagonal_zero", "kernel_symmetry", "kernel_nonnegative",
+                      "kernel_cnd"):
+            assert f"FAIL {check} [{expected[0]}]" in out
 
     def test_each_element_chain_is_built_once(self, surface, surface_file,
                                               tmp_path, monkeypatch):
@@ -863,36 +867,43 @@ class TestActionCommand:
         assert all(len(row) == 3 for row in rows)
         assert rows[1][2] == "upper bound violated on ('e', 'a'): K=1.5 > d=1.0"
 
-    def test_tol_governs_quasitree_cnd(self, f2_file, tmp_path):
-        # K = d: the sandwich holds, and the centered min eigenvalue is -1.7e-4
+    def test_tol_governs_quasitree_cnd(self, f2_file, tmp_path, capsys):
+        # K = d: the sandwich holds, and the centered min eigenvalue is -1.7e-4,
+        # far below the tolerance n eps ||K/2||_F the check derives itself
         path = tmp_path / "near.csv"
         path.write_text("delta: 0\nx,y,d,K\na,b,1,1\nb,c,1,1\na,c,4.001,4.001\n")
+        out = tmp_path / "out"
         argv = ["action", "--presentation", str(f2_file), "--quasitree", str(path),
-                "--out", str(tmp_path / "out")]
+                "--out", str(out)]
         assert main(argv) == 1
-        assert main(argv + ["--tol", "1e-3"]) == 0
-        header = (tmp_path / "out" / "quasitree.csv").read_text()
-        assert "# tolerance: 0.001\n" in header
+        assert "conditional negative definiteness fails" in capsys.readouterr().out
+        header = dict(re.findall(r"^# (\w+): (.*)$", (out / "quasitree.csv").read_text(),
+                                 re.M))
+        frobenius = (2 * (1 + 1 + 4.001 ** 2)) ** 0.5  # ||K||_F
+        assert float(header["tolerance"]) == pytest.approx(
+            3 * sys.float_info.epsilon * frobenius / 2, rel=1e-12)
+        assert -1.8e-4 < float(header["min_eigenvalue"]) < -1.6e-4
+        # and no flag could pass it
+        (out / "quasitree.csv").unlink()
+        assert main(argv + ["--tol", "1e-3"]) == 2
+        assert not (out / "quasitree.csv").exists()
 
     def test_tol_leaves_the_sandwich_alone(self, f2_file, tmp_path, capsys):
-        # the sandwich keeps its own 1e-12 slack: K = d + 1e-6 fails at any --tol
+        # the sandwich is decided exactly, with no slack: K = d + 1e-6 fails
         path = tmp_path / "above.csv"
         path.write_text("delta: 0\nx,y,d,K\na,b,1,1.000001\n")
         assert main(["action", "--presentation", str(f2_file), "--quasitree", str(path),
-                     "--out", str(tmp_path / "out"), "--tol", "1"]) == 1
+                     "--out", str(tmp_path / "out")]) == 1
         assert "upper bound violated" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
-    def test_tol_not_finite_nonnegative_is_input_error(self, f2_file, tmp_path,
-                                                       capsys, tol):
-        # on a kernel that passes, not a quasi-tree fail with exit 1
-        path = tmp_path / "good.csv"
-        path.write_text("delta: 0\nx,y,d,K\ne,a,1,1\n")
+    def test_sandwich_is_decided_in_rationals(self, f2_file, tmp_path):
+        # in floats d - delta = 1000000.2000000001 > K; in decimals it is K
+        path = tmp_path / "exact.csv"
+        path.write_text("delta: 0.1\nx,y,d,K\na,b,1000000.3,1000000.2\n")
         out = tmp_path / "out"
         assert main(["action", "--presentation", str(f2_file), "--quasitree", str(path),
-                     "--out", str(out), f"--tol={tol}"]) == 2
-        assert "--tol" in capsys.readouterr().err
-        assert not out.exists()
+                     "--out", str(out)]) == 0
+        assert "# delta: 0.1\n" in (out / "quasitree.csv").read_text()
 
     def test_quasitree_self_pair_is_input_error(self, f2_file, tmp_path, capsys):
         path = tmp_path / "self.csv"
