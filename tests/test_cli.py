@@ -896,6 +896,19 @@ class TestActionCommand:
                      "--out", str(tmp_path / "out")]) == 1
         assert "upper bound violated" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+    def test_tol_not_finite_nonnegative_is_input_error(self, f2_file, tmp_path,
+                                                       capsys, tol):
+        # on a kernel that passes, not a quasi-tree fail with exit 1: action has
+        # no --tol, so any value of it is a usage error that writes nothing
+        path = tmp_path / "good.csv"
+        path.write_text("delta: 0\nx,y,d,K\ne,a,1,1\n")
+        out = tmp_path / "out"
+        assert main(["action", "--presentation", str(f2_file), "--quasitree", str(path),
+                     "--out", str(out), f"--tol={tol}"]) == 2
+        assert f"unrecognized arguments: --tol={tol}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sandwich_is_decided_in_rationals(self, f2_file, tmp_path):
         # in floats d - delta = 1000000.2000000001 > K; in decimals it is K
         path = tmp_path / "exact.csv"
