@@ -45,7 +45,6 @@ from .espace import (
     BoundCheck,
     EVector,
     MeanZeroError,
-    NonCndFormError,
     NormReport,
     NormRow,
     OpNormConfig,

@@ -250,9 +250,7 @@ def empirical_area_constant(spec: BicombingSpec, radius: int | None = None,
     """Maximum triangle area over the policy's triple set, with the
     (lexicographically least) maximizing triple as witness."""
     ball = spec.ball
-    if radius is None:
-        radius = ball.radius
-    n = ball.size_within(radius)
+    n = ball.scan_size(radius, "area scan")
     elements = ball.elements
     best: Rational = 0
     witness = (0, 0, 0)
@@ -296,9 +294,7 @@ def quasi_geodesic_constants(spec: BicombingSpec,
     ||q[e,z]||_1 / d over the scan, so lambda d + 0 already bounds every
     scanned pair and c is always 0."""
     ball = spec.ball
-    if radius is None:
-        radius = ball.radius
-    n = ball.size_within(radius)
+    n = ball.scan_size(radius, "quasi-geodesic scan")
     lam = Fraction(1)
     for idx in range(1, n):
         z = ball.elements[idx]

@@ -45,7 +45,6 @@ from .kernel import (
 )
 from .espace import (
     EVector,
-    NonCndFormError,
     OpNormConfig,
     PropernessError,
     check_cocycle_identity,
@@ -508,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
     except (PresentationError, ActionError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (PropernessError, NonCndFormError) as exc:
+    except PropernessError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except Exception:

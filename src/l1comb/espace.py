@@ -8,10 +8,12 @@ A displacement kernel K induces the seminorm
 
     ||v||_f = Q(v)^(1/2),   Q(v) = -1/2 sum_{x,y} v(x) v(y) K(x, y),
 
-and the working norm is ||v||_E = ||v||_f + ||v||_1.  Q is exact, read off the
-integer blocks of 2K, so the inequalities below are decided in rationals; floats
-enter only through square roots and the operator-norm probe.  The left translation
-representation pi(s)v(x) = v(s^-1 x) preserves ||.||_1 exactly and moves
+and the working norm is ||v||_E = ||v||_f + ||v||_1.  Every kernel here is
+2K(x, y) = |F_x - F_y|^2, so for mean-zero v, Q(v) = 1/2 |F^T v|^2 (Schoenberg):
+it is read exactly off F's rows and is never negative, so the inequalities
+below are decided in rationals; floats enter only through square roots and
+the operator-norm probe.  The left translation representation
+pi(s)v(x) = v(s^-1 x) preserves ||.||_1 exactly and moves
 ||.||_f by at most the displacement excess of K; the cocycle b(s) =
 delta_s - delta_e turns pi into an affine action whose growth is governed by
 K(s, e).  :func:`cocycle_norm_rows` is the one reader of these cocycle rows:
@@ -35,11 +37,6 @@ from .kernel import DisplacementKernel
 INITIAL_STEP = 1.0
 STEP_DECAY = 0.5
 DECAY_EVERY = 50
-
-
-class NonCndFormError(ArithmeticError):
-    """The quadratic form went negative: the kernel is not conditionally
-    negative definite (construction bug)."""
 
 
 class MeanZeroError(ValueError):
@@ -106,26 +103,13 @@ def check_cocycle_identity(s: str, t: str, ball: CayleyBall):
 
 
 def quadratic_form(v: EVector, kernel: DisplacementKernel) -> Fraction:
-    """Q(v) = -1/2 sum v(x) v(y) K(x, y), exactly; nonnegative for CND
-    kernels."""
-    if not v.coeffs:
-        return Fraction(0)
-    idx = [kernel.index_of(w) for w in v.coeffs]
-    c = list(v.coeffs.values())
-    # Python ints, so products with int or Fraction coefficients stay exact
-    rows = kernel.entries(idx, idx)
-    total = sum(ci * sum(cj * t for cj, t in zip(c, row)) for ci, row in zip(c, rows))
-    return Fraction(-total, 4)
+    """Q(v) = -1/2 sum v(x) v(y) K(x, y) = 1/2 |F^T v|^2, exactly, read off
+    the rows of F over v's support."""
+    return kernel.embedding.form((kernel.index_of(w), c) for w, c in v.coeffs.items())
 
 
 def norm_f(v: EVector, kernel: DisplacementKernel) -> float:
-    q = quadratic_form(v, kernel)
-    if q < 0:
-        raise NonCndFormError(
-            f"quadratic form value {q} is negative; "
-            "the kernel is not conditionally negative definite"
-        )
-    return math.sqrt(q)
+    return math.sqrt(quadratic_form(v, kernel))
 
 
 def norm_e(v: EVector, kernel: DisplacementKernel) -> float:

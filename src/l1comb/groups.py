@@ -396,7 +396,6 @@ class CayleyBall:
         self.adjacency = array("i", [-1] * len(presentation.alphabet))
         # oracle-scan candidates (dehn mode): ball elements by bucket key
         self._buckets: dict[tuple, list[str]] = {}
-        self._name_cache: dict[str, str] = {}
 
     # construction helpers -------------------------------------------------
 
@@ -437,23 +436,17 @@ class CayleyBall:
 
     def name(self, word: str) -> str:
         """Canonical word of the element ``word`` represents: a ball
-        element's word as it is, else the normal form where normal forms are
-        canonical, else (dehn mode) the ball element the triviality oracle
-        matches, memoized; raises :class:`OutOfBallError` for a dehn-mode
-        element outside the ball."""
+        element's word as it is, else :meth:`_resolve`'s word: the normal form
+        where normal forms are canonical, else (dehn mode) the ball element
+        the triviality oracle matches; raises :class:`OutOfBallError` for a
+        dehn-mode element outside the ball."""
         if word in self.index:
             return word
-        pres = self.presentation
-        if pres.has_geodesic_normal_forms:
-            return pres.normal(word)
-        out = self._name_cache.get(word)
-        if out is None:
-            out = self._resolve(word)
-            if out not in self.index:
-                raise OutOfBallError(
-                    f"{word!r} has no canonical form inside the radius-{self.radius} ball"
-                )
-            self._name_cache[word] = out
+        out = self._resolve(word)
+        if out not in self.index and not self.presentation.has_geodesic_normal_forms:
+            raise OutOfBallError(
+                f"{word!r} has no canonical form inside the radius-{self.radius} ball"
+            )
         return out
 
     def walk(self, i: int, letters: str) -> int:
@@ -505,6 +498,17 @@ class CayleyBall:
 
     def indices_within(self, r: int) -> range:
         return range(self.size_within(r))
+
+    def scan_size(self, radius: int | None = None, scan: str = "scan") -> int:
+        """:meth:`size_within` of a scan's radius, the whole ball by default;
+        ValueError below 0 and :class:`OutOfBallError` beyond the ball."""
+        radius = self.radius if radius is None else radius
+        if radius < 0:
+            raise ValueError(f"{scan} radius must be >= 0")
+        if radius > self.radius:
+            raise OutOfBallError(
+                f"{scan} radius {radius} exceeds the ball radius {self.radius}")
+        return self.size_within(radius)
 
 
 def ball(presentation: GroupPresentation, radius: int,

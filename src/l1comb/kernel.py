@@ -10,9 +10,10 @@ half-integers, so :func:`kernel_from_bicombing` embeds the doubled chains
 as the rows of one integer matrix F, kept in ``array``s with a column-major
 copy; :func:`feature_embed` is the reference embedding.  A tree action's
 kernel (:func:`l1comb.actions.orbit_kernel`) feeds the same engine the
-doubled tree paths of its orbit.  :class:`SlotEmbedding` builds F in one
-pass over integer slot keys, so a build peaks below twice the bytes of F.  F
-is a kernel's only stored state: every doubled entry,
+doubled tree paths of its orbit, both through :func:`slot_keys`, and no
+other module knows F's layout.  :class:`SlotEmbedding` builds F in one pass
+over the slot keys, so a build peaks below twice the bytes of F.  F is a
+kernel's only stored state: every doubled entry,
 
     2 K(x_i, x_j) = |F_i|^2 + |F_j|^2 - 2 <F_i, F_j>,
 
@@ -20,11 +21,12 @@ is evaluated exactly by counting the columns rows i and j share, and no
 n x n matrix is ever stored.  Since every entry is a squared distance of
 integer vectors, 2K is of negative type, and every inequality read off it is
 decided exactly, conditional negative definiteness from F's structure alone
-(:meth:`SlotEmbedding.defect`).  2K is read as blocks of Python ints
-(:meth:`DisplacementKernel.entries`: the displacement scan, the E-space
-norms, the cocycle rows) or as dense rows of them (:meth:`~DisplacementKernel.row`:
-:func:`kernel_dump`); numpy is imported, in their bodies, only by the float
-matrix ``values`` and the eigenvalue routines.  A translate s x is walked on the
+(:meth:`SlotEmbedding.defect`).  2K is read as blocks of Python ints, a row
+at a time (:meth:`DisplacementKernel.entry_rows`: the displacement scan, the
+cocycle rows), or as dense rows (:meth:`~DisplacementKernel.row`:
+:func:`kernel_dump`); the E-space form Q(v) = 1/2 |F^T v|^2 reads F itself
+(:meth:`SlotEmbedding.form`).  numpy is imported, in their bodies, only by the
+float matrix ``values`` and the eigenvalue routines.  A translate s x is walked on the
 ball's table from s (:meth:`DisplacementKernel.translate_index`), and the
 displacement constant M is measured over the scan split on first read."""
 
@@ -51,9 +53,11 @@ class DisplacementKernel:
     """Symmetric kernel over (a radius prefix of) a Cayley ball, stored as the
     slot embedding F of its doubled chains alone.
 
-    Every read of 2K goes through :meth:`entries` (a block) or :meth:`row`
-    (a dense row), and both serve ``overrides[i, j]`` in place of entry
-    (i, j), as ``verify --sabotage-diagonal`` does.  ``bicombing`` is the
+    Every read of 2K goes through :meth:`entry_rows` (a block, a row at a
+    time; :meth:`entries` lists it) or :meth:`row` (a dense row), and both
+    serve ``overrides[i, j]`` in place of entry (i, j), as ``verify
+    --sabotage-diagonal`` does; the E-space form (:meth:`SlotEmbedding.form`)
+    reads F itself.  ``bicombing`` is the
     combing a kernel was built from, and None for a tree action's orbit
     kernel; the combing bounds (properness, two-triangle decomposition) apply
     only when it is set."""
@@ -97,9 +101,13 @@ class DisplacementKernel:
 
     def entries(self, rows, cols) -> list[list[int]]:
         """The exact block 2K[rows, cols] of two index sequences, as int lists."""
-        out = self.embedding.entries(rows, cols)
-        return [[self.overrides.get((i, j), t) for j, t in zip(cols, row)]
-                for i, row in zip(rows, out)] if self.overrides else out
+        return list(self.entry_rows(rows, cols))
+
+    def entry_rows(self, rows, cols):
+        """The rows of :meth:`entries`, yielded one at a time."""
+        over = self.overrides
+        for i, row in zip(rows, self.embedding.entry_rows(rows, cols)):
+            yield [over.get((i, j), t) for j, t in zip(cols, row)] if over else row
 
     @functools.cached_property
     def values(self) -> np.ndarray:
@@ -132,13 +140,13 @@ class DisplacementKernel:
             return cur
         return self.index_of(s + x)
 
-    def translate_excess(self, s: str, indices, base=None) -> list[list[int]]:
-        """Exact 2K(sx, sy) - 2K(x, y) over x, y in the index sequence;
-        ``base`` is the block 2K[I, I] when the caller has read it already."""
+    def translate_excess(self, s: str, indices, base=None):
+        """Yield exact 2K(sx, sy) - 2K(x, y) over x, y in the index sequence a
+        row at a time; ``base`` is 2K[I, I] when the caller has read it."""
         trans = [self.translate_index(s, self.ball.elements[i]) for i in indices]
-        base = self.entries(indices, indices) if base is None else base
-        return [[t - u for t, u in zip(*rows)]
-                for rows in zip(self.entries(trans, trans), base)]
+        base = self.entry_rows(indices, indices) if base is None else base
+        for moved, fixed in zip(self.entry_rows(trans, trans), base):
+            yield [t - u for t, u in zip(moved, fixed)]
 
     def value(self, i: int, j: int) -> float:
         return self.entries([i], [j])[0][0] / 2.0
@@ -212,7 +220,7 @@ def walked_slots(ball: CayleyBall, i: int, antisymmetrized: bool) -> list[int]:
     """Slot keys of the doubled chain 2 q[e, x] of element i, walked on the
     ball's multiplication table from e along x's canonical word and, when
     antisymmetrized, back from x along x^-1's: edge t = source index * k +
-    generator (k generators), slot k of edge t has key 4t + k + 1.  Both
+    generator (k generators), encoded by :func:`slot_keys`.  Both
     walks are geodesics in the ball, so an edge carries +-1 or +-2, every key
     is below 4nk for the n elements within x's length, and the keys come in
     the order :func:`feature_embed` gives the word chain's."""
@@ -235,6 +243,13 @@ def walked_slots(ball: CayleyBall, i: int, antisymmetrized: bool) -> list[int]:
         walk(i, ball.elements[ball.walk(0, invert(word))], -1)
     else:
         walk(0, word, 2)
+    return slot_keys(doubled)
+
+
+def slot_keys(doubled: dict[int, int]) -> list[int]:
+    """The one encoder of F's columns: keys of a doubled chain, edge id ->
+    coefficient c in -2..2, in the dict's order.  Slot k of edge t has key
+    4t + k + 1, and c fills slots 1..c, or c+1..0 (:func:`feature_embed`)."""
     return [key for edge, c in doubled.items()
             for key in range(4 * edge + 2 + min(c, 0), 4 * edge + 2 + max(c, 0))]
 
@@ -242,7 +257,7 @@ def walked_slots(ball: CayleyBall, i: int, antisymmetrized: bool) -> list[int]:
 class SlotEmbedding:
     """Slot embeddings of integer chains as the rows of F: row i has columns
     ``cols[ptr[i]:ptr[i+1]]``, column c rows ``col_rows[col_ptr[c]:col_ptr[c+1]]``.
-    Rows come as non-negative integer slot keys (:func:`walked_slots`) and
+    Rows come as non-negative integer slot keys (:func:`slot_keys`) and
     are read once: one flat key table numbers the keys as columns in order of
     first appearance, and a counting pass from ``col_ptr`` then fills
     ``col_rows``, so the build holds F, the key table and one column cursor
@@ -282,20 +297,45 @@ class SlotEmbedding:
             counts[c] += 1
 
     def entries(self, rows, cols) -> list[list[int]]:
+        """The rows of :meth:`entry_rows`, as one list."""
+        return list(self.entry_rows(rows, cols))
+
+    def entry_rows(self, rows, cols):
         """Exact |F_i|^2 + |F_j|^2 - 2 <F_i, F_j> over i in the sequence rows, j
-        in cols, as lists of ints: each F_j is walked against an index of the
-        rows' columns, so the work grows with the block, not the ball."""
+        in cols, one list of ints per row, yielded in turn: F_i's columns are
+        looked up in an index of the cols' columns or, in a block with fewer
+        rows than columns, each F_j's in a set of F_i's, so the work grows with
+        the block, not the ball, and only the index outlives a row."""
         ptr, cols_of, norms = self.ptr, self.cols, self.norms
+        if len(rows) < len(cols):
+            for i in rows:
+                shares = set(cols_of[ptr[i]:ptr[i + 1]]).intersection
+                yield [norms[i] + norms[j] - 2 * len(shares(cols_of[ptr[j]:ptr[j + 1]]))
+                       for j in cols]
+            return
+        col_norms = [norms[j] for j in cols]
         holders: dict[int, list[int]] = {}
-        for a, i in enumerate(rows):
-            for c in cols_of[ptr[i]:ptr[i + 1]]:
-                holders.setdefault(c, []).append(a)
-        out = [[norms[i] + norms[j] for j in cols] for i in rows]
         for b, j in enumerate(cols):
             for c in cols_of[ptr[j]:ptr[j + 1]]:
-                for a in holders.get(c, ()):
-                    out[a][b] -= 2
-        return out
+                holders.setdefault(c, []).append(b)
+        for i in rows:
+            out = [norms[i] + t for t in col_norms]
+            for c in cols_of[ptr[i]:ptr[i + 1]]:
+                for b in holders.get(c, ()):
+                    out[b] -= 2
+            yield out
+
+    def form(self, pairs) -> Fraction:
+        """1/2 |sum c_i F_i|^2 over (row index, coefficient) pairs, exact for
+        int and ``Fraction`` c_i, a repeated index adding up: each column has
+        one sign, so it adds the square of its rows' sum of c_i.  For mean-zero
+        c this is -1/4 sum c_i c_j 2K(i, j) (Schoenberg), never negative."""
+        ptr, cols_of = self.ptr, self.cols
+        sums: dict[int, Rational] = {}
+        for i, c in pairs:
+            for col in cols_of[ptr[i]:ptr[i + 1]]:
+                sums[col] = sums.get(col, 0) + c
+        return Fraction(sum(t * t for t in sums.values()), 2)
 
     def row(self, i: int, lo: int = 0, hi: int | None = None) -> list[int]:
         """Row i of :meth:`entries` over j in lo..hi-1 (every j by default), as
@@ -342,17 +382,10 @@ def kernel_from_bicombing(spec: BicombingSpec,
     built here; the displacement constant is measured when it is first
     read."""
     b = spec.ball
-    if radius is None:
-        radius = b.radius
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    if radius > b.radius:
-        raise OutOfBallError(
-            f"kernel radius {radius} exceeds the ball radius {b.radius}"
-        )
-    rows = (walked_slots(b, i, spec.antisymmetrized) for i in range(b.size_within(radius)))
-    return DisplacementKernel(ball=b, embedding=SlotEmbedding(rows), radius=radius,
-                              bicombing=spec)
+    n = b.scan_size(radius, "kernel")
+    rows = (walked_slots(b, i, spec.antisymmetrized) for i in range(n))
+    return DisplacementKernel(ball=b, embedding=SlotEmbedding(rows),
+                              radius=b.radius if radius is None else radius, bicombing=spec)
 
 
 # -- displacement ------------------------------------------------------------
@@ -399,14 +432,16 @@ def empirical_displacement_constant(kernel: DisplacementKernel, s_radius: int,
     s_radius ball and pairs in the pair_radius ball.  Two-sidedness makes
     sqrt(M/2) + 1 a valid uniform bound on the scanned range."""
     b = kernel.ball
+    n_s, n_pairs = b.scan_size(s_radius, "s"), b.scan_size(pair_radius, "pair")
     if b.size_within(s_radius + pair_radius) > kernel.n:
         raise OutOfBallError(
             f"scan split ({s_radius}, {pair_radius}) exceeds the kernel radius"
         )
-    pairs = range(b.size_within(pair_radius))
+    pairs = range(n_pairs)
     base = kernel.entries(pairs, pairs)
-    # element 0 is the identity, whose translates are the pairs themselves
-    return max((abs(d) for s in b.elements[1:b.size_within(s_radius)]
+    # element 0 is the identity, whose translates are the pairs themselves;
+    # each s's excess is reduced a row at a time beside the one block base
+    return max((abs(d) for s in b.elements[1:n_s]
                 for row in kernel.translate_excess(s, pairs, base=base) for d in row),
                default=0) / 2.0
 
@@ -457,11 +492,9 @@ def kernel_cross_validate(spec: BicombingSpec, radius: int | None = None,
     arithmetic ||q[e,x] - q[e,y]||_1 over all scanned pairs; both are exact,
     so any nonzero discrepancy raises."""
     b = spec.ball
-    if radius is None:
-        radius = b.radius if kernel is None else kernel.radius
-    n = b.size_within(radius)
     if kernel is None:
         kernel = kernel_from_bicombing(spec, radius=radius)
+    n = b.scan_size(kernel.radius if radius is None else radius, "cross-validation")
     if n > kernel.n:
         raise OutOfBallError("cross-validation radius exceeds the kernel radius")
     chains = [combing_chain(spec, "", b.elements[i]) for i in range(n)]

@@ -253,6 +253,20 @@ class TestQuasiGeodesic:
         assert qga.pairs_scanned == len(surface_ball4.elements) - 1
 
 
+@pytest.mark.parametrize("scan, name", [(empirical_area_constant, "area scan"),
+                                         (quasi_geodesic_constants, "quasi-geodesic scan")],
+                         ids=["area", "quasi-geodesic"])
+def test_scan_radius_must_lie_in_the_ball(f2, scan, name):
+    # a radius beyond the ball would scan the whole ball under that radius's
+    # name, and a negative one would scan nothing
+    spec = make_bicombing("tree_geodesic", ball(f2, 2))
+    with pytest.raises(OutOfBallError, match=f"{name} radius 10 exceeds the ball radius 2"):
+        scan(spec, radius=10)
+    with pytest.raises(ValueError, match=f"{name} radius must be >= 0"):
+        scan(spec, radius=-1)
+    assert scan(spec, radius=2) == scan(spec)
+
+
 class TestChainDump:
     def test_dump_format(self):
         chain = Chain1({("a", "b"): Fraction(-1, 2), ("", "a"): 1})

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from l1comb import BoundCheck, Chain1, GroupPresentation, ball, cli
 from l1comb import kernel as kernel_module
 from l1comb.cli import main
-from l1comb.espace import NonCndFormError, PropernessError
+from l1comb.espace import PropernessError
 from l1comb.groups import OutOfBallError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -338,22 +338,6 @@ class TestVerify:
     def test_free_group_passes(self, f2_file, tmp_path):
         assert main(["verify", "--presentation", str(f2_file), "--radius", "4",
                      "--out", str(tmp_path / "out")]) == 0
-
-    def test_free_verify_memoizes_no_name(self, f2_file, tmp_path, monkeypatch):
-        # free normal forms are the names, and chain steps inside the ball
-        # are read off the table, so the pass keeps no name cache
-        balls = []
-        build = cli.ball
-
-        def kept(*args, **kwargs):
-            balls.append(build(*args, **kwargs))
-            return balls[-1]
-
-        monkeypatch.setattr(cli, "ball", kept)
-        assert main(["verify", "--presentation", str(f2_file), "--radius", "4",
-                     "--out", str(tmp_path / "out")]) == 0
-        assert len(balls) == 1 and len(balls[0]) == 161
-        assert balls[0]._name_cache == {}
 
     def test_surface_passes(self, surface_file, tmp_path):
         assert main(["verify", "--presentation", str(surface_file), "--radius", "2",
@@ -774,7 +758,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("exc", [
         PropernessError("row s has norm below its bound"),
-        NonCndFormError("quadratic form below the floor"),
     ], ids=lambda exc: type(exc).__name__)
     def test_invariant_violation_exits_1(self, f2_file, tmp_path, monkeypatch,
                                          capsys, exc):

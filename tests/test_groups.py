@@ -1,3 +1,4 @@
+import copy
 import random
 from array import array
 
@@ -495,8 +496,7 @@ def presentations(f2, surface, f2xf2):
 
 @pytest.fixture(scope="module")
 def lookup_balls(presentations):
-    # fresh balls: name() memoizes dehn-mode lookups, which must not leak
-    # into the session-wide fixtures
+    # balls of the lookup radius, built for this module's properties
     return {name: ball(pres, LOOKUP_RADIUS) for name, pres in presentations.items()}
 
 
@@ -574,6 +574,22 @@ class TestLookupProperties:
             assert j == b.canonical_index(w + letters) and None not in prefixes
         else:
             assert j == -1 and None in prefixes
+
+    @pytest.mark.parametrize("which", PRESENTATIONS)
+    def test_naming_keeps_no_state(self, presentations, which):
+        # words for ball elements with a cancelling pair spliced in, and
+        # words outside the ball: naming them all leaves the ball as it was
+        b = ball(presentations[which], 3)
+        before = {key: copy.copy(value) if isinstance(value, (array, dict, list)) else value
+                  for key, value in vars(b).items()}
+        letter = b.presentation.alphabet[0]
+        outside = [w + letter * 4 for w in b.elements[-20:]]
+        for w in [letter + invert(letter) + w for w in b.elements] + outside:
+            try:
+                b.name(w)
+            except OutOfBallError:
+                assert b.presentation.reduction_mode == "dehn"
+        assert vars(b) == before
 
     @settings(max_examples=10, deadline=None)
     @given(st.sampled_from(PRESENTATIONS), st.integers(0, LOOKUP_RADIUS - 1))

@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 from conftest import serve_rows
 from hypothesis import example, given, settings, strategies as st
 
+import l1comb
 from l1comb import (
     Chain1,
     EVector,
@@ -129,6 +131,59 @@ def test_block_entries_equal_the_dense_rows(block_kernels, name, data):
         assert (kernel.row(i, lo, hi) != kernel.embedding.row(i, lo, hi)) == (lo <= j < hi)
     finally:
         del kernel.overrides
+
+
+@pytest.mark.parametrize("name", ["f2-tree-r4", "surface-anti-r3", "f2xf2-orbit-r3"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_quadratic_form_is_the_centered_block_form(block_kernels, name, data):
+    # Q(v) = 1/2 |F^T v|^2, read off F's rows, equals -1/4 sum c_i c_j 2K(i, j)
+    # read through entries, for int and Fraction coefficients; "aA" and "e"
+    # are two words for one element, whose coefficients add up
+    kernel = block_kernels[name]
+    coefficients = st.one_of(st.integers(-5, 5),
+                             st.fractions(-3, 3, max_denominator=6))
+    coeffs = data.draw(st.dictionaries(st.sampled_from(kernel.ball.elements[:kernel.n]),
+                                       coefficients, max_size=6), "coefficients")
+    if data.draw(st.booleans(), "two words for e"):
+        coeffs["aA"] = data.draw(coefficients, "aA")
+    coeffs[""] = coeffs.get("", 0) - sum(coeffs.values())
+    v = EVector(coeffs)
+    idx = [kernel.index_of(w) for w in v.coeffs]
+    c = list(v.coeffs.values())
+    block = kernel.entries(idx, idx)
+    q = quadratic_form(v, kernel)
+    assert type(q) is Fraction
+    assert q == Fraction(-sum(ci * cj * t for ci, row in zip(c, block)
+                              for cj, t in zip(c, row)), 4)
+
+
+def test_quadratic_form_reads_f_not_the_served_entries(tree_kernel):
+    # the form is a sum of squares over F's columns; an entry served in
+    # place of F's reaches the reads of 2K but not the form
+    v = EVector({"a": 1, "b": -1})
+    i, j = tree_kernel.index_of("a"), tree_kernel.index_of("b")
+    assert quadratic_form(v, tree_kernel) == 2  # K(a, b) = 2
+    serve_rows(tree_kernel, {(i, j): 0, (j, i): 0})
+    try:
+        assert tree_kernel.entries([i], [j]) == [[0]]
+        assert quadratic_form(v, tree_kernel) == 2
+    finally:
+        del tree_kernel.overrides
+
+
+def test_only_kernel_reads_the_layout_of_f():
+    # F's arrays are read by kernel.py alone, so its layout is decided in
+    # one module
+    layout = {"cols", "ptr", "col_ptr", "col_rows"}
+    reads = []
+    for path in sorted(Path(l1comb.__file__).parent.glob("*.py")):
+        if path.name == "kernel.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in layout:
+                reads.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert reads == []
 
 
 class TestKernelFromBicombing:
@@ -517,14 +572,39 @@ class TestCrossValidation:
     (lambda spec: empirical_displacement_constant(
         kernel_from_bicombing(spec, radius=2), 1, 2),
      OutOfBallError, r"scan split \(1, 2\) exceeds the kernel radius"),
+    (lambda spec: empirical_displacement_constant(kernel_from_bicombing(spec), -1, 1),
+     ValueError, "s radius must be >= 0"),
+    (lambda spec: empirical_displacement_constant(kernel_from_bicombing(spec), 1, -1),
+     ValueError, "pair radius must be >= 0"),
     (lambda spec: kernel_cross_validate(
         spec, radius=3, kernel=kernel_from_bicombing(spec, radius=2)),
      OutOfBallError, "cross-validation radius exceeds the kernel radius"),
 ], ids=["kernel-radius", "no-combing", "not-antisymmetric", "scan-split",
-        "cross-validation-radius"])
+        "negative-s-radius", "negative-pair-radius", "cross-validation-radius"])
 def test_guard_rejects_its_input(tree_spec, call, error, match):
     with pytest.raises(error, match=match):
         call(tree_spec)
+
+
+def test_displacement_scan_holds_one_block(f2):
+    # the scan split (3, 4) of the F2 r=7 kernel reads 161 pairs: the base
+    # block 2K[P, P] is held once, and each translate's excess is reduced a
+    # row at a time, never as a second |P|^2 block
+    kernel = kernel_from_bicombing(make_bicombing("tree_geodesic", ball(f2, 7)))
+    pairs = range(kernel.ball.size_within(4))
+    tracemalloc.start()
+    try:
+        block = kernel.entries(pairs, pairs)
+        size = tracemalloc.get_traced_memory()[0]
+        del block
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        assert empirical_displacement_constant(kernel, 3, 4) == 0.0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 161
+    assert peak < 2.5 * size
 
 
 def test_engine_peak_memory_stays_near_its_output(f2):
