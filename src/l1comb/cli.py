@@ -323,12 +323,12 @@ def verify_suite(config: argparse.Namespace) -> dict[str, str | None]:
         if kernel.entries([j], [i])[0][0] != t:
             pair = min(i, j), max(i, j)
             fail("kernel_symmetry", f"K{pair} != K{pair[::-1]}")
-        if kernel.embedding.entries([i], [j])[0][0] != t:
+        if kernel.embedding.row(i, j, j + 1)[0] != t:
             fail("kernel_cnd", f"2K{(i, j)} is not its slot-embedding distance")
 
     # one pass over the ball, which reads no row of 2K: element s's chain
     # q[e, s] is built, checked and dropped in turn
-    row_e = kernel.entries([0], range(kernel.n))[0]  # 2K(e, .)
+    row_e = kernel.row(0)  # 2K(e, .)
     degree = len(b.presentation.alphabet)
     for i, s in enumerate(b.elements):
         j = b.walk(0, invert(s))  # no oracle call: the table, then the index

@@ -12,13 +12,12 @@ and the working norm is ||v||_E = ||v||_f + ||v||_1.  Every kernel here is
 2K(x, y) = |F_x - F_y|^2, so for mean-zero v, Q(v) = 1/2 |F^T v|^2 (Schoenberg):
 it is read exactly off F's rows and is never negative, so the inequalities
 below are decided in rationals; floats enter only through square roots and
-the operator-norm probe.  The left translation representation
-pi(s)v(x) = v(s^-1 x) preserves ||.||_1 exactly and moves
-||.||_f by at most the displacement excess of K; the cocycle b(s) =
-delta_s - delta_e turns pi into an affine action whose growth is governed by
-K(s, e).  :func:`cocycle_norm_rows` is the one reader of these cocycle rows:
-one read of row 0 of 2K yields every ||b(s)||_E = sqrt(K(s, e)) + 2 with
-its lower bound, decided in integers.
+the operator-norm probe.  The left translation representation pi(s)v(x) =
+v(s^-1 x) preserves ||.||_1 exactly and moves ||.||_f by at most the
+displacement excess of K; the cocycle b(s) = delta_s - delta_e turns pi into
+an affine action whose growth is governed by K(s, e).  :func:`cocycle_norm_rows`
+is the one reader of these cocycle rows: one read of row 0 of 2K yields every
+||b(s)||_E = sqrt(K(s, e)) + 2 with its lower bound, decided in integers.
 """
 
 from __future__ import annotations
@@ -271,7 +270,7 @@ def cocycle_norm_rows(kernel: DisplacementKernel, element_filter=None):
     :class:`PropernessError` naming it."""
     ball = kernel.ball
     combing = kernel.bicombing is not None
-    for i, twice in enumerate(kernel.entries([0], range(kernel.n))[0]):
+    for i, twice in enumerate(kernel.row(0)):
         word = ball.elements[i]
         if i == 0 or (element_filter is not None and not element_filter(word)):
             continue

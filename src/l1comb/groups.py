@@ -499,15 +499,14 @@ class CayleyBall:
     def indices_within(self, r: int) -> range:
         return range(self.size_within(r))
 
-    def scan_size(self, radius: int | None = None, scan: str = "scan") -> int:
+    def scan_size(self, radius: int | None, scan: str) -> int:
         """:meth:`size_within` of a scan's radius, the whole ball by default;
         ValueError below 0 and :class:`OutOfBallError` beyond the ball."""
         radius = self.radius if radius is None else radius
         if radius < 0:
             raise ValueError(f"{scan} radius must be >= 0")
         if radius > self.radius:
-            raise OutOfBallError(
-                f"{scan} radius {radius} exceeds the ball radius {self.radius}")
+            raise OutOfBallError(f"{scan} radius {radius} exceeds the ball radius {self.radius}")
         return self.size_within(radius)
 
 

@@ -22,13 +22,14 @@ n x n matrix is ever stored.  Since every entry is a squared distance of
 integer vectors, 2K is of negative type, and every inequality read off it is
 decided exactly, conditional negative definiteness from F's structure alone
 (:meth:`SlotEmbedding.defect`).  2K is read as blocks of Python ints, a row
-at a time (:meth:`DisplacementKernel.entry_rows`: the displacement scan, the
-cocycle rows), or as dense rows (:meth:`~DisplacementKernel.row`:
-:func:`kernel_dump`); the E-space form Q(v) = 1/2 |F^T v|^2 reads F itself
-(:meth:`SlotEmbedding.form`).  numpy is imported, in their bodies, only by the
-float matrix ``values`` and the eigenvalue routines.  A translate s x is walked on the
-ball's table from s (:meth:`DisplacementKernel.translate_index`), and the
-displacement constant M is measured over the scan split on first read."""
+at a time (:meth:`DisplacementKernel.entry_rows`: the displacement scan), or
+as dense rows over a range (:meth:`~DisplacementKernel.row`: :func:`kernel_dump`,
+the cocycle rows, cross-validation); the E-space form Q(v) = 1/2 |F^T v|^2
+reads F itself (:meth:`SlotEmbedding.form`).  numpy is imported, in their
+bodies, only by the float matrix ``values`` and the eigenvalue routines.  A
+translate s x is walked on the ball's table from s
+(:meth:`DisplacementKernel.translate_index`), and the displacement constant M
+is measured over the scan split on first read."""
 
 from __future__ import annotations
 
@@ -57,10 +58,9 @@ class DisplacementKernel:
     time; :meth:`entries` lists it) or :meth:`row` (a dense row), and both
     serve ``overrides[i, j]`` in place of entry (i, j), as ``verify
     --sabotage-diagonal`` does; the E-space form (:meth:`SlotEmbedding.form`)
-    reads F itself.  ``bicombing`` is the
-    combing a kernel was built from, and None for a tree action's orbit
-    kernel; the combing bounds (properness, two-triangle decomposition) apply
-    only when it is set."""
+    reads F itself.  ``bicombing`` is the combing a kernel was built from,
+    and None for a tree action's orbit kernel; the combing bounds
+    (properness, two-triangle decomposition) apply only when it is set."""
 
     def __init__(self, ball: CayleyBall, embedding: SlotEmbedding, radius: int,
                  bicombing: BicombingSpec | None = None):
@@ -296,23 +296,12 @@ class SlotEmbedding:
             self.col_rows[counts[c]] = i
             counts[c] += 1
 
-    def entries(self, rows, cols) -> list[list[int]]:
-        """The rows of :meth:`entry_rows`, as one list."""
-        return list(self.entry_rows(rows, cols))
-
     def entry_rows(self, rows, cols):
         """Exact |F_i|^2 + |F_j|^2 - 2 <F_i, F_j> over i in the sequence rows, j
         in cols, one list of ints per row, yielded in turn: F_i's columns are
-        looked up in an index of the cols' columns or, in a block with fewer
-        rows than columns, each F_j's in a set of F_i's, so the work grows with
-        the block, not the ball, and only the index outlives a row."""
+        looked up in an index of the cols' columns, so the work grows with the
+        block, not the ball, and only the index outlives a row."""
         ptr, cols_of, norms = self.ptr, self.cols, self.norms
-        if len(rows) < len(cols):
-            for i in rows:
-                shares = set(cols_of[ptr[i]:ptr[i + 1]]).intersection
-                yield [norms[i] + norms[j] - 2 * len(shares(cols_of[ptr[j]:ptr[j + 1]]))
-                       for j in cols]
-            return
         col_norms = [norms[j] for j in cols]
         holders: dict[int, list[int]] = {}
         for b, j in enumerate(cols):
@@ -338,11 +327,11 @@ class SlotEmbedding:
         return Fraction(sum(t * t for t in sums.values()), 2)
 
     def row(self, i: int, lo: int = 0, hi: int | None = None) -> list[int]:
-        """Row i of :meth:`entries` over j in lo..hi-1 (every j by default), as
+        """Row i of :meth:`entry_rows` over j in lo..hi-1 (every j by default), as
         one list of ints: entry j is decremented once per column it shares with
         F_i (few columns), whose increasing rows are bisected to the range."""
         col_ptr, col_rows, norm = self.col_ptr, self.col_rows, self.norms[i]
-        out = [norm + t for t in self.norms[lo:hi]]
+        out = [norm + t for t in memoryview(self.norms)[lo:hi]]
         hi = lo + len(out)
         for c in self.cols[self.ptr[i]:self.ptr[i + 1]]:
             start = bisect_left(col_rows, lo, col_ptr[c], col_ptr[c + 1])
@@ -432,12 +421,9 @@ def empirical_displacement_constant(kernel: DisplacementKernel, s_radius: int,
     s_radius ball and pairs in the pair_radius ball.  Two-sidedness makes
     sqrt(M/2) + 1 a valid uniform bound on the scanned range."""
     b = kernel.ball
-    n_s, n_pairs = b.scan_size(s_radius, "s"), b.scan_size(pair_radius, "pair")
+    n_s, pairs = b.scan_size(s_radius, "s"), range(b.scan_size(pair_radius, "pair"))
     if b.size_within(s_radius + pair_radius) > kernel.n:
-        raise OutOfBallError(
-            f"scan split ({s_radius}, {pair_radius}) exceeds the kernel radius"
-        )
-    pairs = range(n_pairs)
+        raise OutOfBallError(f"scan split ({s_radius}, {pair_radius}) exceeds the kernel radius")
     base = kernel.entries(pairs, pairs)
     # element 0 is the identity, whose translates are the pairs themselves;
     # each s's excess is reduced a row at a time beside the one block base
@@ -499,7 +485,7 @@ def kernel_cross_validate(spec: BicombingSpec, radius: int | None = None,
         raise OutOfBallError("cross-validation radius exceeds the kernel radius")
     chains = [combing_chain(spec, "", b.elements[i]) for i in range(n)]
     worst = max((abs(Fraction(t, 2) - (chains[i] - chains[j]).l1_norm()) for i in range(n)
-                 for j, t in enumerate(kernel.entries([i], range(i + 1, n))[0], i + 1)),
+                 for j, t in enumerate(kernel.row(i, i + 1, n), i + 1)),
                 default=Fraction(0))
     if worst:
         raise AssertionError(f"cross-validation discrepancy {worst} is not 0")

@@ -472,7 +472,7 @@ class TestVerify:
 
         def mutated(spec):
             kernel = build(spec)
-            t = kernel.embedding.entries([i], [j])[0][0] + delta
+            t = kernel.embedding.row(i, j, j + 1)[0] + delta
             return serve_rows(kernel, {pair: t} if one_sided else {(i, j): t, (j, i): t})
 
         path = tmp_path / "pres.txt"

@@ -343,19 +343,25 @@ class TestProperness:
             assert row.norm_e >= row.lower_bound - 1e-9
 
     def test_reads_row_zero_once(self, surface_kernel):
+        # every read of 2K is counted, as a block (entries reads entry_rows)
+        # or as a row
         reads = []
-        serve = surface_kernel.entries
+        entry_rows, row = surface_kernel.entry_rows, surface_kernel.row
 
-        def counted(rows, cols):
-            reads.append(list(rows))
-            return serve(rows, cols)
+        def counted_entry_rows(rows, cols):
+            reads.append(("entry_rows", list(rows)))
+            return entry_rows(rows, cols)
 
-        surface_kernel.entries = counted
+        def counted_row(i, lo=0, hi=None):
+            reads.append(("row", i, lo, hi))
+            return row(i, lo, hi)
+
+        surface_kernel.entry_rows, surface_kernel.row = counted_entry_rows, counted_row
         try:
             properness_report(surface_kernel)
         finally:
-            del surface_kernel.entries
-        assert reads == [[0]]
+            del surface_kernel.entry_rows, surface_kernel.row
+        assert reads == [("row", 0, 0, None)]
 
     def test_sphere_minima_nondecreasing(self, tree_kernel):
         minima = properness_report(tree_kernel).sphere_minima()

@@ -211,7 +211,7 @@ class TestKernelFromBicombing:
 
     def test_negative_radius_rejected(self, f2):
         spec = make_bicombing("tree_geodesic", ball(f2, 3))
-        with pytest.raises(ValueError, match="radius must be >= 0"):
+        with pytest.raises(ValueError, match="^kernel radius must be >= 0$"):
             kernel_from_bicombing(spec, radius=-2)
 
     def test_displacement_constant_measured_once_on_first_read(self, tree_spec,
