@@ -11,7 +11,6 @@ kernel's first column.
 from l1comb import (
     EVector,
     GroupPresentation,
-    OpNormConfig,
     ball,
     check_cocycle_identity,
     cocycle,
@@ -47,9 +46,9 @@ print()
 print("=== uniform bounds ===")
 print("M = 0 ->", uniform_bound(0.0), " M = 2 ->", uniform_bound(2.0),
       " M = 8 ->", uniform_bound(8.0))
-res = op_norm_lower_bound("ab", K, 2, OpNormConfig(restarts=8, iterations=200))
-print(f"optimizer lower bound for pi(ab): {res.value:.9f} "
-      f"({res.restarts} restarts, {res.iterations} steps, seed {res.seed})")
+res = op_norm_lower_bound("ab", K, 2)
+print(f"two-point lower bound for pi(ab): {res.value:.9f} "
+      f"({res.iterations} vectors delta_x - delta_y)")
 
 print()
 print("=== properness: ||b(s)||_E = sqrt(d) + 2 on trees ===")

@@ -47,7 +47,6 @@ from .espace import (
     MeanZeroError,
     NormReport,
     NormRow,
-    OpNormConfig,
     OpNormResult,
     PropernessError,
     check_cocycle_identity,

@@ -45,7 +45,6 @@ from .kernel import (
 )
 from .espace import (
     EVector,
-    OpNormConfig,
     PropernessError,
     check_cocycle_identity,
     cocycle_norm_rows,
@@ -224,11 +223,11 @@ def cmd_opnorm(config: argparse.Namespace) -> int:
     kernel = kernel_from_bicombing(spec)
     s_radius, v_radius = kernel.scan_split
     upper = uniform_bound(kernel.displacement_constant)
-    opt = OpNormConfig(seed=config.seed)
     rows = []
     for s in b.elements[:b.size_within(s_radius)]:
-        res = op_norm_lower_bound(s, kernel, v_radius, opt)
-        rows.append((_word(s), res.value, upper, res.iterations, res.seed))
+        res = op_norm_lower_bound(s, kernel, v_radius)
+        # the bound is seedless; the seed column echoes --seed
+        rows.append((_word(s), res.value, upper, res.iterations, config.seed))
     path = _write_csv(
         config, "opnorm.csv",
         ["word", "lower_bound_found", "theoretical_upper", "iters", "seed"],

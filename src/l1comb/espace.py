@@ -11,19 +11,19 @@ A displacement kernel K induces the seminorm
 and the working norm is ||v||_E = ||v||_f + ||v||_1.  Every kernel here is
 2K(x, y) = |F_x - F_y|^2, so for mean-zero v, Q(v) = 1/2 |F^T v|^2 (Schoenberg):
 it is read exactly off F's rows and is never negative, so the inequalities
-below are decided in rationals; floats enter only through square roots and
-the operator-norm probe.  The left translation representation pi(s)v(x) =
-v(s^-1 x) preserves ||.||_1 exactly and moves ||.||_f by at most the
-displacement excess of K; the cocycle b(s) = delta_s - delta_e turns pi into
-an affine action whose growth is governed by K(s, e).  :func:`cocycle_norm_rows`
-is the one reader of these cocycle rows: one read of row 0 of 2K yields every
-||b(s)||_E = sqrt(K(s, e)) + 2 with its lower bound, decided in integers.
+below are decided in rationals; floats enter only through square roots
+(the operator-norm lower bound compares its candidates in integers first).
+The left translation representation pi(s)v(x) = v(s^-1 x) preserves ||.||_1
+exactly and moves ||.||_f by at most the displacement excess of K; the
+cocycle b(s) = delta_s - delta_e turns pi into an affine action whose growth
+is governed by K(s, e).  :func:`cocycle_norm_rows` is the one reader of these
+cocycle rows: one read of row 0 of 2K yields every ||b(s)||_E =
+sqrt(K(s, e)) + 2 with its lower bound, decided in integers.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 from numbers import Rational
 from typing import NamedTuple
@@ -31,11 +31,6 @@ from typing import NamedTuple
 from .bicombing import L1Vector
 from .groups import CayleyBall, OutOfBallError
 from .kernel import DisplacementKernel
-
-# op-norm probe step schedule
-INITIAL_STEP = 1.0
-STEP_DECAY = 0.5
-DECAY_EVERY = 50
 
 
 class MeanZeroError(ValueError):
@@ -150,80 +145,48 @@ def uniform_bound(displacement_constant: float) -> float:
     return math.sqrt(displacement_constant / 2.0) + 1.0
 
 
-# -- operator norm probing -------------------------------------------------------
-
-
-class OpNormConfig(NamedTuple):
-    restarts: int = 32
-    iterations: int = 500
-    seed: int = 0
+# -- operator norm lower bound ---------------------------------------------------
 
 
 class OpNormResult(NamedTuple):
     value: float
-    iterations: int
-    restarts: int
-    seed: int
+    iterations: int  # two-point vectors evaluated
 
 
-def op_norm_lower_bound(s: str, kernel: DisplacementKernel, radius: int,
-                        config: OpNormConfig = OpNormConfig()) -> OpNormResult:
-    """Best found ||pi(s)v||_E / ||v||_E over mean-zero v supported in the
-    radius ball: seeded multi-start coordinate-perturbation ascent.  This is a
-    lower bound on the restricted operator norm, never the norm itself.
+def op_norm_lower_bound(s: str, kernel: DisplacementKernel, radius: int) -> OpNormResult:
+    """max ||pi(s)v||_E / ||v||_E over the two-point vectors v = delta_x -
+    delta_y, x < y in S = ball(radius): a lower bound on the norm of pi(s)
+    restricted to the mean-zero vectors on S.  Such v has ||v||_1 = 2 and
+    Q(v) = K(x, y), and pi(s)v = delta_sx - delta_sy, so the ratio is
+    (sqrt K(sx, sy) + 2) / (sqrt K(x, y) + 2).  2K[sS, sS] and 2K[S, S] are
+    read a row pair at a time; the largest 2K(sx, sy) beside each value of
+    2K(x, y) is kept in integers, and only those pairs meet a square root.
 
-    Q(v) = -1/4 v^T B v is kept on the integer blocks B = 2K[S, S] and
-    2K[sS, sS] with g = Bv: a trial v + d(e_j - 1/n) adds -(d/2)(g_j -
-    mean(g)) - (d^2/4)(B_jj - 2 r_j/n + t/n^2) to Q, r = B1 and t = sum(r),
-    and an accepted one adds d(B_j - r/n) to g."""
+    On the kernel's scan split (s in the ball of its s radius, ``radius``
+    its pair radius) the value is bracketed by proof:
+
+    - 1 <= value: for s != e the pair (e, s^-1) reads K(s, e) against
+      K(e, s^-1), and these are equal, since ||q[e, z]||_1 = d(e, z) for
+      every combing built here and |s| = |s^-1|; s^-1 is in S, as the s
+      radius is at most the pair radius.
+    - value <= sqrt(M/2) + 1: K(sx, sy) <= K(x, y) + M on the scan split, so
+      each ratio is at most (sqrt(K + M) + 2) / (sqrt K + 2) <= 1 + sqrt(M)/2
+      <= sqrt(M/2) + 1."""
     ball = kernel.ball
     n = ball.size_within(radius)
     if n < 2:
         raise ValueError("need at least two elements to span mean-zero vectors")
     if s == "":
-        return OpNormResult(value=1.0, iterations=0, restarts=0, seed=config.seed)
-    trans_idx = [kernel.translate_index(s, x) for x in ball.elements[:n]]
-    blocks = [kernel.entries(idx, idx) for idx in (range(n), trans_idx)]
-    drift = [[sum(row) / n for row in block] for block in blocks]  # r / n
-    curv = [[block[j][j] - 2 * r[j] + sum(r) / n for j in range(n)]
-            for block, r in zip(blocks, drift)]
-
-    def ratio(q: list[float], l1: float) -> float:  # ||pi(s)v||_E / ||v||_E
-        return ((math.sqrt(max(q[1], 0.0)) + l1) / (math.sqrt(max(q[0], 0.0)) + l1)
-                if l1 > 0.0 else 0.0)
-
-    best = 0.0
-    total_iters = 0
-    for restart in range(config.restarts):
-        rng = random.Random(config.seed * 100_003 + restart)
-        vec = [rng.gauss(0.0, 1.0) for _ in range(n)]
-        mean = sum(vec) / n
-        vec = [x - mean for x in vec]
-        g = [[sum(b * x for b, x in zip(row, vec)) for row in block] for block in blocks]
-        g_mean = [sum(gk) / n for gk in g]
-        q = [-sum(y * x for y, x in zip(gk, vec)) / 4 for gk in g]
-        current = ratio(q, sum(map(abs, vec)))
-        step = INITIAL_STEP
-        for it in range(config.iterations):
-            total_iters += 1
-            if it and it % DECAY_EVERY == 0:
-                step *= STEP_DECAY
-            j = rng.randrange(n)
-            d = step if rng.getrandbits(1) else -step
-            shift = d / n
-            trial = [x - shift for x in vec]
-            trial[j] += d
-            trial_q = [qk - d / 2 * (gk[j] - mk) - d * d / 4 * ck[j]
-                       for qk, gk, mk, ck in zip(q, g, g_mean, curv)]
-            val = ratio(trial_q, sum(map(abs, trial)))
-            if val > current:
-                vec, current, q = trial, val, trial_q
-                g = [[y + d * (b - r) for y, b, r in zip(gk, block[j], rk)]
-                     for gk, block, rk in zip(g, blocks, drift)]
-                g_mean = [sum(gk) / n for gk in g]
-        best = max(best, current)
-    return OpNormResult(value=best, iterations=total_iters,
-                        restarts=config.restarts, seed=config.seed)
+        return OpNormResult(value=1.0, iterations=0)
+    trans = [kernel.translate_index(s, x) for x in ball.elements[:n]]
+    top: dict[int, int] = {}  # 2K(x, y) -> the largest 2K(sx, sy) beside it
+    rows = zip(kernel.entry_rows(trans, trans), kernel.entry_rows(range(n), range(n)))
+    for i, (moved, fixed) in enumerate(rows, 1):
+        for t, u in zip(moved[i:], fixed[i:]):
+            if t > top.get(u, -1):
+                top[u] = t
+    value = max((math.sqrt(t / 2) + 2) / (math.sqrt(u / 2) + 2) for u, t in top.items())
+    return OpNormResult(value=value, iterations=n * (n - 1) // 2)
 
 
 # -- properness reporting --------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from l1comb import (
     EVector,
     MeanZeroError,
-    OpNormConfig,
     OutOfBallError,
     ball,
     check_cocycle_identity,
@@ -233,16 +233,20 @@ class TestUniformBound:
             uniform_bound(-1)
 
 
-def _dense_probe(s, kernel, radius, config):
-    """The operator-norm probe on dense float blocks of K, with one mat-vec
-    pair per trial: the reference for the incremental probe."""
-    from l1comb.espace import DECAY_EVERY, INITIAL_STEP, STEP_DECAY, OpNormResult
+# the coordinate ascent the two-point bound replaced, at its former default:
+# 32 restarts of 500 steps, the step halved every 50 steps from 1.0
+ASCENT_RESTARTS, ASCENT_STEPS = 32, 500
 
+
+def _dense_probe(s, kernel, radius, seed):
+    """Best ||pi(s)v||_E / ||v||_E found by a seeded multi-start coordinate
+    ascent on dense float blocks of K: the reference the two-point bound must
+    never fall below."""
     ball = kernel.ball
     n = ball.size_within(radius)
-    trans_idx = [kernel.translate_index(s, x) for x in ball.elements[:n]]
     if s == "":
-        return OpNormResult(value=1.0, iterations=0, restarts=0, seed=config.seed)
+        return 1.0
+    trans_idx = [kernel.translate_index(s, x) for x in ball.elements[:n]]
     k_base = np.array(kernel.entries(range(n), range(n))) / 2.0
     k_trans = np.array(kernel.entries(trans_idx, trans_idx)) / 2.0
 
@@ -255,17 +259,15 @@ def _dense_probe(s, kernel, radius, config):
         return (math.sqrt(max(qt, 0.0)) + l1) / (math.sqrt(max(qb, 0.0)) + l1)
 
     best = 0.0
-    total_iters = 0
-    for restart in range(config.restarts):
-        rng = random.Random(config.seed * 100_003 + restart)
+    for restart in range(ASCENT_RESTARTS):
+        rng = random.Random(seed * 100_003 + restart)
         vec = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
         vec -= vec.mean()
         current = ratio(vec)
-        step = INITIAL_STEP
-        for it in range(config.iterations):
-            total_iters += 1
-            if it and it % DECAY_EVERY == 0:
-                step *= STEP_DECAY
+        step = 1.0
+        for it in range(ASCENT_STEPS):
+            if it and it % 50 == 0:
+                step *= 0.5
             j = rng.randrange(n)
             trial = vec.copy()
             trial[j] += step if rng.getrandbits(1) else -step
@@ -274,21 +276,30 @@ def _dense_probe(s, kernel, radius, config):
             if val > current:
                 vec, current = trial, val
         best = max(best, current)
-    return OpNormResult(value=best, iterations=total_iters,
-                        restarts=config.restarts, seed=config.seed)
+    return best
+
+
+def _scan(b):
+    """The anti-shortlex kernel of ``b`` with the s and the pair radius of
+    its scan split."""
+    kernel = kernel_from_bicombing(make_bicombing("shortlex_antisymmetrized", b))
+    s_radius, v_radius = kernel.scan_split
+    return kernel, b.elements[:b.size_within(s_radius)], v_radius
 
 
 class TestOpNorm:
     def test_identity_is_exactly_one(self, tree_kernel):
-        res = op_norm_lower_bound("", tree_kernel, 2)
-        assert res.value == 1.0
+        assert op_norm_lower_bound("", tree_kernel, 2) == (1.0, 0)
+
+    def test_fewer_than_two_elements_rejected(self, tree_kernel):
+        with pytest.raises(ValueError):
+            op_norm_lower_bound("a", tree_kernel, 0)
 
     def test_tree_kernel_is_isometric(self, tree_kernel, f2_ball4):
-        config = OpNormConfig(restarts=6, iterations=150, seed=3)
-        for i in f2_ball4.indices_within(2):
-            s = f2_ball4.elements[i]
-            res = op_norm_lower_bound(s, tree_kernel, 2, config)
-            assert abs(res.value - 1.0) <= 1e-9
+        n = f2_ball4.size_within(2)
+        for i in range(1, n):
+            res = op_norm_lower_bound(f2_ball4.elements[i], tree_kernel, 2)
+            assert res == (1.0, n * (n - 1) // 2)
 
     def test_surface_below_theoretical_bound(self, surface):
         b = ball(surface, 3)
@@ -296,33 +307,67 @@ class TestOpNorm:
         kernel = kernel_from_bicombing(spec)
         # s from the 2-ball, vectors from the 1-ball: M over that split
         upper = uniform_bound(empirical_displacement_constant(kernel, 2, 1))
-        config = OpNormConfig(restarts=6, iterations=150, seed=5)
         for i in b.indices_within(2):
             s = b.elements[i]
-            res = op_norm_lower_bound(s, kernel, 1, config)
+            res = op_norm_lower_bound(s, kernel, 1)
             assert res.value <= upper + 1e-6
 
-    # on surface r=2 M is 0 and both probes read exactly 1.0 for every s;
-    # surface r=3 (split (1, 2)) has s that move ||.||_f
+    @pytest.mark.parametrize("pres, radius", [("f2xf2", 3), ("surface", 3)])
+    def test_equals_the_two_point_norms(self, request, pres, radius):
+        # an independent evaluation: the E-norms of delta_x - delta_y and its
+        # translate, through the form on F and the word problem
+        b = ball(request.getfixturevalue(pres), radius)
+        kernel, scanned, v_radius = _scan(b)
+        words = b.elements[:b.size_within(v_radius)]
+        for s in scanned:
+            want = max(norm_e(rep_apply(s, v, b), kernel) / norm_e(v, kernel)
+                       for i, x in enumerate(words) for y in words[i + 1:]
+                       for v in [EVector({x: 1, y: -1})])
+            assert abs(op_norm_lower_bound(s, kernel, v_radius).value - want) <= 1e-12, s
+
+    def test_bracket_at_surface_r4(self, surface_kernel):
+        # 1 by the pair (e, s^-1), sqrt(M/2) + 1 by K(sx, sy) <= K(x, y) + M
+        s_radius, v_radius = surface_kernel.scan_split
+        assert surface_kernel.displacement_constant == 6.0
+        upper = uniform_bound(6.0)
+        b = surface_kernel.ball
+        values = [op_norm_lower_bound(s, surface_kernel, v_radius).value
+                  for s in b.elements[:b.size_within(s_radius)]]
+        assert all(1.0 <= v <= upper for v in values)
+        assert max(values) > 1.5  # some s moves a two-point vector
+
+    # on surface r=2 M is 0 and both read exactly 1.0 for every s; surface r=3
+    # (split (1, 2)) and F2 x F2 r=3 have s that move ||.||_f
     @pytest.mark.parametrize("pres, radius", [("f2xf2", 3), ("surface", 2), ("surface", 3)])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_incremental_probe_equals_the_dense_probe(self, request, pres, radius,
-                                                       seed):
-        b = ball(request.getfixturevalue(pres), radius)
-        kernel = kernel_from_bicombing(make_bicombing("shortlex_antisymmetrized", b))
-        s_radius, v_radius = kernel.scan_split
-        config = OpNormConfig(seed=seed)
-        for s in b.elements[:b.size_within(s_radius)]:
-            found = op_norm_lower_bound(s, kernel, v_radius, config)
-            reference = _dense_probe(s, kernel, v_radius, config)
-            assert abs(found.value - reference.value) <= 1e-12, s
-            assert found[1:] == reference[1:]
+    def test_never_below_the_ascent(self, request, pres, radius, seed):
+        kernel, scanned, v_radius = _scan(ball(request.getfixturevalue(pres), radius))
+        for s in scanned:
+            found = op_norm_lower_bound(s, kernel, v_radius).value
+            assert found >= _dense_probe(s, kernel, v_radius, seed), s
 
-    def test_deterministic_under_seed(self, tree_kernel):
-        config = OpNormConfig(restarts=4, iterations=100, seed=9)
-        a = op_norm_lower_bound("ab", tree_kernel, 2, config)
-        b = op_norm_lower_bound("ab", tree_kernel, 2, config)
-        assert a == b
+    def test_holds_no_square_block(self, surface_kernel):
+        # S = ball(2) at surface r=4 (65 elements): the translate and base
+        # rows are read in pairs, never as a |S|^2 block
+        b = surface_kernel.ball
+        S = range(b.size_within(2))
+        tracemalloc.start()
+        try:
+            block = surface_kernel.entries(S, S)
+            size = tracemalloc.get_traced_memory()[0]
+            del block
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            op_norm_lower_bound("cd", surface_kernel, 2)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert len(S) == 65
+        assert peak < 1.5 * size, peak / size
+
+    def test_two_calls_are_equal(self, surface_kernel):
+        assert (op_norm_lower_bound("cd", surface_kernel, 2)
+                == op_norm_lower_bound("cd", surface_kernel, 2))
 
 
 class TestProperness:
