@@ -13,7 +13,6 @@ from l1comb import (
     area,
     ball,
     boundary,
-    chain_dump,
     combing_chain,
     empirical_area_constant,
     make_bicombing,
@@ -27,7 +26,7 @@ b4 = ball(f2, 4)
 tree = make_bicombing("tree_geodesic", b4)
 q = combing_chain(tree, "", "abA")
 print("q[e, abA] edges:")
-print(chain_dump(q))
+print(sorted(q.coeffs.items()))
 print("boundary         ->", boundary(q, b4))
 print("area(e, ab, ba)  ->", area(tree, "", "ab", "ba"), "(trees have zero area)")
 scan = empirical_area_constant(tree, radius=3)

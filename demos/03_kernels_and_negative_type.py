@@ -32,7 +32,7 @@ tree = make_bicombing("tree_geodesic", ball(f2, 4))
 K = kernel_from_bicombing(tree)
 print("K(ab, b) =", K.value(K.index_of("ab"), K.index_of("b")))
 print("centered min eigenvalue:", cnd_min_eigenvalue(K))
-print("cross-validation discrepancy:", kernel_cross_validate(tree, kernel=K))
+print("cross-validation discrepancy:", kernel_cross_validate(K))
 print("displacement constant:", K.displacement_constant, "(translations are isometries)")
 
 print()

@@ -22,7 +22,6 @@ from .bicombing import (
     antisymmetrize,
     area,
     boundary,
-    chain_dump,
     combing_chain,
     empirical_area_constant,
     make_bicombing,

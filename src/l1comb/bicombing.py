@@ -106,16 +106,6 @@ def boundary(chain: Chain1, ball: CayleyBall) -> dict[str, Rational]:
     return acc
 
 
-def chain_dump(chain: Chain1) -> str:
-    """Debug/oracle format: one line per edge ``source letter coefficient``,
-    sorted by (source, letter); the identity source prints as ``e``."""
-    lines = []
-    for (src, g), c in sorted(chain.coeffs.items()):
-        frac = Fraction(c)
-        lines.append(f"{src or 'e'} {g} {frac}")
-    return "\n".join(lines)
-
-
 class BicombingSpec:
     """A pluggable combing bound to a presentation and a working ball.
 
@@ -162,10 +152,8 @@ def _raw_accumulate(spec: BicombingSpec, x: str, y: str,
     ball = spec.ball
     base = x == ""
     # from e the path follows y's own word, which keeps cross-validation's
-    # chains independent of the table; otherwise x^-1 y is walked on the
-    # table, as naming the concatenation would run the word problem
-    j = -1 if base else ball.walk(0, invert(x) + y)
-    z = ball.elements[j] if j >= 0 else ball.name(invert(x) + y)
+    # chains independent of the table; otherwise x^-1 y is walked on it
+    z = ball.name(y) if base else ball.name_step("", invert(x) + y)
     # canonical geodesics are freely reduced and their prefixes canonical,
     # so from e each prefix of z already names its vertex
     cur = x

@@ -375,7 +375,7 @@ def verify_suite(config: argparse.Namespace) -> dict[str, str | None]:
                 break
 
     try:
-        kernel_cross_validate(spec, radius=kernel.scan_split[1], kernel=kernel)
+        kernel_cross_validate(kernel, radius=kernel.scan_split[1])
     except AssertionError as exc:
         fail("kernel_cross_validation", str(exc))
 

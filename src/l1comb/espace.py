@@ -55,9 +55,6 @@ class EVector(L1Vector):
         if total:
             raise MeanZeroError(f"coefficients sum to {total}, not 0")
 
-    def max_abs(self):
-        return max((abs(c) for c in self.coeffs.values()), default=0)
-
     def support(self) -> list[str]:
         return sorted(self.coeffs)
 
@@ -81,16 +78,16 @@ def rep_apply(s: str, v: EVector, ball: CayleyBall) -> EVector:
     return EVector._wrap({w: c for w, c in out.items() if c})
 
 
-def check_cocycle_identity(s: str, t: str, ball: CayleyBall):
-    """Max coefficient residual of b(st) - pi(s) b(t) - b(s), exactly 0: b(st)
-    names st by the word problem, pi(s) b(t) = delta_st - delta_s walks t from
-    s on the multiplication table, so the residual compares the two."""
+def check_cocycle_identity(s: str, t: str, ball: CayleyBall) -> int:
+    """Max coefficient residual of b(st) - pi(s) b(t) - b(s) for a ball
+    element s, exactly 0: b(st) names st by the word problem, and pi(s) b(t) =
+    delta_st - delta_s walks t from s on the multiplication table, so the
+    residual is the difference of two deltas at st, 1 where the names differ."""
     i = ball.canonical_index(s)
     j = -1 if i is None else ball.walk(i, t)
     if j < 0:
         raise OutOfBallError(f"{s + t!r} is not walked inside the ball")
-    moved = cocycle(ball.elements[j]) - cocycle(ball.elements[i])  # pi(s) b(t)
-    return (cocycle(ball.name(s + t)) - moved - cocycle(s)).max_abs()
+    return int(ball.name(s + t) != ball.elements[j])
 
 
 # -- norms ---------------------------------------------------------------------

@@ -41,8 +41,6 @@ import functools
 import itertools
 from array import array
 
-IDENTITY = ""  # the empty word names the identity
-
 DEFAULT_BALL_CAP = 200_000
 
 MODES = ("free", "dehn", "rewriting")
@@ -381,7 +379,7 @@ class CayleyBall:
     finds a word's element in the ball, and :meth:`name` its canonical
     geodesic word, which in dehn mode exists only inside the ball.
     :meth:`walk` reads products off the table, and :meth:`name_step` names
-    a product with one letter through it while it stays in the ball.
+    a product through it while it stays in the ball.
     Where normal forms are canonical (free and rewriting modes) the lookup
     is the normal form alone; in dehn mode the triviality oracle scans the
     normal form's bucket (its exponent vector when every relator has
@@ -391,8 +389,8 @@ class CayleyBall:
     def __init__(self, presentation: GroupPresentation, radius: int):
         self.presentation = presentation
         self.radius = radius
-        self.elements: list[str] = [IDENTITY]
-        self.index: dict[str, int] = {IDENTITY: 0}
+        self.elements: list[str] = [""]  # the empty word names the identity
+        self.index: dict[str, int] = {"": 0}
         self.adjacency = array("i", [-1] * len(presentation.alphabet))
         # oracle-scan candidates (dehn mode): ball elements by bucket key
         self._buckets: dict[tuple, list[str]] = {}
@@ -461,14 +459,15 @@ class CayleyBall:
                 break
         return i
 
-    def name_step(self, word: str, letter: str) -> str:
-        """``name(word + letter)``, read off the multiplication table when
-        ``word`` is a ball element and the product stays in the ball, so a
-        chain's steps inside the ball make no word-problem call."""
+    def name_step(self, word: str, letters: str) -> str:
+        """``name(word + letters)``, read off the multiplication table when
+        ``word`` is a ball element and every step stays in the ball: the one
+        naming of in-ball products (chain steps, x^-1 y, s^-1, translates s x);
+        checks of the table against the word problem call :meth:`name`."""
         i = self.index.get(word)
-        if i is not None and (j := self.walk(i, letter)) >= 0:
+        if i is not None and (j := self.walk(i, letters)) >= 0:
             return self.elements[j]
-        return self.name(word + letter)
+        return self.name(word + letters)
 
     # structure -------------------------------------------------------------
 

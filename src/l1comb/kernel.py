@@ -27,9 +27,9 @@ as dense rows over a range (:meth:`~DisplacementKernel.row`: :func:`kernel_dump`
 the cocycle rows, cross-validation); the E-space form Q(v) = 1/2 |F^T v|^2
 reads F itself (:meth:`SlotEmbedding.form`).  numpy is imported, in their
 bodies, only by the float matrix ``values`` and the eigenvalue routines.  A
-translate s x is walked on the ball's table from s
-(:meth:`DisplacementKernel.translate_index`), and the displacement constant M
-is measured over the scan split on first read."""
+translate s x is named on the ball's table (:meth:`CayleyBall.name_step`),
+and the displacement constant M is measured over the scan split on first
+read."""
 
 from __future__ import annotations
 
@@ -60,7 +60,8 @@ class DisplacementKernel:
     --sabotage-diagonal`` does; the E-space form (:meth:`SlotEmbedding.form`)
     reads F itself.  ``bicombing`` is the combing a kernel was built from,
     and None for a tree action's orbit kernel; the combing bounds
-    (properness, two-triangle decomposition) apply only when it is set."""
+    (properness, two-triangle decomposition, cross-validation) apply only
+    when it is set."""
 
     def __init__(self, ball: CayleyBall, embedding: SlotEmbedding, radius: int,
                  bicombing: BicombingSpec | None = None):
@@ -131,14 +132,10 @@ class DisplacementKernel:
         return idx
 
     def translate_index(self, s: str, x: str) -> int:
-        """Kernel index of the translate s x: x's letters walked from s's
-        index on the ball's multiplication table, and :meth:`index_of` of
-        ``s + x`` only when s is no ball element or the walk leaves the
-        ball or the kernel."""
-        cur = self.ball.index.get(s)
-        if cur is not None and 0 <= (cur := self.ball.walk(cur, x)) < self.n:
-            return cur
-        return self.index_of(s + x)
+        """Kernel index of the translate s x, named by
+        :meth:`CayleyBall.name_step`: walked on the ball's table while it
+        stays in the ball; raises :class:`OutOfBallError` outside the kernel."""
+        return self.index_of(self.ball.name_step(s, x))
 
     def translate_excess(self, s: str, indices, base=None):
         """Yield exact 2K(sx, sy) - 2K(x, y) over x, y in the index sequence a
@@ -240,7 +237,7 @@ def walked_slots(ball: CayleyBall, i: int, antisymmetrized: bool) -> list[int]:
 
     if antisymmetrized:
         walk(0, word, 1)
-        walk(i, ball.elements[ball.walk(0, invert(word))], -1)
+        walk(i, ball.name_step("", invert(word)), -1)
     else:
         walk(0, word, 2)
     return slot_keys(doubled)
@@ -394,7 +391,7 @@ def two_triangle_bound(spec: BicombingSpec, s: str, x: str, y: str) -> tuple:
     ||q[sy,sx] + q[sx,s] + q[s,sy]||_1.  Both triangles are read translated
     by s^-1: the combing is equivariant, so the areas are the same, and the
     vertices s^-1, x, y and e stay in the ball that holds s, x and y."""
-    return area(spec, spec.ball.name(invert(s)), x, y), area(spec, y, x, "")
+    return area(spec, spec.ball.name_step("", invert(s)), x, y), area(spec, y, x, "")
 
 
 def displacement_decomposition(kernel: DisplacementKernel, s: str,
@@ -472,14 +469,14 @@ def cnd_min_eigenvalue(kernel: DisplacementKernel, indices=None) -> float:
 # -- cross validation ---------------------------------------------------------
 
 
-def kernel_cross_validate(spec: BicombingSpec, radius: int | None = None,
-                          kernel: DisplacementKernel | None = None) -> Fraction:
-    """Max discrepancy between the kernel engine's values and direct chain
-    arithmetic ||q[e,x] - q[e,y]||_1 over all scanned pairs; both are exact,
-    so any nonzero discrepancy raises."""
-    b = spec.ball
-    if kernel is None:
-        kernel = kernel_from_bicombing(spec, radius=radius)
+def kernel_cross_validate(kernel: DisplacementKernel, radius: int | None = None) -> Fraction:
+    """Max discrepancy between the kernel's values and direct chain arithmetic
+    ||q[e,x] - q[e,y]||_1 of its own combing over the pairs within ``radius``
+    (the kernel's by default); both are exact, so any nonzero discrepancy
+    raises.  An orbit kernel has no combing to check against."""
+    spec, b = kernel.bicombing, kernel.ball
+    if spec is None:
+        raise ValueError("cross-validation requires a combing-backed kernel")
     n = b.scan_size(kernel.radius if radius is None else radius, "cross-validation")
     if n > kernel.n:
         raise OutOfBallError("cross-validation radius exceeds the kernel radius")

@@ -102,13 +102,13 @@ def test_criterion_2_cnd_certification(capsys):
         tree = make_bicombing("tree_geodesic", ball(f2, 4))
         tree_kernel = kernel_from_bicombing(tree)
         assert cnd_min_eigenvalue(tree_kernel) >= -1e-9
-        assert kernel_cross_validate(tree, kernel=tree_kernel) == 0
+        assert kernel_cross_validate(tree_kernel) == 0
 
         surface = GroupPresentation(("a", "b", "c", "d"), ("abABcdCD",), "dehn")
         anti = make_bicombing("shortlex_antisymmetrized", ball(surface, 2))
         surf_kernel = kernel_from_bicombing(anti)
         assert cnd_min_eigenvalue(surf_kernel) >= -1e-9
-        assert kernel_cross_validate(anti, kernel=surf_kernel) == 0
+        assert kernel_cross_validate(surf_kernel) == 0
 
 
 def test_criterion_3_proof_inequality_replay(capsys):

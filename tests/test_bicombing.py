@@ -11,7 +11,6 @@ from l1comb import (
     area,
     ball,
     boundary,
-    chain_dump,
     combing_chain,
     empirical_area_constant,
     invert,
@@ -265,10 +264,3 @@ def test_scan_radius_must_lie_in_the_ball(f2, scan, name):
     with pytest.raises(ValueError, match=f"{name} radius must be >= 0"):
         scan(spec, radius=-1)
     assert scan(spec, radius=2) == scan(spec)
-
-
-class TestChainDump:
-    def test_dump_format(self):
-        chain = Chain1({("a", "b"): Fraction(-1, 2), ("", "a"): 1})
-        # one line per edge, sorted by (source, letter), identity printed as e
-        assert chain_dump(chain) == "e a 1\na b -1/2"

@@ -620,9 +620,9 @@ class TestVerify:
         seen = []
         cross_validate = cli.kernel_cross_validate
 
-        def recorded(spec, radius=None, kernel=None):
+        def recorded(kernel, radius=None):
             seen.append((radius, kernel.scan_split[1]))
-            return cross_validate(spec, radius=radius, kernel=kernel)
+            return cross_validate(kernel, radius=radius)
 
         monkeypatch.setattr(cli, "kernel_cross_validate", recorded)
         assert main(["verify", "--presentation", str(f2_file), "--radius", str(radius),
@@ -1088,3 +1088,5 @@ def test_benchmark_tracer_counts_the_streamed_kernel_csv(surface_file, f2_file,
     assert report["counters"]["kernel.displacement_translates"] == (
         (len(ball(surface, 1)) - 1) + (len(ball(product, 1)) - 1))
     assert report["counters"]["actions.orbit_pairs"] > 0
+    # F2 verify r=3 cross-validates the pairs of its radius-2 ball, C(17, 2)
+    assert report["counters"]["kernel.crossval_pairs"] == 136

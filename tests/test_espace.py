@@ -37,6 +37,13 @@ def _random_mean_zero(rng, words, size=4, span=3):
     return EVector({words[i]: c for i, c in zip(support, coeffs)})
 
 
+def _wrong_product_ball(f2):
+    """The F2 r=2 ball with a b read as bb on its multiplication table."""
+    b = ball(f2, 2)
+    b.adjacency[b.index["a"] * len(f2.alphabet) + f2.alphabet.index("b")] = b.index["bb"]
+    return b
+
+
 # a word of at most 2 letters with a cancelling pair t t^-1 spliced in
 _short_unreduced_words = st.builds(
     lambda u, t, cut: u[:cut] + t + invert(t) + u[cut:],
@@ -91,12 +98,27 @@ class TestCocycle:
         # one product inside the inner ball corrupted on the table, a b read
         # as bb: pi(a) b(b) walks the table, b(ab) names ab by the word
         # problem, so the residual is delta_ab - delta_bb there and 0 elsewhere
-        b = ball(f2, 2)
-        b.adjacency[b.index["a"] * len(f2.alphabet) + f2.alphabet.index("b")] = b.index["bb"]
+        b = _wrong_product_ball(f2)
         inner = b.elements[:b.size_within(1)]
         assert {(s, t) for s in inner for t in inner
                 if check_cocycle_identity(s, t, b)} == {("a", "b")}
         assert check_cocycle_identity("a", "b", b) == 1
+
+    def test_cocycle_identity_is_the_largest_residual_coefficient(self, f2,
+                                                                  surface_ball4):
+        # the residual b(st) - pi(s) b(t) - b(s) built from cocycle, with
+        # pi(s) b(t) = b(s t walked) - b(s), on every pair of the surface
+        # half-radius ball and of the corrupted table's inner ball
+        def residual(s, t, b):
+            walked = b.elements[b.walk(b.index[s], t)]
+            res = cocycle(b.name(s + t)) - (cocycle(walked) - cocycle(s)) - cocycle(s)
+            return max((abs(c) for c in res.coeffs.values()), default=0)
+
+        for b, radius in ((surface_ball4, 2), (_wrong_product_ball(f2), 1)):
+            inner = b.elements[:b.size_within(radius)]
+            for s in inner:
+                for t in inner:
+                    assert check_cocycle_identity(s, t, b) == residual(s, t, b), (s, t)
 
     def test_cocycle_identity_surface(self, surface_ball4):
         rng = random.Random(41)

@@ -531,7 +531,22 @@ def equal_words(draw, pres, radius):
             draw(padded_words(pres, 0, base=prefix + invert(conj[half:]))))
 
 
+@pytest.fixture(scope="module")
+def step_balls(presentations):
+    return {name: ball(pres, 3) for name, pres in presentations.items()}
+
+
 class TestLookupProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from(PRESENTATIONS), st.data())
+    def test_name_step_is_the_name_of_the_whole_product(self, step_balls, which, data):
+        # up to 4 letters from any element of the r=3 ball, so some walks
+        # leave it: the table's name is the word problem's, or neither exists
+        b = step_balls[which]
+        w = b.elements[data.draw(st.integers(0, len(b) - 1))]
+        letters = data.draw(st.text(alphabet=b.presentation.alphabet, max_size=4))
+        assert _named(b.name_step, w, letters) == _named(b.name, w + letters)
+
     @settings(max_examples=120, deadline=None)
     @given(st.sampled_from(PRESENTATIONS), st.data())
     def test_name_resolves_to_the_same_index(self, lookup_balls, which, data):

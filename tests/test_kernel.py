@@ -545,18 +545,16 @@ class TestKernelDump:
 
 
 class TestCrossValidation:
-    def test_tree_ball3_exact(self, tree_spec, tree_kernel):
-        assert kernel_cross_validate(tree_spec, radius=3, kernel=tree_kernel) == 0
+    def test_tree_ball3_exact(self, tree_kernel):
+        assert kernel_cross_validate(tree_kernel, radius=3) == 0
 
     def test_single_pair(self, f2):
         b = ball(f2, 1)
         spec = make_bicombing("tree_geodesic", b)
-        assert kernel_cross_validate(spec, radius=1) == 0
+        assert kernel_cross_validate(kernel_from_bicombing(spec), radius=1) == 0
 
-    def test_surface_ball2_exact(self, surface_anti, surface_kernel):
-        assert kernel_cross_validate(
-            surface_anti, radius=2, kernel=surface_kernel
-        ) == 0
+    def test_surface_ball2_exact(self, surface_kernel):
+        assert kernel_cross_validate(surface_kernel, radius=2) == 0
 
 
 @pytest.mark.parametrize("call, error, match", [
@@ -576,11 +574,14 @@ class TestCrossValidation:
      ValueError, "s radius must be >= 0"),
     (lambda spec: empirical_displacement_constant(kernel_from_bicombing(spec), 1, -1),
      ValueError, "pair radius must be >= 0"),
-    (lambda spec: kernel_cross_validate(
-        spec, radius=3, kernel=kernel_from_bicombing(spec, radius=2)),
+    (lambda spec: kernel_cross_validate(kernel_from_bicombing(spec, radius=2), radius=3),
      OutOfBallError, "cross-validation radius exceeds the kernel radius"),
+    (lambda spec: kernel_cross_validate(orbit_kernel(
+        TreeActionSpec(spec.ball.presentation, 2, {"a": "a", "b": "b"}), spec.ball)),
+     ValueError, "requires a combing-backed kernel"),
 ], ids=["kernel-radius", "no-combing", "not-antisymmetric", "scan-split",
-        "negative-s-radius", "negative-pair-radius", "cross-validation-radius"])
+        "negative-s-radius", "negative-pair-radius", "cross-validation-radius",
+        "no-combing-cross-validation"])
 def test_guard_rejects_its_input(tree_spec, call, error, match):
     with pytest.raises(error, match=match):
         call(tree_spec)
@@ -736,10 +737,11 @@ def test_walked_translates_equal_the_oracle_lookup(request, pres):
             for s in b.elements[:b.size_within(s_radius)]:
                 assert [kernel.translate_index(s, x) for x in pairs] == \
                     [kernel.index_of(s + x) for x in pairs], (radius, s)
-    # a walk that leaves the ball or the kernel falls back to the same error
+    # a translate outside the kernel, or (dehn mode) outside the ball, has
+    # no index: the error names the product
     small = kernel_from_bicombing(make_bicombing("shortlex", b), radius=2)
     for s, x in (("ab", "ab"), ("aaaa", "a")):
-        with pytest.raises(OutOfBallError, match=f"{s + x!r} is outside"):
+        with pytest.raises(OutOfBallError, match=repr(s + x)):
             small.translate_index(s, x)
 
 
