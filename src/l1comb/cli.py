@@ -12,7 +12,6 @@ is 1e-09 except in ``quasitree.csv``, whose check derives its own.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 import time
 from fractions import Fraction
@@ -273,14 +272,16 @@ def cmd_action(config: argparse.Namespace) -> int:
 # -- the verify suite -----------------------------------------------------------
 
 
-def verify_suite(config: argparse.Namespace) -> dict[str, str | None]:
+def verify_suite(config: argparse.Namespace) -> tuple[dict[str, str | None], dict[str, str]]:
     """Invariant suite over one presentation/combing/radius: cocycle identity,
     norm formula, conditional negative definiteness, per-vector bound,
-    properness, plus the structural chain checks feeding them.  The exact
-    kernel checks read F's structure and each override, in O(nnz + |overrides|);
-    the per-element checks share one pass over the ball that reads no row of 2K
-    and builds each chain q[e, s] once.  Returns the witness table: check name
-    -> its first failing witness, or None if it passed, in report order."""
+    properness, plus the structural chain checks feeding them; each decides a
+    named finite set, so nothing is drawn.  The exact kernel checks read F's
+    structure and each override, in O(nnz + |overrides|); the per-element
+    checks share one pass over the ball that reads no row of 2K and builds
+    each chain q[e, s] once, and the pair checks one pass over the ordered
+    pairs of the s ball.  Returns check name -> its first failing witness, or
+    None if it passed, in report order, and check name -> the items it decided."""
     b = ball(config.presentation, config.radius, cap=config.cap)
     sabotage = config.sabotage_diagonal
     if sabotage is not None and not 0 <= sabotage < len(b):
@@ -292,16 +293,28 @@ def verify_suite(config: argparse.Namespace) -> dict[str, str | None]:
     kernel = kernel_from_bicombing(spec)
     if sabotage is not None:
         kernel.overrides = {(sabotage, sabotage): 2}
-    rng = random.Random(config.seed)
-    n_inner, n_outer = map(b.size_within, kernel.scan_split)
+    n = len(b)
+    inner = b.elements[:b.size_within(kernel.scan_split[0])]
+    k, n_pair = len(inner), b.size_within(kernel.scan_split[1])
 
-    witness: dict[str, str | None] = dict.fromkeys([
-        "ball_inverse_closure", "ball_adjacency_involutive", "boundary_identity",
-        "equivariance", *(["antisymmetry"] if spec.antisymmetrized else []),
-        "combing_lower_bound", "kernel_diagonal_zero", "kernel_symmetry",
-        "kernel_nonnegative", "kernel_cnd", "kernel_cross_validation",
-        "cocycle_identity", "norm_formula", "per_vector_bound", "properness_rows",
-    ])
+    covered = {
+        "ball_inverse_closure": f"{n} elements",
+        "ball_adjacency_involutive": f"{n} elements",
+        "boundary_identity": f"{n - 1} chains",
+        "equivariance": f"{k * k} pairs",
+        **({"antisymmetry": f"{k * (k - 1) // 2} pairs"} if spec.antisymmetrized else {}),
+        "combing_lower_bound": f"{n - 1} chains",
+        "kernel_diagonal_zero": f"{n} entries",
+        "kernel_symmetry": f"{n * (n - 1) // 2} pairs",
+        "kernel_nonnegative": f"{n * n} entries",
+        "kernel_cnd": f"{n} points",
+        "kernel_cross_validation": f"{n_pair * (n_pair - 1) // 2} pairs",
+        "cocycle_identity": f"{k * k} pairs",
+        "norm_formula": f"{n - 1} elements",
+        "per_vector_bound": f"{k * (k - 1)} vectors",
+        "properness_rows": f"{n - 1} rows",
+    }
+    witness: dict[str, str | None] = dict.fromkeys(covered)
 
     def fail(name, text):
         if witness[name] is None:
@@ -357,48 +370,30 @@ def verify_suite(config: argparse.Namespace) -> dict[str, str | None]:
             fail("norm_formula",
                  f"Q(b({_word(s)})) = {direct} but ||q[e,{_word(s)}]||_1 = {norm}")
 
-    for _ in range(50):
-        s = b.elements[rng.randrange(n_inner)]
-        z = b.elements[rng.randrange(n_inner)]
-        lhs = translate_chain(s, combing_chain(spec, "", z), b)
-        if lhs != combing_chain(spec, s, b.name(s + z)):
-            fail("equivariance", f"translate mismatch for s={_word(s)} z={_word(z)}")
-            break
-
-    if spec.antisymmetrized:
-        for _ in range(50):
-            x = b.elements[rng.randrange(n_inner)]
-            y = b.elements[rng.randrange(n_inner)]
-            if (combing_chain(spec, x, y) + combing_chain(spec, y, x)).coeffs:
-                fail("antisymmetry",
-                     f"q[{_word(x)},{_word(y)}] + q[{_word(y)},{_word(x)}] != 0")
-                break
-
     try:
         kernel_cross_validate(kernel, radius=kernel.scan_split[1])
     except AssertionError as exc:
         fail("kernel_cross_validation", str(exc))
 
-    words = b.elements[:n_inner]
-    bad = next(((res, x, y) for x in words for y in words
-                if (res := check_cocycle_identity(x, y, b)) != 0), None)
-    if bad is not None:
-        res, x, y = bad
-        fail("cocycle_identity", f"residual {res} at ({_word(x)}, {_word(y)})")
-
-    for _ in range(100):
-        s = b.elements[rng.randrange(n_inner)]
-        support = rng.sample(range(n_outer), k=min(4, n_outer))
-        coeffs = [rng.randint(-3, 3) for _ in support]
-        coeffs[-1] -= sum(coeffs)
-        v = EVector({b.elements[i]: c for i, c in zip(support, coeffs)})
-        if not v.coeffs:
-            continue
-        res = per_vector_bound_check(s, v, kernel)
-        if not res.passed:
-            fail("per_vector_bound", f"lhs {res.lhs} > rhs {res.rhs} for s={_word(s)} "
-                                     f"supp={[_word(w) for w in v.support()]}")
-            break
+    # one pass over the ordered pairs (s, x) of the s ball, s outer; each
+    # q[e, x] is built once
+    from_e = [combing_chain(spec, "", x) for x in inner]
+    for i, s in enumerate(inner):
+        for j, (x, chain) in enumerate(zip(inner, from_e)):
+            if translate_chain(s, chain, b) != combing_chain(spec, s, b.name(s + x)):
+                fail("equivariance", f"translate mismatch for s={_word(s)} z={_word(x)}")
+            if (spec.antisymmetrized and j > i
+                    and (combing_chain(spec, s, x) + combing_chain(spec, x, s)).coeffs):
+                fail("antisymmetry",
+                     f"q[{_word(s)},{_word(x)}] + q[{_word(x)},{_word(s)}] != 0")
+            if (res := check_cocycle_identity(s, x, b)) != 0:
+                fail("cocycle_identity", f"residual {res} at ({_word(s)}, {_word(x)})")
+            if not x:
+                continue
+            v = EVector({x: 1, "": -1})
+            if not (res := per_vector_bound_check(s, v, kernel)).passed:
+                fail("per_vector_bound", f"lhs {res.lhs} > rhs {res.rhs} for s={_word(s)} "
+                                         f"supp={[_word(w) for w in v.support()]}")
 
     try:
         for _ in cocycle_norm_rows(kernel):  # checked and dropped in turn
@@ -406,16 +401,17 @@ def verify_suite(config: argparse.Namespace) -> dict[str, str | None]:
     except PropernessError as exc:
         fail("properness_rows", str(exc))
 
-    return witness
+    return witness, covered
 
 
 def cmd_verify(config: argparse.Namespace) -> int:
-    witness = verify_suite(config)
+    witness, covered = verify_suite(config)
     rows = [(name, "pass" if text is None else "FAIL", text or "")
             for name, text in witness.items()]
     path = _write_csv(config, "verify.csv", ["check", "status", "witness"], rows)
     for name, text in witness.items():
-        print(f"PASS {name}" if text is None else f"FAIL {name} [{text}]")
+        verdict = f"PASS {name}" if text is None else f"FAIL {name} [{text}]"
+        print(f"{verdict} ({covered[name]})")
     print(f"-> {path}")
     return EXIT_OK if all(text is None for text in witness.values()) else EXIT_INVARIANT
 
@@ -462,8 +458,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # command name -> (handler, the least --radius at which it scans more than
-# the identity: 'verify' samples from the ball of half the radius); 'action
-# --quasitree' builds no ball and needs only a radius >= 0
+# the identity: 'verify' decides its pair checks over the ball of half the
+# radius); 'action --quasitree' builds no ball and needs only a radius >= 0
 COMMANDS = {
     "ball": (cmd_ball, 0),
     "bicombing-stats": (cmd_bicombing_stats, 1),

@@ -14,7 +14,7 @@ import pytest
 from conftest import SWAP_RULES, serve_rows
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from l1comb import BoundCheck, Chain1, GroupPresentation, ball, cli
+from l1comb import BoundCheck, CayleyBall, Chain1, GroupPresentation, ball, boundary, cli
 from l1comb import kernel as kernel_module
 from l1comb.cli import main
 from l1comb.espace import PropernessError
@@ -534,8 +534,10 @@ class TestVerify:
 
     def test_each_element_chain_is_built_once(self, surface, surface_file,
                                               tmp_path, monkeypatch):
-        # one pass over the ball builds q[e, s] once per s != e; equivariance
-        # and antisymmetry add two chains per draw, over 50 draws each
+        # one pass over the ball builds q[e, s] once per s != e; the pass over
+        # the s ball S builds q[e, x] once per x, q[s, sx] per ordered pair
+        # for equivariance and q[s, x], q[x, s] per pair x after s for
+        # antisymmetry
         calls = []
         chain = cli.combing_chain
 
@@ -547,8 +549,89 @@ class TestVerify:
         assert main(["verify", "--presentation", str(surface_file), "--radius", "2",
                      "--out", str(tmp_path / "out")]) == 0
         n = len(ball(surface, 2))
-        assert n == 65
-        assert len(calls) <= (n - 1) + 200
+        k = len(ball(surface, 1))
+        assert (n, k) == (65, 9)
+        assert len(calls) == (n - 1) + k + k * k + k * (k - 1)
+
+    def test_equivariance_fails_at_a_pair_seed_0_never_drew(
+            self, surface_file, tmp_path, capsys, monkeypatch):
+        # only the translate of q[e, cd] by ab is doubled; the 50 pairs that
+        # seed 0 once drew from the 65-element s ball (radius 2) miss (ab, cd),
+        # so a sampled check passed this fault
+        translate = cli.translate_chain
+
+        def faulted(s, chain, b):
+            out = translate(s, chain, b)
+            return out.scale(2) if s == "ab" and boundary(chain, b) == {"cd": 1, "": -1} else out
+
+        monkeypatch.setattr(cli, "translate_chain", faulted)
+        code = main(["verify", "--presentation", str(surface_file), "--radius", "4",
+                     "--out", str(tmp_path / "out")])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "FAIL equivariance [translate mismatch for s=ab z=cd] (4225 pairs)" in out
+        assert out.count("FAIL") == 1
+
+    def test_each_line_counts_the_items_its_check_decided(self, surface_file, tmp_path,
+                                                          capsys, monkeypatch):
+        calls = dict.fromkeys(("translate_chain", "check_cocycle_identity",
+                               "per_vector_bound_check"), 0)
+
+        def counted(name):
+            fn = getattr(cli, name)
+
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name))
+        outs = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"out{seed}"
+            assert main(["verify", "--presentation", str(surface_file), "--radius", "2",
+                         "--seed", seed, "--out", str(out)]) == 0
+            outs.append((capsys.readouterr().out.splitlines()[:-1], _body(out / "verify.csv")))
+        # nothing is drawn, so --seed changes only the header's echo of it
+        lines, body = outs[0]
+        assert lines == outs[1][0]
+        assert [row for row in body if not row.startswith("# seed:")] == [
+            row for row in outs[1][1] if not row.startswith("# seed:")]
+        # two runs over the s ball's k = 9 elements; the ball has n = 65
+        # elements and the pair ball 9
+        assert calls == {"translate_chain": 2 * 81, "check_cocycle_identity": 2 * 81,
+                         "per_vector_bound_check": 2 * 72}
+        assert lines == [
+            "PASS ball_inverse_closure (65 elements)",
+            "PASS ball_adjacency_involutive (65 elements)",
+            "PASS boundary_identity (64 chains)",
+            "PASS equivariance (81 pairs)",
+            "PASS antisymmetry (36 pairs)",
+            "PASS combing_lower_bound (64 chains)",
+            "PASS kernel_diagonal_zero (65 entries)",
+            "PASS kernel_symmetry (2080 pairs)",
+            "PASS kernel_nonnegative (4225 entries)",
+            "PASS kernel_cnd (65 points)",
+            "PASS kernel_cross_validation (36 pairs)",
+            "PASS cocycle_identity (81 pairs)",
+            "PASS norm_formula (64 elements)",
+            "PASS per_vector_bound (72 vectors)",
+            "PASS properness_rows (64 rows)",
+        ]
+
+    def test_a_bucket_key_that_splits_an_element_fails(self, surface_file, tmp_path,
+                                                       capsys, monkeypatch):
+        # a key that also reads the last letter is no element invariant: one
+        # element lands in two buckets, so the ball holds it twice
+        monkeypatch.setattr(CayleyBall, "_bucket_key", lambda self, word:
+                            self.presentation.exponent_vector(word) + (word[-1:],))
+        code = main(["verify", "--presentation", str(surface_file), "--radius", "4",
+                     "--out", str(tmp_path / "out")])
+        out = capsys.readouterr().out
+        assert code == 1
+        for check in ("ball_adjacency_involutive", "boundary_identity", "cocycle_identity"):
+            assert f"FAIL {check} [" in out
 
     def test_norm_formula_compares_with_chain_arithmetic(self, f2_file, tmp_path,
                                                          capsys, monkeypatch):
@@ -640,7 +723,7 @@ class TestVerify:
     @pytest.mark.parametrize("radius", [0, 1])
     def test_radius_below_two_is_input_error(self, surface_file, tmp_path,
                                              capsys, radius):
-        # the sampled checks would see only the identity
+        # the s-ball checks would see only the identity
         out = tmp_path / "out"
         assert main(["verify", "--presentation", str(surface_file),
                      "--radius", str(radius), "--out", str(out)]) == 2
@@ -721,11 +804,11 @@ FAULTS = [
     (_misroute_edge_a_b, F2, "ball_adjacency_involutive", "edge a -b-> aB"),
     (_empty_boundary_of_ab, F2, "boundary_identity", "boundary of q[e,ab] is {}"),
     (_empty_chain_of_ab, F2, "combing_lower_bound", "||q[e,ab]||_1 < d for ab"),
-    (_doubled_translates, F2, "equivariance", "translate mismatch for s=b z=b"),
-    (_doubled_forward_chains, SURFACE, "antisymmetry", "q[D,d] + q[d,D] != 0"),
+    (_doubled_translates, F2, "equivariance", "translate mismatch for s=e z=a"),
+    (_doubled_forward_chains, SURFACE, "antisymmetry", "q[a,A] + q[A,a] != 0"),
     (_residual_at_a_b, F2, "cocycle_identity", "residual 1 at (a, b)"),
     (_every_vector_over_bound, F2, "per_vector_bound",
-     "lhs 1 > rhs 0 for s=A supp=['BB', 'aB', 'b', 'bb']"),
+     "lhs 1 > rhs 0 for s=e supp=['e', 'a']"),
 ]
 
 

@@ -232,16 +232,22 @@ class TestPerVectorBound:
         res = per_vector_bound_check("a", EVector(), tree_kernel)
         assert res == type(res)(0.0, 0.0, True, 0.0)
 
-    def test_surface_samples_pass(self, surface_kernel, surface_ball4):
-        rng = random.Random(47)
-        inner = surface_ball4.size_within(2)
-        for _ in range(30):
-            s = surface_ball4.elements[rng.randrange(inner)]
-            v = _random_mean_zero(rng, surface_ball4.elements[:inner])
-            res = per_vector_bound_check(s, v, surface_kernel)
-            assert res.passed
-            # decided exactly, with no tolerance
-            assert all(isinstance(x, Fraction) for x in (res.lhs, res.rhs, res.excess))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_surface_samples_pass(self, surface_kernel, surface_ball4, data):
+        # s from the s ball and a 4-point mean-zero v on the pair ball of the
+        # r=4 scan split (2, 2)
+        s_ball, pair_ball = (surface_ball4.elements[:surface_ball4.size_within(r)]
+                             for r in surface_kernel.scan_split)
+        s = data.draw(st.sampled_from(s_ball))
+        support = data.draw(st.lists(st.sampled_from(pair_ball), min_size=4, max_size=4,
+                                     unique=True))
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+        coeffs[-1] -= sum(coeffs)
+        res = per_vector_bound_check(s, EVector(dict(zip(support, coeffs))), surface_kernel)
+        assert res.passed
+        # decided exactly, with no tolerance
+        assert all(isinstance(x, Fraction) for x in (res.lhs, res.rhs, res.excess))
 
 
 class TestUniformBound:
