@@ -57,11 +57,9 @@ class TreeActionSpec:
                         f"{self.target_rank} target alphabet"
                     )
         for rel in self.presentation.relators:
-            if free_reduce(self.apply(rel)) != "":
-                raise ActionError(
-                    f"not a homomorphism: relator {rel!r} maps to "
-                    f"{free_reduce(self.apply(rel))!r}, not the identity"
-                )
+            if image := self.apply(rel):  # freely reduced
+                raise ActionError(f"not a homomorphism: relator {rel!r} maps to "
+                                  f"{image!r}, not the identity")
 
     def apply(self, word: str) -> str:
         """Image of a source word in the target free group (freely reduced)."""
@@ -100,8 +98,7 @@ def parse_action(text: str, presentation: GroupPresentation) -> TreeActionSpec:
         if "->" not in line:
             raise ActionError(f"action line {line!r} lacks '->'")
         gen, _, img = line.partition("->")
-        gen = gen.strip()
-        img = img.strip()
+        gen, img = gen.strip(), img.strip()
         if img == "e":
             img = ""
         if gen in images:
@@ -224,7 +221,9 @@ def validate_quasitree_kernel(data: QuasiTreeKernelInput) -> QuasiTreeReport:
     """Check the sandwich d - delta <= K <= d on every pair in rationals, and
     negative type: a centered minimum eigenvalue >= -n eps ||K/2||_F, the rule
     of ``numpy.linalg.matrix_rank`` on a bound of the centered form's spectral
-    norm, computed from the float K.  The declared delta is recorded as-is."""
+    norm, computed from the float K over the power of two at its largest entry
+    (exact, and no overflow: negative type does not depend on scale), scaled
+    back; a non-finite value fails.  The declared delta is recorded as-is."""
     import numpy as np  # only the negative-type check needs it
 
     failures: list[str] = []
@@ -245,13 +244,15 @@ def validate_quasitree_kernel(data: QuasiTreeKernelInput) -> QuasiTreeReport:
                                 f"K={float(k)} < d - delta = {float(d - delta)}")
             if k < 0:
                 failures.append(f"negative kernel value on ({x!r}, {y!r})")
-    tolerance = n * float(np.finfo(float).eps * np.linalg.norm(mat)) / 2
+    scale = float(np.ldexp(1.0, np.frexp(np.abs(mat).max(initial=0.0))[1] - 1))
+    mat /= scale
+    tolerance = n * float(np.finfo(float).eps * np.linalg.norm(mat)) / 2 * scale
     min_eig = float("nan")
     if n < 2:
         failures.append(f"{n} label(s): the checks need at least two")
     else:
-        min_eig = centered_min_eigenvalue(mat)
-        if min_eig < -tolerance:
+        min_eig = centered_min_eigenvalue(mat) * scale
+        if not (np.isfinite([min_eig, tolerance]).all() and min_eig >= -tolerance):
             failures.append(
                 f"conditional negative definiteness fails: centered min eigenvalue {min_eig}"
             )

@@ -12,7 +12,7 @@ and the working norm is ||v||_E = ||v||_f + ||v||_1.  Every kernel here is
 2K(x, y) = |F_x - F_y|^2, so for mean-zero v, Q(v) = 1/2 |F^T v|^2 (Schoenberg):
 it is read exactly off F's rows and is never negative, so the inequalities
 below are decided in rationals; floats enter only through square roots
-(the operator-norm lower bound compares its candidates in integers first).
+(the operator-norm lower bound takes them of distinct integer pairs only).
 The left translation representation pi(s)v(x) = v(s^-1 x) preserves ||.||_1
 exactly and moves ||.||_f by at most the displacement excess of K; the
 cocycle b(s) = delta_s - delta_e turns pi into an affine action whose growth
@@ -125,13 +125,10 @@ def per_vector_bound_check(s: str, v: EVector, kernel: DisplacementKernel) -> Bo
     the two-sided quantity is the one the inequality needs.)  The left side
     is formed from the translated vector pi(s)v, independently of the kernel
     indices of the translates that give the excess."""
-    if not v.coeffs:
-        return BoundCheck(Fraction(0), Fraction(0), True, Fraction(0))
-    idx = [kernel.index_of(w) for w in v.coeffs]
-    excess = Fraction(max(abs(d) for row in kernel.translate_excess(s, idx) for d in row), 2)
+    rows = kernel.translate_rows(s, [kernel.index_of(w) for w in v.coeffs])
+    excess = Fraction(max((abs(t - u) for f, m in rows for u, t in zip(f, m)), default=0), 2)
     lhs = quadratic_form(rep_apply(s, v, kernel.ball), kernel) - quadratic_form(v, kernel)
-    l1 = v.l1_norm()
-    rhs = excess * l1 * l1 / 2
+    rhs = excess * v.l1_norm() ** 2 / 2
     return BoundCheck(lhs=lhs, rhs=rhs, passed=lhs <= rhs, excess=excess)
 
 
@@ -155,9 +152,10 @@ def op_norm_lower_bound(s: str, kernel: DisplacementKernel, radius: int) -> OpNo
     delta_y, x < y in S = ball(radius): a lower bound on the norm of pi(s)
     restricted to the mean-zero vectors on S.  Such v has ||v||_1 = 2 and
     Q(v) = K(x, y), and pi(s)v = delta_sx - delta_sy, so the ratio is
-    (sqrt K(sx, sy) + 2) / (sqrt K(x, y) + 2).  2K[sS, sS] and 2K[S, S] are
-    read a row pair at a time; the largest 2K(sx, sy) beside each value of
-    2K(x, y) is kept in integers, and only those pairs meet a square root.
+    (sqrt K(sx, sy) + 2) / (sqrt K(x, y) + 2).  It reduces the kernel's one
+    read of the translate block, the distinct (2K(x, y), 2K(sx, sy)) over x < y
+    (:meth:`DisplacementKernel.translate_pairs`, shared with M): the largest
+    2K(sx, sy) beside each 2K(x, y) wins, and only those pairs meet a sqrt.
 
     On the kernel's scan split (s in the ball of its s radius, ``radius``
     its pair radius) the value is bracketed by proof:
@@ -169,21 +167,14 @@ def op_norm_lower_bound(s: str, kernel: DisplacementKernel, radius: int) -> OpNo
     - value <= sqrt(M/2) + 1: K(sx, sy) <= K(x, y) + M on the scan split, so
       each ratio is at most (sqrt(K + M) + 2) / (sqrt K + 2) <= 1 + sqrt(M)/2
       <= sqrt(M/2) + 1."""
-    ball = kernel.ball
-    n = ball.size_within(radius)
+    n = kernel.ball.size_within(radius)
     if n < 2:
         raise ValueError("need at least two elements to span mean-zero vectors")
     if s == "":
         return OpNormResult(value=1.0, iterations=0)
-    trans = [kernel.translate_index(s, x) for x in ball.elements[:n]]
-    top: dict[int, int] = {}  # 2K(x, y) -> the largest 2K(sx, sy) beside it
-    rows = zip(kernel.entry_rows(trans, trans), kernel.entry_rows(range(n), range(n)))
-    for i, (moved, fixed) in enumerate(rows, 1):
-        for t, u in zip(moved[i:], fixed[i:]):
-            if t > top.get(u, -1):
-                top[u] = t
-    value = max((math.sqrt(t / 2) + 2) / (math.sqrt(u / 2) + 2) for u, t in top.items())
-    return OpNormResult(value=value, iterations=n * (n - 1) // 2)
+    return OpNormResult(value=max((math.sqrt(t / 2) + 2) / (math.sqrt(u / 2) + 2)
+                                  for u, t in kernel.translate_pairs(s, radius)),
+                        iterations=n * (n - 1) // 2)
 
 
 # -- properness reporting --------------------------------------------------------

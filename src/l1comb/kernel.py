@@ -21,15 +21,14 @@ is evaluated exactly by counting the columns rows i and j share, and no
 n x n matrix is ever stored.  Since every entry is a squared distance of
 integer vectors, 2K is of negative type, and every inequality read off it is
 decided exactly, conditional negative definiteness from F's structure alone
-(:meth:`SlotEmbedding.defect`).  2K is read as blocks of Python ints, a row
-at a time (:meth:`DisplacementKernel.entry_rows`: the displacement scan), or
-as dense rows over a range (:meth:`~DisplacementKernel.row`: :func:`kernel_dump`,
-the cocycle rows, cross-validation); the E-space form Q(v) = 1/2 |F^T v|^2
-reads F itself (:meth:`SlotEmbedding.form`).  numpy is imported, in their
-bodies, only by the float matrix ``values`` and the eigenvalue routines.  A
-translate s x is named on the ball's table (:meth:`CayleyBall.name_step`),
-and the displacement constant M is measured over the scan split on first
-read."""
+(:meth:`SlotEmbedding.defect`).  2K is read as Python ints: dense rows over a
+range (:meth:`DisplacementKernel.row`: :func:`kernel_dump`, the cocycle rows,
+cross-validation), and the one translate-block reader, 2K(x, .) beside
+2K(sx, s.) over y after x (:meth:`~DisplacementKernel.translate_rows`: the
+displacement scan), whose distinct pairs M and the operator-norm bound share.
+The E-space form reads F itself (:meth:`SlotEmbedding.form`), numpy is loaded
+only by the float ``values`` and the eigenvalue routines, and a translate s x
+is named on the ball's table (:meth:`CayleyBall.name_step`)."""
 
 from __future__ import annotations
 
@@ -54,14 +53,14 @@ class DisplacementKernel:
     """Symmetric kernel over (a radius prefix of) a Cayley ball, stored as the
     slot embedding F of its doubled chains alone.
 
-    Every read of 2K goes through :meth:`entry_rows` (a block, a row at a
-    time; :meth:`entries` lists it) or :meth:`row` (a dense row), and both
-    serve ``overrides[i, j]`` in place of entry (i, j), as ``verify
-    --sabotage-diagonal`` does; the E-space form (:meth:`SlotEmbedding.form`)
-    reads F itself.  ``bicombing`` is the combing a kernel was built from,
-    and None for a tree action's orbit kernel; the combing bounds
-    (properness, two-triangle decomposition, cross-validation) apply only
-    when it is set."""
+    Every read of 2K goes through :meth:`row` (a dense row; :meth:`entries`
+    reads blocks off it) or :meth:`translate_rows` (a translate block beside
+    its base, right of the diagonal), and both serve ``overrides[i, j]`` in
+    place of the entry (i, j) they read, as ``verify --sabotage-diagonal``
+    does; the E-space form (:meth:`SlotEmbedding.form`) reads F itself.
+    ``bicombing`` is the combing a kernel was built from, and None for a tree
+    action's orbit kernel; the combing bounds (properness, two-triangle
+    decomposition, cross-validation) apply only when it is set."""
 
     def __init__(self, ball: CayleyBall, embedding: SlotEmbedding, radius: int,
                  bicombing: BicombingSpec | None = None):
@@ -69,6 +68,7 @@ class DisplacementKernel:
         self.embedding = embedding
         self.radius = radius
         self.bicombing = bicombing
+        self._translate_pairs: dict[tuple[str, int], frozenset[tuple[int, int]]] = {}
 
     # no matrix is stored; the benchmark tracer (perfbench/tracer.py) reads
     # this name until its kernel.matrix_bytes upkeep (ROADMAP direction 1)
@@ -101,14 +101,9 @@ class DisplacementKernel:
         return out
 
     def entries(self, rows, cols) -> list[list[int]]:
-        """The exact block 2K[rows, cols] of two index sequences, as int lists."""
-        return list(self.entry_rows(rows, cols))
-
-    def entry_rows(self, rows, cols):
-        """The rows of :meth:`entries`, yielded one at a time."""
-        over = self.overrides
-        for i, row in zip(rows, self.embedding.entry_rows(rows, cols)):
-            yield [over.get((i, j), t) for j, t in zip(cols, row)] if over else row
+        """The exact block 2K[rows, cols] of two index sequences, as int lists
+        read off the dense rows."""
+        return [[dense[j] for j in cols] for dense in map(self.row, rows)]
 
     @functools.cached_property
     def values(self) -> np.ndarray:
@@ -137,19 +132,33 @@ class DisplacementKernel:
         stays in the ball; raises :class:`OutOfBallError` outside the kernel."""
         return self.index_of(self.ball.name_step(s, x))
 
-    def translate_excess(self, s: str, indices, base=None):
-        """Yield exact 2K(sx, sy) - 2K(x, y) over x, y in the index sequence a
-        row at a time; ``base`` is 2K[I, I] when the caller has read it."""
+    def translate_rows(self, s: str, indices):
+        """The one translate-block reader: the row pairs (2K(x, .), 2K(sx, s.))
+        over y after x in the index list or range, x in turn.  It reads one
+        triangle, as every F-served kernel is symmetric and zero on the
+        diagonal (``verify`` decides it as ``kernel_symmetry``)."""
         trans = [self.translate_index(s, self.ball.elements[i]) for i in indices]
-        base = self.entry_rows(indices, indices) if base is None else base
-        for moved, fixed in zip(self.entry_rows(trans, trans), base):
-            yield [t - u for t, u in zip(moved, fixed)]
+        return zip(self._upper_rows(indices), self._upper_rows(trans))
+
+    def _upper_rows(self, idx):
+        over = self.overrides
+        for k, (i, row) in enumerate(zip(idx, self.embedding.upper_rows(idx)), 1):
+            yield [over.get((i, j), t) for j, t in zip(idx[k:], row)] if over else row
+
+    def translate_pairs(self, s: str, radius: int) -> frozenset[tuple[int, int]]:
+        """The distinct (2K(x, y), 2K(sx, sy)) over x < y in the ball of the
+        radius, read once and kept per (s, radius): a few pairs, where the
+        block holds |S|^2, that M and the operator-norm bound both reduce."""
+        if (s, radius) not in self._translate_pairs:
+            rows = self.translate_rows(s, range(self.ball.size_within(radius)))
+            self._translate_pairs[s, radius] = frozenset(p for f, m in rows for p in zip(f, m))
+        return self._translate_pairs[s, radius]
 
     def value(self, i: int, j: int) -> float:
-        return self.entries([i], [j])[0][0] / 2.0
+        return self.row(i, j, j + 1)[0] / 2.0
 
     def exact(self, i: int, j: int) -> Fraction:
-        return Fraction(self.entries([i], [j])[0][0], 2)
+        return Fraction(self.row(i, j, j + 1)[0], 2)
 
 
 # kernel_dump's ",{K}\n" by 2K: exact kernels take few distinct values, so
@@ -293,22 +302,23 @@ class SlotEmbedding:
             self.col_rows[counts[c]] = i
             counts[c] += 1
 
-    def entry_rows(self, rows, cols):
-        """Exact |F_i|^2 + |F_j|^2 - 2 <F_i, F_j> over i in the sequence rows, j
-        in cols, one list of ints per row, yielded in turn: F_i's columns are
-        looked up in an index of the cols' columns, so the work grows with the
-        block, not the ball, and only the index outlives a row."""
+    def upper_rows(self, rows):
+        """Row k of 2K[rows, rows] over rows[k+1:], exact |F_i|^2 + |F_j|^2 -
+        2 <F_i, F_j>, yielded in turn: row k, the first left in the increasing
+        holder list of each of its columns, drops itself and decrements the
+        rest, so the work grows with the block, not the ball."""
         ptr, cols_of, norms = self.ptr, self.cols, self.norms
-        col_norms = [norms[j] for j in cols]
         holders: dict[int, list[int]] = {}
-        for b, j in enumerate(cols):
+        for b, j in enumerate(rows):
             for c in cols_of[ptr[j]:ptr[j + 1]]:
                 holders.setdefault(c, []).append(b)
-        for i in rows:
-            out = [norms[i] + t for t in col_norms]
+        col_norms = [norms[j] for j in rows]
+        for k, i in enumerate(rows, 1):
+            out = [norms[i] + t for t in col_norms[k:]]
             for c in cols_of[ptr[i]:ptr[i + 1]]:
-                for b in holders.get(c, ()):
-                    out[b] -= 2
+                del holders[c][0]
+                for b in holders[c]:
+                    out[b - k] -= 2
             yield out
 
     def form(self, pairs) -> Fraction:
@@ -324,7 +334,7 @@ class SlotEmbedding:
         return Fraction(sum(t * t for t in sums.values()), 2)
 
     def row(self, i: int, lo: int = 0, hi: int | None = None) -> list[int]:
-        """Row i of :meth:`entry_rows` over j in lo..hi-1 (every j by default), as
+        """Row i of 2K over j in lo..hi-1 (every j by default), as
         one list of ints: entry j is decremented once per column it shares with
         F_i (few columns), whose increasing rows are bisected to the range."""
         col_ptr, col_rows, norm = self.col_ptr, self.col_rows, self.norms[i]
@@ -406,10 +416,11 @@ def displacement_decomposition(kernel: DisplacementKernel, s: str,
             "the two-triangle decomposition needs an antisymmetric combing"
         )
     indices, words = list(indices), kernel.ball.elements
-    return [DecompositionRow(words[a], words[b], Fraction(d2, 2),
+    rows = kernel.translate_rows(s, indices)
+    return [DecompositionRow(words[a], words[b], Fraction(t - u, 2),
                              *two_triangle_bound(spec, s, words[a], words[b]))
-            for a, diff2 in zip(indices, kernel.translate_excess(s, indices))
-            for b, d2 in zip(indices, diff2) if b > a]
+            for k, (a, (fixed, moved)) in enumerate(zip(indices, rows), 1)
+            for b, u, t in zip(indices[k:], fixed, moved)]
 
 
 def empirical_displacement_constant(kernel: DisplacementKernel, s_radius: int,
@@ -418,15 +429,12 @@ def empirical_displacement_constant(kernel: DisplacementKernel, s_radius: int,
     s_radius ball and pairs in the pair_radius ball.  Two-sidedness makes
     sqrt(M/2) + 1 a valid uniform bound on the scanned range."""
     b = kernel.ball
-    n_s, pairs = b.scan_size(s_radius, "s"), range(b.scan_size(pair_radius, "pair"))
+    n_s, _ = b.scan_size(s_radius, "s"), b.scan_size(pair_radius, "pair")
     if b.size_within(s_radius + pair_radius) > kernel.n:
         raise OutOfBallError(f"scan split ({s_radius}, {pair_radius}) exceeds the kernel radius")
-    base = kernel.entries(pairs, pairs)
-    # element 0 is the identity, whose translates are the pairs themselves;
-    # each s's excess is reduced a row at a time beside the one block base
-    return max((abs(d) for s in b.elements[1:n_s]
-                for row in kernel.translate_excess(s, pairs, base=base) for d in row),
-               default=0) / 2.0
+    # element 0 is the identity, whose translates are the pairs themselves
+    return max((abs(t - u) for s in b.elements[1:n_s]
+                for u, t in kernel.translate_pairs(s, pair_radius)), default=0) / 2.0
 
 
 # -- conditional negative definiteness ----------------------------------------

@@ -221,6 +221,23 @@ class TestNormsAndOpnorm:
             word, d, nf, nl1, ne, lower = line.split(",")
             assert abs(float(ne) - (math.sqrt(int(d)) + 2.0)) < 1e-9
 
+    def test_opnorm_reads_each_translate_block_once(self, f2xf2, tmp_path, monkeypatch):
+        # M and the op-norm rows reduce one kept set of pairs per (s, radius),
+        # so the split (1, 1) reads the translate block of each s != e once
+        calls = []
+        read = kernel_module.DisplacementKernel.translate_rows
+
+        def counted(kernel, s, indices):
+            calls.append(s)
+            return read(kernel, s, indices)
+
+        monkeypatch.setattr(kernel_module.DisplacementKernel, "translate_rows", counted)
+        pres = tmp_path / "prod.txt"
+        pres.write_text(PRODUCT)
+        assert main(["opnorm", "--presentation", str(pres), "--radius", "2",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert calls == ball(f2xf2, 1).elements[1:]
+
     def test_opnorm_bounded_by_one_on_tree(self, f2_file, tmp_path):
         out = tmp_path / "out"
         assert main(["opnorm", "--presentation", str(f2_file), "--radius", "2",
@@ -953,6 +970,33 @@ class TestActionCommand:
         (out / "quasitree.csv").unlink()
         assert main(argv + ["--tol", "1e-3"]) == 2
         assert not (out / "quasitree.csv").exists()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e160, 1e200, 1e307])
+    def test_quasitree_cnd_verdict_does_not_depend_on_scale(self, f2_file, tmp_path,
+                                                              capsys, scale):
+        # K = d on the graph K_{2,3} is not of negative type at any scale;
+        # ||K/2||_F used to overflow past ~1e154, the tolerance read inf and
+        # the eigenvalue test could no longer fail
+        left, right = ("a1", "a2"), ("b1", "b2", "b3")
+        labels = left + right
+        rows = [f"{x},{y},{t!r},{t!r}" for i, x in enumerate(labels) for y in labels[i + 1:]
+                for t in [(1 if (x in left) != (y in left) else 2) * scale]]
+        path = tmp_path / "k23.csv"
+        path.write_text("delta: 0\nx,y,d,K\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        assert main(["action", "--presentation", str(f2_file), "--quasitree", str(path),
+                     "--out", str(out)]) == 1
+        assert "conditional negative definiteness fails" in capsys.readouterr().out
+        header = dict(re.findall(r"^# (\w+): (.*)$", (out / "quasitree.csv").read_text(),
+                                 re.M))
+        assert 0 < float(header["tolerance"]) < float("inf")
+
+    def test_quasitree_tree_metric_passes_far_above_overflow(self, f2_file, tmp_path):
+        path = tmp_path / "tree.csv"
+        path.write_text("delta: 0\nx,y,d,K\ne,a,1e200,1e200\ne,b,1e200,1e200\n"
+                        "a,b,2e200,2e200\n")
+        assert main(["action", "--presentation", str(f2_file), "--quasitree", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
 
     def test_tol_leaves_the_sandwich_alone(self, f2_file, tmp_path, capsys):
         # the sandwich is decided exactly, with no slack: K = d + 1e-6 fails

@@ -416,24 +416,24 @@ class TestProperness:
             assert row.norm_e >= row.lower_bound - 1e-9
 
     def test_reads_row_zero_once(self, surface_kernel):
-        # every read of 2K is counted, as a block (entries reads entry_rows)
-        # or as a row
+        # every read of 2K is counted, as a translate block or as a row
+        # (entries reads rows)
         reads = []
-        entry_rows, row = surface_kernel.entry_rows, surface_kernel.row
+        translate_rows, row = surface_kernel.translate_rows, surface_kernel.row
 
-        def counted_entry_rows(rows, cols):
-            reads.append(("entry_rows", list(rows)))
-            return entry_rows(rows, cols)
+        def counted_translate_rows(s, indices):
+            reads.append(("translate_rows", s))
+            return translate_rows(s, indices)
 
         def counted_row(i, lo=0, hi=None):
             reads.append(("row", i, lo, hi))
             return row(i, lo, hi)
 
-        surface_kernel.entry_rows, surface_kernel.row = counted_entry_rows, counted_row
+        surface_kernel.translate_rows, surface_kernel.row = counted_translate_rows, counted_row
         try:
             properness_report(surface_kernel)
         finally:
-            del surface_kernel.entry_rows, surface_kernel.row
+            del surface_kernel.translate_rows, surface_kernel.row
         assert reads == [("row", 0, 0, None)]
 
     def test_sphere_minima_nondecreasing(self, tree_kernel):

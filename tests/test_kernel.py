@@ -587,10 +587,33 @@ def test_guard_rejects_its_input(tree_spec, call, error, match):
         call(tree_spec)
 
 
-def test_displacement_scan_holds_one_block(f2):
-    # the scan split (3, 4) of the F2 r=7 kernel reads 161 pairs: the base
-    # block 2K[P, P] is held once, and each translate's excess is reduced a
-    # row at a time, never as a second |P|^2 block
+@pytest.mark.parametrize("pres, radius", [("f2", 4), ("surface", 3), ("f2xf2", 3)])
+def test_translate_reader_equals_the_full_blocks(request, pres, radius):
+    # the one translate-block reader reads y after x only, as 2K is symmetric
+    # and zero on the diagonal: against both full entries blocks, for every s
+    # of the scan split, e included; M against the full blocks' largest
+    # |2K(sx, sy) - 2K(x, y)|, diagonal included
+    b = ball(request.getfixturevalue(pres), radius)
+    kernel = kernel_from_bicombing(make_bicombing("shortlex_antisymmetrized", b))
+    s_radius, pair_radius = kernel.scan_split
+    pairs = range(b.size_within(pair_radius))
+    worst = 0
+    for s in b.elements[:b.size_within(s_radius)]:
+        trans = [kernel.translate_index(s, b.elements[i]) for i in pairs]
+        fixed, moved = kernel.entries(pairs, pairs), kernel.entries(trans, trans)
+        assert list(kernel.translate_rows(s, pairs)) == [
+            (fixed[a][a + 1:], moved[a][a + 1:]) for a in pairs]
+        assert kernel.translate_pairs(s, pair_radius) == {
+            (fixed[a][c], moved[a][c]) for a in pairs for c in pairs if a != c}
+        worst = max(worst, *(abs(t - u) for fr, mr in zip(fixed, moved)
+                             for u, t in zip(fr, mr)))
+    assert empirical_displacement_constant(kernel, s_radius, pair_radius) == worst / 2
+
+
+def test_displacement_scan_holds_no_block(f2):
+    # the scan split (3, 4) of the F2 r=7 kernel reads 161 pairs: each s's
+    # row pairs are reduced in turn into its set of distinct pairs, so no
+    # |P|^2 block is held, not even the base block 2K[P, P]
     kernel = kernel_from_bicombing(make_bicombing("tree_geodesic", ball(f2, 7)))
     pairs = range(kernel.ball.size_within(4))
     tracemalloc.start()
@@ -605,7 +628,7 @@ def test_displacement_scan_holds_one_block(f2):
     finally:
         tracemalloc.stop()
     assert len(pairs) == 161
-    assert peak < 2.5 * size
+    assert peak < size
 
 
 def test_engine_peak_memory_stays_near_its_output(f2):
