@@ -37,6 +37,7 @@ from .bicombing import (
     translate_chain,
 )
 from .kernel import (
+    DisplacementKernel,
     cnd_min_eigenvalue,  # not called here; perfbench/tracer.py wraps it
     kernel_cross_validate,
     kernel_dump,
@@ -171,13 +172,12 @@ def cmd_bicombing_stats(config: argparse.Namespace) -> int:
     # must reach the pairwise products
     ambient = config.radius if pres.has_geodesic_normal_forms else 2 * config.radius
     b = ball(pres, ambient, cap=config.cap)
-    rows = []
     if config.bicombing_kind == "shortlex_antisymmetrized":
         raw = make_bicombing("shortlex", b)
-        rows.append(_stats_for_kind(raw, config))
-        rows.append(_stats_for_kind(antisymmetrize(raw), config))
+        specs = [raw, antisymmetrize(raw)]
     else:
-        rows.append(_stats_for_kind(make_bicombing(config.bicombing_kind, b), config))
+        specs = [make_bicombing(config.bicombing_kind, b)]
+    rows = [_stats_for_kind(spec, config) for spec in specs]
     path = _write_csv(
         config, "bicombing.csv",
         ["kind", "M_emp", "witness_x", "witness_y", "witness_z",
@@ -197,8 +197,7 @@ def cmd_norms(config: argparse.Namespace) -> int:
         raise PresentationError(f"--kernel-radius must lie in 0..{config.radius} "
                                 f"(the --radius), got {dump_radius}")
     b = ball(config.presentation, config.radius, cap=config.cap)
-    spec = make_bicombing(config.bicombing_kind, b)
-    kernel = kernel_from_bicombing(spec)
+    kernel = kernel_from_bicombing(make_bicombing(config.bicombing_kind, b))
     path = config.out_dir / "norms.csv"
     try:
         # each row is checked, written and dropped in turn
@@ -218,8 +217,7 @@ def cmd_norms(config: argparse.Namespace) -> int:
 
 def cmd_opnorm(config: argparse.Namespace) -> int:
     b = ball(config.presentation, config.radius, cap=config.cap)
-    spec = make_bicombing(config.bicombing_kind, b)
-    kernel = kernel_from_bicombing(spec)
+    kernel = kernel_from_bicombing(make_bicombing(config.bicombing_kind, b))
     s_radius, v_radius = kernel.scan_split
     upper = uniform_bound(kernel.displacement_constant)
     rows = []
@@ -277,10 +275,10 @@ def verify_suite(config: argparse.Namespace) -> tuple[dict[str, str | None], dic
     norm formula, conditional negative definiteness, per-vector bound,
     properness, plus the structural chain checks feeding them; each decides a
     named finite set, so nothing is drawn.  The exact kernel checks read F's
-    structure and each override, in O(nnz + |overrides|); the per-element
-    checks share one pass over the ball that reads no row of 2K and builds
-    each chain q[e, s] once, and the pair checks one pass over the ordered
-    pairs of the s ball.  Returns check name -> its first failing witness, or
+    structure and each served entry, in O(nnz + |overrides|); the per-element
+    checks share one pass over the ball that reads 2K's row e and diagonal
+    and builds each chain q[e, s] once, and the pair checks one pass over the
+    ordered pairs of the s ball.  Returns check name -> its first failing witness, or
     None if it passed, in report order, and check name -> the items it decided."""
     b = ball(config.presentation, config.radius, cap=config.cap)
     sabotage = config.sabotage_diagonal
@@ -291,8 +289,9 @@ def verify_suite(config: argparse.Namespace) -> tuple[dict[str, str | None], dic
         )
     spec = make_bicombing(config.bicombing_kind, b)
     kernel = kernel_from_bicombing(spec)
-    if sabotage is not None:
-        kernel.overrides = {(sabotage, sabotage): 2}
+    if sabotage is not None:  # served over the built kernel's F and entries
+        kernel = DisplacementKernel(b, kernel.embedding, kernel.radius, spec,
+                                    {**kernel.overrides, (sabotage, sabotage): 2})
     n = len(b)
     inner = b.elements[:b.size_within(kernel.scan_split[0])]
     k, n_pair = len(inner), b.size_within(kernel.scan_split[1])
@@ -322,7 +321,7 @@ def verify_suite(config: argparse.Namespace) -> tuple[dict[str, str | None], dic
 
     # F is a 0/1 matrix with its exact column index, so every entry it serves
     # is a squared distance |F_i - F_j|^2: symmetric, zero on the diagonal,
-    # non-negative and CND (Schoenberg); only the overrides are left to read
+    # non-negative and CND (Schoenberg); only the served entries are left to read
     if (defect := kernel.embedding.defect()) is not None:
         for name in ("kernel_diagonal_zero", "kernel_symmetry", "kernel_nonnegative",
                      "kernel_cnd"):
@@ -338,8 +337,8 @@ def verify_suite(config: argparse.Namespace) -> tuple[dict[str, str | None], dic
         if kernel.embedding.row(i, j, j + 1)[0] != t:
             fail("kernel_cnd", f"2K{(i, j)} is not its slot-embedding distance")
 
-    # one pass over the ball, which reads no row of 2K: element s's chain
-    # q[e, s] is built, checked and dropped in turn
+    # one pass over the ball, which reads 2K's row e and diagonal: element s's
+    # chain q[e, s] is built, checked and dropped in turn
     row_e = kernel.row(0)  # 2K(e, .)
     degree = len(b.presentation.alphabet)
     for i, s in enumerate(b.elements):
@@ -361,11 +360,11 @@ def verify_suite(config: argparse.Namespace) -> tuple[dict[str, str | None], dic
         norm = chain.l1_norm()
         if norm < len(s):
             fail("combing_lower_bound", f"||q[e,{_word(s)}]||_1 < d for {_word(s)}")
-        # ||b(s)||_1 = 2, so ||b(s)||_E = sqrt(K(s, e)) + 2 iff Q(b(s)) =
-        # (4K(s, e) - 2K(s, s) - 2K(e, e)) / 4 equals K(s, e) = ||q[e,s]||_1,
-        # here computed by chain arithmetic; K(s, e) is read from row e and
-        # 2K(s, s), F's zero, from the overrides, symmetry checked on its own
-        direct = Fraction(2 * row_e[i] - kernel.overrides.get((i, i), 0) - row_e[0], 4)
+        # ||b(s)||_1 = 2, so ||b(s)||_E = sqrt(K(s, e)) + 2 iff Q(b(s)) = (4K(s, e) -
+        # 2K(s, s) - 2K(e, e)) / 4 equals K(s, e) = ||q[e,s]||_1, here by chain arithmetic;
+        # 2K(s, s) is read from row s; 0 off a malformed F, where a range read is unsound
+        diagonal = 0 if defect else kernel.row(i, i, i + 1)[0]
+        direct = Fraction(2 * row_e[i] - diagonal - row_e[0], 4)
         if direct != norm:
             fail("norm_formula",
                  f"Q(b({_word(s)})) = {direct} but ||q[e,{_word(s)}]||_1 = {norm}")

@@ -133,10 +133,13 @@ def per_vector_bound_check(s: str, v: EVector, kernel: DisplacementKernel) -> Bo
 
 
 def uniform_bound(displacement_constant: float) -> float:
-    """sqrt(M/2) + 1: the operator-norm bound the displacement constant buys."""
+    """sqrt(M/2) + 1, the operator-norm bound M buys, as a float rounded up."""
     if displacement_constant < 0:
         raise ValueError("displacement constant must be nonnegative")
-    return math.sqrt(displacement_constant / 2.0) + 1.0
+    x = math.sqrt(displacement_constant / 2.0) + 1.0
+    while (Fraction(x) - 1) ** 2 < Fraction(displacement_constant) / 2:
+        x = math.nextafter(x, math.inf)
+    return x
 
 
 # -- operator norm lower bound ---------------------------------------------------

@@ -481,9 +481,7 @@ class CayleyBall:
         offsets = [0] * (self.radius + 2)
         for w in self.elements:
             offsets[len(w) + 1] += 1
-        for r in range(1, self.radius + 2):
-            offsets[r] += offsets[r - 1]
-        return offsets
+        return list(itertools.accumulate(offsets))
 
     def sphere_sizes(self) -> list[int]:
         off = self.sphere_offsets

@@ -12,8 +12,8 @@ copy; :func:`feature_embed` is the reference embedding.  A tree action's
 kernel (:func:`l1comb.actions.orbit_kernel`) feeds the same engine the
 doubled tree paths of its orbit, both through :func:`slot_keys`, and no
 other module knows F's layout.  :class:`SlotEmbedding` builds F in one pass
-over the slot keys, so a build peaks below twice the bytes of F.  F is a
-kernel's only stored state: every doubled entry,
+over the slot keys, so a build peaks below twice the bytes of F.  F and the
+entries a kernel is built to serve in F's place are its only state; entry
 
     2 K(x_i, x_j) = |F_i|^2 + |F_j|^2 - 2 <F_i, F_j>,
 
@@ -36,9 +36,10 @@ import functools
 import itertools
 from array import array
 from bisect import bisect_left
-from collections.abc import Collection, Iterable
+from collections.abc import Collection, Iterable, Mapping
 from fractions import Fraction
 from numbers import Rational
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .bicombing import BicombingSpec, Chain1, Edge, L1Vector, area, combing_chain
@@ -50,31 +51,30 @@ class NonIntegralChainError(ValueError):
 
 
 class DisplacementKernel:
-    """Symmetric kernel over (a radius prefix of) a Cayley ball, stored as the
-    slot embedding F of its doubled chains alone.
-
-    Every read of 2K goes through :meth:`row` (a dense row; :meth:`entries`
-    reads blocks off it) or :meth:`translate_rows` (a translate block beside
-    its base, right of the diagonal), and both serve ``overrides[i, j]`` in
-    place of the entry (i, j) they read, as ``verify --sabotage-diagonal``
-    does; the E-space form (:meth:`SlotEmbedding.form`) reads F itself.
+    """Symmetric kernel over (a radius prefix of) a Cayley ball, fixed when
+    built: the slot embedding F of its doubled chains, and ``overrides[i, j]``
+    served in place of the entry (i, j), a read-only mapping (``verify
+    --sabotage-diagonal`` builds one).  Every read of 2K serves them:
+    :meth:`row` (a dense row; :meth:`entries` and ``values`` read off it) and
+    :meth:`translate_rows` (a translate block beside its base, right of the
+    diagonal), and so M and the kept translate pairs; only
+    :meth:`SlotEmbedding.form` and :meth:`SlotEmbedding.defect` read F itself.
     ``bicombing`` is the combing a kernel was built from, and None for a tree
     action's orbit kernel; the combing bounds (properness, two-triangle
     decomposition, cross-validation) apply only when it is set."""
 
     def __init__(self, ball: CayleyBall, embedding: SlotEmbedding, radius: int,
-                 bicombing: BicombingSpec | None = None):
+                 bicombing: BicombingSpec | None = None, overrides: Mapping | None = None):
         self.ball = ball
         self.embedding = embedding
         self.radius = radius
         self.bicombing = bicombing
+        self.overrides = MappingProxyType(dict(overrides or {}))
         self._translate_pairs: dict[tuple[str, int], frozenset[tuple[int, int]]] = {}
 
     # no matrix is stored; the benchmark tracer (perfbench/tracer.py) reads
     # this name until its kernel.matrix_bytes upkeep (ROADMAP direction 1)
     twice = None
-    # replaced, never mutated: the class's empty dict is shared
-    overrides: dict[tuple[int, int], int] = {}
 
     @property
     def n(self) -> int:
@@ -88,12 +88,12 @@ class DisplacementKernel:
     @functools.cached_property
     def displacement_constant(self) -> float:
         """The two-sided empirical displacement bound over the scan split,
-        measured from the rows the kernel serves at the first read and kept."""
+        measured once, on the first read, from the rows the fixed kernel serves."""
         return empirical_displacement_constant(self, *self.scan_split)
 
     def row(self, i: int, lo: int = 0, hi: int | None = None) -> list[int]:
         """Entries lo..hi-1 (all by default) of row i of 2K, exact ints,
-        evaluated from F."""
+        evaluated from F, with the entries served in its place."""
         out = self.embedding.row(i, lo, hi)
         for (r, j), t in self.overrides.items():
             if r == i and lo <= j < lo + len(out):
@@ -107,13 +107,13 @@ class DisplacementKernel:
 
     @functools.cached_property
     def values(self) -> np.ndarray:
-        """Read-only float K as one n x n array, filled a row at a time from F
+        """Read-only float K as one n x n array, filled from the served rows
         and halved in place on the first read; tests and the tracer read it."""
         import numpy as np
 
         out = np.empty((self.n, self.n))
         for i in range(self.n):
-            out[i] = self.embedding.row(i)
+            out[i] = self.row(i)
         out /= 2.0
         out.flags.writeable = False
         return out

@@ -6,17 +6,17 @@ from l1comb import (
     kernel_from_bicombing,
     make_bicombing,
 )
+from l1comb.kernel import DisplacementKernel
 
 SWAP_RULES = tuple((x + y, y + x) for x in "cCdD" for y in "aAbB")
 
 
 def serve_rows(kernel, entries):
-    """Make ``kernel`` serve 2K with ``entries[i, j]`` in place of its own
-    values at (i, j), through both reads, ``kernel.row`` and
-    ``kernel.entries``; ``del kernel.overrides`` restores the values the
-    kernel evaluates from F."""
-    kernel.overrides = {**kernel.overrides, **entries}
-    return kernel
+    """A new kernel over ``kernel``'s F that serves 2K with ``entries[i, j]``
+    in place of the entry (i, j), on top of the entries ``kernel`` serves,
+    through every read of 2K; ``kernel`` itself is left as it was."""
+    return DisplacementKernel(kernel.ball, kernel.embedding, kernel.radius,
+                              kernel.bicombing, {**kernel.overrides, **entries})
 
 
 @pytest.fixture(scope="session")

@@ -331,7 +331,7 @@ class TestGrowthReport:
     def test_negative_orbit_row_raises(self, f2, f2_ball4):
         kernel = orbit_kernel(parse_action(IDENTITY_ACTION, f2), f2_ball4)
         i = kernel.index_of("ab")
-        serve_rows(kernel, {(0, i): -2})
+        kernel = serve_rows(kernel, {(0, i): -2})
         with pytest.raises(PropernessError, match="ab"):
             orbit_growth_report(kernel)
 

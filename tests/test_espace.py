@@ -255,6 +255,12 @@ class TestUniformBound:
         assert uniform_bound(0) == 1.0
         assert uniform_bound(2) == 2.0
         assert uniform_bound(8) == 3.0
+        # rounded up, by the least step: the float sum lies below the exact
+        # sqrt(M/2) + 1 at M = 1, 1.5, 3 and 6, among others
+        for m in (Fraction(k, 2) for k in range(101)):
+            x = uniform_bound(float(m))
+            assert (Fraction(x) - 1) ** 2 >= m / 2
+            assert m == 0 or (Fraction(math.nextafter(x, 0)) - 1) ** 2 < m / 2
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -446,7 +452,7 @@ class TestProperness:
 
         kernel = kernel_from_bicombing(tree_spec, radius=2)
         i = kernel.index_of("ab")
-        serve_rows(kernel, {(i, 0): 0, (0, i): 0})  # fake a collapsed norm
+        kernel = serve_rows(kernel, {(i, 0): 0, (0, i): 0})  # fake a collapsed norm
         with pytest.raises(PropernessError, match="ab"):
             properness_report(kernel)
 

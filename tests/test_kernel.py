@@ -91,6 +91,7 @@ def block_kernels(tree_kernel, surface, f2xf2, f2xf2_ball3):
 
     projection = parse_action("target_rank: 2\na -> a\nb -> b\nc -> e\nd -> e\n", f2xf2)
     return {
+        "f2-tree-r3": kernel_from_bicombing(tree_kernel.bicombing, radius=3),
         "f2-tree-r4": tree_kernel,
         "surface-anti-r3": kernel_from_bicombing(
             make_bicombing("shortlex_antisymmetrized", ball(surface, 3))),
@@ -123,14 +124,11 @@ def test_block_entries_equal_the_dense_rows(block_kernels, name, data):
                   "override column")
     dense = kernel.row(i)
     assert kernel.row(i, lo, hi) == dense[lo:hi]
-    serve_rows(kernel, {(i, j): dense[j] + 1})
-    try:
-        dense[j] += 1
-        assert kernel.row(i) == dense
-        assert kernel.row(i, lo, hi) == dense[lo:hi]
-        assert (kernel.row(i, lo, hi) != kernel.embedding.row(i, lo, hi)) == (lo <= j < hi)
-    finally:
-        del kernel.overrides
+    served = serve_rows(kernel, {(i, j): dense[j] + 1})
+    dense[j] += 1
+    assert served.row(i) == dense
+    assert served.row(i, lo, hi) == dense[lo:hi]
+    assert (served.row(i, lo, hi) != served.embedding.row(i, lo, hi)) == (lo <= j < hi)
 
 
 @pytest.mark.parametrize("name", ["f2-tree-r4", "surface-anti-r3", "f2xf2-orbit-r3"])
@@ -158,32 +156,73 @@ def test_quadratic_form_is_the_centered_block_form(block_kernels, name, data):
                               for cj, t in zip(c, row)), 4)
 
 
+@pytest.mark.parametrize("name", ["f2-tree-r3", "surface-anti-r3"])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_served_kernel_reads_what_its_rows_serve(block_kernels, name, data):
+    # a kernel is fixed when built: serving entries gives a new kernel whose
+    # M, translate pairs and values read its rows, recomputed here from
+    # entries blocks over the scan split, while the source kernel keeps the
+    # M, pairs and values it read before
+    source = block_kernels[name]
+    b, (s_radius, pair_radius) = source.ball, source.scan_split
+    words = b.elements[1:b.size_within(s_radius)]
+    old = (source.displacement_constant, source.values.copy(),
+           [source.translate_pairs(s, pair_radius) for s in words])
+    entries = {}
+    for _ in range(data.draw(st.integers(1, 3), "served pairs")):
+        j = data.draw(st.integers(1, source.n - 1), "j")
+        i = data.draw(st.integers(0, j - 1), "i")
+        t = source.row(i)[j] + data.draw(st.integers(-6, 6), "delta")
+        entries[i, j] = entries[j, i] = t
+    served = serve_rows(source, entries)
+    idx = list(range(b.size_within(pair_radius)))
+    expected = []
+    for s in words:
+        trans = [served.translate_index(s, b.elements[x]) for x in idx]
+        fixed, moved = served.entries(idx, idx), served.entries(trans, trans)
+        expected.append({(fixed[x][y], moved[x][y]) for x in idx for y in idx[x + 1:]})
+    assert served.displacement_constant == max(
+        (abs(t - u) for pairs in expected for u, t in pairs), default=0) / 2
+    assert [served.translate_pairs(s, pair_radius) for s in words] == expected
+    assert np.array_equal(2 * served.values, [served.row(i) for i in range(served.n)])
+    assert all(served.row(i)[j] == t for (i, j), t in entries.items())
+    assert source.displacement_constant == old[0]
+    assert np.array_equal(source.values, old[1])
+    assert [source.translate_pairs(s, pair_radius) for s in words] == old[2]
+    assert all(source.row(i) == source.embedding.row(i) for i, _ in entries)
+
+
 def test_quadratic_form_reads_f_not_the_served_entries(tree_kernel):
     # the form is a sum of squares over F's columns; an entry served in
     # place of F's reaches the reads of 2K but not the form
     v = EVector({"a": 1, "b": -1})
     i, j = tree_kernel.index_of("a"), tree_kernel.index_of("b")
     assert quadratic_form(v, tree_kernel) == 2  # K(a, b) = 2
-    serve_rows(tree_kernel, {(i, j): 0, (j, i): 0})
-    try:
-        assert tree_kernel.entries([i], [j]) == [[0]]
-        assert quadratic_form(v, tree_kernel) == 2
-    finally:
-        del tree_kernel.overrides
+    served = serve_rows(tree_kernel, {(i, j): 0, (j, i): 0})
+    assert served.entries([i], [j]) == [[0]]
+    assert quadratic_form(v, served) == 2
 
 
 def test_only_kernel_reads_the_layout_of_f():
     # F's arrays are read by kernel.py alone, so its layout is decided in
-    # one module
+    # one module; and no other module assigns, augments or deletes a
+    # kernel's served entries, which are fixed when the kernel is built
     layout = {"cols", "ptr", "col_ptr", "col_rows"}
-    reads = []
+    reads, writes = [], []
     for path in sorted(Path(l1comb.__file__).parent.glob("*.py")):
         if path.name == "kernel.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute) and node.attr in layout:
                 reads.append(f"{path.name}:{node.lineno} .{node.attr}")
+            targets = (node.targets if isinstance(node, (ast.Assign, ast.Delete))
+                       else [node.target] if isinstance(node, ast.AugAssign) else [])
+            writes += [f"{path.name}:{node.lineno} .overrides" for target in targets
+                       for sub in ast.walk(target)
+                       if isinstance(sub, ast.Attribute) and sub.attr == "overrides"]
     assert reads == []
+    assert writes == []
 
 
 class TestKernelFromBicombing:
@@ -237,7 +276,7 @@ class TestKernelFromBicombing:
         kernel = kernel_from_bicombing(tree_spec, radius=2)
         i, j = kernel.index_of("a"), kernel.index_of("b")
         t = kernel.row(i)[j] + 6
-        serve_rows(kernel, {(i, j): t, (j, i): t})
+        kernel = serve_rows(kernel, {(i, j): t, (j, i): t})
         assert kernel.displacement_constant == 3.0
 
     def test_exact_dtype(self, tree_kernel, tree_spec, surface_kernel, surface_anti):
@@ -253,7 +292,7 @@ class TestKernelFromBicombing:
     def test_principal_block_reads_the_served_rows(self, tree_spec):
         kernel = kernel_from_bicombing(tree_spec, radius=2)
         i, j = kernel.index_of("ab"), kernel.index_of("b")
-        serve_rows(kernel, {(i, j): 99})
+        kernel = serve_rows(kernel, {(i, j): 99})
         block = kernel.entries([i, j], [i, j])
         assert block == [[0, 99], [kernel.embedding.row(j)[i], 0]]
 
@@ -773,14 +812,11 @@ def test_slot_embedding_rows_match_the_matrix(tree_kernel, surface_kernel):
         for i in range(0, k.n, 37):
             assert np.array_equal(k.row(i), 2 * k.values[i])
         assert k.embedding.defect() is None
-        serve_rows(k, {(5, 3): k.row(5)[3] + 1})
-        try:
-            # the served rows differ from F's own at the override alone
-            assert [i for i in range(k.n) if k.row(i) != k.embedding.row(i)] == [5]
-            served, own = k.row(5), k.embedding.row(5)
-            assert [j for j in range(k.n) if served[j] != own[j]] == [3]
-        finally:
-            del k.overrides
+        k = serve_rows(k, {(5, 3): k.row(5)[3] + 1})
+        # the served rows differ from F's own at the override alone
+        assert [i for i in range(k.n) if k.row(i) != k.embedding.row(i)] == [5]
+        served, own = k.row(5), k.embedding.row(5)
+        assert [j for j in range(k.n) if served[j] != own[j]] == [3]
 
 
 F2_ACTION = ["action", "--presentation", "prod.txt", "--action", "proj.txt",
