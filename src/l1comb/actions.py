@@ -124,8 +124,7 @@ def orbit_kernel(action: TreeActionSpec, ball: CayleyBall) -> DisplacementKernel
         return slot_keys({edge_of.setdefault(image[:k], len(edge_of)): 2
                           for k in range(1, len(image) + 1)})
 
-    return DisplacementKernel(ball, SlotEmbedding(map(doubled_path, ball.elements)),
-                              ball.radius)
+    return DisplacementKernel(ball, SlotEmbedding(map(doubled_path, ball.elements)))
 
 
 # -- quasi-tree kernel inputs ---------------------------------------------------

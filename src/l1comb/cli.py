@@ -278,8 +278,10 @@ def verify_suite(config: argparse.Namespace) -> tuple[dict[str, str | None], dic
     structure and each served entry, in O(nnz + |overrides|); the per-element
     checks share one pass over the ball that reads 2K's row e and diagonal
     and builds each chain q[e, s] once, and the pair checks one pass over the
-    ordered pairs of the s ball.  Returns check name -> its first failing witness, or
-    None if it passed, in report order, and check name -> the items it decided."""
+    ordered pairs of the s ball.  Off a malformed F nothing reads 2K: every
+    check that reads F fails with the defect.  Returns check name -> its
+    first failing witness, or None if it passed, in report order, and check
+    name -> the items it decided."""
     b = ball(config.presentation, config.radius, cap=config.cap)
     sabotage = config.sabotage_diagonal
     if sabotage is not None and not 0 <= sabotage < len(b):
@@ -290,7 +292,7 @@ def verify_suite(config: argparse.Namespace) -> tuple[dict[str, str | None], dic
     spec = make_bicombing(config.bicombing_kind, b)
     kernel = kernel_from_bicombing(spec)
     if sabotage is not None:  # served over the built kernel's F and entries
-        kernel = DisplacementKernel(b, kernel.embedding, kernel.radius, spec,
+        kernel = DisplacementKernel(b, kernel.embedding, spec,
                                     {**kernel.overrides, (sabotage, sabotage): 2})
     n = len(b)
     inner = b.elements[:b.size_within(kernel.scan_split[0])]
@@ -321,12 +323,15 @@ def verify_suite(config: argparse.Namespace) -> tuple[dict[str, str | None], dic
 
     # F is a 0/1 matrix with its exact column index, so every entry it serves
     # is a squared distance |F_i - F_j|^2: symmetric, zero on the diagonal,
-    # non-negative and CND (Schoenberg); only the served entries are left to read
+    # non-negative and CND (Schoenberg); only the served entries are left to
+    # read.  Off a malformed F no read of 2K is sound, so none is made, and
+    # every check that reads F fails with the defect
     if (defect := kernel.embedding.defect()) is not None:
         for name in ("kernel_diagonal_zero", "kernel_symmetry", "kernel_nonnegative",
-                     "kernel_cnd"):
+                     "kernel_cnd", "kernel_cross_validation", "norm_formula",
+                     "per_vector_bound", "properness_rows"):
             fail(name, defect)
-    for (i, j), t in sorted(kernel.overrides.items()):
+    for (i, j), t in () if defect else sorted(kernel.overrides.items()):
         if i == j and t:
             fail("kernel_diagonal_zero", f"K({i},{i}) != 0")
         if t < 0:
@@ -339,7 +344,7 @@ def verify_suite(config: argparse.Namespace) -> tuple[dict[str, str | None], dic
 
     # one pass over the ball, which reads 2K's row e and diagonal: element s's
     # chain q[e, s] is built, checked and dropped in turn
-    row_e = kernel.row(0)  # 2K(e, .)
+    row_e = None if defect else kernel.row(0)  # 2K(e, .)
     degree = len(b.presentation.alphabet)
     for i, s in enumerate(b.elements):
         j = b.walk(0, invert(s))  # no oracle call: the table, then the index
@@ -360,17 +365,19 @@ def verify_suite(config: argparse.Namespace) -> tuple[dict[str, str | None], dic
         norm = chain.l1_norm()
         if norm < len(s):
             fail("combing_lower_bound", f"||q[e,{_word(s)}]||_1 < d for {_word(s)}")
+        if defect:
+            continue
         # ||b(s)||_1 = 2, so ||b(s)||_E = sqrt(K(s, e)) + 2 iff Q(b(s)) = (4K(s, e) -
         # 2K(s, s) - 2K(e, e)) / 4 equals K(s, e) = ||q[e,s]||_1, here by chain arithmetic;
-        # 2K(s, s) is read from row s; 0 off a malformed F, where a range read is unsound
-        diagonal = 0 if defect else kernel.row(i, i, i + 1)[0]
-        direct = Fraction(2 * row_e[i] - diagonal - row_e[0], 4)
+        # 2K(s, s) is read from row s
+        direct = Fraction(2 * row_e[i] - kernel.row(i, i, i + 1)[0] - row_e[0], 4)
         if direct != norm:
             fail("norm_formula",
                  f"Q(b({_word(s)})) = {direct} but ||q[e,{_word(s)}]||_1 = {norm}")
 
     try:
-        kernel_cross_validate(kernel, radius=kernel.scan_split[1])
+        if not defect:
+            kernel_cross_validate(kernel, radius=kernel.scan_split[1])
     except AssertionError as exc:
         fail("kernel_cross_validation", str(exc))
 
@@ -387,7 +394,7 @@ def verify_suite(config: argparse.Namespace) -> tuple[dict[str, str | None], dic
                      f"q[{_word(s)},{_word(x)}] + q[{_word(x)},{_word(s)}] != 0")
             if (res := check_cocycle_identity(s, x, b)) != 0:
                 fail("cocycle_identity", f"residual {res} at ({_word(s)}, {_word(x)})")
-            if not x:
+            if not x or defect:
                 continue
             v = EVector({x: 1, "": -1})
             if not (res := per_vector_bound_check(s, v, kernel)).passed:
@@ -395,7 +402,7 @@ def verify_suite(config: argparse.Namespace) -> tuple[dict[str, str | None], dic
                                          f"supp={[_word(w) for w in v.support()]}")
 
     try:
-        for _ in cocycle_norm_rows(kernel):  # checked and dropped in turn
+        for _ in () if defect else cocycle_norm_rows(kernel):  # checked and dropped in turn
             pass
     except PropernessError as exc:
         fail("properness_rows", str(exc))

@@ -170,7 +170,7 @@ def op_norm_lower_bound(s: str, kernel: DisplacementKernel, radius: int) -> OpNo
     - value <= sqrt(M/2) + 1: K(sx, sy) <= K(x, y) + M on the scan split, so
       each ratio is at most (sqrt(K + M) + 2) / (sqrt K + 2) <= 1 + sqrt(M)/2
       <= sqrt(M/2) + 1."""
-    n = kernel.ball.size_within(radius)
+    n = kernel.ball.scan_size(radius, "pair")
     if n < 2:
         raise ValueError("need at least two elements to span mean-zero vectors")
     if s == "":

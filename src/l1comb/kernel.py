@@ -51,23 +51,22 @@ class NonIntegralChainError(ValueError):
 
 
 class DisplacementKernel:
-    """Symmetric kernel over (a radius prefix of) a Cayley ball, fixed when
-    built: the slot embedding F of its doubled chains, and ``overrides[i, j]``
-    served in place of the entry (i, j), a read-only mapping (``verify
-    --sabotage-diagonal`` builds one).  Every read of 2K serves them:
-    :meth:`row` (a dense row; :meth:`entries` and ``values`` read off it) and
-    :meth:`translate_rows` (a translate block beside its base, right of the
-    diagonal), and so M and the kept translate pairs; only
+    """Symmetric kernel over a Cayley ball, fixed when built: the slot
+    embedding F of its doubled chains, one row per element, and
+    ``overrides[i, j]`` served in place of the entry (i, j), a read-only
+    mapping (``verify --sabotage-diagonal`` builds one).  Every read of 2K
+    serves them: :meth:`row` (a dense row; :meth:`entries` and ``values``
+    read off it) and :meth:`translate_rows` (a translate block beside its
+    base, right of the diagonal), and so M and the kept translate pairs; only
     :meth:`SlotEmbedding.form` and :meth:`SlotEmbedding.defect` read F itself.
     ``bicombing`` is the combing a kernel was built from, and None for a tree
     action's orbit kernel; the combing bounds (properness, two-triangle
     decomposition, cross-validation) apply only when it is set."""
 
-    def __init__(self, ball: CayleyBall, embedding: SlotEmbedding, radius: int,
+    def __init__(self, ball: CayleyBall, embedding: SlotEmbedding,
                  bicombing: BicombingSpec | None = None, overrides: Mapping | None = None):
         self.ball = ball
         self.embedding = embedding
-        self.radius = radius
         self.bicombing = bicombing
         self.overrides = MappingProxyType(dict(overrides or {}))
         self._translate_pairs: dict[tuple[str, int], frozenset[tuple[int, int]]] = {}
@@ -82,8 +81,8 @@ class DisplacementKernel:
 
     @property
     def scan_split(self) -> tuple[int, int]:
-        """(s radius, pair radius): every translate sx stays in the kernel."""
-        return self.radius // 2, self.radius - self.radius // 2
+        """(s radius, pair radius): every translate sx stays in the ball."""
+        return self.ball.radius // 2, (self.ball.radius + 1) // 2
 
     @functools.cached_property
     def displacement_constant(self) -> float:
@@ -122,14 +121,14 @@ class DisplacementKernel:
         """Kernel index of the element ``word`` names; raises
         :class:`OutOfBallError` when it is outside the kernel's ball."""
         idx = self.ball.canonical_index(word)
-        if idx is None or idx >= self.n:
+        if idx is None:
             raise OutOfBallError(f"{word!r} is outside the kernel's ball")
         return idx
 
     def translate_index(self, s: str, x: str) -> int:
         """Kernel index of the translate s x, named by
         :meth:`CayleyBall.name_step`: walked on the ball's table while it
-        stays in the ball; raises :class:`OutOfBallError` outside the kernel."""
+        stays in the ball; raises :class:`OutOfBallError` outside it."""
         return self.index_of(self.ball.name_step(s, x))
 
     def translate_rows(self, s: str, indices):
@@ -150,7 +149,7 @@ class DisplacementKernel:
         radius, read once and kept per (s, radius): a few pairs, where the
         block holds |S|^2, that M and the operator-norm bound both reduce."""
         if (s, radius) not in self._translate_pairs:
-            rows = self.translate_rows(s, range(self.ball.size_within(radius)))
+            rows = self.translate_rows(s, range(self.ball.scan_size(radius, "pair")))
             self._translate_pairs[s, radius] = frozenset(p for f, m in rows for p in zip(f, m))
         return self._translate_pairs[s, radius]
 
@@ -370,18 +369,14 @@ class SlotEmbedding:
         return None if c is None else f"F column {c} lists rows outside F's rows"
 
 
-def kernel_from_bicombing(spec: BicombingSpec,
-                          radius: int | None = None) -> DisplacementKernel:
-    """Kernel K(x, y) = ||q[e,x] - q[e,y]||_1 over the prefix of the given
-    radius of the combing's ball, exact through the doubled chains, whose
-    rows are walked on the ball's table with no word-problem call.  Only F is
-    built here; the displacement constant is measured when it is first
-    read."""
+def kernel_from_bicombing(spec: BicombingSpec) -> DisplacementKernel:
+    """Kernel K(x, y) = ||q[e,x] - q[e,y]||_1 over the combing's ball, exact
+    through the doubled chains, whose rows are walked on the ball's table
+    with no word-problem call.  Only F is built here; the displacement
+    constant is measured when it is first read."""
     b = spec.ball
-    n = b.scan_size(radius, "kernel")
-    rows = (walked_slots(b, i, spec.antisymmetrized) for i in range(n))
-    return DisplacementKernel(ball=b, embedding=SlotEmbedding(rows),
-                              radius=b.radius if radius is None else radius, bicombing=spec)
+    rows = (walked_slots(b, i, spec.antisymmetrized) for i in range(len(b)))
+    return DisplacementKernel(ball=b, embedding=SlotEmbedding(rows), bicombing=spec)
 
 
 # -- displacement ------------------------------------------------------------
@@ -430,8 +425,7 @@ def empirical_displacement_constant(kernel: DisplacementKernel, s_radius: int,
     sqrt(M/2) + 1 a valid uniform bound on the scanned range."""
     b = kernel.ball
     n_s, _ = b.scan_size(s_radius, "s"), b.scan_size(pair_radius, "pair")
-    if b.size_within(s_radius + pair_radius) > kernel.n:
-        raise OutOfBallError(f"scan split ({s_radius}, {pair_radius}) exceeds the kernel radius")
+    b.scan_size(s_radius + pair_radius, f"scan split ({s_radius}, {pair_radius})")
     # element 0 is the identity, whose translates are the pairs themselves
     return max((abs(t - u) for s in b.elements[1:n_s]
                 for u, t in kernel.translate_pairs(s, pair_radius)), default=0) / 2.0
@@ -480,14 +474,12 @@ def cnd_min_eigenvalue(kernel: DisplacementKernel, indices=None) -> float:
 def kernel_cross_validate(kernel: DisplacementKernel, radius: int | None = None) -> Fraction:
     """Max discrepancy between the kernel's values and direct chain arithmetic
     ||q[e,x] - q[e,y]||_1 of its own combing over the pairs within ``radius``
-    (the kernel's by default); both are exact, so any nonzero discrepancy
+    (the ball's by default); both are exact, so any nonzero discrepancy
     raises.  An orbit kernel has no combing to check against."""
     spec, b = kernel.bicombing, kernel.ball
     if spec is None:
         raise ValueError("cross-validation requires a combing-backed kernel")
-    n = b.scan_size(kernel.radius if radius is None else radius, "cross-validation")
-    if n > kernel.n:
-        raise OutOfBallError("cross-validation radius exceeds the kernel radius")
+    n = b.scan_size(radius, "cross-validation")
     chains = [combing_chain(spec, "", b.elements[i]) for i in range(n)]
     worst = max((abs(Fraction(t, 2) - (chains[i] - chains[j]).l1_norm()) for i in range(n)
                  for j, t in enumerate(kernel.row(i, i + 1, n), i + 1)),

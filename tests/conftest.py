@@ -15,8 +15,8 @@ def serve_rows(kernel, entries):
     """A new kernel over ``kernel``'s F that serves 2K with ``entries[i, j]``
     in place of the entry (i, j), on top of the entries ``kernel`` serves,
     through every read of 2K; ``kernel`` itself is left as it was."""
-    return DisplacementKernel(kernel.ball, kernel.embedding, kernel.radius,
-                              kernel.bicombing, {**kernel.overrides, **entries})
+    return DisplacementKernel(kernel.ball, kernel.embedding, kernel.bicombing,
+                              {**kernel.overrides, **entries})
 
 
 @pytest.fixture(scope="session")

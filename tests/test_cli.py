@@ -510,7 +510,9 @@ class TestVerify:
                                          corruption):
         # a copy of the built F, corrupted in its last row (radius 3, outside
         # the scan balls) or in the first column holding two rows, must fail
-        # the structure certificate with a witness naming the row or column
+        # the structure certificate with a witness naming the row or column;
+        # no read of 2K off it is sound, so every check that reads F fails
+        # with that witness, and the checks that read no F still pass
         build = cli.kernel_from_bicombing
         expected = []
 
@@ -536,6 +538,8 @@ class TestVerify:
                 expected.append(f"F row {i} has {F.norms[i] - 1} columns, "
                                 f"not |F_{i}|^2 = {F.norms[i]}")
             assert kernel.embedding.defect() is None and F.defect() == expected[0]
+            # past defect(), any read of F's entries fails the test
+            F.row = F.upper_rows = F.form = lambda *args: pytest.fail("F was read")
             kernel.embedding = F
             return kernel
 
@@ -544,9 +548,12 @@ class TestVerify:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         out = capsys.readouterr().out
-        # all four kernel checks rest on F being well formed
-        for check in ("kernel_diagonal_zero", "kernel_symmetry", "kernel_nonnegative",
-                      "kernel_cnd"):
+        reads_f = ("kernel_diagonal_zero", "kernel_symmetry", "kernel_nonnegative",
+                   "kernel_cnd", "kernel_cross_validation", "norm_formula",
+                   "per_vector_bound", "properness_rows")
+        failed = re.findall(r"^FAIL (\w+)", out, re.M)
+        assert failed == list(reads_f)
+        for check in reads_f:
             assert f"FAIL {check} [{expected[0]}]" in out
 
     def test_each_element_chain_is_built_once(self, surface, surface_file,
@@ -1081,7 +1088,8 @@ UNSTABLE_HEADER = ("# timestamp:", "# presentation:", "# seed:")
 
 # sha256 of each CSV body (header lines other than UNSTABLE_HEADER included),
 # recorded before the word-problem engine became one rewriter; verify.csv's
-# before verify's per-element checks became one pass over the ball
+# before verify's per-element checks became one pass over the ball; opnorm.csv's
+# before the op-norm probe's pair radius was guarded by CayleyBall.scan_size
 GOLDEN_DIGESTS = {
     "ball.csv":
         "deaadf37cb7c1a12ed41926a96fcb3159990b62bf285160a85233f68840ecd69",
@@ -1095,6 +1103,8 @@ GOLDEN_DIGESTS = {
         "acddec993731ce7f7936f873173adc2052781afafbf956659d07aa8b984e090b",
     "verify.csv":
         "bd0f3f8b61859829d00561587516a4df0f729b9a51b0c49f3bc1097bd7829e00",
+    "opnorm.csv":
+        "f1dd5712d521131952dc65f9bd2afc0abae66efe6833cacf4950b4bbf146a016",
 }
 
 
@@ -1117,6 +1127,7 @@ def test_csv_bodies_match_golden_digests(surface_file, tmp_path):
         ["action", "--presentation", str(prod), "--action", str(proj),
          "--radius", "3"],
         ["verify", "--presentation", str(surface_file), "--radius", "2"],
+        ["opnorm", "--presentation", str(prod), "--radius", "3"],
     ]
     out = tmp_path / "out"
     for argv in runs:

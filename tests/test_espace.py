@@ -447,10 +447,10 @@ class TestProperness:
         values = [minima[r] for r in sorted(minima)]
         assert values == sorted(values)
 
-    def test_failing_row_names_the_element(self, tree_spec):
+    def test_failing_row_names_the_element(self, f2):
         from l1comb import PropernessError, kernel_from_bicombing
 
-        kernel = kernel_from_bicombing(tree_spec, radius=2)
+        kernel = kernel_from_bicombing(make_bicombing("tree_geodesic", ball(f2, 2)))
         i = kernel.index_of("ab")
         kernel = serve_rows(kernel, {(i, 0): 0, (0, i): 0})  # fake a collapsed norm
         with pytest.raises(PropernessError, match="ab"):

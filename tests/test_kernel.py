@@ -31,6 +31,7 @@ from l1comb import (
     kernel_cross_validate,
     kernel_from_bicombing,
     make_bicombing,
+    op_norm_lower_bound,
     orbit_kernel,
     quadratic_form,
     two_triangle_bound,
@@ -86,12 +87,17 @@ def f2xf2_to_f2(draw):
 
 
 @pytest.fixture(scope="module")
-def block_kernels(tree_kernel, surface, f2xf2, f2xf2_ball3):
+def f2xf2_kernel4(f2xf2):
+    return kernel_from_bicombing(make_bicombing("shortlex_antisymmetrized", ball(f2xf2, 4)))
+
+
+@pytest.fixture(scope="module")
+def block_kernels(tree_kernel, f2, surface, f2xf2, f2xf2_ball3):
     from l1comb import parse_action
 
     projection = parse_action("target_rank: 2\na -> a\nb -> b\nc -> e\nd -> e\n", f2xf2)
     return {
-        "f2-tree-r3": kernel_from_bicombing(tree_kernel.bicombing, radius=3),
+        "f2-tree-r3": kernel_from_bicombing(make_bicombing("tree_geodesic", ball(f2, 3))),
         "f2-tree-r4": tree_kernel,
         "surface-anti-r3": kernel_from_bicombing(
             make_bicombing("shortlex_antisymmetrized", ball(surface, 3))),
@@ -225,6 +231,27 @@ def test_only_kernel_reads_the_layout_of_f():
     assert writes == []
 
 
+def test_every_radius_parameter_is_guarded_by_scan_size():
+    # a radius that reaches a scan is checked once, by CayleyBall.scan_size,
+    # before the scan reads anything: every function outside groups.py that
+    # takes a *radius parameter calls it
+    unguarded = []
+    for path in sorted(Path(l1comb.__file__).parent.glob("*.py")):
+        if path.name == "groups.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if not any(arg.arg.endswith("radius") for arg in args):
+                continue
+            calls = {getattr(sub.func, "attr", getattr(sub.func, "id", None))
+                     for sub in ast.walk(node) if isinstance(sub, ast.Call)}
+            if "scan_size" not in calls:
+                unguarded.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unguarded == []
+
+
 class TestKernelFromBicombing:
     def test_tree_kernel_equals_word_metric(self, tree_kernel, f2_ball4):
         n = tree_kernel.n
@@ -248,13 +275,7 @@ class TestKernelFromBicombing:
     def test_tree_displacement_constant_zero(self, tree_kernel):
         assert tree_kernel.displacement_constant == 0.0
 
-    def test_negative_radius_rejected(self, f2):
-        spec = make_bicombing("tree_geodesic", ball(f2, 3))
-        with pytest.raises(ValueError, match="^kernel radius must be >= 0$"):
-            kernel_from_bicombing(spec, radius=-2)
-
-    def test_displacement_constant_measured_once_on_first_read(self, tree_spec,
-                                                               monkeypatch):
+    def test_displacement_constant_measured_once_on_first_read(self, f2, monkeypatch):
         import l1comb.kernel as kernel_module
 
         calls = []
@@ -265,15 +286,15 @@ class TestKernelFromBicombing:
             return measure(*args)
 
         monkeypatch.setattr(kernel_module, "empirical_displacement_constant", counted)
-        kernel = kernel_from_bicombing(tree_spec, radius=3)
+        kernel = kernel_from_bicombing(make_bicombing("tree_geodesic", ball(f2, 3)))
         assert calls == [] and kernel.scan_split == (1, 2)
         assert kernel.displacement_constant == kernel.displacement_constant == 0.0
         assert calls == [(1, 2)]
 
-    def test_displacement_constant_reads_the_served_rows(self, tree_spec):
+    def test_displacement_constant_reads_the_served_rows(self, f2):
         # split (1, 1): no translate block of s != e holds both a and b, so
         # raising 2K(a, b) by 6 raises the two-sided excess to 6 / 2
-        kernel = kernel_from_bicombing(tree_spec, radius=2)
+        kernel = kernel_from_bicombing(make_bicombing("tree_geodesic", ball(f2, 2)))
         i, j = kernel.index_of("a"), kernel.index_of("b")
         t = kernel.row(i)[j] + 6
         kernel = serve_rows(kernel, {(i, j): t, (j, i): t})
@@ -289,8 +310,8 @@ class TestKernelFromBicombing:
             assert all(type(t) is int for i in range(0, k.n, 37) for t in k.row(i))
             assert k.values.dtype == np.float64 and not k.values.flags.writeable
 
-    def test_principal_block_reads_the_served_rows(self, tree_spec):
-        kernel = kernel_from_bicombing(tree_spec, radius=2)
+    def test_principal_block_reads_the_served_rows(self, f2):
+        kernel = kernel_from_bicombing(make_bicombing("tree_geodesic", ball(f2, 2)))
         i, j = kernel.index_of("ab"), kernel.index_of("b")
         kernel = serve_rows(kernel, {(i, j): 99})
         block = kernel.entries([i, j], [i, j])
@@ -467,11 +488,9 @@ class TestDisplacement:
 
 
 class TestCnd:
-    def test_zero_kernel(self, f2_ball4):
-        n = f2_ball4.size_within(1)
-        kernel = DisplacementKernel(
-            ball=f2_ball4, embedding=SlotEmbedding([()] * n), radius=1,
-        )
+    def test_zero_kernel(self, f2):
+        b = ball(f2, 1)
+        kernel = DisplacementKernel(ball=b, embedding=SlotEmbedding([()] * len(b)))
         assert cnd_min_eigenvalue(kernel) == 0.0
 
     def test_tree_kernel_cnd(self, tree_kernel, f2_ball4):
@@ -560,7 +579,6 @@ class TestKernelDump:
         kernel = DisplacementKernel(
             ball=f2_ball4,
             embedding=SlotEmbedding(numbered(feature_embed(c).coeffs for c in chains)),
-            radius=0,
         )
         assert "0,1,1/2" in kernel_dump(kernel).splitlines()
 
@@ -575,12 +593,23 @@ class TestKernelDump:
             assert "".join(kernel_dump(k, [i]) for i in range(k.n)) == whole
             assert whole.startswith("i,j,K\n0,0,0")
 
-    def test_leading_block_dumps_the_smaller_radius_kernel(self, tree_spec, tree_kernel):
+    @pytest.mark.parametrize("big", ["tree_kernel", "surface_kernel", "f2xf2_kernel4"],
+                             ids=["f2", "surface", "f2xf2"])
+    def test_leading_block_dumps_the_smaller_radius_kernel(self, request, big):
+        # a walked row does not depend on the ball around it: for every r' <= 3
+        # the leading block of the radius-4 kernel dumps the kernel over the
+        # radius-r' ball, and M agrees on every split (s, p) with s + p <= r'
         from l1comb import kernel_dump
 
-        size = tree_kernel.ball.size_within(2)
-        assert kernel_dump(tree_kernel, size=size) == \
-            kernel_dump(kernel_from_bicombing(tree_spec, radius=2))
+        big = request.getfixturevalue(big)
+        for radius in range(4):
+            small = kernel_from_bicombing(_small(big.bicombing, radius))
+            assert kernel_dump(big, size=big.ball.size_within(radius)) == kernel_dump(small)
+            for s_radius in range(radius + 1):
+                for pair_radius in range(radius + 1 - s_radius):
+                    assert empirical_displacement_constant(big, s_radius, pair_radius) == \
+                        empirical_displacement_constant(small, s_radius, pair_radius), \
+                        (radius, s_radius, pair_radius)
 
 
 class TestCrossValidation:
@@ -596,30 +625,50 @@ class TestCrossValidation:
         assert kernel_cross_validate(surface_kernel, radius=2) == 0
 
 
+def _unread(kernel):
+    """``kernel`` with a translate-block reader that fails the test when
+    called, so that a guard is seen to raise before any block is read."""
+    kernel.translate_rows = lambda *args: pytest.fail("a translate block was read")
+    return kernel
+
+
+def _small(spec, radius):
+    """The combing of ``spec``'s kind over the ball of the given radius."""
+    return make_bicombing(spec.kind, ball(spec.ball.presentation, radius))
+
+
 @pytest.mark.parametrize("call, error, match", [
-    (lambda spec: kernel_from_bicombing(spec, radius=5),
-     OutOfBallError, "kernel radius 5 exceeds the ball radius 4"),
     (lambda spec: displacement_decomposition(orbit_kernel(
         TreeActionSpec(spec.ball.presentation, 2, {"a": "a", "b": "b"}), spec.ball),
         "a", [0]),
      ValueError, "requires a combing-backed kernel"),
     (lambda spec: displacement_decomposition(
-        kernel_from_bicombing(make_bicombing("shortlex", spec.ball), radius=1), "a", [0]),
+        kernel_from_bicombing(make_bicombing("shortlex", spec.ball)), "a", [0]),
      ValueError, "needs an antisymmetric combing"),
     (lambda spec: empirical_displacement_constant(
-        kernel_from_bicombing(spec, radius=2), 1, 2),
-     OutOfBallError, r"scan split \(1, 2\) exceeds the kernel radius"),
+        _unread(kernel_from_bicombing(_small(spec, 2))), 1, 2),
+     OutOfBallError, r"^scan split \(1, 2\) radius 3 exceeds the ball radius 2$"),
+    (lambda spec: empirical_displacement_constant(
+        _unread(kernel_from_bicombing(spec)), 2, 3),
+     OutOfBallError, r"^scan split \(2, 3\) radius 5 exceeds the ball radius 4$"),
     (lambda spec: empirical_displacement_constant(kernel_from_bicombing(spec), -1, 1),
      ValueError, "s radius must be >= 0"),
     (lambda spec: empirical_displacement_constant(kernel_from_bicombing(spec), 1, -1),
      ValueError, "pair radius must be >= 0"),
-    (lambda spec: kernel_cross_validate(kernel_from_bicombing(spec, radius=2), radius=3),
-     OutOfBallError, "cross-validation radius exceeds the kernel radius"),
+    (lambda spec: kernel_cross_validate(kernel_from_bicombing(_small(spec, 2)), radius=3),
+     OutOfBallError, "^cross-validation radius 3 exceeds the ball radius 2$"),
+    (lambda spec: op_norm_lower_bound("a", _unread(kernel_from_bicombing(spec)), 5),
+     OutOfBallError, "^pair radius 5 exceeds the ball radius 4$"),
+    (lambda spec: _unread(kernel_from_bicombing(spec)).translate_pairs("ab", 5),
+     OutOfBallError, "^pair radius 5 exceeds the ball radius 4$"),
+    (lambda spec: op_norm_lower_bound("a", _unread(kernel_from_bicombing(spec)), -1),
+     ValueError, "^pair radius must be >= 0$"),
     (lambda spec: kernel_cross_validate(orbit_kernel(
         TreeActionSpec(spec.ball.presentation, 2, {"a": "a", "b": "b"}), spec.ball)),
      ValueError, "requires a combing-backed kernel"),
-], ids=["kernel-radius", "no-combing", "not-antisymmetric", "scan-split",
+], ids=["no-combing", "not-antisymmetric", "scan-split", "scan-split-beyond-the-ball",
         "negative-s-radius", "negative-pair-radius", "cross-validation-radius",
+        "opnorm-pair-radius", "translate-pairs-radius", "opnorm-negative-pair-radius",
         "no-combing-cross-validation"])
 def test_guard_rejects_its_input(tree_spec, call, error, match):
     with pytest.raises(error, match=match):
@@ -751,7 +800,7 @@ def test_kernel_build_retains_only_f(surface):
     # chains, no column-key table
     b = ball(surface, 4)
     spec = make_bicombing("shortlex_antisymmetrized", b)
-    kernel_from_bicombing(spec, radius=1)  # the lazy imports load here
+    kernel_from_bicombing(_small(spec, 1))  # the lazy imports load here
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -773,7 +822,7 @@ def test_kernel_build_peak_stays_within_twice_f(request, pres, radius, kind):
     # the one-pass build holds F, the flat key table and one column cursor:
     # no key dict, no growing buffer, no int64 sort order, no repeated rows
     spec = make_bicombing(kind, ball(request.getfixturevalue(pres), radius))
-    kernel_from_bicombing(spec, radius=1)  # the lazy imports load here
+    kernel_from_bicombing(_small(spec, 1))  # the lazy imports load here
     tracemalloc.start()
     try:
         kernel = kernel_from_bicombing(spec)
@@ -799,9 +848,9 @@ def test_walked_translates_equal_the_oracle_lookup(request, pres):
             for s in b.elements[:b.size_within(s_radius)]:
                 assert [kernel.translate_index(s, x) for x in pairs] == \
                     [kernel.index_of(s + x) for x in pairs], (radius, s)
-    # a translate outside the kernel, or (dehn mode) outside the ball, has
-    # no index: the error names the product
-    small = kernel_from_bicombing(make_bicombing("shortlex", b), radius=2)
+    # a translate outside the radius-2 ball has no index: the error names
+    # the product
+    small = kernel_from_bicombing(make_bicombing("shortlex", ball(presentation, 2)))
     for s, x in (("ab", "ab"), ("aaaa", "a")):
         with pytest.raises(OutOfBallError, match=repr(s + x)):
             small.translate_index(s, x)
