@@ -2,11 +2,11 @@
 
 A tree action is presented by a homomorphism from the source group to a free
 group acting on its own Cayley tree; the doubled tree paths from e to the
-orbit of e, over numbered tree edges and encoded by
-:func:`l1comb.kernel.slot_keys`, are the rows of a displacement kernel, whose
-measured constant is 0 (the action is isometric).  Its cocycle rows come from
-:func:`l1comb.espace.properness_report`, with the l1 part 2 as their lower
-bound, and the growth verdict is decided exactly on the integers 2K(s, e).
+orbit of e, as (numbered tree edge, coefficient) pairs, are the rows of a
+displacement kernel, whose measured constant is 0 (the action is isometric).
+Its cocycle rows come from :func:`l1comb.espace.properness_report`, with the
+l1 part 2 as their lower bound, and the growth verdict is decided exactly on
+the integers 2K(s, e).
 Quasi-tree geometry enters only through user-supplied kernels checked
 against the sandwich d - Delta <= K <= d, decided in rationals, and
 conditional negative definiteness, up to a tolerance derived from K.
@@ -23,7 +23,7 @@ from .groups import (
     free_reduce,
     invert,
 )
-from .kernel import DisplacementKernel, SlotEmbedding, centered_min_eigenvalue, slot_keys
+from .kernel import DisplacementKernel, SlotEmbedding, centered_min_eigenvalue
 from .espace import NormReport, properness_report
 
 
@@ -113,16 +113,14 @@ def orbit_kernel(action: TreeActionSpec, ball: CayleyBall) -> DisplacementKernel
     """K(s, t) = tree distance between the images of s and t: the reduced word
     length of phi(s)^-1 phi(t).  Row s of F is the doubled tree geodesic
     2 q[e, phi(s)]: coefficient 2 on the edge into each vertex v != e on
-    phi(s)'s reduced path, which every path through v crosses away from e,
-    so each column has one sign.  The displacement constant is measured over
-    the kernel's scan split when first read; the action is isometric, so it
-    reads 0."""
+    phi(s)'s reduced path.  The displacement constant is measured over the
+    kernel's scan split when first read; the action is isometric, so it reads 0."""
     edge_of: dict[str, int] = {}  # tree vertex != e -> the edge into it, numbered
 
-    def doubled_path(word: str) -> list[int]:
+    def doubled_path(word: str):
         image = action.apply(word)
-        return slot_keys({edge_of.setdefault(image[:k], len(edge_of)): 2
-                          for k in range(1, len(image) + 1)})
+        return {edge_of.setdefault(image[:k], len(edge_of)): 2
+                for k in range(1, len(image) + 1)}.items()
 
     return DisplacementKernel(ball, SlotEmbedding(map(doubled_path, ball.elements)))
 

@@ -5,7 +5,8 @@ boundary is y - x.  :class:`L1Vector` is the package's one finitely supported
 l1 vector: chains (:class:`Chain1`) are L1Vectors over canonically oriented
 edges (source word, lowercase generator), the mean-zero vectors of E
 (``espace.EVector``) are L1Vectors over group elements, and the slot
-embedding (``kernel.feature_embed``) is an L1Vector over (edge, slot) pairs.
+embedding (``kernel.feature_embed``), the reference for the kernel's rows of
+(edge, signed slot count) entries, is an L1Vector over (edge, slot) pairs.
 Path combings take values in {-1, 0, 1} and antisymmetrized combings in
 half-integers.  Coefficients stay int/Fraction end to end so l1 norms and
 triangle areas are exact.

@@ -321,9 +321,9 @@ def verify_suite(config: argparse.Namespace) -> tuple[dict[str, str | None], dic
         if witness[name] is None:
             witness[name] = text
 
-    # F is a 0/1 matrix with its exact column index, so every entry it serves
-    # is a squared distance |F_i - F_j|^2: symmetric, zero on the diagonal,
-    # non-negative and CND (Schoenberg); only the served entries are left to
+    # F is an integer matrix with its exact transpose, so every entry it serves
+    # is an l1 distance |F_i - F_j|_1 of integer vectors: symmetric, zero on the
+    # diagonal, non-negative and CND (Schoenberg); only the served entries are left to
     # read.  Off a malformed F no read of 2K is sound, so none is made, and
     # every check that reads F fails with the defect
     if (defect := kernel.embedding.defect()) is not None:

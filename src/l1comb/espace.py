@@ -9,10 +9,11 @@ A displacement kernel K induces the seminorm
     ||v||_f = Q(v)^(1/2),   Q(v) = -1/2 sum_{x,y} v(x) v(y) K(x, y),
 
 and the working norm is ||v||_E = ||v||_f + ||v||_1.  Every kernel here is
-2K(x, y) = |F_x - F_y|^2, so for mean-zero v, Q(v) = 1/2 |F^T v|^2 (Schoenberg):
-it is read exactly off F's rows and is never negative, so the inequalities
-below are decided in rationals; floats enter only through square roots
-(the operator-norm lower bound takes them of distinct integer pairs only).
+2K(x, y) = |F_x - F_y|_1 = |J(F_x) - J(F_y)|^2 (J the slot embedding), so for
+mean-zero v, Q(v) = 1/2 |sum v(x) J(F_x)|^2 (Schoenberg): it is read exactly
+off F's rows and is never negative, so the inequalities below are decided in
+rationals; floats enter only through square roots (the operator-norm lower
+bound takes them of distinct integer pairs only).
 The left translation representation pi(s)v(x) = v(s^-1 x) preserves ||.||_1
 exactly and moves ||.||_f by at most the displacement excess of K; the
 cocycle b(s) = delta_s - delta_e turns pi into an affine action whose growth
@@ -94,8 +95,8 @@ def check_cocycle_identity(s: str, t: str, ball: CayleyBall) -> int:
 
 
 def quadratic_form(v: EVector, kernel: DisplacementKernel) -> Fraction:
-    """Q(v) = -1/2 sum v(x) v(y) K(x, y) = 1/2 |F^T v|^2, exactly, read off
-    the rows of F over v's support."""
+    """Q(v) = -1/2 sum v(x) v(y) K(x, y) = 1/2 |sum v(x) J(F_x)|^2, exactly,
+    read off the rows of F over v's support."""
     return kernel.embedding.form((kernel.index_of(w), c) for w, c in v.coeffs.items())
 
 

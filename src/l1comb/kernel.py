@@ -5,22 +5,22 @@ by a Cayley ball.  For a combing q, K(x, y) = ||q[e,x] - q[e,y]||_1, and the
 slot embedding f = J realizes it explicitly: an integer chain becomes a +-1
 ``L1Vector`` with one coordinate per (edge, slot), and squared distances of
 embedded chains are l1 distances of the chains.  Combing values are
-half-integers, so :func:`kernel_from_bicombing` embeds the doubled chains
+half-integers, so :func:`kernel_from_bicombing` takes the doubled chains
 2 q[e, x], walked on the ball's multiplication table (:func:`walked_slots`),
-as the rows of one integer matrix F, kept in ``array``s with a column-major
-copy; :func:`feature_embed` is the reference embedding.  A tree action's
-kernel (:func:`l1comb.actions.orbit_kernel`) feeds the same engine the
-doubled tree paths of its orbit, both through :func:`slot_keys`, and no
-other module knows F's layout.  :class:`SlotEmbedding` builds F in one pass
-over the slot keys, so a build peaks below twice the bytes of F.  F and the
-entries a kernel is built to serve in F's place are its only state; entry
+as the rows of one integer matrix F, one entry per edge (the signed number of
+slots it fills), kept in ``array``s with a column-major copy; a tree
+action's kernel (:func:`l1comb.actions.orbit_kernel`) feeds the same engine
+the doubled tree paths of its orbit, and no other module knows F's layout.
+:class:`SlotEmbedding` builds F in one pass over the edges, so a build peaks
+below twice the bytes of F.  F and the entries a kernel is built to serve in
+F's place are its only state; entry
 
-    2 K(x_i, x_j) = |F_i|^2 + |F_j|^2 - 2 <F_i, F_j>,
+    2 K(x_i, x_j) = |F_i - F_j|_1 = |F_i|_1 + |F_j|_1 - 2 <J(F_i), J(F_j)>,
 
-is evaluated exactly by counting the columns rows i and j share, and no
-n x n matrix is ever stored.  Since every entry is a squared distance of
-integer vectors, 2K is of negative type, and every inequality read off it is
-decided exactly, conditional negative definiteness from F's structure alone
+is evaluated exactly from the columns rows i and j share, and no n x n matrix
+is ever stored.  Since every entry is a squared distance of integer vectors
+J(F_i), 2K is of negative type, and every inequality read off it is decided
+exactly, conditional negative definiteness from F's structure alone
 (:meth:`SlotEmbedding.defect`).  2K is read as Python ints: dense rows over a
 range (:meth:`DisplacementKernel.row`: :func:`kernel_dump`, the cocycle rows,
 cross-validation), and the one translate-block reader, 2K(x, .) beside
@@ -36,7 +36,7 @@ import functools
 import itertools
 from array import array
 from bisect import bisect_left
-from collections.abc import Collection, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from numbers import Rational
 from types import MappingProxyType
@@ -51,8 +51,8 @@ class NonIntegralChainError(ValueError):
 
 
 class DisplacementKernel:
-    """Symmetric kernel over a Cayley ball, fixed when built: the slot
-    embedding F of its doubled chains, one row per element, and
+    """Symmetric kernel over a Cayley ball, fixed when built: the integer
+    matrix F of its doubled chains, one row per ball element, and
     ``overrides[i, j]`` served in place of the entry (i, j), a read-only
     mapping (``verify --sabotage-diagonal`` builds one).  Every read of 2K
     serves them: :meth:`row` (a dense row; :meth:`entries` and ``values``
@@ -65,6 +65,8 @@ class DisplacementKernel:
 
     def __init__(self, ball: CayleyBall, embedding: SlotEmbedding,
                  bicombing: BicombingSpec | None = None, overrides: Mapping | None = None):
+        if (n := len(embedding.norms)) != len(ball):
+            raise ValueError(f"F has {n} rows, but the ball has {len(ball)} elements")
         self.ball = ball
         self.embedding = embedding
         self.bicombing = bicombing
@@ -221,14 +223,13 @@ def feature_embed(chain: Chain1) -> L1Vector:
 # -- the kernel engine -------------------------------------------------------
 
 
-def walked_slots(ball: CayleyBall, i: int, antisymmetrized: bool) -> list[int]:
-    """Slot keys of the doubled chain 2 q[e, x] of element i, walked on the
-    ball's multiplication table from e along x's canonical word and, when
-    antisymmetrized, back from x along x^-1's: edge t = source index * k +
-    generator (k generators), encoded by :func:`slot_keys`.  Both
-    walks are geodesics in the ball, so an edge carries +-1 or +-2, every key
-    is below 4nk for the n elements within x's length, and the keys come in
-    the order :func:`feature_embed` gives the word chain's."""
+def walked_slots(ball: CayleyBall, i: int, antisymmetrized: bool) -> Iterable[tuple[int, int]]:
+    """The doubled chain 2 q[e, x] of element i as (edge id, coefficient)
+    pairs, walked on the ball's multiplication table from e along x's
+    canonical word and, when antisymmetrized, back from x along x^-1's: edge
+    t = source index * k + generator (k generators).  Both walks are
+    geodesics in the ball, so an edge carries +-1 or +-2 (the signed number
+    of slots it fills), and the edges come in the word chain's order."""
     adj, rank, word = ball.adjacency, ball.presentation._rank, ball.elements[i]
     degree = len(rank)
     gens = degree // 2
@@ -248,35 +249,34 @@ def walked_slots(ball: CayleyBall, i: int, antisymmetrized: bool) -> list[int]:
         walk(i, ball.name_step("", invert(word)), -1)
     else:
         walk(0, word, 2)
-    return slot_keys(doubled)
+    return doubled.items()
 
 
-def slot_keys(doubled: dict[int, int]) -> list[int]:
-    """The one encoder of F's columns: keys of a doubled chain, edge id ->
-    coefficient c in -2..2, in the dict's order.  Slot k of edge t has key
-    4t + k + 1, and c fills slots 1..c, or c+1..0 (:func:`feature_embed`)."""
-    return [key for edge, c in doubled.items()
-            for key in range(4 * edge + 2 + min(c, 0), 4 * edge + 2 + max(c, 0))]
+@functools.cache
+def _twice_overlap(f: int) -> tuple[int, ...]:
+    """2 <J(f), J(g)> for every signed byte g, indexed by g itself (a negative
+    g from the end): 2 min(|f|, |g|) where f and g share a sign, else 0."""
+    return tuple(2 * min(abs(f), abs(g)) if f * g > 0 else 0
+                 for g in itertools.chain(range(128), range(-128, 0)))
 
 
 class SlotEmbedding:
-    """Slot embeddings of integer chains as the rows of F: row i has columns
-    ``cols[ptr[i]:ptr[i+1]]``, column c rows ``col_rows[col_ptr[c]:col_ptr[c+1]]``.
-    Rows come as non-negative integer slot keys (:func:`slot_keys`) and
-    are read once: one flat key table numbers the keys as columns in order of
-    first appearance, and a counting pass from ``col_ptr`` then fills
-    ``col_rows``, so the build holds F, the key table and one column cursor
-    and nothing per key.  A column's slot fixes the sign of all its entries,
-    so <F_i, F_j> counts the columns rows i and j share."""
+    """Integer chains as the rows of F, one signed byte per edge: row i holds
+    ``vals[ptr[i]:ptr[i+1]]`` in columns ``cols[ptr[i]:ptr[i+1]]``, column c
+    ``col_vals[col_ptr[c]:col_ptr[c+1]]`` in rows ``col_rows[col_ptr[c]:col_ptr[c+1]]``,
+    and ``norms[i]`` is |F_i|_1.  Rows come as (non-negative integer key, nonzero
+    coefficient) pairs, a coefficient outside -128..127 raising ``OverflowError``,
+    and are read once: one flat key table numbers the keys as columns in order
+    of first appearance, and a counting pass from ``col_ptr`` then fills the
+    column-major copy, so the build holds F, the key table and one column cursor."""
 
-    def __init__(self, rows: Iterable[Collection[int]]):
+    def __init__(self, rows: Iterable[Iterable[tuple[int, int]]]):
         # rows may be a generator: each is numbered and dropped in turn
-        table = array("i")  # slot key -> column, -1 until the key appears
-        cols, norms = array("i"), array("q")
+        table = array("i")  # key -> column, -1 until the key appears
+        cols, vals, norms, ptr = array("i"), array("b"), array("q"), array("q", [0])
         width = 0  # columns numbered so far
-        for keys in rows:
-            norms.append(len(keys))
-            for key in keys:
+        for entries in rows:
+            for key, f in entries:
                 try:
                     c = table[key]
                 except IndexError:
@@ -286,85 +286,103 @@ class SlotEmbedding:
                     c = table[key] = width
                     width += 1
                 cols.append(c)
+                vals.append(f)
+            norms.append(sum(map(abs, vals[ptr[-1]:])))
+            ptr.append(len(cols))
         del table
-        self.cols, self.norms = cols, norms  # norms[i] = |F_i|^2
-        self.ptr = array("q", itertools.accumulate(norms, initial=0))
-        counts = array("q", [0]) * width  # rows per column
+        self.cols, self.vals, self.norms, self.ptr = cols, vals, norms, ptr
+        counts = array("q", [0]) * width  # entries per column
         for c in cols:
             counts[c] += 1
         self.col_ptr = array("q", itertools.accumulate(counts, initial=0))
         # counting pass, counts now each column's fill cursor: rows are read in
         # order, so each column lists its rows in increasing order
-        self.col_rows, counts = array("i", [0]) * len(cols), self.col_ptr[:-1]
-        row_of = itertools.chain.from_iterable(map(itertools.repeat, range(len(norms)), norms))
-        for c, i in zip(cols, row_of):
-            self.col_rows[counts[c]] = i
-            counts[c] += 1
+        self.col_rows, self.col_vals = array("i", [0]) * len(cols), array("b", [0]) * len(cols)
+        counts = self.col_ptr[:-1]
+        for i in range(len(norms)):
+            for c, f in self._entries(i):
+                self.col_rows[counts[c]], self.col_vals[counts[c]] = i, f
+                counts[c] += 1
+
+    def _entries(self, i: int):
+        a, b = self.ptr[i], self.ptr[i + 1]
+        return zip(self.cols[a:b], self.vals[a:b])
 
     def upper_rows(self, rows):
-        """Row k of 2K[rows, rows] over rows[k+1:], exact |F_i|^2 + |F_j|^2 -
-        2 <F_i, F_j>, yielded in turn: row k, the first left in the increasing
-        holder list of each of its columns, drops itself and decrements the
-        rest, so the work grows with the block, not the ball."""
-        ptr, cols_of, norms = self.ptr, self.cols, self.norms
-        holders: dict[int, list[int]] = {}
+        """Row k of 2K[rows, rows] over rows[k+1:], exact |F_i|_1 + |F_j|_1 -
+        2 <J(F_i), J(F_j)>, yielded in turn: row k, the first left in the
+        increasing holder list of each of its columns, drops itself and takes
+        its overlap off the rest, so the work grows with the block, not the ball."""
+        norms = self.norms
+        holders: dict[int, list[tuple[int, int]]] = {}  # column -> (position, entry)
         for b, j in enumerate(rows):
-            for c in cols_of[ptr[j]:ptr[j + 1]]:
-                holders.setdefault(c, []).append(b)
+            for c, g in self._entries(j):
+                holders.setdefault(c, []).append((b, g))
         col_norms = [norms[j] for j in rows]
         for k, i in enumerate(rows, 1):
             out = [norms[i] + t for t in col_norms[k:]]
-            for c in cols_of[ptr[i]:ptr[i + 1]]:
-                del holders[c][0]
-                for b in holders[c]:
-                    out[b - k] -= 2
+            for c, f in self._entries(i):
+                held, twice = holders[c], _twice_overlap(f)
+                del held[0]
+                for b, g in held:
+                    out[b - k] -= twice[g]
             yield out
 
     def form(self, pairs) -> Fraction:
-        """1/2 |sum c_i F_i|^2 over (row index, coefficient) pairs, exact for
-        int and ``Fraction`` c_i, a repeated index adding up: each column has
-        one sign, so it adds the square of its rows' sum of c_i.  For mean-zero
+        """1/2 |sum c_i J(F_i)|^2 over (row index, coefficient) pairs, exact for
+        int and ``Fraction`` c_i, a repeated index adding up: entry f of column
+        c fills J's slot levels f..-1, or 0..f-1, of the column with the sign of
+        f, so each slot adds the square of its rows' sum of c_i.  For mean-zero
         c this is -1/4 sum c_i c_j 2K(i, j) (Schoenberg), never negative."""
-        ptr, cols_of = self.ptr, self.cols
-        sums: dict[int, Rational] = {}
+        sums: dict[int, Rational] = {}  # slot 256 col + level -> sum of c_i
         for i, c in pairs:
-            for col in cols_of[ptr[i]:ptr[i + 1]]:
-                sums[col] = sums.get(col, 0) + c
+            for col, f in self._entries(i):
+                col <<= 8
+                for level in range(f, 0) or range(f):
+                    sums[col + level] = sums.get(col + level, 0) + c
         return Fraction(sum(t * t for t in sums.values()), 2)
 
     def row(self, i: int, lo: int = 0, hi: int | None = None) -> list[int]:
-        """Row i of 2K over j in lo..hi-1 (every j by default), as
-        one list of ints: entry j is decremented once per column it shares with
-        F_i (few columns), whose increasing rows are bisected to the range."""
-        col_ptr, col_rows, norm = self.col_ptr, self.col_rows, self.norms[i]
+        """Row i of 2K over j in lo..hi-1 (every j by default), as one list of
+        ints: entry j loses twice its overlap with F_i in each column it shares
+        with F_i (few columns), whose increasing rows are bisected to the range."""
+        col_ptr, col_rows, col_vals = self.col_ptr, self.col_rows, self.col_vals
+        norm = self.norms[i]
         out = [norm + t for t in memoryview(self.norms)[lo:hi]]
         hi = lo + len(out)
-        for c in self.cols[self.ptr[i]:self.ptr[i + 1]]:
+        for c, f in self._entries(i):
+            twice = _twice_overlap(f)
             start = bisect_left(col_rows, lo, col_ptr[c], col_ptr[c + 1])
-            for j in col_rows[start:bisect_left(col_rows, hi, start, col_ptr[c + 1])]:
-                out[j - lo] -= 2
+            end = bisect_left(col_rows, hi, start, col_ptr[c + 1])
+            for j, g in zip(col_rows[start:end], col_vals[start:end]):
+                out[j - lo] -= twice[g]
         return out
 
     def defect(self) -> str | None:
-        """Why F's arrays are no 0/1 matrix with its exact column index, or None,
-        in O(nnz): row columns distinct and in range, ``norms[i]`` row i's length,
-        ``col_rows`` exactly the (i, c) of ``cols`` in row order.  Then every read
-        is |F_i - F_j|^2, so 2K is of negative type (Schoenberg)."""
-        cols, ptr, col_ptr, col_rows = self.cols, self.ptr, self.col_ptr, self.col_rows
-        width, cursor = len(col_ptr) - 1, col_ptr[:-1]  # each column's next row
-        for i, length in enumerate(self.norms):
-            row = cols[ptr[i]:ptr[i + 1]]
-            if len(row) != length:
-                return f"F row {i} has {len(row)} columns, not |F_{i}|^2 = {length}"
-            if len(set(row)) != length:
+        """Why F's arrays are no integer matrix with its exact transpose, or
+        None, in O(nnz): row entries nonzero, in distinct columns in range,
+        their absolute sum ``norms[i]``, and ``col_rows``/``col_vals`` exactly
+        the (i, F_ic) of ``cols``/``vals`` in row order.  Then every read is
+        |F_i - F_j|_1 = |J(F_i) - J(F_j)|^2, so 2K is of negative type (Schoenberg)."""
+        col_ptr, col_rows, col_vals = self.col_ptr, self.col_rows, self.col_vals
+        width, cursor = len(col_ptr) - 1, col_ptr[:-1]  # each column's next entry
+        for i, norm in enumerate(self.norms):
+            row = list(self._entries(i))
+            if len({c for c, _ in row}) != len(row):
                 return f"F row {i} repeats a column"
-            for c in row:
+            for c, f in row:
+                if not f:
+                    return f"F row {i} has a zero entry in column {c}"
                 if not 0 <= c < width:
                     return f"F row {i} has column {c}, outside 0..{width - 1}"
                 k = cursor[c]
                 if k >= col_ptr[c + 1] or col_rows[k] != i:
                     return f"F column {c} does not list row {i} in row order"
+                if col_vals[k] != f:
+                    return f"F column {c} lists row {i} with entry {col_vals[k]}, not {f}"
                 cursor[c] = k + 1
+            if (total := sum(abs(f) for _, f in row)) != norm:
+                return f"F row {i} has |F_{i}|_1 = {total}, not norms[{i}] = {norm}"
         c = next((c for c in range(width) if cursor[c] != col_ptr[c + 1]), None)
         return None if c is None else f"F column {c} lists rows outside F's rows"
 

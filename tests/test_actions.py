@@ -109,7 +109,7 @@ class TestOrbitKernel:
         action = parse_action(PROJECTION_ACTION, f2xf2)
         kernel = orbit_kernel(action, f2xf2_ball3)
         assert kernel.n == len(f2xf2_ball3) and kernel.bicombing is None
-        # |F_s|^2 = 2 d_T(e, phi(s)): two slots per edge of phi(s)'s path
+        # |F_s|_1 = 2 d_T(e, phi(s)): coefficient 2 on each edge of phi(s)'s path
         assert kernel.embedding.norms.tolist() == [
             2 * len(action.apply(w)) for w in f2xf2_ball3.elements]
 

@@ -505,7 +505,8 @@ class TestVerify:
         assert f"FAIL kernel_cnd [2K{first} is not its slot-embedding distance]" in out
         assert (f"FAIL kernel_symmetry [K{(i, j)} != K{(j, i)}]" in out) == one_sided
 
-    @pytest.mark.parametrize("corruption", ["swap-col-rows", "repeat-column", "bump-norm"])
+    @pytest.mark.parametrize("corruption", ["swap-col-rows", "repeat-column", "bump-norm",
+                                            "zero-entry", "col-vals", "shrink-entry"])
     def test_malformed_f_fails_exact_cnd(self, f2_file, tmp_path, capsys, monkeypatch,
                                          corruption):
         # a copy of the built F, corrupted in its last row (radius 3, outside
@@ -520,7 +521,24 @@ class TestVerify:
             kernel = build(spec)
             F = copy.copy(kernel.embedding)
             i = len(F.norms) - 1
-            if corruption == "swap-col-rows":
+            # the last row's first entry f, in column c, and its place k in
+            # the column-major copy
+            p, c = F.ptr[i], F.cols[F.ptr[i]]
+            f, k = F.vals[p], F.col_ptr[c + 1] - 1
+            assert F.col_rows[k] == i and F.col_vals[k] == f and abs(f) == 2
+            if corruption in ("zero-entry", "shrink-entry"):
+                # changed alike in both copies, so F keeps its exact transpose
+                F.vals, F.col_vals = F.vals[:], F.col_vals[:]
+                F.vals[p] = F.col_vals[k] = 0 if corruption == "zero-entry" else f // 2
+                expected.append(f"F row {i} has a zero entry in column {c}"
+                                if corruption == "zero-entry" else
+                                f"F row {i} has |F_{i}|_1 = {F.norms[i] - 1}, "
+                                f"not norms[{i}] = {F.norms[i]}")
+            elif corruption == "col-vals":
+                F.col_vals = F.col_vals[:]
+                F.col_vals[k] = -f
+                expected.append(f"F column {c} lists row {i} with entry {-f}, not {f}")
+            elif corruption == "swap-col-rows":
                 F.col_rows = F.col_rows[:]
                 c = next(c for c in range(len(F.col_ptr) - 1)
                          if F.col_ptr[c + 1] - F.col_ptr[c] >= 2)
@@ -535,8 +553,8 @@ class TestVerify:
             else:
                 F.norms = F.norms[:]
                 F.norms[i] += 1
-                expected.append(f"F row {i} has {F.norms[i] - 1} columns, "
-                                f"not |F_{i}|^2 = {F.norms[i]}")
+                expected.append(f"F row {i} has |F_{i}|_1 = {F.norms[i] - 1}, "
+                                f"not norms[{i}] = {F.norms[i]}")
             assert kernel.embedding.defect() is None and F.defect() == expected[0]
             # past defect(), any read of F's entries fails the test
             F.row = F.upper_rows = F.form = lambda *args: pytest.fail("F was read")

@@ -54,19 +54,36 @@ wide_chains = st.dictionaries(
 ).map(Chain1)
 
 
-def numbered(key_rows):
-    """Slot-key rows with every key replaced by its number in order of first
-    appearance, as :class:`SlotEmbedding` takes them."""
+def numbered(vectors):
+    """The (key, coefficient) rows of integer L1Vectors, every key replaced by
+    its number in order of first appearance, as :class:`SlotEmbedding` takes
+    them."""
     ids = {}
-    return [[ids.setdefault(key, len(ids)) for key in keys] for keys in key_rows]
+    rows = [[(ids.setdefault(key, len(ids)), int(c)) for key, c in v.coeffs.items()]
+            for v in vectors]
+    assert all(c == int(c) for v in vectors for c in v.coeffs.values())
+    return rows
 
 
 def assert_engine_matches_chains(chains):
-    F = SlotEmbedding(numbered(feature_embed(u).coeffs for u in chains))
+    # F from the chains' (edge, coefficient) rows, one entry per edge, reads
+    # as F from their +-1 slot embeddings, one entry per slot
+    F = SlotEmbedding(numbered(chains))
+    slots = SlotEmbedding(numbered(map(feature_embed, chains)))
+    assert len(F.cols) == sum(len(u.coeffs) for u in chains)
     for i, u in enumerate(chains):
         row = F.row(i)
         assert all(type(t) is int for t in row)
         assert row == [(u - w).l1_norm() for w in chains]
+        assert slots.row(i) == row
+        assert F.row(i, i, len(chains)) == slots.row(i, i, len(chains)) == row[i:]
+    for order in (range(len(chains)), range(len(chains) - 1, -1, -1)):
+        assert list(F.upper_rows(order)) == list(slots.upper_rows(order))
+    pairs = [(i, (-1) ** i * (i + 1)) for i in range(len(chains))]
+    pairs += [(0, Fraction(-1, 3)), (len(chains) - 1, Fraction(5, 2))]
+    assert F.form(pairs) == slots.form(pairs)
+    assert F.form(pairs[:1]) == Fraction(chains[0].l1_norm(), 2)
+    assert F.defect() is slots.defect() is None
 
 
 @st.composite
@@ -141,7 +158,7 @@ def test_block_entries_equal_the_dense_rows(block_kernels, name, data):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_quadratic_form_is_the_centered_block_form(block_kernels, name, data):
-    # Q(v) = 1/2 |F^T v|^2, read off F's rows, equals -1/4 sum c_i c_j 2K(i, j)
+    # Q(v) = 1/2 |sum c_i J(F_i)|^2, read off F's rows, equals -1/4 sum c_i c_j 2K(i, j)
     # read through entries, for int and Fraction coefficients; "aA" and "e"
     # are two words for one element, whose coefficients add up
     kernel = block_kernels[name]
@@ -214,7 +231,7 @@ def test_only_kernel_reads_the_layout_of_f():
     # F's arrays are read by kernel.py alone, so its layout is decided in
     # one module; and no other module assigns, augments or deletes a
     # kernel's served entries, which are fixed when the kernel is built
-    layout = {"cols", "ptr", "col_ptr", "col_rows"}
+    layout = {"cols", "vals", "ptr", "col_ptr", "col_rows", "col_vals"}
     reads, writes = [], []
     for path in sorted(Path(l1comb.__file__).parent.glob("*.py")):
         if path.name == "kernel.py":
@@ -337,6 +354,16 @@ class TestEngineProperties:
     @example([Chain1(dict.fromkeys(WIDE_EDGES[:210], 40)), Chain1({})])
     def test_wide_coefficients_stay_exact(self, chains):
         assert_engine_matches_chains(chains)
+
+    @pytest.mark.parametrize("coefficient", [128, -129, 200, -256])
+    def test_coefficient_beyond_a_signed_byte_raises(self, coefficient):
+        # an entry is a signed byte: a coefficient outside -128..127 raises
+        # rather than wrap to another entry
+        with pytest.raises(OverflowError):
+            SlotEmbedding(numbered([Chain1({WIDE_EDGES[0]: coefficient})]))
+        F = SlotEmbedding(numbered([Chain1({WIDE_EDGES[0]: 127}),
+                                    Chain1({WIDE_EDGES[0]: -128})]))
+        assert F.vals.tolist() == [127, -128] and F.row(0) == [0, 255]
 
     @settings(max_examples=25, deadline=None)
     @given(f2xf2_to_f2())
@@ -571,16 +598,21 @@ class TestKernelDump:
         assert all(i <= j for i, j in pairs)
         assert len(pairs) == kernel.n * (kernel.n + 1) // 2
 
-    def test_half_integer_values_render_as_fractions(self, f2_ball4):
+    def test_half_integer_values_render_as_fractions(self, f2):
         from l1comb import kernel_dump
 
-        # 2K(0, 1) = ||0 - 1 edge||_1 = 1
-        chains = [Chain1(), Chain1({("", "a"): 1})]
-        kernel = DisplacementKernel(
-            ball=f2_ball4,
-            embedding=SlotEmbedding(numbered(feature_embed(c).coeffs for c in chains)),
-        )
+        # 2K(0, 1) = ||0 - 1 edge||_1 = 1, one row per element of the r=1 ball
+        b = ball(f2, 1)
+        chains = [Chain1(), Chain1({("", "a"): 1})] + [Chain1()] * (len(b) - 2)
+        kernel = DisplacementKernel(ball=b, embedding=SlotEmbedding(numbered(chains)))
         assert "0,1,1/2" in kernel_dump(kernel).splitlines()
+
+    @pytest.mark.parametrize("rows", [2, 6])
+    def test_row_count_other_than_the_ball_rejected(self, f2, rows):
+        # every reader takes one row of F per ball element
+        b = ball(f2, 1)
+        with pytest.raises(ValueError, match=f"^F has {rows} rows, but the ball has 5 elements$"):
+            DisplacementKernel(ball=b, embedding=SlotEmbedding([()] * rows))
 
     def test_row_dumps_concatenate_to_the_whole_dump(self, tree_kernel, surface):
         from l1comb import kernel_dump
@@ -740,15 +772,14 @@ def test_engine_peak_memory_stays_near_its_output(f2):
     ("f2xf2", 3, "shortlex_antisymmetrized"),
 ])
 def test_walked_rows_equal_the_word_chain_embedding(request, pres, radius, kind):
-    # the rows walked on the multiplication table number F's columns as the
-    # slot embedding of the word chains 2 q[e, x] does, on every element
+    # the rows walked on the multiplication table are the numbered (edge,
+    # coefficient) rows of the word chains 2 q[e, x], on every element
     b = ball(request.getfixturevalue(pres), radius)
     spec = make_bicombing(kind, b)
     walked = kernel_from_bicombing(spec).embedding
-    words = SlotEmbedding(numbered(feature_embed(combing_chain(spec, "", x).scale(2)).coeffs
-                                   for x in b.elements))
+    words = SlotEmbedding(numbered(combing_chain(spec, "", x).scale(2) for x in b.elements))
     assert len(walked.norms) == len(b)
-    for name in ("cols", "norms", "col_ptr"):
+    for name in ("cols", "vals", "norms", "ptr", "col_ptr", "col_rows", "col_vals"):
         assert np.array_equal(getattr(walked, name), getattr(words, name)), name
 
 
@@ -809,7 +840,8 @@ def test_kernel_build_retains_only_f(surface):
     finally:
         tracemalloc.stop()
     F = kernel.embedding
-    f_bytes = sum(memoryview(a).nbytes for a in (F.cols, F.norms, F.ptr, F.col_rows, F.col_ptr))
+    f_bytes = sum(memoryview(a).nbytes for a in (F.cols, F.vals, F.norms, F.ptr,
+                                                 F.col_rows, F.col_vals, F.col_ptr))
     assert kernel.n == 3193
     assert retained <= f_bytes + 16_384, (retained, f_bytes)
 
@@ -820,7 +852,8 @@ def test_kernel_build_retains_only_f(surface):
 ])
 def test_kernel_build_peak_stays_within_twice_f(request, pres, radius, kind):
     # the one-pass build holds F, the flat key table and one column cursor:
-    # no key dict, no growing buffer, no int64 sort order, no repeated rows
+    # no key dict, no growing buffer, no int64 sort order, no repeated rows;
+    # F holds one entry per edge of the doubled chains
     spec = make_bicombing(kind, ball(request.getfixturevalue(pres), radius))
     kernel_from_bicombing(_small(spec, 1))  # the lazy imports load here
     tracemalloc.start()
@@ -830,8 +863,10 @@ def test_kernel_build_peak_stays_within_twice_f(request, pres, radius, kind):
     finally:
         tracemalloc.stop()
     F = kernel.embedding
-    f_bytes = sum(memoryview(a).nbytes for a in (F.cols, F.norms, F.ptr, F.col_rows, F.col_ptr))
+    f_bytes = sum(memoryview(a).nbytes for a in (F.cols, F.vals, F.norms, F.ptr,
+                                                 F.col_rows, F.col_vals, F.col_ptr))
     assert kernel.n == {4: 3193, 7: 4373}[radius]
+    assert len(F.cols) == len(F.col_rows) == {4: 12_264, 7: 28_432}[radius]
     assert peak <= 2 * f_bytes, peak / f_bytes
 
 
