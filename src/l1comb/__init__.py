@@ -13,11 +13,7 @@ from .groups import (
     parse_presentation,
 )
 from .bicombing import (
-    AreaScanResult,
-    BicombingSpec,
     Chain1,
-    L1Vector,
-    QuasiGeodesicConstants,
     TriplePolicy,
     antisymmetrize,
     area,
@@ -29,12 +25,10 @@ from .bicombing import (
     translate_chain,
 )
 from .kernel import (
-    DisplacementKernel,
-    NonIntegralChainError,
+    SlotEmbedding,
     cnd_min_eigenvalue,
     displacement_decomposition,
     empirical_displacement_constant,
-    feature_embed,
     kernel_cross_validate,
     kernel_dump,
     kernel_from_bicombing,
@@ -44,13 +38,9 @@ from .espace import (
     BoundCheck,
     EVector,
     MeanZeroError,
-    NormReport,
-    NormRow,
-    OpNormResult,
     PropernessError,
     check_cocycle_identity,
     cocycle,
-    cocycle_norm_rows,
     norm_e,
     norm_f,
     op_norm_lower_bound,
@@ -62,9 +52,7 @@ from .espace import (
 )
 from .actions import (
     ActionError,
-    GrowthReport,
     QuasiTreeKernelInput,
-    QuasiTreeReport,
     TreeActionSpec,
     orbit_growth_report,
     orbit_kernel,

@@ -17,12 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .groups import (
-    CayleyBall,
-    GroupPresentation,
-    free_reduce,
-    invert,
-)
+from .groups import CayleyBall, GroupPresentation, content_lines, free_reduce, invert
 from .kernel import DisplacementKernel, SlotEmbedding, centered_min_eigenvalue
 from .espace import NormReport, properness_report
 
@@ -83,10 +78,7 @@ def parse_action(text: str, presentation: GroupPresentation) -> TreeActionSpec:
     the identity).  Comments start with ``#``."""
     rank = None
     images: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in content_lines(text):
         if line.startswith("target_rank:"):
             if rank is not None:
                 raise ActionError("target_rank specified twice")
@@ -158,10 +150,7 @@ def parse_quasitree_csv(text: str) -> QuasiTreeKernelInput:
     delta = None
     rows = []
     saw_header = False
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in content_lines(text):
         if line.startswith("delta:"):
             if delta is not None:
                 raise ActionError("delta specified twice")

@@ -3,10 +3,8 @@
 A combing assigns to each ordered vertex pair (x, y) a 1-chain q[x, y] whose
 boundary is y - x.  :class:`L1Vector` is the package's one finitely supported
 l1 vector: chains (:class:`Chain1`) are L1Vectors over canonically oriented
-edges (source word, lowercase generator), the mean-zero vectors of E
-(``espace.EVector``) are L1Vectors over group elements, and the slot
-embedding (``kernel.feature_embed``), the reference for the kernel's rows of
-(edge, signed slot count) entries, is an L1Vector over (edge, slot) pairs.
+edges (source word, lowercase generator), and the mean-zero vectors of E
+(``espace.EVector``) are L1Vectors over group elements.
 Path combings take values in {-1, 0, 1} and antisymmetrized combings in
 half-integers.  Coefficients stay int/Fraction end to end so l1 norms and
 triangle areas are exact.
@@ -76,19 +74,8 @@ class L1Vector:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, factor):
-        if not factor:
-            return self._wrap({})
-        return self._wrap({key: c * factor for key, c in self.coeffs.items()})
-
     def l1_norm(self):
         return sum(abs(c) for c in self.coeffs.values())
-
-    def dot(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(b) < len(a):
-            a, b = b, a
-        return sum(c * b.get(key, 0) for key, c in a.items())
 
 
 class Chain1(L1Vector):

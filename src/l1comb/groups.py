@@ -286,9 +286,6 @@ class GroupPresentation:
             counts[self._rank[ch] // 2] += 1 if ch.islower() else -1
         return tuple(counts)
 
-    def shortlex_key(self, word: str) -> tuple:
-        return _shortlex_key(word, self._rank)
-
     def normal(self, word: str) -> str:
         """Reduce ``word`` with the one engine and this presentation's table:
         the canonical shortlex-least word in free and rewriting modes, and in
@@ -312,6 +309,14 @@ class GroupPresentation:
 _SECTIONS = ("generators:", "relators:", "mode:", "rules:")
 
 
+def content_lines(text: str):
+    """The stripped lines of a line-oriented input file, ``#`` comments cut
+    and blank lines skipped: the one line reader of every parser."""
+    for raw in text.splitlines():
+        if line := raw.split("#", 1)[0].strip():
+            yield line
+
+
 def parse_presentation(text: str) -> GroupPresentation:
     """Parse the line-oriented presentation format.
 
@@ -324,10 +329,7 @@ def parse_presentation(text: str) -> GroupPresentation:
     relators: list[str] = []
     mode: str | None = None
     rules: list[tuple[str, str]] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in content_lines(text):
         head = line.split()[0]
         if head in _SECTIONS:
             section = head[:-1]
@@ -492,9 +494,6 @@ class CayleyBall:
         if r >= self.radius:
             return len(self.elements)
         return self.sphere_offsets[max(r + 1, 0)]  # no element lies below 0
-
-    def indices_within(self, r: int) -> range:
-        return range(self.size_within(r))
 
     def scan_size(self, radius: int | None, scan: str) -> int:
         """:meth:`size_within` of a scan's radius, the whole ball by default;

@@ -3,8 +3,8 @@
 The central object is a symmetric kernel K(x, y) = ||f(x) - f(y)||^2 indexed
 by a Cayley ball.  For a combing q, K(x, y) = ||q[e,x] - q[e,y]||_1, and the
 slot embedding f = J realizes it explicitly: an integer chain becomes a +-1
-``L1Vector`` with one coordinate per (edge, slot), and squared distances of
-embedded chains are l1 distances of the chains.  Combing values are
+vector with one coordinate per (edge, slot) (:meth:`SlotEmbedding.form`),
+and squared distances of embedded chains are l1 distances of the chains.  Combing values are
 half-integers, so :func:`kernel_from_bicombing` takes the doubled chains
 2 q[e, x], walked on the ball's multiplication table (:func:`walked_slots`),
 as the rows of one integer matrix F, one entry per edge (the signed number of
@@ -42,12 +42,8 @@ from numbers import Rational
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .bicombing import BicombingSpec, Chain1, Edge, L1Vector, area, combing_chain
+from .bicombing import BicombingSpec, area, combing_chain
 from .groups import CayleyBall, OutOfBallError, invert
-
-
-class NonIntegralChainError(ValueError):
-    """The slot embedding is defined on integer chains only."""
 
 
 class DisplacementKernel:
@@ -155,31 +151,20 @@ class DisplacementKernel:
             self._translate_pairs[s, radius] = frozenset(p for f, m in rows for p in zip(f, m))
         return self._translate_pairs[s, radius]
 
-    def value(self, i: int, j: int) -> float:
-        return self.row(i, j, j + 1)[0] / 2.0
-
-    def exact(self, i: int, j: int) -> Fraction:
-        return Fraction(self.row(i, j, j + 1)[0], 2)
-
 
 # kernel_dump's ",{K}\n" by 2K: exact kernels take few distinct values, so
 # each is rendered once
 _LABELS: dict[int, str] = {}
 
 
-def kernel_dump(kernel: DisplacementKernel, rows=None, size=None) -> str:
-    """Kernel CSV lines of the given rows (all by default) of the principal
-    block over the first ``size`` elements (all by default): one line per
-    pair i <= j, indices in ball ordering, values as exact fractions; the
-    header ``i,j,K`` comes with row 0.  Concatenating the dumps of rows
-    0..size-1 gives the whole file, so it can be written a row at a time.
-    Ball elements come in order of length and a walked row does not depend
-    on the ball around it, so the block over the ball of a smaller radius is
-    that radius's kernel."""
-    if size is None:
-        size = kernel.n
-    if rows is None:
-        rows = range(size)
+def kernel_dump(kernel: DisplacementKernel, rows, size: int) -> str:
+    """Kernel CSV lines of the given rows of the principal block over the
+    first ``size`` elements: one line per pair i <= j, indices in ball
+    ordering, values as exact fractions; the header ``i,j,K`` comes with row
+    0.  Concatenating the dumps of rows 0..size-1 gives the whole file, so it
+    can be written a row at a time.  Ball elements come in order of length
+    and a walked row does not depend on the ball around it, so the block over
+    the ball of a smaller radius is that radius's kernel."""
     chunks = []
     for i in rows:
         if i == 0:
@@ -193,31 +178,6 @@ def kernel_dump(kernel: DisplacementKernel, rows=None, size=None) -> str:
         fields[1::2] = map(_LABELS.__getitem__, twice)
         chunks.append((f"{i},%d%s" * len(twice)) % tuple(fields))
     return "".join(chunks)
-
-
-# -- slot embedding ----------------------------------------------------------
-
-
-def feature_embed(chain: Chain1) -> L1Vector:
-    """The slot embedding J of an integer chain: edge value a > 0 fills slots
-    1..a of the edge with +1, a < 0 fills slots a+1..0 with -1.  Signed slots
-    of opposite sign never share a key, so ||J(u) - J(w)||^2 = ||u - w||_1,
-    and inner products (:meth:`L1Vector.dot`) are integer-exact."""
-    slots: dict[tuple[Edge, int], int] = {}
-    for edge, c in chain.coeffs.items():
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise NonIntegralChainError(
-                    f"coefficient {c} on edge {edge} is not an integer"
-                )
-            c = c.numerator
-        if c > 0:
-            for k in range(1, c + 1):
-                slots[(edge, k)] = 1
-        else:
-            for k in range(c + 1, 1):
-                slots[(edge, k)] = -1
-    return L1Vector._wrap(slots)
 
 
 # -- the kernel engine -------------------------------------------------------
@@ -265,10 +225,11 @@ class SlotEmbedding:
     ``vals[ptr[i]:ptr[i+1]]`` in columns ``cols[ptr[i]:ptr[i+1]]``, column c
     ``col_vals[col_ptr[c]:col_ptr[c+1]]`` in rows ``col_rows[col_ptr[c]:col_ptr[c+1]]``,
     and ``norms[i]`` is |F_i|_1.  Rows come as (non-negative integer key, nonzero
-    coefficient) pairs, a coefficient outside -128..127 raising ``OverflowError``,
-    and are read once: one flat key table numbers the keys as columns in order
-    of first appearance, and a counting pass from ``col_ptr`` then fills the
-    column-major copy, so the build holds F, the key table and one column cursor."""
+    coefficient) pairs, a negative key raising ``ValueError`` and a coefficient
+    outside -128..127 ``OverflowError``, and are read once: one flat key table
+    numbers the keys as columns in order of first appearance, and a counting
+    pass from ``col_ptr`` then fills the column-major copy, so the build holds
+    F, the key table and one column cursor."""
 
     def __init__(self, rows: Iterable[Iterable[tuple[int, int]]]):
         # rows may be a generator: each is numbered and dropped in turn
@@ -277,6 +238,8 @@ class SlotEmbedding:
         width = 0  # columns numbered so far
         for entries in rows:
             for key, f in entries:
+                if key < 0:  # table[key] would read another key's column
+                    raise ValueError(f"key {key} is negative; F's keys are non-negative integers")
                 try:
                     c = table[key]
                 except IndexError:
@@ -360,10 +323,21 @@ class SlotEmbedding:
 
     def defect(self) -> str | None:
         """Why F's arrays are no integer matrix with its exact transpose, or
-        None, in O(nnz): row entries nonzero, in distinct columns in range,
-        their absolute sum ``norms[i]``, and ``col_rows``/``col_vals`` exactly
-        the (i, F_ic) of ``cols``/``vals`` in row order.  Then every read is
-        |F_i - F_j|_1 = |J(F_i) - J(F_j)|^2, so 2K is of negative type (Schoenberg)."""
+        None, in O(nnz): both pointer arrays rise from 0 to the lengths of
+        their entry arrays, ``ptr`` one longer than ``norms``; row entries
+        nonzero, in distinct columns in range, their absolute sum
+        ``norms[i]``, and ``col_rows``/``col_vals`` exactly the (i, F_ic) of
+        ``cols``/``vals`` in row order.  Then every read is |F_i - F_j|_1 =
+        |J(F_i) - J(F_j)|^2, so 2K is of negative type (Schoenberg)."""
+        if len(self.ptr) != len(self.norms) + 1:
+            return f"F has {len(self.ptr)} row pointers for {len(self.norms)} rows"
+        for name, ends in (("ptr", ("cols", "vals")), ("col_ptr", ("col_rows", "col_vals"))):
+            p = getattr(self, name)
+            if not p or p[0] or any(a > b for a, b in itertools.pairwise(p)):
+                return f"F's {name} does not rise from 0"
+            for a in ends:
+                if (size := len(getattr(self, a))) != p[-1]:
+                    return f"F's {name} ends at {p[-1]}, but {a} holds {size} entries"
         col_ptr, col_rows, col_vals = self.col_ptr, self.col_rows, self.col_vals
         width, cursor = len(col_ptr) - 1, col_ptr[:-1]  # each column's next entry
         for i, norm in enumerate(self.norms):

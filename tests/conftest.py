@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from l1comb import (
@@ -6,9 +8,50 @@ from l1comb import (
     kernel_from_bicombing,
     make_bicombing,
 )
+from l1comb.bicombing import L1Vector
 from l1comb.kernel import DisplacementKernel
 
 SWAP_RULES = tuple((x + y, y + x) for x in "cCdD" for y in "aAbB")
+
+
+class NonIntegralChainError(ValueError):
+    """The slot embedding is defined on integer chains only."""
+
+
+def feature_embed(chain):
+    """The slot embedding J of an integer chain, the tests' second construction
+    of F's rows: edge value a > 0 fills slots 1..a of the edge with +1, a < 0
+    fills slots a+1..0 with -1.  Signed slots of opposite sign never share a
+    key, so ||J(u) - J(w)||^2 = ||u - w||_1, and inner products (:func:`dot`)
+    are integer-exact."""
+    slots = {}
+    for edge, c in chain.coeffs.items():
+        if isinstance(c, Fraction):
+            if c.denominator != 1:
+                raise NonIntegralChainError(
+                    f"coefficient {c} on edge {edge} is not an integer"
+                )
+            c = c.numerator
+        if c > 0:
+            for k in range(1, c + 1):
+                slots[(edge, k)] = 1
+        else:
+            for k in range(c + 1, 1):
+                slots[(edge, k)] = -1
+    return L1Vector._wrap(slots)
+
+
+def dot(u, w):
+    """The inner product of two L1Vectors, summed over the smaller support."""
+    a, b = u.coeffs, w.coeffs
+    if len(b) < len(a):
+        a, b = b, a
+    return sum(c * b.get(key, 0) for key, c in a.items())
+
+
+def scale(v, factor):
+    """``factor`` times the L1Vector ``v``, of ``v``'s own type."""
+    return v._wrap({key: c * factor for key, c in v.coeffs.items()} if factor else {})
 
 
 def serve_rows(kernel, entries):

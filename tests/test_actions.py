@@ -103,8 +103,7 @@ class TestOrbitKernel:
             raise AssertionError("an orbit kernel builds no combing chain")
 
         for module, name in ((kernel_module, "combing_chain"),
-                             (bicombing_module, "combing_chain"),
-                             (kernel_module, "feature_embed")):
+                             (bicombing_module, "combing_chain")):
             monkeypatch.setattr(module, name, unused)
         action = parse_action(PROJECTION_ACTION, f2xf2)
         kernel = orbit_kernel(action, f2xf2_ball3)
@@ -117,8 +116,8 @@ class TestOrbitKernel:
         action = parse_action(PROJECTION_ACTION, f2xf2)
         kernel = orbit_kernel(action, f2xf2_ball3)
         for n in (1, 2, 3):
-            assert kernel.value(kernel.index_of("a" * n), 0) == n
-            assert kernel.value(kernel.index_of("c" * n), 0) == 0
+            assert kernel.row(kernel.index_of("a" * n), 0, 1)[0] == 2 * n
+            assert kernel.row(kernel.index_of("c" * n), 0, 1)[0] == 0
 
     def test_left_invariance(self, f2xf2, f2xf2_ball3):
         action = parse_action(PROJECTION_ACTION, f2xf2)
@@ -132,14 +131,14 @@ class TestOrbitKernel:
             j = rng.randrange(f2xf2_ball3.size_within(2))
             si = f2xf2_ball3.canonical_index(s + words[i])
             sj = f2xf2_ball3.canonical_index(s + words[j])
-            assert kernel.value(si, sj) == kernel.value(i, j)
+            assert kernel.row(si, sj, sj + 1)[0] == kernel.row(i, j, j + 1)[0]
 
     def test_zero_excess_and_isometric_opnorm(self, f2, f2_ball4):
         action = parse_action(IDENTITY_ACTION, f2)
         kernel = orbit_kernel(action, f2_ball4)
         assert kernel.displacement_constant == 0.0
         assert empirical_displacement_constant(kernel, 2, 2) == 0.0
-        pairs = list(f2_ball4.indices_within(2))
+        pairs = list(range(f2_ball4.size_within(2)))
         for s in ("a", "bA"):
             trans = [kernel.index_of(s + f2_ball4.elements[i]) for i in pairs]
             assert kernel.entries(trans, trans) == kernel.entries(pairs, pairs)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import scale
 
 from l1comb import (
     Chain1,
@@ -93,7 +94,7 @@ class TestChainNorm:
 
     def test_homogeneity(self, tree_spec):
         c = combing_chain(tree_spec, "", "abAB"[:3])
-        assert c.scale(Fraction(1, 2)).l1_norm() == Fraction(1, 2) * c.l1_norm()
+        assert scale(c, Fraction(1, 2)).l1_norm() == Fraction(1, 2) * c.l1_norm()
 
 
 class TestAntisymmetrize:

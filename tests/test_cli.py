@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import SWAP_RULES, serve_rows
+from conftest import SWAP_RULES, scale, serve_rows
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from l1comb import BoundCheck, CayleyBall, Chain1, GroupPresentation, ball, boundary, cli
@@ -506,7 +506,8 @@ class TestVerify:
         assert (f"FAIL kernel_symmetry [K{(i, j)} != K{(j, i)}]" in out) == one_sided
 
     @pytest.mark.parametrize("corruption", ["swap-col-rows", "repeat-column", "bump-norm",
-                                            "zero-entry", "col-vals", "shrink-entry"])
+                                            "zero-entry", "col-vals", "shrink-entry",
+                                            "short-col-rows"])
     def test_malformed_f_fails_exact_cnd(self, f2_file, tmp_path, capsys, monkeypatch,
                                          corruption):
         # a copy of the built F, corrupted in its last row (radius 3, outside
@@ -546,6 +547,11 @@ class TestVerify:
                 F.col_rows[k], F.col_rows[k + 1] = F.col_rows[k + 1], F.col_rows[k]
                 expected.append(f"F column {c} does not list row {F.col_rows[k + 1]} "
                                 "in row order")
+            elif corruption == "short-col-rows":
+                # col_ptr now runs past the end of the column-major copy
+                F.col_rows = F.col_rows[:-1]
+                expected.append(f"F's col_ptr ends at {F.col_ptr[-1]}, "
+                                f"but col_rows holds {len(F.col_rows)} entries")
             elif corruption == "repeat-column":
                 F.cols = F.cols[:]
                 F.cols[F.ptr[i] + 1] = F.cols[F.ptr[i]]
@@ -604,7 +610,7 @@ class TestVerify:
 
         def faulted(s, chain, b):
             out = translate(s, chain, b)
-            return out.scale(2) if s == "ab" and boundary(chain, b) == {"cd": 1, "": -1} else out
+            return scale(out, 2) if s == "ab" and boundary(chain, b) == {"cd": 1, "": -1} else out
 
         monkeypatch.setattr(cli, "translate_chain", faulted)
         code = main(["verify", "--presentation", str(surface_file), "--radius", "4",
@@ -821,13 +827,13 @@ def _empty_chain_of_ab(mp):
 
 def _doubled_translates(mp):
     translate = cli.translate_chain
-    mp.setattr(cli, "translate_chain", lambda *args: translate(*args).scale(2))
+    mp.setattr(cli, "translate_chain", lambda *args: scale(translate(*args), 2))
 
 
 def _doubled_forward_chains(mp):
     chain = cli.combing_chain
     mp.setattr(cli, "combing_chain", lambda spec, x, y:
-               chain(spec, x, y).scale(2) if x and x < y else chain(spec, x, y))
+               scale(chain(spec, x, y), 2) if x and x < y else chain(spec, x, y))
 
 
 def _residual_at_a_b(mp):

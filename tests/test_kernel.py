@@ -1,4 +1,5 @@
 import ast
+import copy
 import os
 import random
 import subprocess
@@ -9,14 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import serve_rows
+from conftest import NonIntegralChainError, dot, feature_embed, scale, serve_rows
 from hypothesis import example, given, settings, strategies as st
 
 import l1comb
 from l1comb import (
     Chain1,
     EVector,
-    NonIntegralChainError,
     OutOfBallError,
     TreeActionSpec,
     area,
@@ -25,7 +25,6 @@ from l1comb import (
     combing_chain,
     displacement_decomposition,
     empirical_displacement_constant,
-    feature_embed,
     free_reduce,
     invert,
     kernel_cross_validate,
@@ -52,6 +51,10 @@ WIDE_EDGES = [("a" * k, g) for k in range(120) for g in "ab"]
 wide_chains = st.dictionaries(
     st.sampled_from(WIDE_EDGES), st.integers(-40, 40), max_size=12
 ).map(Chain1)
+# rows of F as SlotEmbedding takes them: distinct keys >= 0, signed-byte entries
+f_rows = st.lists(st.dictionaries(st.integers(0, 12), st.integers(-128, 127).filter(bool),
+                                  max_size=5).map(lambda row: list(row.items())), max_size=6)
+F_ARRAYS = ("cols", "vals", "norms", "ptr", "col_ptr", "col_rows", "col_vals")
 
 
 def numbered(vectors):
@@ -276,12 +279,12 @@ class TestKernelFromBicombing:
             xi = invert(f2_ball4.elements[i])
             for j in range(n):
                 d = len(free_reduce(xi + f2_ball4.elements[j]))
-                assert tree_kernel.value(i, j) == d
+                assert tree_kernel.row(i, j, j + 1)[0] == 2 * d
 
     def test_first_column_is_chain_norm(self, tree_kernel, tree_spec, f2_ball4):
         for i in range(tree_kernel.n):
             norm = combing_chain(tree_spec, "", f2_ball4.elements[i]).l1_norm()
-            assert tree_kernel.exact(i, 0) == norm
+            assert Fraction(tree_kernel.row(i, 0, 1)[0], 2) == norm
 
     def test_structure(self, tree_kernel, surface_kernel):
         for k in (tree_kernel, surface_kernel):
@@ -322,7 +325,7 @@ class TestKernelFromBicombing:
             # the engine embeds the doubled chains 2 q[e, x]: |F_i|^2 is
             # their l1 norm, and rows of 2K are lists of exact Python ints
             assert k.embedding.norms.tolist() == [
-                combing_chain(spec, "", x).scale(2).l1_norm()
+                scale(combing_chain(spec, "", x), 2).l1_norm()
                 for x in spec.ball.elements[:k.n]]
             assert all(type(t) is int for i in range(0, k.n, 37) for t in k.row(i))
             assert k.values.dtype == np.float64 and not k.values.flags.writeable
@@ -339,7 +342,7 @@ class TestKernelFromBicombing:
         pres = f2 if kind == "tree_geodesic" else surface
         k = kernel_from_bicombing(make_bicombing(kind, ball(pres, 0)))
         assert k.n == 1 and k.row(0) == [0] and type(k.row(0)[0]) is int
-        assert k.values.tolist() == [[0.0]] and k.exact(0, 0) == 0
+        assert k.values.tolist() == [[0.0]] and Fraction(k.row(0, 0, 1)[0], 2) == 0
 
 
 class TestEngineProperties:
@@ -364,6 +367,35 @@ class TestEngineProperties:
         F = SlotEmbedding(numbered([Chain1({WIDE_EDGES[0]: 127}),
                                     Chain1({WIDE_EDGES[0]: -128})]))
         assert F.vals.tolist() == [127, -128] and F.row(0) == [0, 255]
+
+    def test_negative_key_raises(self):
+        # key -1 would read key 5's column from the end of the key table, and
+        # 2K(0, 1) would read 1 where the rows' l1 distance is 3
+        with pytest.raises(ValueError, match="^key -1 is negative; F's keys are "
+                                             "non-negative integers$"):
+            SlotEmbedding([[(0, 1), (5, 1)], [(-1, 1)]])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(f_rows, st.sampled_from(F_ARRAYS), st.data())
+    def test_defect_names_any_one_array_edit(self, rows, name, data):
+        # a clean build has no defect; one entry of one of F's seven arrays
+        # dropped, or changed to any other value its type holds, is named by
+        # a witness, with no exception from the arrays' shapes
+        F = SlotEmbedding(rows)
+        assert F.defect() is None
+        edited = getattr(F, name)[:]
+        if not edited:
+            return
+        k = data.draw(st.integers(0, len(edited) - 1))
+        if data.draw(st.booleans()):
+            del edited[k]
+        else:
+            bound = 1 << (8 * edited.itemsize - 1)
+            edited[k] = data.draw(st.one_of(st.integers(-3, 40), st.integers(-bound, bound - 1))
+                                  .filter(lambda v: v != edited[k]))
+        broken = copy.copy(F)
+        setattr(broken, name, edited)
+        assert isinstance(broken.defect(), str)
 
     @settings(max_examples=25, deadline=None)
     @given(f2xf2_to_f2())
@@ -399,19 +431,19 @@ class TestL1VectorProperties:
     @given(integer_chains, integer_chains)
     def test_slot_embedding_squares_to_l1_distance(self, u, w):
         diff = feature_embed(u) - feature_embed(w)
-        assert diff.dot(diff) == (u - w).l1_norm()
+        assert dot(diff, diff) == (u - w).l1_norm()
 
 
 class TestFeatureEmbedding:
     def test_single_edge(self):
         f = feature_embed(Chain1({("", "a"): 1}))
         assert f.coeffs == {((("", "a")), 1): 1}
-        assert f.dot(f) == 1
+        assert dot(f, f) == 1
 
     def test_slot_count_between_mixed_signs(self):
         v = feature_embed(Chain1({("", "a"): 2}))
         w = feature_embed(Chain1({("", "a"): -1}))
-        assert (v - w).dot(v - w) == 3
+        assert dot(v - w, v - w) == 3
 
     def test_matches_l1_distance_on_random_integer_chains(self, f2_ball4):
         rng = random.Random(21)
@@ -429,7 +461,7 @@ class TestFeatureEmbedding:
             u, w = rand_chain(), rand_chain()
             expected = (u - w).l1_norm()  # direct chain-arithmetic oracle
             diff = feature_embed(u) - feature_embed(w)
-            assert diff.dot(diff) == expected
+            assert dot(diff, diff) == expected
 
     def test_non_integer_coefficient_rejected(self):
         with pytest.raises(NonIntegralChainError):
@@ -438,8 +470,8 @@ class TestFeatureEmbedding:
     def test_inner_products_integer(self):
         u = feature_embed(Chain1({("", "a"): 3, ("a", "b"): -2}))
         w = feature_embed(Chain1({("", "a"): 1, ("b", "a"): 5}))
-        assert isinstance(u.dot(w), int)
-        assert u.dot(w) == 1
+        assert isinstance(dot(u, w), int)
+        assert dot(u, w) == 1
 
 
 class TestDisplacement:
@@ -447,7 +479,7 @@ class TestDisplacement:
         # every s in the 2-ball, "a", "B", "ab" and "ba" among them
         assert empirical_displacement_constant(tree_kernel, 2, 2) == 0.0
         for s in ("a", "B", "ab", "ba"):
-            rows = displacement_decomposition(tree_kernel, s, f2_ball4.indices_within(2))
+            rows = displacement_decomposition(tree_kernel, s, range(f2_ball4.size_within(2)))
             assert rows and all(row.excess == 0 for row in rows)
 
     def test_tree_action_excess_vanishes(self, f2, f2_ball4):
@@ -461,7 +493,7 @@ class TestDisplacement:
     def test_surface_pairwise_decomposition(self, surface_kernel, surface_ball4):
         # every pairwise excess is bounded by its exact two-triangle area sum
         rows = displacement_decomposition(
-            surface_kernel, "a", surface_ball4.indices_within(2)
+            surface_kernel, "a", range(surface_ball4.size_within(2))
         )
         assert rows
         for row in rows:
@@ -470,7 +502,7 @@ class TestDisplacement:
     def test_surface_excess_verified_against_decomposition(self, surface_kernel,
                                                            surface_ball4):
         rows = displacement_decomposition(
-            surface_kernel, "ab", surface_ball4.indices_within(2)
+            surface_kernel, "ab", range(surface_ball4.size_within(2))
         )
         assert rows
         for row in rows:
@@ -496,13 +528,13 @@ class TestDisplacement:
         from l1comb import OutOfBallError
 
         with pytest.raises(OutOfBallError):
-            displacement_decomposition(tree_kernel, "abab", f2_ball4.indices_within(2))
+            displacement_decomposition(tree_kernel, "abab", range(f2_ball4.size_within(2)))
 
     def test_two_sided_constant_dominates_one_sided(self, surface_kernel,
                                                     surface_ball4):
         m = empirical_displacement_constant(surface_kernel, 2, 2)
         assert m == surface_kernel.displacement_constant
-        pairs = list(surface_ball4.indices_within(2))
+        pairs = list(range(surface_ball4.size_within(2)))
         base = surface_kernel.entries(pairs, pairs)
         for i in pairs:
             s = surface_ball4.elements[i]
@@ -522,12 +554,12 @@ class TestCnd:
 
     def test_tree_kernel_cnd(self, tree_kernel, f2_ball4):
         assert cnd_min_eigenvalue(
-            tree_kernel, f2_ball4.indices_within(3)
+            tree_kernel, range(f2_ball4.size_within(3))
         ) >= -1e-9
 
     def test_surface_kernel_cnd(self, surface_kernel, surface_ball4):
         assert cnd_min_eigenvalue(
-            surface_kernel, surface_ball4.indices_within(2)
+            surface_kernel, range(surface_ball4.size_within(2))
         ) >= -1e-9
 
     def test_centered_form_matches_feature_gram(self, surface_anti, surface_ball4,
@@ -537,11 +569,11 @@ class TestCnd:
         # quadratic_form returns it exactly
         n = surface_ball4.size_within(2)
         feats = [
-            feature_embed(combing_chain(surface_anti, "", surface_ball4.elements[i]).scale(2))
+            feature_embed(scale(combing_chain(surface_anti, "", surface_ball4.elements[i]), 2))
             for i in range(n)
         ]
         kernel2 = [
-            [(feats[i] - feats[j]).dot(feats[i] - feats[j]) for j in range(n)]
+            [dot(feats[i] - feats[j], feats[i] - feats[j]) for j in range(n)]
             for i in range(n)
         ]
         rng = random.Random(31)
@@ -556,7 +588,7 @@ class TestCnd:
                 for j, cj in zip(support, coeffs)
             )
             gram2 = 2 * sum(
-                ci * cj * feats[i].dot(feats[j])
+                ci * cj * dot(feats[i], feats[j])
                 for i, ci in zip(support, coeffs)
                 for j, cj in zip(support, coeffs)
             )
@@ -590,7 +622,7 @@ class TestKernelDump:
     def test_upper_triangle_with_header(self, f2):
         b = ball(f2, 1)
         kernel = kernel_from_bicombing(make_bicombing("tree_geodesic", b))
-        lines = __import__("l1comb").kernel_dump(kernel).splitlines()
+        lines = __import__("l1comb").kernel_dump(kernel, range(kernel.n), kernel.n).splitlines()
         assert lines[0] == "i,j,K"
         assert lines[1] == "0,0,0"
         assert lines[2] == "0,1,1"  # K(e, a) = 1
@@ -605,7 +637,7 @@ class TestKernelDump:
         b = ball(f2, 1)
         chains = [Chain1(), Chain1({("", "a"): 1})] + [Chain1()] * (len(b) - 2)
         kernel = DisplacementKernel(ball=b, embedding=SlotEmbedding(numbered(chains)))
-        assert "0,1,1/2" in kernel_dump(kernel).splitlines()
+        assert "0,1,1/2" in kernel_dump(kernel, range(kernel.n), kernel.n).splitlines()
 
     @pytest.mark.parametrize("rows", [2, 6])
     def test_row_count_other_than_the_ball_rejected(self, f2, rows):
@@ -621,8 +653,8 @@ class TestKernelDump:
             make_bicombing("shortlex_antisymmetrized", ball(surface, 2))
         )
         for k in (tree_kernel, small):
-            whole = kernel_dump(k)
-            assert "".join(kernel_dump(k, [i]) for i in range(k.n)) == whole
+            whole = kernel_dump(k, range(k.n), k.n)
+            assert "".join(kernel_dump(k, [i], k.n) for i in range(k.n)) == whole
             assert whole.startswith("i,j,K\n0,0,0")
 
     @pytest.mark.parametrize("big", ["tree_kernel", "surface_kernel", "f2xf2_kernel4"],
@@ -636,7 +668,8 @@ class TestKernelDump:
         big = request.getfixturevalue(big)
         for radius in range(4):
             small = kernel_from_bicombing(_small(big.bicombing, radius))
-            assert kernel_dump(big, size=big.ball.size_within(radius)) == kernel_dump(small)
+            n = big.ball.size_within(radius)
+            assert kernel_dump(big, range(n), n) == kernel_dump(small, range(small.n), small.n)
             for s_radius in range(radius + 1):
                 for pair_radius in range(radius + 1 - s_radius):
                     assert empirical_displacement_constant(big, s_radius, pair_radius) == \
@@ -777,7 +810,7 @@ def test_walked_rows_equal_the_word_chain_embedding(request, pres, radius, kind)
     b = ball(request.getfixturevalue(pres), radius)
     spec = make_bicombing(kind, b)
     walked = kernel_from_bicombing(spec).embedding
-    words = SlotEmbedding(numbered(combing_chain(spec, "", x).scale(2) for x in b.elements))
+    words = SlotEmbedding(numbered(scale(combing_chain(spec, "", x), 2) for x in b.elements))
     assert len(walked.norms) == len(b)
     for name in ("cols", "vals", "norms", "ptr", "col_ptr", "col_rows", "col_vals"):
         assert np.array_equal(getattr(walked, name), getattr(words, name)), name
