@@ -24,10 +24,10 @@ print("=== tree combing on the free group ===")
 f2 = GroupPresentation(("a", "b"))
 b4 = ball(f2, 4)
 tree = make_bicombing("tree_geodesic", b4)
-q = combing_chain(tree, "", "abA")
-print("q[e, abA] edges:")
+q = combing_chain(tree, "", "abA")  # chains hold the doubled combing 2q as ints
+print("2q[e, abA] edges:")
 print(sorted(q.coeffs.items()))
-print("boundary         ->", boundary(q, b4))
+print("boundary of 2q   ->", boundary(q, b4))
 print("area(e, ab, ba)  ->", area(tree, "", "ab", "ba"), "(trees have zero area)")
 scan = empirical_area_constant(tree, radius=3)
 print(f"exhaustive scan  -> M_emp = {scan.value} over {scan.triples_scanned} triples")

@@ -5,9 +5,11 @@ boundary is y - x.  :class:`L1Vector` is the package's one finitely supported
 l1 vector: chains (:class:`Chain1`) are L1Vectors over canonically oriented
 edges (source word, lowercase generator), and the mean-zero vectors of E
 (``espace.EVector``) are L1Vectors over group elements.
-Path combings take values in {-1, 0, 1} and antisymmetrized combings in
-half-integers.  Coefficients stay int/Fraction end to end so l1 norms and
-triangle areas are exact.
+Antisymmetrized combings take half-integer values, so a chain holds the
+doubled combing 2 q as ints, as the kernel's rows do (``kernel.walked_slots``):
++-2 on a path's edges, or +1 along the path from x to y and -1 back from y to
+x when antisymmetrized.  Boundaries, l1 norms and triangle areas are exact
+ints, halved only where a value is reported.
 
 Vertices are named by the combing's Cayley ball alone: a path follows the
 canonical geodesic :meth:`CayleyBall.name` gives, and every vertex off the
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from numbers import Rational
 from typing import NamedTuple
 
 from .groups import CayleyBall, GroupPresentation, invert
@@ -79,15 +80,15 @@ class L1Vector:
 
 
 class Chain1(L1Vector):
-    """Finitely supported rational 1-chain on oriented edges."""
+    """Finitely supported 1-chain on oriented edges."""
 
     __slots__ = ()
 
 
-def boundary(chain: Chain1, ball: CayleyBall) -> dict[str, Rational]:
+def boundary(chain: Chain1, ball: CayleyBall) -> dict[str, int]:
     """Boundary 0-chain: +coefficient at the edge target, -coefficient at the
     source.  Vertex names come from the ball's canonical naming."""
-    acc: dict[str, Rational] = {}
+    acc: dict[str, int] = {}
     for (src, g), c in chain.coeffs.items():
         _add_coeff(acc, ball.name_step(src, g), c)
         _add_coeff(acc, src, -c)
@@ -135,8 +136,9 @@ def antisymmetrize(spec: BicombingSpec) -> BicombingSpec:
 
 
 def _raw_accumulate(spec: BicombingSpec, x: str, y: str,
-                    acc: dict[Edge, Rational], factor: Rational) -> None:
-    """Add ``factor`` times the geodesic path chain from x to y into ``acc``."""
+                    acc: dict[Edge, int], step: int) -> None:
+    """Add ``step`` times the geodesic path chain from x to y into ``acc``;
+    an edge the sum cancels stays in ``acc`` at 0."""
     ball = spec.ball
     base = x == ""
     # from e the path follows y's own word, which keeps cross-validation's
@@ -149,37 +151,30 @@ def _raw_accumulate(spec: BicombingSpec, x: str, y: str,
         nxt = cur + ch if base else ball.name_step(cur, ch)
         if ch.islower():
             edge = (cur, ch)
-            coeff = factor
+            acc[edge] = acc.get(edge, 0) + step
         else:
             edge = (nxt, ch.lower())
-            coeff = -factor
-        # inline rather than _add_coeff: this is the area scan's inner loop
-        v = acc.get(edge, 0) + coeff
-        if v:
-            acc[edge] = v
-        else:
-            acc.pop(edge, None)
+            acc[edge] = acc.get(edge, 0) - step
         cur = nxt
 
 
-def _accumulate(spec: BicombingSpec, x: str, y: str,
-                acc: dict[Edge, Rational], factor: Rational = 1) -> None:
+def _accumulate(spec: BicombingSpec, x: str, y: str, acc: dict[Edge, int]) -> None:
+    """Add the doubled chain 2 q[x, y] into ``acc``."""
     if x == y:
         return
     if spec.antisymmetrized:
-        half = Fraction(factor, 2)
-        _raw_accumulate(spec, x, y, acc, half)
-        _raw_accumulate(spec, y, x, acc, -half)
+        _raw_accumulate(spec, x, y, acc, 1)
+        _raw_accumulate(spec, y, x, acc, -1)
     else:
-        _raw_accumulate(spec, x, y, acc, factor)
+        _raw_accumulate(spec, x, y, acc, 2)
 
 
 def combing_chain(spec: BicombingSpec, x: str, y: str) -> Chain1:
-    """The chain q[x, y] = x . q[e, x^-1 y]; equivariant by construction and
-    with boundary y - x."""
-    acc: dict[Edge, Rational] = {}
+    """The doubled chain 2 q[x, y] = x . 2 q[e, x^-1 y] as ints, zeros dropped;
+    equivariant by construction and with boundary 2 y - 2 x."""
+    acc: dict[Edge, int] = {}
     _accumulate(spec, x, y, acc)
-    return Chain1._wrap(acc)
+    return Chain1(acc)
 
 
 def translate_chain(s: str, chain: Chain1, ball: CayleyBall) -> Chain1:
@@ -190,9 +185,9 @@ def translate_chain(s: str, chain: Chain1, ball: CayleyBall) -> Chain1:
     })
 
 
-def area(spec: BicombingSpec, x: str, y: str, z: str) -> Rational:
-    """Triangle defect ||q[x,y] + q[y,z] + q[z,x]||_1 (exact rational)."""
-    acc: dict[Edge, Rational] = {}
+def area(spec: BicombingSpec, x: str, y: str, z: str) -> int:
+    """Twice the triangle defect ||q[x,y] + q[y,z] + q[z,x]||_1, an exact int."""
+    acc: dict[Edge, int] = {}
     _accumulate(spec, x, y, acc)
     _accumulate(spec, y, z, acc)
     _accumulate(spec, z, x, acc)
@@ -210,7 +205,7 @@ class TriplePolicy(NamedTuple):
 
 
 class AreaScanResult(NamedTuple):
-    value: Rational
+    value: Fraction
     witness: tuple[str, str, str]
     triples_scanned: int
     exhaustive: bool
@@ -223,12 +218,12 @@ def _cyclic_triple_count(n: int) -> int:
 
 def empirical_area_constant(spec: BicombingSpec, radius: int | None = None,
                             policy: TriplePolicy = TriplePolicy()) -> AreaScanResult:
-    """Maximum triangle area over the policy's triple set, with the
-    (lexicographically least) maximizing triple as witness."""
+    """Maximum triangle area over the policy's triple set (the largest doubled
+    area, halved), with the (lexicographically least) maximizing triple as witness."""
     ball = spec.ball
     n = ball.scan_size(radius, "area scan")
     elements = ball.elements
-    best: Rational = 0
+    best = 0
     witness = (0, 0, 0)
     exhaustive = _cyclic_triple_count(n) <= policy.exhaustive_limit
     scanned = 0
@@ -248,7 +243,7 @@ def empirical_area_constant(spec: BicombingSpec, radius: int | None = None,
             best = val
             witness = (i, j, k)
     return AreaScanResult(
-        value=best,
+        value=Fraction(best, 2),
         witness=tuple(elements[t] for t in witness),
         triples_scanned=scanned,
         exhaustive=exhaustive,
@@ -268,17 +263,17 @@ def quasi_geodesic_constants(spec: BicombingSpec,
     lower bound is asserted for every scanned pair (any chain with boundary
     z - e has l1 norm >= d(e, z)).  lambda is the largest ratio
     ||q[e,z]||_1 / d over the scan, so lambda d + 0 already bounds every
-    scanned pair and c is always 0."""
+    scanned pair and c is always 0.  Doubled norms are compared with 2 d."""
     ball = spec.ball
     n = ball.scan_size(radius, "quasi-geodesic scan")
     lam = Fraction(1)
     for idx in range(1, n):
         z = ball.elements[idx]
         d = len(z)
-        length = combing_chain(spec, "", z).l1_norm()
-        if length < d:
+        twice = combing_chain(spec, "", z).l1_norm()
+        if twice < 2 * d:
             raise AssertionError(
-                f"combing chain for {z!r} has l1 norm {length} below d = {d}"
+                f"combing chain for {z!r} has l1 norm {Fraction(twice, 2)} below d = {d}"
             )
-        lam = max(lam, Fraction(length, d))
+        lam = max(lam, Fraction(twice, 2 * d))
     return QuasiGeodesicConstants(lambda_emp=lam, c_emp=Fraction(0), pairs_scanned=n - 1)

@@ -343,7 +343,8 @@ def verify_suite(config: argparse.Namespace) -> tuple[dict[str, str | None], dic
             fail("kernel_cnd", f"2K{(i, j)} is not its slot-embedding distance")
 
     # one pass over the ball, which reads 2K's row e and diagonal: element s's
-    # chain q[e, s] is built, checked and dropped in turn
+    # doubled chain 2 q[e, s] is built, checked and dropped in turn, and
+    # halved only in a witness
     row_e = None if defect else kernel.row(0)  # 2K(e, .)
     degree = len(b.presentation.alphabet)
     for i, s in enumerate(b.elements):
@@ -360,20 +361,21 @@ def verify_suite(config: argparse.Namespace) -> tuple[dict[str, str | None], dic
             continue
         chain = combing_chain(spec, "", s)
         bd = boundary(chain, b)
-        if bd != {s: 1, "": -1}:
-            fail("boundary_identity", f"boundary of q[e,{_word(s)}] is {bd}")
-        norm = chain.l1_norm()
-        if norm < len(s):
+        if bd != {s: 2, "": -2}:
+            half = {v: Fraction(c, 2) for v, c in bd.items()}
+            fail("boundary_identity", f"boundary of q[e,{_word(s)}] is {half}")
+        twice = chain.l1_norm()
+        if twice < 2 * len(s):
             fail("combing_lower_bound", f"||q[e,{_word(s)}]||_1 < d for {_word(s)}")
         if defect:
             continue
-        # ||b(s)||_1 = 2, so ||b(s)||_E = sqrt(K(s, e)) + 2 iff Q(b(s)) = (4K(s, e) -
-        # 2K(s, s) - 2K(e, e)) / 4 equals K(s, e) = ||q[e,s]||_1, here by chain arithmetic;
-        # 2K(s, s) is read from row s
-        direct = Fraction(2 * row_e[i] - kernel.row(i, i, i + 1)[0] - row_e[0], 4)
-        if direct != norm:
-            fail("norm_formula",
-                 f"Q(b({_word(s)})) = {direct} but ||q[e,{_word(s)}]||_1 = {norm}")
+        # ||b(s)||_1 = 2, so ||b(s)||_E = sqrt(K(s, e)) + 2 iff 4 Q(b(s)) = 4K(s, e) -
+        # 2K(s, s) - 2K(e, e) equals 4K(s, e) = 2 ||2 q[e,s]||_1, here by chain
+        # arithmetic; 2K(s, s) is read from row s
+        direct = 2 * row_e[i] - kernel.row(i, i, i + 1)[0] - row_e[0]
+        if direct != 2 * twice:
+            fail("norm_formula", f"Q(b({_word(s)})) = {Fraction(direct, 4)} "
+                                 f"but ||q[e,{_word(s)}]||_1 = {Fraction(twice, 2)}")
 
     try:
         if not defect:

@@ -242,8 +242,8 @@ class SlotEmbedding:
                     raise ValueError(f"key {key} is negative; F's keys are non-negative integers")
                 try:
                     c = table[key]
-                except IndexError:
-                    table.extend(array("i", [-1]) * (key + 1 - len(table)))
+                except IndexError:  # grown in place, with no temporary array
+                    table.extend(itertools.repeat(-1, key + 1 - len(table)))
                     c = -1
                 if c < 0:
                     c = table[key] = width
@@ -378,8 +378,8 @@ class DecompositionRow(NamedTuple):
     x: str
     y: str
     excess: Fraction
-    area_first: Rational
-    area_second: Rational
+    area_first: Fraction
+    area_second: Fraction
 
 
 def two_triangle_bound(spec: BicombingSpec, s: str, x: str, y: str) -> tuple:
@@ -388,7 +388,8 @@ def two_triangle_bound(spec: BicombingSpec, s: str, x: str, y: str) -> tuple:
     ||q[sy,sx] + q[sx,s] + q[s,sy]||_1.  Both triangles are read translated
     by s^-1: the combing is equivariant, so the areas are the same, and the
     vertices s^-1, x, y and e stay in the ball that holds s, x and y."""
-    return area(spec, spec.ball.name_step("", invert(s)), x, y), area(spec, y, x, "")
+    first = area(spec, spec.ball.name_step("", invert(s)), x, y)
+    return Fraction(first, 2), Fraction(area(spec, y, x, ""), 2)
 
 
 def displacement_decomposition(kernel: DisplacementKernel, s: str,
@@ -466,16 +467,16 @@ def cnd_min_eigenvalue(kernel: DisplacementKernel, indices=None) -> float:
 def kernel_cross_validate(kernel: DisplacementKernel, radius: int | None = None) -> Fraction:
     """Max discrepancy between the kernel's values and direct chain arithmetic
     ||q[e,x] - q[e,y]||_1 of its own combing over the pairs within ``radius``
-    (the ball's by default); both are exact, so any nonzero discrepancy
-    raises.  An orbit kernel has no combing to check against."""
+    (the ball's by default): the int entries 2K against the l1 distances of the
+    doubled word-path chains 2 q[e, x], the discrepancy halved.  Both are exact,
+    so any nonzero discrepancy raises.  An orbit kernel has no combing to check against."""
     spec, b = kernel.bicombing, kernel.ball
     if spec is None:
         raise ValueError("cross-validation requires a combing-backed kernel")
     n = b.scan_size(radius, "cross-validation")
     chains = [combing_chain(spec, "", b.elements[i]) for i in range(n)]
-    worst = max((abs(Fraction(t, 2) - (chains[i] - chains[j]).l1_norm()) for i in range(n)
-                 for j, t in enumerate(kernel.row(i, i + 1, n), i + 1)),
-                default=Fraction(0))
+    worst = Fraction(max((abs(t - (chains[i] - chains[j]).l1_norm()) for i in range(n)
+                          for j, t in enumerate(kernel.row(i, i + 1, n), i + 1)), default=0), 2)
     if worst:
         raise AssertionError(f"cross-validation discrepancy {worst} is not 0")
     return worst

@@ -8,7 +8,8 @@ from l1comb import (
     kernel_from_bicombing,
     make_bicombing,
 )
-from l1comb.bicombing import L1Vector
+from l1comb.bicombing import Chain1, L1Vector
+from l1comb.groups import invert
 from l1comb.kernel import DisplacementKernel
 
 SWAP_RULES = tuple((x + y, y + x) for x in "cCdD" for y in "aAbB")
@@ -39,6 +40,44 @@ def feature_embed(chain):
             for k in range(c + 1, 1):
                 slots[(edge, k)] = -1
     return L1Vector._wrap(slots)
+
+
+def _oracle_path(spec, x, y, acc, factor):
+    """Add ``factor`` times the geodesic path chain from x to y into ``acc``,
+    dropping zeros as it goes."""
+    ball = spec.ball
+    base = x == ""
+    z = ball.name(y) if base else ball.name_step("", invert(x) + y)
+    cur = x
+    for ch in z:
+        nxt = cur + ch if base else ball.name_step(cur, ch)
+        edge, coeff = ((cur, ch), factor) if ch.islower() else ((nxt, ch.lower()), -factor)
+        v = acc.get(edge, 0) + coeff
+        if v:
+            acc[edge] = v
+        else:
+            acc.pop(edge, None)
+        cur = nxt
+
+
+def oracle_chain(spec, x, y):
+    """The tests' second construction of the combing chain q[x, y] itself,
+    not doubled: +-1 on a path's edges, and (q[x,y] - q[y,x]) / 2 in
+    half-integer ``Fraction``s when antisymmetrized."""
+    acc = {}
+    if x != y and spec.antisymmetrized:
+        _oracle_path(spec, x, y, acc, Fraction(1, 2))
+        _oracle_path(spec, y, x, acc, Fraction(-1, 2))
+    elif x != y:
+        _oracle_path(spec, x, y, acc, 1)
+    return Chain1._wrap(acc)
+
+
+def oracle_area(spec, x, y, z):
+    """The triangle defect ||q[x,y] + q[y,z] + q[z,x]||_1 of the oracle chains,
+    an exact rational."""
+    return (oracle_chain(spec, x, y) + oracle_chain(spec, y, z)
+            + oracle_chain(spec, z, x)).l1_norm()
 
 
 def dot(u, w):

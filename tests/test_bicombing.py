@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
 
+import functools
+
 import pytest
-from conftest import scale
+from conftest import SWAP_RULES, oracle_area, oracle_chain, scale
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l1comb import (
     Chain1,
@@ -19,6 +23,7 @@ from l1comb import (
     quasi_geodesic_constants,
     translate_chain,
 )
+from l1comb.bicombing import KINDS
 from l1comb.groups import OutOfBallError
 
 
@@ -36,8 +41,8 @@ def _random_chain(rng, cayley_ball, size=5, span=3, radius=None):
 
 class TestCombingChains:
     def test_unique_geodesic_chain(self, tree_spec):
-        q = combing_chain(tree_spec, "", "ab")
-        assert q.coeffs == {("", "a"): 1, ("a", "b"): 1}
+        q = combing_chain(tree_spec, "", "ab")  # the doubled chain 2 q
+        assert q.coeffs == {("", "a"): 2, ("a", "b"): 2}
 
     def test_empty_chain_on_equal_endpoints(self, tree_spec, surface_anti):
         for spec in (tree_spec, surface_anti):
@@ -45,7 +50,7 @@ class TestCombingChains:
 
     def test_reverse_edge_is_negated_coefficient(self, tree_spec):
         q = combing_chain(tree_spec, "a", "")
-        assert q.coeffs == {("", "a"): -1}
+        assert q.coeffs == {("", "a"): -2}
 
     def test_out_of_ball_pair_rejected(self, surface_anti):
         far = "abab"  # distance 4; squared against itself leaves ball(4)
@@ -61,7 +66,7 @@ class TestBoundary:
     def test_boundary_of_combing_chains(self, tree_spec, f2_ball4):
         for i in range(1, len(f2_ball4.elements)):
             s = f2_ball4.elements[i]
-            assert boundary(combing_chain(tree_spec, "", s), f2_ball4) == {s: 1, "": -1}
+            assert boundary(combing_chain(tree_spec, "", s), f2_ball4) == {s: 2, "": -2}
 
     def test_boundary_of_empty_chain(self, f2_ball4):
         assert boundary(Chain1(), f2_ball4) == {}
@@ -87,7 +92,7 @@ class TestChainNorm:
     def test_geodesic_chain_norm_is_word_length(self, tree_spec, f2_ball4):
         for i in range(len(f2_ball4.elements)):
             s = f2_ball4.elements[i]
-            assert combing_chain(tree_spec, "", s).l1_norm() == len(s)
+            assert combing_chain(tree_spec, "", s).l1_norm() == 2 * len(s)
 
     def test_zero_norm(self):
         assert Chain1().l1_norm() == 0
@@ -265,3 +270,41 @@ def test_scan_radius_must_lie_in_the_ball(f2, scan, name):
     with pytest.raises(ValueError, match=f"{name} radius must be >= 0"):
         scan(spec, radius=-1)
     assert scan(spec, radius=2) == scan(spec)
+
+
+PRESENTATIONS = {
+    "f2": lambda: GroupPresentation(("a", "b")),
+    "surface": lambda: GroupPresentation(("a", "b", "c", "d"), ("abABcdCD",), "dehn"),
+    "f2xf2": lambda: GroupPresentation(("a", "b", "c", "d"),
+                                       ("acAC", "adAD", "bcBC", "bdBD"), "rewriting",
+                                       SWAP_RULES),
+}
+
+
+@functools.cache
+def _oracle_case(pres, radius, scan, kind):
+    b = ball(PRESENTATIONS[pres](), radius)
+    return make_bicombing(kind, b), b.elements[:b.size_within(scan)]
+
+
+# (presentation, ball radius, radius of the scanned elements, kind): the
+# surface ball holds every product of two elements of radius 2
+ORACLE_CASES = [("f2", 3, 3, kind) for kind in KINDS] + [
+    (pres, 4, 2, kind) for pres in ("surface", "f2xf2") for kind in KINDS[1:]]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda case: f"{case[0]}-{case[3]}")
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_doubled_chains_are_twice_the_fraction_oracle(case, data):
+    # the int chains are 2 q of the Fraction oracle's q, coefficient for
+    # coefficient, and so are their boundaries and triangle areas
+    spec, words = _oracle_case(*case)
+    x, y, z = (data.draw(st.sampled_from(words)) for _ in range(3))
+    chain, half = combing_chain(spec, x, y), oracle_chain(spec, x, y)
+    assert all(type(c) is int for c in chain.coeffs.values())
+    assert chain.coeffs == {edge: 2 * c for edge, c in half.coeffs.items()}
+    b = spec.ball
+    assert boundary(chain, b) == {v: 2 * c for v, c in boundary(half, b).items()}
+    twice = area(spec, x, y, z)
+    assert type(twice) is int and twice == 2 * oracle_area(spec, x, y, z)

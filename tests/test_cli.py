@@ -610,7 +610,7 @@ class TestVerify:
 
         def faulted(s, chain, b):
             out = translate(s, chain, b)
-            return scale(out, 2) if s == "ab" and boundary(chain, b) == {"cd": 1, "": -1} else out
+            return scale(out, 2) if s == "ab" and boundary(chain, b) == {"cd": 2, "": -2} else out
 
         monkeypatch.setattr(cli, "translate_chain", faulted)
         code = main(["verify", "--presentation", str(surface_file), "--radius", "4",
@@ -814,7 +814,7 @@ def _empty_boundary_of_ab(mp):
 
     def emptied(chain, b):
         out = boundary(chain, b)
-        return {} if out == {"ab": 1, "": -1} else out
+        return {} if out == {"ab": 2, "": -2} else out
 
     mp.setattr(cli, "boundary", emptied)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import NonIntegralChainError, dot, feature_embed, scale, serve_rows
+from conftest import NonIntegralChainError, dot, feature_embed, serve_rows
 from hypothesis import example, given, settings, strategies as st
 
 import l1comb
@@ -283,8 +283,9 @@ class TestKernelFromBicombing:
 
     def test_first_column_is_chain_norm(self, tree_kernel, tree_spec, f2_ball4):
         for i in range(tree_kernel.n):
+            # 2K(x, e) = ||2 q[e, x]||_1
             norm = combing_chain(tree_spec, "", f2_ball4.elements[i]).l1_norm()
-            assert Fraction(tree_kernel.row(i, 0, 1)[0], 2) == norm
+            assert tree_kernel.row(i, 0, 1)[0] == norm
 
     def test_structure(self, tree_kernel, surface_kernel):
         for k in (tree_kernel, surface_kernel):
@@ -325,7 +326,7 @@ class TestKernelFromBicombing:
             # the engine embeds the doubled chains 2 q[e, x]: |F_i|^2 is
             # their l1 norm, and rows of 2K are lists of exact Python ints
             assert k.embedding.norms.tolist() == [
-                scale(combing_chain(spec, "", x), 2).l1_norm()
+                combing_chain(spec, "", x).l1_norm()
                 for x in spec.ball.elements[:k.n]]
             assert all(type(t) is int for i in range(0, k.n, 37) for t in k.row(i))
             assert k.values.dtype == np.float64 and not k.values.flags.writeable
@@ -374,6 +375,18 @@ class TestEngineProperties:
         with pytest.raises(ValueError, match="^key -1 is negative; F's keys are "
                                              "non-negative integers$"):
             SlotEmbedding([[(0, 1), (5, 1)], [(-1, 1)]])
+
+    def test_key_table_grows_in_place(self):
+        # the key table is sized by the largest key: 10**6 + 1 four-byte
+        # slots (3.8 MiB) for key 10**6, with no temporary array of its size
+        # beside it (7.9 MiB)
+        tracemalloc.start()
+        try:
+            F = SlotEmbedding([[(10**6, 1)]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert F.row(0) == [0] and peak < 4.5e6, peak
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(f_rows, st.sampled_from(F_ARRAYS), st.data())
@@ -520,8 +533,9 @@ class TestDisplacement:
             for x in words:
                 for y in words:
                     sx, sy = b.name(s + x), b.name(s + y)
+                    # area is the doubled defect
                     assert two_triangle_bound(spec, s, x, y) == (
-                        area(spec, "", sx, sy), area(spec, sy, sx, s)
+                        Fraction(area(spec, "", sx, sy), 2), Fraction(area(spec, sy, sx, s), 2)
                     ), (s, x, y)
 
     def test_translate_out_of_ball_rejected(self, tree_kernel, f2_ball4):
@@ -569,7 +583,7 @@ class TestCnd:
         # quadratic_form returns it exactly
         n = surface_ball4.size_within(2)
         feats = [
-            feature_embed(scale(combing_chain(surface_anti, "", surface_ball4.elements[i]), 2))
+            feature_embed(combing_chain(surface_anti, "", surface_ball4.elements[i]))
             for i in range(n)
         ]
         kernel2 = [
@@ -810,7 +824,7 @@ def test_walked_rows_equal_the_word_chain_embedding(request, pres, radius, kind)
     b = ball(request.getfixturevalue(pres), radius)
     spec = make_bicombing(kind, b)
     walked = kernel_from_bicombing(spec).embedding
-    words = SlotEmbedding(numbered(scale(combing_chain(spec, "", x), 2) for x in b.elements))
+    words = SlotEmbedding(numbered(combing_chain(spec, "", x) for x in b.elements))
     assert len(walked.norms) == len(b)
     for name in ("cols", "vals", "norms", "ptr", "col_ptr", "col_rows", "col_vals"):
         assert np.array_equal(getattr(walked, name), getattr(words, name)), name
